@@ -10,7 +10,7 @@ validate the engine.
 
 __version__ = "0.1.0"
 
-from .cnormal import CdfAccuracy, norm_cdf, norm_cdf_array, norm_cdf_asymptotic
+from .cnormal import norm_cdf, norm_cdf_array
 from .engine import (
     Branch, OrthantTransform, VolumeRequest, VolumeResult,
     curvature_scaling_residual, orthant_probability, regular_volume,
@@ -21,9 +21,9 @@ from .errors import (
     RankDeficiencyError, SectorError, SimplexVolError, ToleranceError,
 )
 from .geometry import (
-    Curvature, OrthocentricParams, RegularSimplexSpec, VertexRealization,
-    cosh_ratio, euclidean_volume, min_curvature, realize_vertices,
-    regular_parameters, side_length,
+    OrthocentricParams, RegularSimplexSpec, VertexRealization, cosh_ratio,
+    euclidean_volume, min_curvature, realize_vertices, regular_parameters,
+    side_length,
 )
 from ._hp import ideal_volume_highprec
 from .oracles import (
@@ -37,18 +37,17 @@ from .rayquad import (
 )
 
 __all__ = [
-    "Branch", "CdfAccuracy", "CostLimitError", "Curvature",
-    "GeometryDomainError", "HalfPlane", "IntegralPath", "IntegralResult",
-    "MonteCarloReport", "NearPoleError", "OrthantTransform",
-    "OrthocentricParams", "OverflowRegionError", "QuadratureConfig",
-    "RankDeficiencyError", "RayIntegralProblem", "RegularSimplexSpec",
-    "SectorError", "SimplexVolError", "ToleranceError", "VertexRealization",
-    "VolumeRequest", "VolumeResult", "cosh_ratio",
+    "Branch", "CostLimitError", "GeometryDomainError", "HalfPlane",
+    "IntegralPath", "IntegralResult", "MonteCarloReport", "NearPoleError",
+    "OrthantTransform", "OrthocentricParams", "OverflowRegionError",
+    "QuadratureConfig", "RankDeficiencyError", "RayIntegralProblem",
+    "RegularSimplexSpec", "SectorError", "SimplexVolError", "ToleranceError",
+    "VertexRealization", "VolumeRequest", "VolumeResult", "cosh_ratio",
     "curvature_scaling_residual", "direct_klein_volume", "euclidean_volume",
     "finite_segment_identity_residual", "head_integral", "ibp_tail",
     "ideal_tetrahedron_volume", "ideal_volume_highprec", "mc_spherical_volume",
-    "min_curvature", "norm_cdf", "norm_cdf_array", "norm_cdf_asymptotic",
-    "orthant_probability", "ray_integral", "realize_vertices",
-    "regular_parameters", "regular_tetrahedron_volume", "regular_volume",
-    "side_length", "sphere_surface_area", "volume",
+    "min_curvature", "norm_cdf", "norm_cdf_array", "orthant_probability",
+    "ray_integral", "realize_vertices", "regular_parameters",
+    "regular_tetrahedron_volume", "regular_volume", "side_length",
+    "sphere_surface_area", "volume",
 ]

@@ -1,7 +1,7 @@
 """Command-line front end: single volumes, side-length sweeps, verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 domain violation,
-3 tolerance failure (including partially failed sweep rows).
+3 tolerance failure or cost limit (including partially failed sweep rows).
 
 Data files are CSV with a '#'-prefixed JSON manifest header line; identical
 invocations produce byte-identical files (volatile fields such as wall time
@@ -21,7 +21,10 @@ import numpy as np
 
 from . import __version__
 from .engine import VolumeRequest, regular_volume, volume
-from .errors import GeometryDomainError, NearPoleError, SimplexVolError, ToleranceError
+from .errors import (
+    CostLimitError, GeometryDomainError, NearPoleError, SimplexVolError,
+    ToleranceError,
+)
 from .geometry import OrthocentricParams, RegularSimplexSpec, min_curvature
 
 EXIT_OK = 0
@@ -87,13 +90,8 @@ def _build_request(args):
                                   kappa=args.kappa)
         return VolumeRequest(geometry=spec, tolerance=args.tol)
     taus = tuple(float(t) for t in args.orthocentric.split(","))
-    params = OrthocentricParams(taus)
-    k0 = min_curvature(params)
-    if args.kappa != 0.0 and args.kappa < k0 * (1.0 + 1e-12):
-        raise GeometryDomainError(
-            f"kappa violates the admissibility bound kappa0 = {k0:.12g} "
-            f"(need kappa >= kappa0); got {args.kappa}")
-    return VolumeRequest(geometry=params, kappa=args.kappa, tolerance=args.tol)
+    return VolumeRequest(geometry=OrthocentricParams(taus), kappa=args.kappa,
+                         tolerance=args.tol)
 
 
 def cmd_volume(args):
@@ -397,6 +395,9 @@ def main(argv=None):
         return EXIT_DOMAIN
     except ToleranceError as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
+    except CostLimitError as exc:
+        print(f"cost limit: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
 
 

@@ -2,155 +2,51 @@
 
 The function evaluated here is
 
-    N(z) = 1/2 + (2*pi)**(-1/2) * integral_0^z exp(-t**2/2) dt,
+    N(z) = 1/2 + (2*pi)**(-1/2) * integral_0^z exp(-t**2/2) dt
+         = erfc(-z/sqrt(2)) / 2,
 
 an entire function of z.  Evaluation strategy:
 
-* first-quadrant core: a Maclaurin series in compensated (double-double)
-  arithmetic up to a switch radius, and the large-argument expansion
-  1 - exp(-z**2/2)/(sqrt(2*pi)*z) * S(z) beyond it, where
-  S(z) = sum_k (-1)**k (2k-1)!! z**(-2k);
+* first-quadrant core: SciPy's complex erfc (S. G. Johnson's Faddeeva
+  package), one expression for every modulus;
 * the rest of the plane is reached through the exact symmetries
   N(conj(z)) = conj(N(z)) and N(-z) = 1 - N(z), applied by construction so
   that both identities hold to the last rounding.
 
-Inside the closed sectors |arg(+-z)| <= pi/4 the absolute error is a few
-1e-15; elsewhere accuracy is relative to max(1, |N(z)|), since the function
+Inside the closed sectors |arg(+-z)| <= pi/4 the absolute error is below
+2e-15; elsewhere accuracy is relative to max(1, |N(z)|), since the function
 grows like exp(|z|**2/2) there and absolute accuracy below its ulp is not
-representable in double precision.
+representable in double precision.  The relative error in those growth
+sectors scales like |z|**2 times the double rounding unit, from rounding the
+argument (about 1e-13 at |z| = 12).
 
 All functions are pure; they share no mutable state and are safe to call
 concurrently.
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
+from scipy.special import erfc
 
-from . import _dd
-from .errors import OverflowRegionError, SectorError
+from .errors import OverflowRegionError
 
 SQRT_2PI = 2.5066282746310007
-_INV_SQRT_2PI_HI = 0.3989422804014327
-_INV_SQRT_2PI_LO = -2.49232720227773e-17
-
-#: number of terms of the large-argument expansion (reaches the Poincare floor
-#: of the divergent series at the default switch radius)
-_ASYMP_TERMS = 27
 
 #: exponent above which exp(-z**2/2) overflows a double
 _EXP_LIMIT = 705.0
 
 
-@dataclass(frozen=True)
-class CdfAccuracy:
-    """Accuracy controls for the complex normal CDF.
-
-    target_abs_error is the absolute-error goal inside the bounded sectors
-    (relative to max(1, |value|) in the growth sectors).  The switch radius
-    separates the series and asymptotic evaluation regions; below ~7.2 the
-    asymptotic side cannot reach 1e-12 on the rays arg z = +-pi/4, so the
-    default stays above that.
-    """
-
-    target_abs_error: float = 1e-12
-    series_asymptotic_switch_radius: float = 8.0
-
-    def __post_init__(self):
-        if not (1e-16 <= self.target_abs_error <= 1e-6):
-            raise ValueError("target_abs_error must lie in [1e-16, 1e-6]")
-        if self.series_asymptotic_switch_radius <= 0:
-            raise ValueError("switch radius must be positive")
-
-
-DEFAULT_ACCURACY = CdfAccuracy()
-
-
-def _series_iterations(radius):
-    """Terms needed for the Maclaurin series to drop below 1e-18 at |z| = radius."""
-    r2 = radius * radius
-    t = radius
-    n = 0
-    while n < 500:
-        n += 1
-        t *= r2 / (2.0 * n)
-        if t < 1e30 and t / (2 * n + 1) < 1e-18 and 2.0 * n > r2:
-            break
-    return n + 2
-
-
-def _series_q1(z):
-    """Maclaurin series of N(z) - 1/2 in double-double arithmetic (vectorized).
-
-    The terms alternate and grow to ~exp(|z|**2/2) before decaying, so plain
-    double summation loses ~|max term|*eps absolutely; the compensated
-    representation keeps the floor near 1e-18 for |z| <= 8.
-    """
-    x = np.real(z)
-    y = np.imag(z)
-    # v = -z**2/2, exact double-double
-    vr, vrl, vi, vil = _dd.complex_square_dd(x, y)
-    vr, vrl = _dd.dd_div_scalar(vr, vrl, -2.0)
-    vi, vil = _dd.dd_div_scalar(vi, vil, -2.0)
-
-    # power term p = z * v**n / n!, accumulated sum s = sum p/(2n+1)
-    pr, prl = x, np.zeros_like(x)
-    pi, pil = y, np.zeros_like(y)
-    sr, srl, si, sil = pr, prl, pi, pil
-
-    nmax = _series_iterations(float(np.max(np.abs(z))) if z.size else 0.0)
-    for n in range(1, nmax + 1):
-        pr, prl, pi, pil = _dd.cdd_mul(pr, prl, pi, pil, vr, vrl, vi, vil)
-        pr, prl, pi, pil = _dd.cdd_div_scalar(pr, prl, pi, pil, float(n))
-        cr, crl, ci, cil = _dd.cdd_div_scalar(pr, prl, pi, pil, float(2 * n + 1))
-        sr, srl, si, sil = _dd.cdd_add(sr, srl, si, sil, cr, crl, ci, cil)
-
-    # result = 1/2 + s / sqrt(2*pi)
-    rr, rrl = _dd.dd_mul(sr, srl, np.full_like(sr, _INV_SQRT_2PI_HI),
-                         np.full_like(sr, _INV_SQRT_2PI_LO))
-    ri, ril = _dd.dd_mul(si, sil, np.full_like(si, _INV_SQRT_2PI_HI),
-                         np.full_like(si, _INV_SQRT_2PI_LO))
-    rr, rrl = _dd.dd_add(rr, rrl, np.full_like(rr, 0.5), np.zeros_like(rr))
-    return (rr + rrl) + 1j * (ri + ril)
-
-
-def _asymptotic_sum(z):
-    """S(z) = sum_k (-1)**k (2k-1)!! z**(-2k), truncated at the working order."""
-    u = 1.0 / (z * z)
-    term = np.ones_like(z)
-    s = np.ones_like(z)
-    for k in range(1, _ASYMP_TERMS + 1):
-        term = term * (-(2 * k - 1)) * u
-        s = s + term
-    return s
-
-
-def _tail_factor(z):
-    """exp(-z**2/2) / (sqrt(2*pi) * z), guarding the double exponent range."""
-    w = -0.5 * z * z
-    if np.any(np.real(w) > _EXP_LIMIT):
+def _core_q1(z):
+    """N(z) for z in the closed first quadrant."""
+    if np.any(np.real(-0.5 * z * z) > _EXP_LIMIT):
         raise OverflowRegionError(
             "argument outside supported region: exp(-z**2/2) overflows in a growth sector")
-    return np.exp(w) / (SQRT_2PI * z)
+    return 0.5 * erfc(-z / math.sqrt(2.0))
 
 
-def _core_q1(z, acc):
-    """N(z) for z in the closed first quadrant."""
-    out = np.empty(z.shape, dtype=np.complex128)
-    r = np.abs(z)
-    small = r <= acc.series_asymptotic_switch_radius
-    if np.any(small):
-        out[small] = _series_q1(z[small])
-    big = ~small
-    if np.any(big):
-        zb = z[big]
-        out[big] = 1.0 - _tail_factor(zb) * _asymptotic_sum(zb)
-    return out
-
-
-def norm_cdf_array(z, acc=None):
+def norm_cdf_array(z):
     """Vectorized complex normal CDF; z is any array-like of complex values."""
-    acc = acc or DEFAULT_ACCURACY
     z = np.asarray(z, dtype=np.complex128)
     if z.size and not np.all(np.isfinite(z)):
         raise ValueError("arguments must be finite")
@@ -163,33 +59,12 @@ def norm_cdf_array(z, acc=None):
     c2 = np.real(w) < 0.0
     v = np.where(c2, -np.conj(w), w)
 
-    val = _core_q1(v, acc)
+    val = _core_q1(v)
     val = np.where(c2, 1.0 - np.conj(val), val)
     val = np.where(c1, np.conj(val), val)
     return val.reshape(shape)
 
 
-def norm_cdf(z, acc=None):
+def norm_cdf(z):
     """Complex normal CDF at a single point."""
-    return complex(norm_cdf_array(np.array([complex(z)]), acc)[0])
-
-
-def norm_cdf_asymptotic(z, acc=None):
-    """Large-argument evaluation of the complex normal CDF.
-
-    Uses 1 - tail for |arg z| <= pi/2 and the pure tail -exp(-z**2/2)*S/(...)
-    for |arg z| > pi/2 (where the function decays to 0).  Agrees with
-    norm_cdf on the overlap sectors to the target accuracy; requires
-    |z| >= the series/asymptotic switch radius.
-    """
-    acc = acc or DEFAULT_ACCURACY
-    zc = complex(z)
-    if abs(zc) < acc.series_asymptotic_switch_radius:
-        raise SectorError(
-            "norm_cdf_asymptotic requires |z| >= switch radius "
-            f"({acc.series_asymptotic_switch_radius}); got |z| = {abs(zc):.3g}")
-    za = np.array([zc])
-    t = _tail_factor(za) * _asymptotic_sum(za)
-    if zc.real >= 0.0:
-        return complex(1.0 - t[0])
-    return complex(-t[0])
+    return complex(norm_cdf_array(np.array([complex(z)]))[0])

@@ -28,7 +28,7 @@ from .cnormal import SQRT_2PI
 from .errors import GeometryDomainError, NearPoleError, ToleranceError
 from .geometry import (
     OrthocentricParams, RegularSimplexSpec, cosh_ratio, euclidean_volume,
-    min_curvature, realize_vertices, regular_parameters,
+    min_curvature, realize_vertices, regular_parameters, sphere_surface_area,
 )
 from .rayquad import (
     HalfPlane, QuadratureConfig, RayIntegralProblem, ray_integral,
@@ -86,18 +86,6 @@ class OrthantTransform(NamedTuple):
     value: complex
     abs_error: float
     evaluations: int
-
-
-def sphere_surface_area(d):
-    """Surface area of the unit d-sphere in R^{d+1}: 2 pi^{(d+1)/2} / Gamma((d+1)/2)."""
-    n2 = d + 1  # Gamma(n2/2) by exact half-integer recursion
-    if n2 % 2 == 0:
-        g = float(math.factorial(n2 // 2 - 1))
-    else:
-        g = math.sqrt(math.pi)
-        for i in range(n2 // 2):
-            g *= i + 0.5
-    return 2.0 * math.pi ** (n2 / 2.0) / g
 
 
 def _quad_config(tolerance):

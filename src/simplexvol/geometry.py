@@ -48,26 +48,6 @@ class OrthocentricParams:
 
 
 @dataclass(frozen=True)
-class Curvature:
-    """Nonzero sectional curvature with sign classification."""
-
-    kappa: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "kappa", float(self.kappa))
-        if self.kappa == 0 or not math.isfinite(self.kappa):
-            raise GeometryDomainError("curvature must be nonzero and finite")
-
-    @property
-    def is_hyperbolic(self):
-        return self.kappa < 0
-
-    @property
-    def is_spherical(self):
-        return self.kappa > 0
-
-
-@dataclass(frozen=True)
 class RegularSimplexSpec:
     """Regular hyperbolic simplex: dimension, side length (inf = ideal), curvature."""
 
@@ -196,6 +176,18 @@ def realize_vertices(params):
     if np.linalg.matrix_rank(verts[1:] - verts[0], tol=1e-10) < n - 1:
         raise RankDeficiencyError("vertex realization is rank deficient")
     return VertexRealization(vertices=verts)
+
+
+def sphere_surface_area(d):
+    """Surface area of the unit d-sphere in R^{d+1}: 2 pi^{(d+1)/2} / Gamma((d+1)/2)."""
+    n2 = d + 1  # Gamma(n2/2) by exact half-integer recursion
+    if n2 % 2 == 0:
+        g = float(math.factorial(n2 // 2 - 1))
+    else:
+        g = math.sqrt(math.pi)
+        for i in range(n2 // 2):
+            g *= i + 0.5
+    return 2.0 * math.pi ** (n2 / 2.0) / g
 
 
 def euclidean_volume(realization):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import CostLimitError, GeometryDomainError
-from .geometry import min_curvature
+from .geometry import sphere_surface_area
 
 _CHUNK = 1_000_000
 
@@ -56,24 +56,13 @@ def mc_spherical_volume(params, kappa, samples=1_000_000, seed=0):
         done += n
     p_hat = hits / samples
     var = p_hat * (1.0 - p_hat) * samples / max(samples - 1, 1)
-    scale = _sphere_area(d) * kappa ** (-d / 2.0)
+    scale = sphere_surface_area(d) * kappa ** (-d / 2.0)
     return MonteCarloReport(
         estimate=scale * p_hat,
         std_error=scale * math.sqrt(var / samples),
         samples=samples,
         seed=seed,
     )
-
-
-def _sphere_area(d):
-    n2 = d + 1
-    if n2 % 2 == 0:
-        g = float(math.factorial(n2 // 2 - 1))
-    else:
-        g = math.sqrt(math.pi)
-        for i in range(n2 // 2):
-            g *= i + 0.5
-    return 2.0 * math.pi ** (n2 / 2.0) / g
 
 
 def direct_klein_volume(realization, kappa, rel_tol=1e-6):

@@ -25,8 +25,8 @@ from enum import Enum
 
 import numpy as np
 
-from .cnormal import SQRT_2PI, DEFAULT_ACCURACY, norm_cdf_array
-from .errors import NearPoleError, SectorError, ToleranceError
+from .cnormal import SQRT_2PI, norm_cdf_array
+from .errors import CostLimitError, NearPoleError, SectorError
 from .quadrature import adaptive_gk, oscillation_edges
 
 #: |c_j| * A must reach this radius before the tail expansion of a CDF factor
@@ -37,6 +37,11 @@ _R_ASYM = 8.5
 _KMAX = 26
 
 _ARG_TOL = 1e-12
+
+#: largest oscillation-paced head grid a boundary ray may start from; the grid
+#: has ~A**2/pi panels and A grows like |z|**(-1/2) as z -> 0, so without a cap
+#: a point just below kappa = s runs for minutes and exhausts memory
+_MAX_HEAD_PANELS = 4096
 
 
 class HalfPlane(Enum):
@@ -87,7 +92,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
     max_subdivisions: int = 512
-    tail_cutoff: float = math.inf
 
     def __post_init__(self):
         if self.split_point_A < 0:
@@ -97,8 +101,6 @@ class QuadratureConfig:
                 raise ValueError("tolerances must lie in [1e-14, 1e-4]")
         if self.max_subdivisions <= 0:
             raise ValueError("max_subdivisions must be positive")
-        if self.tail_cutoff <= self.split_point_A ** 2:
-            raise ValueError("tail_cutoff must exceed split_point_A**2")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -244,7 +246,7 @@ def _ee_ladder(qs, gamma, X, tol):
     return pref * vals, np.abs(pref) * (errs + 1e-16)
 
 
-def tail_product_integral(cs, p_exp, gamma, X, cfg=DEFAULT_CONFIG, cutoff=None):
+def tail_product_integral(cs, p_exp, gamma, X, cfg=DEFAULT_CONFIG):
     """T = int_X^inf prod_j N(c_j sqrt(x)) x^(-p) exp(-gamma x) dx.
 
     Requires |c_j| sqrt(X) >= _R_ASYM for every factor and Re(gamma) >= 0.
@@ -303,12 +305,6 @@ def tail_product_integral(cs, p_exp, gamma, X, cfg=DEFAULT_CONFIG, cutoff=None):
                               initial=0)) + 1, 1)
         qs = q0 + np.arange(keep, dtype=float)
         vals, verrs = _ee_ladder(qs, gam, X, tol)
-        if cutoff is not None and math.isfinite(cutoff):
-            cvals, cerrs = _ee_ladder(qs, gam, cutoff, tol)
-            vals = vals - cvals
-            verrs = verrs + cerrs + np.abs(cvals) * 0.0
-            err += float(np.sum(np.abs(coef * series[:keep]) *
-                                2.0 * (cutoff / 2.0) ** (-qs) / max(abs(gam), 1e-30)))
         term = coef * np.dot(series[:keep], vals)
         total += term
         err += float(np.abs(coef) * np.dot(np.abs(series[:keep]), verrs))
@@ -328,9 +324,9 @@ def tail_product_integral(cs, p_exp, gamma, X, cfg=DEFAULT_CONFIG, cutoff=None):
 def _ibp_pieces(p, cfg, B=None):
     """Boundary terms and tail integrals of the integration-by-parts identity.
 
-    With B=None the three tail integrals run to infinity (or cfg.tail_cutoff)
-    via the asymptotic expansion; with finite B they run to B^2 and everything
-    is evaluated by direct quadrature (used for the finite-segment identity).
+    With B=None the three tail integrals run to infinity via the asymptotic
+    expansion; with finite B they run to B^2 and everything is evaluated by
+    direct quadrature (used for the finite-segment identity).
     """
     omega = _canonical_omega(p.half_plane)
     if abs(cmath.phase(p.omega) - cmath.phase(omega)) > _ARG_TOL:
@@ -384,9 +380,7 @@ def _ibp_pieces(p, cfg, B=None):
         nonlocal neval
         keep = [c for j, c in enumerate(cs) if j not in skip]
         if B is None:
-            val, e = tail_product_integral(keep, p_exp, gam, X, cfg,
-                                           cutoff=cfg.tail_cutoff)
-            return val, e
+            return tail_product_integral(keep, p_exp, gam, X, cfg)
         # finite upper limit: direct quadrature in x
         ka = np.asarray(keep)
 
@@ -468,7 +462,11 @@ def required_split_point(p):
 
 
 def ray_integral(p, cfg=DEFAULT_CONFIG):
-    """The improper ray integral, via the path appropriate for arg(omega)."""
+    """The improper ray integral, via the path appropriate for arg(omega).
+
+    Raises CostLimitError before any quadrature when a boundary ray's head
+    grid would exceed _MAX_HEAD_PANELS panels.
+    """
     th = cmath.phase(p.omega)
     boundary = abs(abs(th) - math.pi / 4) <= _ARG_TOL
     if boundary:
@@ -478,6 +476,13 @@ def ray_integral(p, cfg=DEFAULT_CONFIG):
                               "omega ~ 1-i (upper) or 1+i (lower)")
         pn = replace(p, omega=_canonical_omega(p.half_plane))
         A = max(cfg.split_point_A, required_split_point(pn))
+        panels = abs((pn.omega * pn.omega).imag) * A * A / (2.0 * math.pi)
+        if panels > _MAX_HEAD_PANELS:
+            raise CostLimitError(
+                f"head integral needs ~{panels:.0f} oscillation panels (limit "
+                f"{_MAX_HEAD_PANELS}): the smallest |mu_j*sqrt(z)| stretches the "
+                f"head to A = {A:.3g} (z = {p.z:.3g}; z near 0 means kappa just "
+                "below s)")
         cfg_eff = replace(cfg, split_point_A=A)
         head = head_integral(pn, cfg_eff)
         tail = ibp_tail(pn, cfg_eff)

@@ -5,10 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from simplexvol.cnormal import (
-    CdfAccuracy, norm_cdf, norm_cdf_array, norm_cdf_asymptotic,
-)
-from simplexvol.errors import OverflowRegionError, SectorError
+from simplexvol.cnormal import norm_cdf, norm_cdf_array
+from simplexvol.errors import OverflowRegionError
 
 from conftest import mp_norm_cdf, mp_norm_cdf_real_bruteforce
 
@@ -56,6 +54,17 @@ def test_accuracy_across_the_plane():
     for zi, gi in zip(z, got):
         want = mp_norm_cdf(zi)
         assert abs(gi - want) <= TARGET * max(1.0, abs(want))
+
+
+def test_bounded_sector_absolute_error():
+    # |arg(+-z)| <= pi/4 is where N stays bounded; the claim there is absolute
+    rng = np.random.default_rng(6)
+    r = rng.uniform(0.0, 40.0, 500)
+    th = rng.uniform(-np.pi / 4, np.pi / 4, 500)
+    z = rng.choice([-1.0, 1.0], 500) * r * np.exp(1j * th)
+    got = norm_cdf_array(z)
+    want = np.array([mp_norm_cdf(zi) for zi in z])
+    assert np.max(np.abs(got - want)) <= 2e-15
 
 
 def test_reflection_identity():
@@ -106,23 +115,13 @@ def test_derivative_matches_density():
         assert abs(num - want) < 1e-7 * max(1.0, abs(want))
 
 
-def test_asymptotic_matches_series_path_on_overlap():
-    assert abs(norm_cdf_asymptotic(8.0) - norm_cdf(8.0)) < 1e-12
-    assert abs(norm_cdf_asymptotic(-8.0) - (1.0 - norm_cdf(8.0))) < 1e-12
-
-
-def test_asymptotic_growth_sector_modulus():
+def test_growth_sector_modulus():
     # |N(z)| ~ e^{-Re z^2/2}/(sqrt(2 pi)|z|) in the growth sector
     z = 8.0 * np.exp(3j * np.pi / 8)
-    got = norm_cdf_asymptotic(z)
+    got = norm_cdf(z)
     want = math.exp(-0.5 * (z * z).real) / (math.sqrt(2 * math.pi) * abs(z))
     assert abs(abs(got) / want - 1.0) < 0.02
     assert abs(got - mp_norm_cdf(z)) <= TARGET * abs(got)
-
-
-def test_asymptotic_rejects_small_arguments():
-    with pytest.raises(SectorError):
-        norm_cdf_asymptotic(3.0)
 
 
 def test_overflow_region_raises():
@@ -133,10 +132,3 @@ def test_overflow_region_raises():
 def test_rejects_nonfinite():
     with pytest.raises(ValueError):
         norm_cdf(complex(np.inf, 0.0))
-
-
-def test_accuracy_spec_validation():
-    with pytest.raises(ValueError):
-        CdfAccuracy(target_abs_error=1e-20)
-    with pytest.raises(ValueError):
-        CdfAccuracy(series_asymptotic_switch_radius=-1.0)

@@ -1,6 +1,7 @@
 """Volume engine: orthant transform properties and assembled volumes."""
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,7 @@ from simplexvol.engine import (
     Branch, VolumeRequest, curvature_scaling_residual, orthant_probability,
     regular_volume, sphere_surface_area, volume,
 )
-from simplexvol.errors import GeometryDomainError, NearPoleError
+from simplexvol.errors import CostLimitError, GeometryDomainError, NearPoleError
 from simplexvol.geometry import (
     OrthocentricParams, RegularSimplexSpec, euclidean_volume, min_curvature,
     realize_vertices,
@@ -156,6 +157,18 @@ def test_kappa_below_bound_rejected():
     p = OrthocentricParams((1.0, 1.0, 1.0))
     with pytest.raises(GeometryDomainError):
         volume(VolumeRequest(geometry=p, kappa=-1.6))
+
+
+def test_kappa_just_below_s_hits_cost_limit_quickly():
+    # z = kappa - s -> 0- stretches the head like |z|^(-1/2); the refused
+    # request must fail fast instead of running the oversized grid
+    p = OrthocentricParams((0.8, 1.1, 1.4))
+    t0 = time.perf_counter()
+    with pytest.raises(CostLimitError):
+        volume(VolumeRequest(geometry=p, kappa=0.999 * p.s))
+    assert time.perf_counter() - t0 < 1.0
+    r = volume(VolumeRequest(geometry=p, kappa=0.9 * p.s))
+    assert 0.0 < r.volume and r.abs_error < 1e-6 * r.volume
 
 
 def test_boundary_kappa_accepted():

@@ -7,7 +7,7 @@ import pytest
 
 from simplexvol.errors import GeometryDomainError
 from simplexvol.geometry import (
-    Curvature, OrthocentricParams, RegularSimplexSpec, VertexRealization,
+    OrthocentricParams, RegularSimplexSpec, VertexRealization,
     cosh_ratio, euclidean_volume, min_curvature, realize_vertices,
     regular_parameters, side_length,
 )
@@ -140,10 +140,6 @@ def test_type_validation():
         OrthocentricParams((1.0, 2.0))  # d = 1 not supported
     with pytest.raises(GeometryDomainError):
         OrthocentricParams((1.0, -1.0, 1.0))
-    with pytest.raises(GeometryDomainError):
-        Curvature(0.0)
-    assert Curvature(-1.0).is_hyperbolic
-    assert Curvature(2.0).is_spherical
     with pytest.raises(GeometryDomainError):
         RegularSimplexSpec(1, 1.0, -1.0)
     with pytest.raises(GeometryDomainError):

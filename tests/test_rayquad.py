@@ -111,15 +111,6 @@ def test_ibp_assembly_matches_interior_ray_for_upper_z():
     assert abs(assembled.value - interior.value) < 1e-10
 
 
-def test_tail_cutoff_halving_is_within_reported_estimate():
-    p = RayIntegralProblem((1.0, 1.0), -3.0, 1 - 1j)
-    A = required_split_point(p)
-    full = QuadratureConfig(split_point_A=A, tail_cutoff=1e6)
-    half = QuadratureConfig(split_point_A=A, tail_cutoff=5e5)
-    rf, rh = ibp_tail(p, full), ibp_tail(p, half)
-    assert abs(rf.value - rh.value) <= rf.abs_error_estimate
-
-
 def test_near_pole_is_rejected():
     mus = (1.0, 0.5)
     z = -1.0 + 1e-12  # within the guard band of -1/mu^2 for mu = 1
