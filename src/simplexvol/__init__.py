@@ -31,8 +31,7 @@ from .oracles import (
     mc_spherical_volume, regular_tetrahedron_volume,
 )
 from .rayquad import (
-    HalfPlane, IntegralPath, IntegralResult, QuadratureConfig,
-    RayIntegralProblem, finite_segment_identity_residual, head_integral,
+    HalfPlane, IntegralPath, IntegralResult, RayIntegralProblem, head_integral,
     ibp_tail, ray_integral,
 )
 
@@ -40,14 +39,13 @@ __all__ = [
     "Branch", "CostLimitError", "GeometryDomainError", "HalfPlane",
     "IntegralPath", "IntegralResult", "MonteCarloReport", "NearPoleError",
     "OrthantTransform", "OrthocentricParams", "OverflowRegionError",
-    "QuadratureConfig", "RankDeficiencyError", "RayIntegralProblem",
-    "RegularSimplexSpec", "SectorError", "SimplexVolError", "ToleranceError",
-    "VertexRealization", "VolumeRequest", "VolumeResult", "cosh_ratio",
+    "RankDeficiencyError", "RayIntegralProblem", "RegularSimplexSpec",
+    "SectorError", "SimplexVolError", "ToleranceError", "VertexRealization",
+    "VolumeRequest", "VolumeResult", "cosh_ratio",
     "curvature_scaling_residual", "direct_klein_volume", "euclidean_volume",
-    "finite_segment_identity_residual", "head_integral", "ibp_tail",
-    "ideal_tetrahedron_volume", "ideal_volume_highprec", "mc_spherical_volume",
-    "min_curvature", "norm_cdf", "norm_cdf_array", "orthant_probability",
-    "ray_integral", "realize_vertices", "regular_parameters",
-    "regular_tetrahedron_volume", "regular_volume", "side_length",
-    "sphere_surface_area", "volume",
+    "head_integral", "ibp_tail", "ideal_tetrahedron_volume",
+    "ideal_volume_highprec", "mc_spherical_volume", "min_curvature",
+    "norm_cdf", "norm_cdf_array", "orthant_probability", "ray_integral",
+    "realize_vertices", "regular_parameters", "regular_tetrahedron_volume",
+    "regular_volume", "side_length", "sphere_surface_area", "volume",
 ]

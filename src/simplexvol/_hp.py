@@ -9,6 +9,8 @@ to the equal-parameter (regular ideal) case, where the binomial collapse
 keeps the tail expansion linear in d.
 """
 
+import functools
+
 import mpmath as mp
 
 
@@ -16,16 +18,12 @@ def _ncdf(w):
     return mp.mpf(1) / 2 + mp.erf(w / mp.sqrt(2)) / 2
 
 
-_GL_NODE_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gl_nodes(prec):
-    if prec not in _GL_NODE_CACHE:
-        from mpmath.calculus.quadrature import GaussLegendre
-        rule = GaussLegendre(mp.mp)
-        deg = 4  # 3*2^(deg-1) = 24 nodes per half-oscillation panel
-        _GL_NODE_CACHE[prec] = rule.calc_nodes(deg, prec)
-    return _GL_NODE_CACHE[prec]
+    from mpmath.calculus.quadrature import GaussLegendre
+    rule = GaussLegendre(mp.mp)
+    deg = 4  # 3*2^(deg-1) = 24 nodes per half-oscillation panel
+    return rule.calc_nodes(deg, prec)
 
 
 def _series_coeffs(nterms):

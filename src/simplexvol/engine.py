@@ -25,14 +25,12 @@ from enum import Enum
 from typing import NamedTuple, Union
 
 from .cnormal import SQRT_2PI
-from .errors import GeometryDomainError, NearPoleError, ToleranceError
+from .errors import GeometryDomainError, ToleranceError
 from .geometry import (
     OrthocentricParams, RegularSimplexSpec, cosh_ratio, euclidean_volume,
     min_curvature, realize_vertices, regular_parameters, sphere_surface_area,
 )
-from .rayquad import (
-    HalfPlane, QuadratureConfig, RayIntegralProblem, ray_integral,
-)
+from .rayquad import HalfPlane, RayIntegralProblem, ray_integral
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -88,40 +86,30 @@ class OrthantTransform(NamedTuple):
     evaluations: int
 
 
-def _quad_config(tolerance):
-    t = min(max(tolerance / 8.0, 1e-14), 1e-4)
-    return QuadratureConfig(rel_tol=t, abs_tol=t)
+def _quad_tol(tolerance):
+    """Quadrature tolerance for each ray integral of a transform to tolerance."""
+    return min(max(tolerance / 8.0, 1e-14), 1e-4)
 
 
-def orthant_probability(mus, z, cfg=None, half_plane=HalfPlane.UPPER):
+def orthant_probability(mus, z, tol=_quad_tol(1e-10), half_plane=HalfPlane.UPPER):
     """Analytic continuation of the Gaussian orthant probability (see module doc).
 
     For real z > 0 this is the plain real-axis integral; elsewhere it is
-    evaluated on the boundary ray matching the half plane.  Raises
-    NearPoleError within 1e-8 of the excluded points z = -1/mu_j^2.
+    evaluated on the boundary ray matching the half plane.  The inputs are
+    validated by RayIntegralProblem, which raises NearPoleError within 1e-8
+    of the excluded points z = -1/mu_j^2.
     """
-    mus = tuple(float(m) for m in mus)
     z = complex(z)
-    if any(m == 0 for m in mus):
-        raise ValueError("multipliers must be nonzero")
-    if half_plane is HalfPlane.UPPER and z.imag < 0:
-        raise ValueError("upper-branch transform requires Im z >= 0")
-    if half_plane is HalfPlane.LOWER and z.imag > 0:
-        raise ValueError("lower-branch transform requires Im z <= 0")
-    for m in mus:
-        if abs(1.0 + m * m * z) < 1e-8:
-            raise NearPoleError(
-                f"z is within the guard band of the excluded pole -1/mu^2 for mu={m}")
-    cfg = cfg or _quad_config(1e-10)
-    if z == 0:
-        return OrthantTransform(complex(2.0 ** (-len(mus))), 1e-16, 0)
     if z.imag == 0 and z.real > 0:
         omega = 1.0 + 0.0j
     else:
         omega = 1 - 1j if half_plane is HalfPlane.UPPER else 1 + 1j
-    flipped = tuple(-m for m in mus)
-    r1 = ray_integral(RayIntegralProblem(mus, z, omega, half_plane), cfg)
-    r2 = ray_integral(RayIntegralProblem(flipped, z, omega, half_plane), cfg)
+    p1 = RayIntegralProblem(mus, z, omega, half_plane)
+    p2 = replace(p1, mus=tuple(-m for m in p1.mus))
+    if z == 0:
+        return OrthantTransform(complex(2.0 ** (-len(p1.mus))), 1e-16, 0)
+    r1 = ray_integral(p1, tol)
+    r2 = ray_integral(p2, tol)
     value = (r1.value + r2.value) / SQRT_2PI
     err = (r1.abs_error_estimate + r2.abs_error_estimate) / SQRT_2PI
     return OrthantTransform(value, err, r1.evaluations + r2.evaluations)
@@ -149,9 +137,8 @@ def volume(req):
     s = params.s
     z = kappa - s
     mus = params.multipliers()
-    cfg = _quad_config(req.tolerance)
     hp = HalfPlane.LOWER if req.use_lower_branch else HalfPlane.UPPER
-    tr = orthant_probability(mus, z, cfg, hp)
+    tr = orthant_probability(mus, z, _quad_tol(req.tolerance), hp)
     area = sphere_surface_area(d)
     if kappa < 0:
         # i^d for the upper branch, (-i)^d for the lower branch

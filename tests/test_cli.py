@@ -137,12 +137,18 @@ def test_tolerance_error_maps_to_exit_3(monkeypatch):
     assert main(["volume", "--ideal", "2", "--kappa", "-1"]) == 3
 
 
-def test_cost_limit_maps_to_exit_3():
-    s = 0.8 ** 2 + 1.1 ** 2 + 1.4 ** 2
-    r = run_cli("volume", "--orthocentric", "0.8,1.1,1.4", "--kappa", repr(0.999 * s))
-    assert r.returncode == 3
-    assert r.stderr.startswith("cost limit:")
-    assert len(r.stderr.strip().splitlines()) == 1
+def test_cost_limit_maps_to_exit_3(monkeypatch, capsys):
+    import simplexvol.cli as cli
+    from simplexvol.errors import CostLimitError
+
+    def boom(req):
+        raise CostLimitError("synthetic")
+
+    monkeypatch.setattr(cli, "volume", boom)
+    assert main(["volume", "--ideal", "2", "--kappa", "-1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cost limit:")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_kappa_scaling_in_sweeps():

@@ -11,11 +11,12 @@ from simplexvol.engine import (
     Branch, VolumeRequest, curvature_scaling_residual, orthant_probability,
     regular_volume, sphere_surface_area, volume,
 )
-from simplexvol.errors import CostLimitError, GeometryDomainError, NearPoleError
+from simplexvol.errors import GeometryDomainError, NearPoleError
 from simplexvol.geometry import (
     OrthocentricParams, RegularSimplexSpec, euclidean_volume, min_curvature,
     realize_vertices,
 )
+from simplexvol.oracles import direct_klein_volume
 from simplexvol.rayquad import HalfPlane
 from simplexvol._hp import ideal_volume_highprec
 
@@ -159,16 +160,33 @@ def test_kappa_below_bound_rejected():
         volume(VolumeRequest(geometry=p, kappa=-1.6))
 
 
-def test_kappa_just_below_s_hits_cost_limit_quickly():
-    # z = kappa - s -> 0- stretches the head like |z|^(-1/2); the refused
-    # request must fail fast instead of running the oversized grid
+def test_kappa_just_below_s_is_fast_and_continuous():
+    # z = kappa - s -> 0- shrinks every tail coefficient to 0; the exact tail
+    # needs no longer head there, and the volume tends to its value at kappa = s
     p = OrthocentricParams((0.8, 1.1, 1.4))
-    t0 = time.perf_counter()
-    with pytest.raises(CostLimitError):
-        volume(VolumeRequest(geometry=p, kappa=0.999 * p.s))
-    assert time.perf_counter() - t0 < 1.0
+    at_s = volume(VolumeRequest(geometry=p, kappa=p.s)).volume
+    for frac in (0.999, 1.0 - 1e-9):
+        t0 = time.perf_counter()
+        r = volume(VolumeRequest(geometry=p, kappa=frac * p.s))
+        assert time.perf_counter() - t0 < 1.0
+        assert 0.0 < r.volume and r.abs_error < 1e-6 * r.volume
+    assert abs(r.volume - at_s) < 1e-9
     r = volume(VolumeRequest(geometry=p, kappa=0.9 * p.s))
-    assert 0.0 < r.volume and r.abs_error < 1e-6 * r.volume
+    assert abs(r.volume - 0.43000525759131) < 1e-11
+
+
+def test_tight_klein_agreement_on_criterion_6_cases():
+    # criterion 6's hyperbolic cases against a 1e-11 Klein-model integration:
+    # the engine lands within 1e-12 and inside its own error bar
+    rng = np.random.default_rng(77)
+    for _ in range(10):
+        d = int(rng.integers(2, 4))
+        p = OrthocentricParams(tuple(rng.uniform(0.5, 2.0, d + 1)))
+        kappa = float(rng.uniform(0.1, 0.9)) * min_curvature(p)
+        ref = direct_klein_volume(realize_vertices(p), kappa, rel_tol=1e-11)
+        r = volume(VolumeRequest(geometry=p, kappa=kappa))
+        assert abs(r.volume - ref) <= 1e-12
+        assert abs(r.volume - ref) <= r.abs_error
 
 
 def test_boundary_kappa_accepted():

@@ -1,4 +1,4 @@
-"""Ray integrals: head/tail split, the finite-segment identity, rotation invariance."""
+"""Ray integrals: head/tail split, split-point invariance, rotation invariance."""
 
 import math
 
@@ -8,9 +8,7 @@ import pytest
 from simplexvol.cnormal import SQRT_2PI, norm_cdf
 from simplexvol.errors import NearPoleError, SectorError
 from simplexvol.rayquad import (
-    HalfPlane, QuadratureConfig, RayIntegralProblem,
-    finite_segment_identity_residual, head_integral, ibp_tail, ray_integral,
-    required_split_point,
+    SPLIT_A, HalfPlane, RayIntegralProblem, head_integral, ibp_tail, ray_integral,
 )
 
 # sqrt(2 pi) * 3/8, by the substitution u = N(x) in int_0^inf N(x) e^{-x^2/2} dx
@@ -19,8 +17,7 @@ D0_RAY_VALUE = 0.9399856029866252
 
 def test_head_empty_interval_is_zero():
     p = RayIntegralProblem((1.0,), 1.0, 1.0)
-    cfg = QuadratureConfig(split_point_A=0.0)
-    assert head_integral(p, cfg).value == 0.0
+    assert head_integral(p, 0.0).value == 0.0
 
 
 def test_single_factor_real_ray_oracle():
@@ -71,7 +68,14 @@ def test_conjugation_between_half_planes():
     assert abs(ru.value - np.conj(rl.value)) < 1e-10
 
 
-def test_finite_segment_identity_random_problems():
+def _split_point_gap(p, A, B):
+    """|head(A) + tail(A) - head(B) - tail(B)|: the ray integral split at A vs at B."""
+    at_a = head_integral(p, A).value + ibp_tail(p, A).value
+    at_b = head_integral(p, B).value + ibp_tail(p, B).value
+    return abs(at_a - at_b)
+
+
+def test_split_point_invariance_random_problems():
     rng = np.random.default_rng(11)
     for _ in range(6):
         m = int(rng.integers(1, 4))
@@ -80,25 +84,31 @@ def test_finite_segment_identity_random_problems():
         p = RayIntegralProblem(mus, z, 1 - 1j)
         A = float(rng.uniform(0.8, 3.0))
         B = float(rng.uniform(8.0, 20.0))
-        assert finite_segment_identity_residual(p, A, B) < 1e-9
+        assert _split_point_gap(p, A, B) < 1e-9
 
 
-def test_finite_segment_identity_large_A():
-    # tail terms shrink like 1/A; the identity still holds to quadrature accuracy
+def test_split_point_invariance_large_A():
+    # the boundary terms shrink like 1/A; the split stays exact far out
     p = RayIntegralProblem((1.0, 0.8), 1.0 + 0.5j, 1 - 1j)
-    assert finite_segment_identity_residual(p, 12.0, 30.0) < 1e-9
+    assert _split_point_gap(p, 12.0, 30.0) < 1e-9
 
 
 def test_boundary_term_modulus_bound():
     # |first boundary term| <= C^{d+1} / (A |omega|) with the sector bound C = 1.2
     p = RayIntegralProblem((1.0, 1.0, 1.0), -2.0, 1 - 1j)
-    A = required_split_point(p)
+    A = SPLIT_A
     omega = 1 - 1j
     cs = np.array([m * p.branch_sqrt_z() * omega for m in p.mus])
     om2 = omega * omega
     term = np.prod([norm_cdf(c * A) for c in cs]) / (A * omega) \
         * np.exp(-0.5 * om2 * A * A)
     assert abs(term) <= 1.2 ** 3 / (A * abs(omega))
+
+
+def test_boundary_ray_at_z_zero():
+    # every factor is N(0) = 1/2, so the integral is int_0^inf e^{-t^2/2} dt / 2
+    r = ray_integral(RayIntegralProblem((1.0,), 0.0, 1 - 1j))
+    assert abs(r.value - SQRT_2PI / 4) < 1e-12
 
 
 def test_ibp_assembly_matches_interior_ray_for_upper_z():
@@ -115,8 +125,7 @@ def test_near_pole_is_rejected():
     mus = (1.0, 0.5)
     z = -1.0 + 1e-12  # within the guard band of -1/mu^2 for mu = 1
     with pytest.raises(NearPoleError):
-        ibp_tail(RayIntegralProblem(mus, z, 1 - 1j),
-                 QuadratureConfig(split_point_A=9.0))
+        ibp_tail(RayIntegralProblem(mus, z, 1 - 1j), SPLIT_A)
 
 
 def test_problem_validation():
