@@ -13,9 +13,9 @@ import functools
 
 import mpmath as mp
 
-
-def _ncdf(w):
-    return mp.mpf(1) / 2 + mp.erf(w / mp.sqrt(2)) / 2
+_DPS = 40   # working precision in decimal digits
+_NSER = 30  # terms of the tail's binomial series
+_GUARD_BITS = 20  # extra precision of the gamma ladder's recurrence
 
 
 @functools.lru_cache(maxsize=None)
@@ -33,31 +33,60 @@ def _series_coeffs(nterms):
     return c
 
 
-def _poly_pow(base, n, maxlen):
-    out = [mp.mpf(1)] + [mp.mpf(0)] * (maxlen - 1)
-    for _ in range(n):
-        new = [mp.mpf(0)] * maxlen
-        for i, bi in enumerate(out):
-            if bi == 0:
-                continue
-            for j, cj in enumerate(base):
-                if i + j < maxlen:
-                    new[i + j] += bi * cj
-        out = new
+def _poly_mul(a, b, maxlen):
+    """The product of two coefficient lists, truncated to maxlen terms."""
+    out = [mp.mpf(0)] * maxlen
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b[:maxlen - i]):
+            out[i + j] += ai * bj
     return out
 
 
-def ideal_volume_highprec(d, kappa=-1.0, dps=40, nser=30):
+def _gamma_ladder(Q, A, m0, count):
+    """[G(m0), G(m0 + 2), ..., G(m0 + 2 (count - 1))] with
+    G(m) = int_A^inf y^-m exp(-Q y^2/2) dy.
+
+    G(m) = A^(1 - m)/(m - 1) at Q = 0; otherwise
+    G(m) = (2/Q)^a Gamma(a, w) / 2 with a = (1 - m)/2 and
+    w = Q A^2/2, on mpmath's principal branch.  One gammainc call gives the
+    most negative order; the others follow from the upward recurrence
+    Gamma(a + 1, w) = a Gamma(a, w) + w^a e^-w, which scales an error in
+    Gamma(a, w) by about |a/w| per step, below 1 while |a| < |w|.  The
+    recurrence runs with guard bits, so each Gamma(a, w) is rounded once to
+    the working precision, as a direct gammainc call would be.
+    """
+    ms = range(m0, m0 + 2 * count, 2)
+    if Q == 0:
+        return [A ** (1 - m) / (m - 1) for m in ms]
+    w = Q * A * A / 2
+    orders = [(1 - mp.mpf(m)) / 2 for m in ms]
+    with mp.extraprec(_GUARD_BITS):
+        a = orders[-1]
+        gam = mp.gammainc(a, w)
+        wpow = w ** a * mp.exp(-w)
+        gams = [gam]
+        for _ in range(count - 1):
+            gam = a * gam + wpow
+            a += 1
+            wpow *= w
+            gams.append(gam)
+    return [mp.mpf(1) / 2 * (2 / Q) ** order * +gam
+            for order, gam in zip(orders, reversed(gams))]
+
+
+def ideal_volume_highprec(d, kappa=-1.0):
     """Volume of the ideal regular d-simplex at curvature kappa < 0, via mpmath.
 
     Returns an mpmath mpf.  Accuracy is limited by the working precision and
-    the tail-series floor (far below 1e-25 at the default settings).
+    the tail-series floor (far below 1e-25).
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
     if not kappa < 0:
         raise ValueError("ideal simplices require kappa < 0")
-    with mp.workdps(dps):
+    with mp.workdps(_DPS):
         c = (1 + 1j) / mp.sqrt(d)      # CDF argument per unit y along the ray
         omega = mp.mpc(1, -1)
         om2 = omega * omega            # exactly -2i
@@ -67,9 +96,10 @@ def ideal_volume_highprec(d, kappa=-1.0, dps=40, nser=30):
         kmax = int(mp.ceil(A * A / mp.pi))
         A = mp.sqrt(mp.pi * kmax)
         edges = [mp.sqrt(mp.pi * k) for k in range(kmax + 1)]
+        sqrt2 = mp.sqrt(2)
 
         def head_igd(y):
-            p = _ncdf(c * y)
+            p = mp.mpf(1) / 2 + mp.erf(c * y / sqrt2) / 2   # N(c y)
             return ((p ** (d + 1) + (1 - p) ** (d + 1))
                     * mp.exp(-om2 * y * y / 2) * omega)
 
@@ -83,29 +113,23 @@ def ideal_volume_highprec(d, kappa=-1.0, dps=40, nser=30):
             head += acc * half
 
         sq2pi = mp.sqrt(2 * mp.pi)
-        base = _series_coeffs(nser)
+        base = _series_coeffs(_NSER)
         c2 = c * c
-
-        def g_ladder(ms, n):
-            # G(m) = int_A^inf y^-m exp(-Q y^2/2) dy, Q = om2 (d-n)/d
-            if n == d:  # exactly zero frequency
-                return {m: A ** (1 - m) / (m - 1) for m in ms}
-            Q = om2 * mp.mpf(d - n) / d
-            w = Q * A * A / 2
-            return {m: mp.mpf(1) / 2 * (2 / Q) ** ((1 - mp.mpf(m)) / 2)
-                       * mp.gammainc((1 - mp.mpf(m)) / 2, w) for m in ms}
+        c2_pows = [c2 ** (-K) for K in range(_NSER)]
 
         rho_p = -1 / (sq2pi * c)
         rho_m = 1 / (sq2pi * c)
         tail = mp.mpc(0)
+        sn = [mp.mpf(1)] + [mp.mpf(0)] * (_NSER - 1)  # base ** n, truncated
         for n in range(0, d + 2):
-            sn = _poly_pow(base, n, nser)
-            G = g_ladder([n + 2 * K for K in range(nser)], n)
+            if n:
+                sn = _poly_mul(sn, base, _NSER)
+            G = _gamma_ladder(om2 * mp.mpf(d - n) / d, A, n, _NSER)
             term = mp.mpc(0)
-            for K in range(nser):
+            for K in range(_NSER):
                 if sn[K] == 0:
                     continue
-                term += sn[K] * c2 ** (-K) * G[n + 2 * K]
+                term += sn[K] * c2_pows[K] * G[K]
             coef = mp.binomial(d + 1, n) * rho_p ** n
             if n == d + 1:
                 coef += rho_m ** n  # the reflected product is all-residual

@@ -18,6 +18,7 @@ from simplexvol.geometry import (
 )
 from simplexvol.oracles import direct_klein_volume
 from simplexvol.rayquad import HalfPlane
+from simplexvol import _hp
 from simplexvol._hp import ideal_volume_highprec
 
 IDEAL_D3 = 1.0149416064096535          # -3 int_0^{pi/3} log(2 sin t) dt
@@ -218,6 +219,42 @@ def test_highprec_kappa_scaling():
     v1 = ideal_volume_highprec(3, kappa=-4.0)
     v2 = ideal_volume_highprec(3, kappa=-1.0)
     assert abs(float(v1) - float(v2) / 8.0) < 1e-15
+
+
+@pytest.mark.parametrize("d, expected", [
+    (3, "1.01494160640965362502112223363"),
+    (5, "0.0575647376851779272462273249443"),
+    (12, "2.05778857928775985627737024734e-8"),  # includes the n = d frequency
+])
+def test_highprec_pinned_values(d, expected):
+    with mp.workdps(40):
+        ref = mp.mpf(expected)
+        assert abs(ideal_volume_highprec(d) - ref) <= 1e-28 * ref
+
+
+def test_highprec_rejects_bad_input():
+    with pytest.raises(ValueError):
+        ideal_volume_highprec(1)
+    with pytest.raises(ValueError):
+        ideal_volume_highprec(3, kappa=0.0)
+
+
+@pytest.mark.parametrize("d, n", [(12, 0), (12, 1), (12, 11), (12, 13), (20, 0), (20, 21)])
+def test_gamma_ladder_matches_direct_gammainc(d, n):
+    # (12, 0) and (12, 1) start at the orders a = 1/2 and a = 0, n = d + 1 is
+    # the reflected term, and d = 20 reaches the most negative orders
+    with mp.workdps(_hp._DPS):
+        # the twin's split point: |c| A = 10.5 with |c| = sqrt(2/d), rounded
+        # up to a whole number of half-oscillation panels
+        A = mp.mpf("10.5") / mp.sqrt(mp.mpf(2) / d)
+        A = mp.sqrt(mp.pi * mp.ceil(A * A / mp.pi))
+        Q = mp.mpc(0, -2) * (d - n) / d
+        w = Q * A * A / 2
+        ladder = _hp._gamma_ladder(Q, A, n, _hp._NSER)
+        for K, g in enumerate(ladder):
+            a = (1 - mp.mpf(n + 2 * K)) / 2
+            direct = mp.mpf(1) / 2 * (2 / Q) ** a * mp.gammainc(a, w)
+            assert abs(g - direct) <= 1e-35 * abs(direct), (K, a)
 
 
 def test_request_validation():
