@@ -12,10 +12,13 @@ keeps the tail expansion linear in d.
 import functools
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, mpf_cos_sin, to_fixed
 
 _DPS = 40   # working precision in decimal digits
 _NSER = 30  # terms of the tail's binomial series
 _GUARD_BITS = 20  # extra precision of the gamma ladder's recurrence
+_HEAD_GUARD_BITS = 40  # fixed-point bits of the head kernel beyond the working precision
+_MAX_TAYLOR_TERMS = 400  # the erf series on a panel needs under 100
 
 
 @functools.lru_cache(maxsize=None)
@@ -24,6 +27,116 @@ def _gl_nodes(prec):
     rule = GaussLegendre(mp.mp)
     deg = 4  # 3*2^(deg-1) = 24 nodes per half-oscillation panel
     return rule.calc_nodes(deg, prec)
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_nodes(prec):
+    """The _gl_nodes rule in fixed point with prec + _HEAD_GUARD_BITS
+    fractional bits: one (x, x^2, w) triple per node pair +-x."""
+    W = prec + _HEAD_GUARD_BITS
+    table = []
+    for x, w in _gl_nodes(prec):
+        if x > 0:
+            xf = to_fixed(x._mpf_, W)
+            table.append((xf, xf * xf >> W, to_fixed(w._mpf_, W)))
+    return tuple(table)
+
+
+def _tdiv(a, b):
+    """a / b rounded toward zero for b > 0; floor division would leave a
+    decaying negative sequence standing at -1."""
+    return a // b if a >= 0 else -(-a // b)
+
+
+def _fixed_cpow(re, im, n, W):
+    """(re + i im)^n for n >= 1, all values fixed point with W fractional bits."""
+    out = None
+    while True:
+        if n & 1:
+            out = (re, im) if out is None else (
+                (out[0] * re - out[1] * im) >> W, (out[0] * im + out[1] * re) >> W)
+        n >>= 1
+        if not n:
+            return out
+        re, im = (re * re - im * im) >> W, (re * im) >> (W - 1)
+
+
+def _head(d, edges):
+    """Sum over the panels [a, b] between consecutive edges of the 24-node
+    _gl_nodes rule for int_a^b (p^(d+1) + (1 - p)^(d+1)) e^(i y^2) dy, where
+    p = N(c y) = (1 + erf(z))/2 with z = (1 + i) y/sqrt(2 d).
+
+    On a panel with midpoint m and half-width h, z = z0 + rho x with
+    z0 = (1 + i) m/sqrt(2 d), rho = (1 + i) h/sqrt(2 d) and the node variable
+    x in [-1, 1].  One mp.erf call gives erf(z0); the nodes take the Taylor
+    series erf(z0 + rho x) = erf(z0) + (2/sqrt(pi)) e^(-z0^2) rho
+    sum_k (-1)^(k-1) u_(k-1) x^k/k, where u_n = H_n(z0) rho^n/n! follows the
+    scaled Hermite recurrence u_(n+1) = (2 z0 rho u_n - 2 rho^2 u_(n-1))/(n+1)
+    and e^(-z0^2) = e^(-i m^2/d).  The series, the powers and the node sum
+    run in integers scaled by 2^W, W = prec + _HEAD_GUARD_BITS.
+    """
+    prec = mp.mp.prec
+    W = prec + _HEAD_GUARD_BITS
+    one = 1 << W
+    nodes = _fixed_nodes(prec)
+    head_re = head_im = 0
+    with mp.workprec(W):
+        def fx(v):
+            return to_fixed(v._mpf_, W)
+
+        scale = 1 / mp.sqrt(2 * d)
+        rsqpi = 1 / mp.sqrt(mp.pi)
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid, half = (a + b) / 2, (b - a) / 2
+            t, r = mid * scale, half * scale  # z0 = (1 + i) t, rho = (1 + i) r
+            e0 = mp.erf(mp.mpc(t, t))
+            # the Taylor coefficient of x^k in p is g (-1)^(k-1) u_(k-1)/k
+            g = mp.expj(-mid * mid / d) * mp.mpc(r, r) * rsqpi
+            gr, gi = fx(g.real), fx(g.imag)
+            # 2 z0 rho = i al and 2 rho^2 = i be with real al, be; the
+            # recurrence below carries v_n = (-1)^n u_n, so
+            # v_(n+1) = -i (al v_n + be v_(n-1))/(n+1)
+            al, be = fx(2 * mid * half / d), fx(2 * half * half / d)
+            coefs = [((one + fx(e0.real)) >> 1, fx(e0.imag) >> 1)]
+            ur, ui, vr, vi = one, 0, 0, 0  # v_(k-1) and v_(k-2)
+            for k in range(1, _MAX_TAYLOR_TERMS):
+                den = k << W
+                sr, si = al * ur + be * vr, al * ui + be * vi
+                nr, ni = _tdiv(si, den), _tdiv(-sr, den)
+                if not (ur or ui or nr or ni):
+                    break  # v_(k-1) = v_k = 0, so every later term is zero
+                coefs.append(((gr * ur - gi * ui) // den, (gr * ui + gi * ur) // den))
+                ur, ui, vr, vi = nr, ni, ur, ui
+            else:
+                raise mp.NoConvergence("erf Taylor series did not terminate")
+            even, odd = coefs[::2][::-1], coefs[1::2][::-1]
+
+            mf, hf = fx(mid), fx(half)
+            panel_re = panel_im = 0
+            for xf, sf, wf in nodes:
+                er = ei = 0
+                for cr, ci in even:
+                    er, ei = (er * sf >> W) + cr, (ei * sf >> W) + ci
+                orr = oi = 0
+                for cr, ci in odd:
+                    orr, oi = (orr * sf >> W) + cr, (oi * sf >> W) + ci
+                orr, oi = orr * xf >> W, oi * xf >> W
+                hx = hf * xf >> W
+                pair_re = pair_im = 0
+                for p_re, p_im, y in ((er + orr, ei + oi, mf + hx),
+                                      (er - orr, ei - oi, mf - hx)):
+                    ar, ai = _fixed_cpow(p_re, p_im, d + 1, W)
+                    br, bi = _fixed_cpow(one - p_re, -p_im, d + 1, W)
+                    fr, fi = ar + br, ai + bi
+                    cos, sin = mpf_cos_sin(from_man_exp(y * y, -2 * W), W)
+                    cy, sy = to_fixed(cos, W), to_fixed(sin, W)
+                    pair_re += fr * cy - fi * sy
+                    pair_im += fr * sy + fi * cy
+                panel_re += wf * pair_re
+                panel_im += wf * pair_im
+            head_re += panel_re * hf >> 3 * W
+            head_im += panel_im * hf >> 3 * W
+    return mp.mpc(mp.mpf((head_re, -W)), mp.mpf((head_im, -W)))
 
 
 def _series_coeffs(nterms):
@@ -79,8 +192,15 @@ def _gamma_ladder(Q, A, m0, count):
 def ideal_volume_highprec(d, kappa=-1.0):
     """Volume of the ideal regular d-simplex at curvature kappa < 0, via mpmath.
 
-    Returns an mpmath mpf.  Accuracy is limited by the working precision and
-    the tail-series floor (far below 1e-25).
+    Returns an mpmath mpf, with no error estimate.  The volume is a small
+    difference of order-1 terms, so the relative error grows about tenfold
+    per dimension.  It is set by the tail's _NSER-term asymptotic series at
+    the split |c| A = 10.5: against the same formula with |c| A = 16 at 60
+    digits, the relative error measured 1e-23 at d = 2, 3e-21 at d = 5,
+    3e-18 at d = 10, 2e-16 at d = 12, 3e-12 at d = 16 and 5e-8 at d = 20.
+    Rounding at _DPS digits adds far less: against a 60-digit run of the
+    same formula, 2e-34 at d = 10, 4e-32 at d = 12, 2e-28 at d = 16 and
+    3e-24 at d = 20.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -96,21 +216,7 @@ def ideal_volume_highprec(d, kappa=-1.0):
         kmax = int(mp.ceil(A * A / mp.pi))
         A = mp.sqrt(mp.pi * kmax)
         edges = [mp.sqrt(mp.pi * k) for k in range(kmax + 1)]
-        sqrt2 = mp.sqrt(2)
-
-        def head_igd(y):
-            p = mp.mpf(1) / 2 + mp.erf(c * y / sqrt2) / 2   # N(c y)
-            return ((p ** (d + 1) + (1 - p) ** (d + 1))
-                    * mp.exp(-om2 * y * y / 2) * omega)
-
-        nodes = _gl_nodes(mp.mp.prec)
-        head = mp.mpc(0)
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = (a + b) / 2, (b - a) / 2
-            acc = mp.mpc(0)
-            for x, w in nodes:
-                acc += w * head_igd(mid + half * x)
-            head += acc * half
+        head = _head(d, edges)
 
         sq2pi = mp.sqrt(2 * mp.pi)
         base = _series_coeffs(_NSER)
@@ -134,9 +240,8 @@ def ideal_volume_highprec(d, kappa=-1.0):
             if n == d + 1:
                 coef += rho_m ** n  # the reflected product is all-residual
             tail += coef * term
-        tail *= omega
 
-        transform = (head + tail) / sq2pi
+        transform = (head + tail) * omega / sq2pi
         area = 2 * mp.pi ** (mp.mpf(d + 1) / 2) / mp.gamma(mp.mpf(d + 1) / 2)
         vol = area * transform / (1j ** d * abs(mp.mpf(kappa)) ** (mp.mpf(d) / 2))
         return mp.mpf(vol.real)

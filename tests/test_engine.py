@@ -224,12 +224,50 @@ def test_highprec_kappa_scaling():
 @pytest.mark.parametrize("d, expected", [
     (3, "1.01494160640965362502112223363"),
     (5, "0.0575647376851779272462273249443"),
+    (10, "2.50524779083904730211784044675e-6"),
+    (11, "2.37517016038058723579683319592e-7"),
     (12, "2.05778857928775985627737024734e-8"),  # includes the n = d frequency
 ])
 def test_highprec_pinned_values(d, expected):
     with mp.workdps(40):
         ref = mp.mpf(expected)
         assert abs(ideal_volume_highprec(d) - ref) <= 1e-28 * ref
+
+
+def test_highprec_pinned_value_d20():
+    # 40-digit rounding alone can move d = 20 by about 1e-22 relative
+    with mp.workdps(40):
+        ref = mp.mpf("5.13024082044692292411725455970e-18")
+        assert abs(ideal_volume_highprec(20) - ref) <= 1e-21 * ref
+
+
+def _head_by_nodes(d, a, b):
+    """One panel of the twin's head with one mp.erf call per node."""
+    sqrt2d = mp.sqrt(2 * d)
+    mid, half = (a + b) / 2, (b - a) / 2
+    acc = mp.mpc(0)
+    for x, w in _hp._gl_nodes(mp.mp.prec):
+        y = mid + half * x
+        p = (1 + mp.erf(mp.mpc(y, y) / sqrt2d)) / 2
+        acc += w * (p ** (d + 1) + (1 - p) ** (d + 1)) * mp.expj(y * y)
+    return acc * half
+
+
+@pytest.mark.parametrize("d", [3, 12])
+def test_head_kernel_matches_per_node_erf(d):
+    # the twin's panels have edges sqrt(pi k), k < kmax; the first is the
+    # widest and needs the longest Taylor series, the last is furthest out
+    kmax = int(math.ceil(10.5 ** 2 * d / (2 * math.pi)))
+    rng = np.random.default_rng(5)
+    ks = [0, 1, kmax - 1] + [int(k) for k in rng.integers(2, kmax - 1, 4)]
+    for k in ks:
+        with mp.workdps(_hp._DPS):
+            a, b = mp.sqrt(mp.pi * k), mp.sqrt(mp.pi * (k + 1))
+            fast = _hp._head(d, [a, b])
+        with mp.workdps(60):
+            ref = _head_by_nodes(d, a, b)
+        # a twin's head sums up to 350 panels and must stay within about 1e-37
+        assert abs(fast - ref) <= 1e-40, (k, abs(fast - ref))
 
 
 def test_highprec_rejects_bad_input():
