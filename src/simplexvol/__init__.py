@@ -6,7 +6,12 @@ distribution function along the ray arg(x) = -pi/4, and evaluated with a
 stabilized head-plus-tail scheme.  Independent oracles (Monte Carlo cone
 sampling, direct Klein-model integration, classical tetrahedron integrals)
 validate the engine.
+
+The oracles (which need ``scipy.integrate``) and the mpmath twin are loaded
+only when one of their names is first used.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -25,15 +30,20 @@ from .geometry import (
     euclidean_volume, min_curvature, realize_vertices, regular_parameters,
     side_length,
 )
-from ._hp import ideal_volume_highprec
-from .oracles import (
-    MonteCarloReport, direct_klein_volume, ideal_tetrahedron_volume,
-    mc_spherical_volume, regular_tetrahedron_volume,
-)
 from .rayquad import (
     HalfPlane, IntegralPath, IntegralResult, RayIntegralProblem, head_integral,
     ibp_tail, ray_integral,
 )
+
+#: public names resolved on first use, and the submodule that defines each
+_LAZY = {
+    "ideal_volume_highprec": "._hp",
+    "MonteCarloReport": ".oracles",
+    "direct_klein_volume": ".oracles",
+    "ideal_tetrahedron_volume": ".oracles",
+    "mc_spherical_volume": ".oracles",
+    "regular_tetrahedron_volume": ".oracles",
+}
 
 __all__ = [
     "Branch", "CostLimitError", "GeometryDomainError", "HalfPlane",
@@ -49,3 +59,11 @@ __all__ = [
     "realize_vertices", "regular_parameters", "regular_tetrahedron_volume",
     "regular_volume", "side_length", "sphere_surface_area", "volume",
 ]
+
+
+def __getattr__(name):
+    # not cached in the package namespace: a later rebinding of the module
+    # attribute (a test's monkeypatch, say) is seen here too
+    if name in _LAZY:
+        return getattr(importlib.import_module(_LAZY[name], __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -174,7 +174,10 @@ def tail_product_integral(cs, p_exp, gamma, X, tol=DEFAULT_TOL):
     x = X(1 + e^{ia}(e^v - 1)), a = -arg(g), where exp(-g x) decays
     monotonically and every erfcx argument keeps Re >= 0 (so |erfcx| <= 1).
     Compositions sharing a rotation share their erfcx values, and all of them
-    are summed inside one adaptive pass over v.  Returns (value, error_bound).
+    are summed inside one adaptive pass over v.  Returns (value, error_bound,
+    evaluations), the last being the pass's quadrature node count.
+    `_ibp_pieces` calls it once per distinct tail integral of a ray (3 for a
+    regular simplex) and reuses the result for repeated inputs.
     """
     groups = collections.Counter(complex(c) for c in cs)
     gc = np.array(list(groups), dtype=complex)
@@ -219,11 +222,11 @@ def tail_product_integral(cs, p_exp, gamma, X, tol=DEFAULT_TOL):
             expo[rows] += comps[rows] @ log_e[:, u, :]
         return pref @ np.exp(expo)
 
-    vals, errs, _ = adaptive_gk(f, 0.0, vhi, abs_tol=tol / 4, rel_tol=tol / 4,
-                                max_panels=1024, initial_edges=edges)
+    vals, errs, neval = adaptive_gk(f, 0.0, vhi, abs_tol=tol / 4, rel_tol=tol / 4,
+                                    max_panels=1024, initial_edges=edges)
     # |integrand| <= |pref| 2^(p/2) (1+w)^(-p) per composition, in dw = e^v dv
     size = float(np.abs(pref).sum()) * 2.0 ** (0.5 * p_exp) / (p_exp - 1.0)
-    return complex(vals[0]), float(errs[0]) + max(len(cs), 1) * 2e-15 * size
+    return complex(vals[0]), float(errs[0]) + max(len(cs), 1) * 2e-15 * size, neval
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +234,15 @@ def tail_product_integral(cs, p_exp, gamma, X, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 def _ibp_pieces(p, A, tol):
-    """Boundary terms at y = A plus the three tail integrals of the identity."""
+    """Boundary terms at y = A plus the three tail integrals of the identity.
+
+    The identity names 1 + (d+1) + C(d+1, 2) tail integrals, but equal
+    multipliers make many of them the same integral: each distinct one, keyed
+    on its exact inputs, is computed once per call (3 per ray for a regular
+    simplex, at any d).  The sums then add the same numbers in the same order,
+    so the value does not depend on the reuse.  Returns (value, error,
+    evaluations): the boundary CDF points plus the nodes of the tail passes run.
+    """
     omega = _canonical_omega(p.half_plane)
     if abs(cmath.phase(p.omega) - cmath.phase(omega)) > _ARG_TOL:
         raise SectorError("stabilized tail requires arg(omega) = -pi/4 (upper) "
@@ -259,9 +270,14 @@ def _ibp_pieces(p, A, tol):
 
     err = float(len(cs)) * 2e-15 * (abs(b1) + abs(b2) + 1.0)
 
+    passes = {}
+
     def tail_T(skip, p_exp, gam):
-        keep = [c for j, c in enumerate(cs) if j not in skip]
-        return tail_product_integral(keep, p_exp, gam, X, tol)
+        keep = tuple(c for j, c in enumerate(cs) if j not in skip)
+        key = (keep, p_exp, gam)
+        if key not in passes:
+            passes[key] = tail_product_integral(keep, p_exp, gam, X, tol)
+        return passes[key][:2]
 
     # term (single IBP): -(1/(2 omega)) * T(all, 3/2, om2/2)
     tv, te = tail_T((), 1.5, om2 / 2.0)
@@ -284,7 +300,7 @@ def _ibp_pieces(p, A, tol):
             tv, te = tail_T((l1, l2), 1.5, gam)
             t3 += pref * tv
             err += abs(pref) * te
-    return b1 + b2 + t1 + t2 + t3, err, len(cs)
+    return b1 + b2 + t1 + t2 + t3, err, len(cs) + sum(r[2] for r in passes.values())
 
 
 def ibp_tail(p, A, tol=DEFAULT_TOL):

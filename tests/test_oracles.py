@@ -1,10 +1,16 @@
 """Reference oracles: Monte Carlo cone sampling, Klein integration, tetrahedra."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import simplexvol
+from simplexvol import _hp, oracles
 from simplexvol.engine import VolumeRequest, regular_volume, volume
 from simplexvol.errors import CostLimitError, GeometryDomainError
 from simplexvol.geometry import (
@@ -126,3 +132,24 @@ def test_regular_tetrahedron_limits():
 def test_regular_tetrahedron_vs_engine():
     assert regular_volume(3, 1.0, -1.0).volume == pytest.approx(
         regular_tetrahedron_volume(1.0), abs=1e-7)
+
+
+def test_package_import_leaves_oracles_and_twin_unloaded():
+    code = ("import sys, simplexvol; "
+            "print(sorted(m for m in ('scipy.integrate', 'mpmath') if m in sys.modules))")
+    src = str(Path(simplexvol.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
+
+
+def test_lazy_package_names_are_the_module_attributes():
+    for name in ("MonteCarloReport", "direct_klein_volume", "ideal_tetrahedron_volume",
+                 "mc_spherical_volume", "regular_tetrahedron_volume"):
+        assert getattr(simplexvol, name) is getattr(oracles, name)
+    assert simplexvol.ideal_volume_highprec is _hp.ideal_volume_highprec
+    namespace = {}
+    exec("from simplexvol import *", namespace)
+    assert set(simplexvol.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        simplexvol.no_such_name

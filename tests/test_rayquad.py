@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from simplexvol import rayquad
 from simplexvol.cnormal import SQRT_2PI, norm_cdf
 from simplexvol.errors import NearPoleError, SectorError
+from simplexvol.geometry import (
+    OrthocentricParams, RegularSimplexSpec, min_curvature, regular_parameters,
+)
 from simplexvol.rayquad import (
     SPLIT_A, HalfPlane, RayIntegralProblem, head_integral, ibp_tail, ray_integral,
 )
@@ -150,3 +154,33 @@ def test_interior_ray_sector_guard():
     p = RayIntegralProblem((1.0,), 4j, np.exp(1j * np.pi / 8), HalfPlane.UPPER)
     with pytest.raises(SectorError):
         ray_integral(p)
+
+
+def _half_kappa0(taus):
+    params = OrthocentricParams(taus)
+    return params, min_curvature(params) / 2
+
+
+@pytest.mark.parametrize("params, kappa, passes", [
+    # ideal regular d = 5: all six factors equal, 1 + 6 + 15 integrals, 3 distinct
+    (regular_parameters(RegularSimplexSpec(d=5, side_length=math.inf, kappa=-1.0)), -1.0, 3),
+    # distinct taus: all 1 + 5 + 10 integrals differ
+    (*_half_kappa0((1.0, 1.4, 0.7, 1.1, 0.9)), 16),
+    # two repeated pairs: 1 + 3 + 5 distinct integrals
+    (*_half_kappa0((1.0, 1.0, 1.3, 1.3, 0.8)), 9),
+], ids=["ideal-regular-d5", "distinct-d4", "two-pairs-d4"])
+def test_ibp_tail_runs_each_distinct_tail_integral_once(monkeypatch, params, kappa, passes):
+    nodes = []
+    real = rayquad.tail_product_integral
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        nodes.append(result[2])
+        return result
+
+    monkeypatch.setattr(rayquad, "tail_product_integral", counted)
+    p = RayIntegralProblem(params.multipliers(), kappa - params.s, 1 - 1j)
+    r = ibp_tail(p, SPLIT_A)
+    assert len(nodes) == passes
+    # the boundary CDF points plus every node of the passes that ran
+    assert r.evaluations == len(p.mus) + sum(nodes)
