@@ -35,6 +35,9 @@ from .rayquad import (
     ibp_tail, ray_integral,
 )
 
+#: submodules loaded on first use, as ``import simplexvol.oracles`` would
+_LAZY_MODULES = ("oracles", "_hp")
+
 #: public names resolved on first use, and the submodule that defines each
 _LAZY = {
     "ideal_volume_highprec": "._hp",
@@ -66,4 +69,6 @@ def __getattr__(name):
     # attribute (a test's monkeypatch, say) is seen here too
     if name in _LAZY:
         return getattr(importlib.import_module(_LAZY[name], __name__), name)
+    if name in _LAZY_MODULES:
+        return importlib.import_module("." + name, __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -135,12 +135,14 @@ def test_regular_tetrahedron_vs_engine():
 
 
 def test_package_import_leaves_oracles_and_twin_unloaded():
+    # then the submodules are package attributes on first use, as before
     code = ("import sys, simplexvol; "
-            "print(sorted(m for m in ('scipy.integrate', 'mpmath') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.integrate', 'mpmath') if m in sys.modules)); "
+            "print(simplexvol.oracles.__name__, simplexvol._hp.__name__)")
     src = str(Path(simplexvol.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:2] == ["[]", "simplexvol.oracles simplexvol._hp"]
 
 
 def test_lazy_package_names_are_the_module_attributes():
@@ -148,6 +150,7 @@ def test_lazy_package_names_are_the_module_attributes():
                  "mc_spherical_volume", "regular_tetrahedron_volume"):
         assert getattr(simplexvol, name) is getattr(oracles, name)
     assert simplexvol.ideal_volume_highprec is _hp.ideal_volume_highprec
+    assert simplexvol.oracles is oracles and simplexvol._hp is _hp
     namespace = {}
     exec("from simplexvol import *", namespace)
     assert set(simplexvol.__all__) <= set(namespace)

@@ -8,16 +8,17 @@ Each checkout is a full tree (``git archive`` or ``git clone``) with its own
 
 * a machine note: cores, CPU model, Python, NumPy, SciPy and mpmath versions;
 * for each workload of BENCHMARK.json and each end-to-end metric, both sides'
-  runs, median and quartiles over --pairs alternating pairs
-  (``benchmarks/run.py --seconds <s> --trace 0``, one seed per pair, the side
+  runs, median and quartiles over PAIRS alternating pairs
+  (``benchmarks/run.py --seconds 20 --trace 0``, one seed per pair, the side
   that runs first alternating), and how many pairs the change won;
-* the ``--trace 1`` tail counts and time of the regular-sweep and
-  orthocentric-hyperbolic workloads, on both sides;
+* the ``--trace 1`` tail counts and time of every gated workload, on both
+  sides;
 * ``regular_volume(d, inf)`` times for d = 2..12, on both sides;
 * the Tier-1 suite's wall time and summary line, on both sides.
 
 Runs are sequential, one process at a time, so the two sides never compete
-for the machine.
+for the machine.  Once ``benchmarks/`` writes the record itself, this script
+goes.
 """
 
 import argparse
@@ -30,11 +31,18 @@ import sys
 import time
 from pathlib import Path
 
-#: the benchmark's pinned environment, for the timings made outside run.py
-PINNED_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
-              "MKL_NUM_THREADS": "1", "SIMPLEXVOL_THREADS": "1"}
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+from run import PINNED_ENV  # noqa: E402  the benchmark's environment, for the timings outside it
 
-TRACED_WORKLOADS = ("regular-sweep", "orthocentric-hyperbolic")
+#: alternating parent/change pairs, one seed each from FIRST_SEED on
+PAIRS = 10
+FIRST_SEED = 3
+#: ``--seconds`` of every benchmarks/run.py run
+SECONDS = 20
+#: timings per d of regular_volume, after a warm-up
+REPEATS = 5
+
+TRACED_WORKLOADS = ("regular-sweep", "orthocentric-hyperbolic", "verify-oracles")
 TRACED_METRICS = ("rayquad.tail_products", "rayquad.tail_quadratures", "rayquad.tail_s")
 
 #: one child per side: warm up, then the median of REPEATS timings per d
@@ -75,22 +83,22 @@ def summary(values):
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
-def run_bench(root, workload, seed, seconds, trace):
+def run_bench(root, workload, seed, trace):
     """The final JSON line of one benchmarks/run.py run in the checkout at root."""
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True, timeout=30 * seconds + 600)
+         "--seconds", str(SECONDS), "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True, timeout=30 * SECONDS + 600)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def end_to_end(sides, workloads, metrics, seeds, seconds):
+def end_to_end(sides, workloads, metrics, seeds):
     runs = {w: {side: [] for side in sides} for w in workloads}
     for i, seed in enumerate(seeds):
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
         for w in workloads:
             for side in order:
-                res = run_bench(sides[side], w, seed, seconds, 0)
+                res = run_bench(sides[side], w, seed, 0)
                 runs[w][side].append(res)
                 print(f"pair {i} seed {seed} {w} {side}: "
                       + " ".join(f"{k}={v['value']:.4g}" for k, v in res["metrics"].items()),
@@ -110,23 +118,23 @@ def end_to_end(sides, workloads, metrics, seeds, seconds):
     return out
 
 
-def traced(sides, seed, seconds):
+def traced(sides, seed):
     out = {}
     for w in TRACED_WORKLOADS:
         out[w] = {}
         for side, root in sides.items():
-            res = run_bench(root, w, seed, seconds, 1)
+            res = run_bench(root, w, seed, 1)
             out[w][side] = {m: res["metrics"][m]["value"] for m in TRACED_METRICS}
             out[w][side]["correct"] = res["correct"]
     return out
 
 
-def regular_times(sides, repeats):
+def regular_times(sides):
     env = dict(os.environ, **PINNED_ENV)
     out = {}
     for side, root in sides.items():
         proc = subprocess.run([sys.executable, "-c", REGULAR_CHILD, str(Path(root) / "src"),
-                               str(repeats)], capture_output=True, text=True, check=True,
+                               str(REPEATS)], capture_output=True, text=True, check=True,
                               env=env, timeout=1800)
         out[side] = json.loads(proc.stdout)
     return out
@@ -153,10 +161,6 @@ def main(argv=None):
     ap.add_argument("--parent-label", required=True)
     ap.add_argument("--change-label", required=True)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=3)
-    ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--repeats", type=int, default=5, help="timings per d of regular_volume")
     args = ap.parse_args(argv)
 
     sides = {"parent": args.parent, "change": args.change}
@@ -164,22 +168,21 @@ def main(argv=None):
         spec = json.load(fh)
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]]
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seeds = list(range(FIRST_SEED, FIRST_SEED + PAIRS))
     record = {
         "commits": {"parent": args.parent_label, "change": args.change_label},
         "machine": machine_note(),
         "method": {"command": "python3 benchmarks/run.py --workload <w> --seed <n> "
-                              f"--seconds {args.seconds:g} --trace 0",
-                   "pairs": args.pairs, "seeds": seeds,
+                              f"--seconds {SECONDS} --trace 0",
+                   "pairs": PAIRS, "seeds": seeds,
                    "order": "parent first in even pairs, change first in odd pairs",
                    "quartiles": "statistics.quantiles(n=4, method='inclusive')",
                    "change_wins": "pairs in which the change's value is lower"},
-        "end_to_end": end_to_end(sides, workloads, metrics, seeds, args.seconds),
-        "trace": {"seed": 1, "seconds": args.seconds,
-                  "workloads": traced(sides, 1, args.seconds)},
+        "end_to_end": end_to_end(sides, workloads, metrics, seeds),
+        "trace": {"seed": 1, "seconds": SECONDS, "workloads": traced(sides, 1)},
         "regular_volume_ms": {"call": "regular_volume(d, inf)",
-                              "statistic": f"median of {args.repeats} calls after a warm-up",
-                              **regular_times(sides, args.repeats)},
+                              "statistic": f"median of {REPEATS} calls after a warm-up",
+                              **regular_times(sides)},
         "tier1": tier1(sides),
     }
     with open(args.out, "w") as fh:
