@@ -7,17 +7,20 @@ Evaluates integrals of the form
 where N is the analytically continued normal CDF.  On the boundary rays
 arg(omega) = -+pi/4 the integral converges only conditionally; it is split at
 the fixed point y = SPLIT_A into a finite head (adaptive quadrature) plus a
-stabilized tail obtained by one integration by parts in x = y^2.  The tail
-pieces are products of CDFs times x^(-p) exp(-gamma x) with Re(gamma) >= 0.
+stabilized tail obtained by integration by parts in x = y^2.  The tail
+pieces are products of CDFs times x^(-p) exp(-gamma x) with Re(gamma) >= 0,
+and their rates differ only by the c_l^2/2 of the factors a piece skips:
+gamma_l = gamma_0 + c_l^2/2, with gamma_0 = omega^2/2 and c_l = mu_l sqrt(z) omega.
 Each CDF factor splits exactly into its limit H(c) in {0, 1} plus a residual
 written with the scaled complementary error function,
 
     N(c sqrt(x)) - H(c) = -(s/2) exp(-c^2 x/2) erfcx(s c sqrt(x/2)),  s = sign(Re c),
 
-so the product is a finite sum of terms with a single exponential rate each.
-Every term is integrated on its own rotated contour, where it decays without
-oscillating, and all terms of one tail integral share one adaptive pass.  The
-split is exact for every split point, so no asymptotic regime constrains it.
+so the product is a finite sum of terms with a single exponential rate each,
+and by the identity above all pieces share one set of rates.  Every term is
+integrated on its own rotated contour, where it decays without oscillating,
+and the whole tail of a ray is one adaptive pass.  The split is exact for
+every split point, so no asymptotic regime constrains it.
 Everything is deterministic and pure.
 """
 
@@ -47,6 +50,10 @@ _ARG_TOL = 1e-12
 
 #: evaluation points with |1 + mu^2 z| below this are rejected as poles
 _POLE_GUARD = 1e-8
+
+#: at most this many compositions of one rotation class are summed at once
+#: in the tail integrand
+_BLOCK_ROWS = 256
 
 
 class HalfPlane(Enum):
@@ -162,26 +169,47 @@ def head_integral(p, A, tol=DEFAULT_TOL):
 # tail integrals
 # ---------------------------------------------------------------------------
 
-def tail_product_integral(cs, p_exp, gamma, X, tol=DEFAULT_TOL):
-    """T = int_X^inf prod_j N(c_j sqrt(x)) x^(-p) exp(-gamma x) dx.
+def tail_product_integral(mus, z, sqz, omega, X, tol=DEFAULT_TOL):
+    """The whole integration-by-parts tail of one ray beyond x = X, in one pass.
 
-    Requires X > 0, p > 1, Re(gamma) >= 0 and |arg(s_j c_j)| <= pi/4 with
-    s_j = sign(Re c_j), as on the canonical boundary rays.  Each factor is
-    H_j + R_j with R_j = -(s_j/2) exp(-c_j^2 x/2) erfcx(s_j c_j sqrt(x/2))
-    (exact), and equal coefficients are grouped, so the product is a sum over
-    compositions: how many factors of each group contribute R.  A composition
-    with rate g = gamma + sum_j n_j c_j^2/2 is integrated along
-    x = X(1 + e^{ia}(e^v - 1)), a = -arg(g), where exp(-g x) decays
-    monotonically and every erfcx argument keeps Re >= 0 (so |erfcx| <= 1).
-    Compositions sharing a rotation share their erfcx values, and all of them
-    are summed inside one adaptive pass over v.  Returns (value, error_bound,
+    Requires X > 0, sqz the branch square root of z and omega the canonical
+    boundary ray of its half plane, so that |arg(s_j c_j)| <= pi/4 below.
+    The identity's tail is
+
+        -T_()(3/2)/(2 omega) - Q sum_l b_l T_(l)(2)
+            + K sum_{l1<l2} (a_l1 b_l2 + b_l1 a_l2) T_(l1,l2)(3/2),
+        T_S(p) = int_X^inf prod_{j not in S} N(c_j sqrt(x)) x^(-p) exp(-gamma_S x) dx,
+
+    with c_j = mu_j sqrt(z) omega, a = mu, b = mu/(1 + mu^2 z),
+    Q = sqrt(z)/(sqrt(2 pi) omega^2), K = z/(4 pi omega) and
+    gamma_S = gamma_0 + sum_{l in S} c_l^2/2, gamma_0 = omega^2/2.  Each factor
+    is H_j + R_j with R_j = rho_j exp(-c_j^2 x/2) erfcx(s_j c_j sqrt(x/2))
+    (exact), s_j = sign(Re c_j), rho_j = -s_j/2.  Since exp(-c_l^2 x/2) =
+    R_l y_l with y_l = 1/(rho_l erfcx_l), a skipped factor is a residual
+    times y_l, so the 1 + (d+1) + C(d+1, 2) integrals share the terms of
+    prod_j (H_j + R_j) exp(-gamma_0 x).  With equal multipliers grouped, that
+    product is a sum over compositions n (how many factors of group g
+    contribute R), each with one rate g_n = gamma_0 + sum_g n_g c_g^2/2, and
+
+        tail = sum_n int_X^inf coef_n x^(-3/2) exp(-g_n x) prod_g erfcx_g^n_g bracket_n dx,
+        bracket_n = -1/(2 omega) - x^(-1/2) Q B_n + K (A_n B_n - sum_g n_g a_g b_g y_g^2),
+        A_n = sum_g n_g a_g y_g,  B_n = sum_g n_g b_g y_g.
+
+    A composition is integrated along x = X(1 + e^{ia}(e^v - 1)),
+    a = -arg(g_n), where exp(-g_n x) decays monotonically and every erfcx
+    argument keeps Re >= 0 (so |erfcx| <= 1); a rate within rounding of 0 is
+    set to exactly 0, so that composition's algebraic tail is not cut at a
+    spurious exponential scale.  Compositions sharing a rotation share their
+    erfcx values, and all of them are summed inside one adaptive pass over v,
+    once per ray.  The same pass integrates the rounding bound, an eps-scaled
+    sum_n |term_n|, as a second component.  Returns (value, error_bound,
     evaluations), the last being the pass's quadrature node count.
-    `_ibp_pieces` calls it once per distinct tail integral of a ray (3 for a
-    regular simplex) and reuses the result for repeated inputs.
     """
-    groups = collections.Counter(complex(c) for c in cs)
-    gc = np.array(list(groups), dtype=complex)
+    groups = collections.Counter(mus)
+    mu = np.array(list(groups))
+    gc = mu * sqz * omega
     sgn = np.where(gc.real > 0, 1.0, -1.0)
+    rho = -0.5 * sgn
     # a factor with limit H = 0 contributes its residual in every composition
     comps = np.array(list(itertools.product(
         *(range(m + 1) if s > 0 else (m,) for s, m in zip(sgn, groups.values())))),
@@ -189,23 +217,42 @@ def tail_product_integral(cs, p_exp, gamma, X, tol=DEFAULT_TOL):
     coef = np.ones(len(comps))
     for g, m in enumerate(groups.values()):
         binom = np.array([math.comb(m, k) for k in range(m + 1)], dtype=float)
-        coef *= binom[comps[:, g]] * (-0.5 * sgn[g]) ** comps[:, g]
-    rate = gamma + comps @ (0.5 * gc * gc)
+        coef *= binom[comps[:, g]] * rho[g] ** comps[:, g]
+    half_c2 = 0.5 * gc * gc
+    gamma = 0.5 * omega * omega
+    rate = gamma + comps @ half_c2
+    # rates that vanish in exact arithmetic (ideal vertices) keep rounding-level
+    # parts; a rotation by their phase would cut an algebraic tail at e^(-eps x)
+    band = 16.0 * np.finfo(float).eps * (abs(gamma) + comps @ np.abs(half_c2))
+    rate[np.abs(rate) <= band] = 0.0
     rate = np.maximum(rate.real, 0.0) + 1j * rate.imag   # rounding below Re = 0
     alpha = -np.angle(rate)
     gX = np.abs(rate) * X
-    pref = coef * np.exp(1j * alpha - rate * X) * X ** (1.0 - p_exp)
+    pref = coef * np.exp(1j * alpha - rate * X) / math.sqrt(X)
+    # rounding: a few eps per factor of each term's actual size; a bound needs
+    # no more than a factor of accuracy, so it is integrated already scaled
+    apref = np.abs(pref) * (len(mus) * 2e-15)
     rotations, cls = np.unique(alpha, return_inverse=True)
     ea = np.exp(1j * rotations)
     arg_scale = sgn * gc * math.sqrt(0.5 * X)
-    members = [np.nonzero(cls == u)[0] for u in range(len(rotations))]
+    blocks = []
+    for u in range(len(rotations)):
+        rows = np.nonzero(cls == u)[0]
+        blocks += [(u, rows[i:i + _BLOCK_ROWS]) for i in range(0, len(rows), _BLOCK_ROWS)]
+    a = mu[:, None, None]
+    b = (mu / (1.0 + mu * mu * z))[:, None, None]
+    # x^(-1/2) = X^(-1/2) base^(-1/2) on a contour; Q keeps the X^(-1/2)
+    Q = sqz / (SQRT_2PI * omega * omega * math.sqrt(X))
+    K = z / (4.0 * math.pi * omega)
+    t1 = -1.0 / (2.0 * omega)
 
-    # truncation: (p-1) log((1+w)/sqrt(2)) + gX w >= 45 for the slowest rate
+    # truncation: (p-1) log((1+w)/sqrt(2)) + gX w >= 45 for the slowest rate,
+    # p = 3/2 being the slowest algebraic decay of any bracket term
     slowest = float(gX.min())
 
     def decayed(v):
         w = math.expm1(v)
-        return max(p_exp - 1.0, 0.5) * math.log1p(w / math.sqrt(2)) + slowest * w
+        return 0.5 * math.log1p(w / math.sqrt(2)) + slowest * w
 
     vhi = 1.0
     while decayed(vhi) < 45.0:
@@ -215,18 +262,39 @@ def tail_product_integral(cs, p_exp, gamma, X, tol=DEFAULT_TOL):
     def f(v):
         w = np.expm1(v)
         base = 1.0 + ea[:, None] * w[None, :]                       # (U, n)
-        log_e = np.log(erfcx(arg_scale[:, None, None]
-                             * np.sqrt(base)[None, :, :]))           # (G, U, n)
-        expo = v - gX[:, None] * w - p_exp * np.log(base)[cls]
-        for u, rows in enumerate(members):
-            expo[rows] += comps[rows] @ log_e[:, u, :]
-        return pref @ np.exp(expo)
+        ex = erfcx(arg_scale[:, None, None] * np.sqrt(base)[None, :, :])  # (G, U, n)
+        log_e = np.log(ex)
+        y = 1.0 / (rho[:, None, None] * ex)
+        ay, by = a * y, b * y
+        aby = ay * by
+        shared = v - 1.5 * np.log(base)
+        qx = Q / np.sqrt(base)
+        out = np.zeros((2, len(v)), dtype=complex)
+        # in place, one block of one rotation class at a time, so the few
+        # (rows, n) arrays alive at once stay small at any d
+        for u, rows in blocks:
+            k = comps[rows]
+            sb = k @ by[:, u, :]
+            bracket = k @ ay[:, u, :]
+            bracket *= sb
+            bracket -= k @ aby[:, u, :]
+            bracket *= K
+            sb *= qx[u]
+            bracket -= sb
+            bracket += t1
+            del sb
+            term = k @ log_e[:, u, :]
+            term += shared[u]
+            term -= gX[rows, None] * w
+            np.exp(term, out=term)
+            term *= bracket
+            out[0] += pref[rows] @ term
+            out[1] += apref[rows] @ np.abs(term)
+        return out
 
     vals, errs, neval = adaptive_gk(f, 0.0, vhi, abs_tol=tol / 4, rel_tol=tol / 4,
                                     max_panels=1024, initial_edges=edges)
-    # |integrand| <= |pref| 2^(p/2) (1+w)^(-p) per composition, in dw = e^v dv
-    size = float(np.abs(pref).sum()) * 2.0 ** (0.5 * p_exp) / (p_exp - 1.0)
-    return complex(vals[0]), float(errs[0]) + max(len(cs), 1) * 2e-15 * size, neval
+    return complex(vals[0]), float(errs[0]) + abs(vals[1]), neval
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +302,13 @@ def tail_product_integral(cs, p_exp, gamma, X, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 def _ibp_pieces(p, A, tol):
-    """Boundary terms at y = A plus the three tail integrals of the identity.
+    """Boundary terms at y = A plus the tail integrals of the identity.
 
-    The identity names 1 + (d+1) + C(d+1, 2) tail integrals, but equal
-    multipliers make many of them the same integral: each distinct one, keyed
-    on its exact inputs, is computed once per call (3 per ray for a regular
-    simplex, at any d).  The sums then add the same numbers in the same order,
-    so the value does not depend on the reuse.  Returns (value, error,
-    evaluations): the boundary CDF points plus the nodes of the tail passes run.
+    Two integrations by parts in x = y^2 leave boundary terms at x = A^2 and
+    1 + (d+1) + C(d+1, 2) tail integrals whose rates differ only by the c_l^2/2
+    of the factors they skip (gamma_l = gamma_0 + c_l^2/2); tail_product_integral
+    evaluates all of them in one pass, once per ray.  Returns (value, error,
+    evaluations): the boundary CDF points plus the nodes of that pass.
     """
     omega = _canonical_omega(p.half_plane)
     if abs(cmath.phase(p.omega) - cmath.phase(omega)) > _ARG_TOL:
@@ -269,38 +336,8 @@ def _ibp_pieces(p, A, tol):
         b2 += pref * pl / X * cmath.exp(-0.5 * om2 * X * denons[l])
 
     err = float(len(cs)) * 2e-15 * (abs(b1) + abs(b2) + 1.0)
-
-    passes = {}
-
-    def tail_T(skip, p_exp, gam):
-        keep = tuple(c for j, c in enumerate(cs) if j not in skip)
-        key = (keep, p_exp, gam)
-        if key not in passes:
-            passes[key] = tail_product_integral(keep, p_exp, gam, X, tol)
-        return passes[key][:2]
-
-    # term (single IBP): -(1/(2 omega)) * T(all, 3/2, om2/2)
-    tv, te = tail_T((), 1.5, om2 / 2.0)
-    t1 = -tv / (2.0 * omega)
-    err += te / (2.0 * abs(omega))
-    # second-IBP single-sum term
-    t2 = 0.0 + 0.0j
-    for l in range(len(mus)):
-        pref = mus[l] * sqz / (SQRT_2PI * om2 * denons[l])
-        tv, te = tail_T((l,), 2.0, om2 * denons[l] / 2.0)
-        t2 -= pref * tv
-        err += abs(pref) * te
-    # second-IBP double-sum term, grouped over unordered pairs
-    t3 = 0.0 + 0.0j
-    for l1 in range(len(mus)):
-        for l2 in range(l1 + 1, len(mus)):
-            pref = (mus[l1] * mus[l2] * z / (4 * math.pi * omega)
-                    * (1.0 / denons[l1] + 1.0 / denons[l2]))
-            gam = om2 * (1.0 + (mus[l1] ** 2 + mus[l2] ** 2) * z) / 2.0
-            tv, te = tail_T((l1, l2), 1.5, gam)
-            t3 += pref * tv
-            err += abs(pref) * te
-    return b1 + b2 + t1 + t2 + t3, err, len(cs) + sum(r[2] for r in passes.values())
+    tv, te, neval = tail_product_integral(p.mus, z, sqz, omega, X, tol)
+    return b1 + b2 + tv, err + te, len(cs) + neval
 
 
 def ibp_tail(p, A, tol=DEFAULT_TOL):

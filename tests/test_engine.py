@@ -207,6 +207,20 @@ def test_curvature_scaling():
     assert r.volume == pytest.approx(math.pi / 4.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_ideal_curvature_scaling_within_bars(d):
+    # at ideal vertices some tail rates vanish exactly, and rounding leaves
+    # them +-eps off 0 by an amount that depends on kappa; the scaled volumes
+    # must still agree with kappa = -1 inside both claimed bars
+    ref = regular_volume(d, math.inf, -1.0)
+    for kappa in (-0.3, -0.7, -2.0, -3.0, -5.0, -6.0, -7.0, -10.0, -11.0, -13.0):
+        r = regular_volume(d, math.inf, kappa)
+        scale = abs(kappa) ** (d / 2.0)
+        assert abs(scale * r.volume - ref.volume) <= scale * r.abs_error + ref.abs_error
+        if d == 2:
+            assert r.volume == pytest.approx(math.pi / abs(kappa), rel=1e-13)
+
+
 def test_highprec_ideal_matches_known_values():
     assert abs(float(ideal_volume_highprec(3)) - IDEAL_D3) < 1e-13
     assert abs(float(ideal_volume_highprec(4)) - IDEAL_D4) < 1e-13

@@ -73,10 +73,11 @@ def test_conjugation_between_half_planes():
 
 
 def _split_point_gap(p, A, B):
-    """|head(A) + tail(A) - head(B) - tail(B)|: the ray integral split at A vs at B."""
-    at_a = head_integral(p, A).value + ibp_tail(p, A).value
-    at_b = head_integral(p, B).value + ibp_tail(p, B).value
-    return abs(at_a - at_b)
+    """|head(A) + tail(A) - head(B) - tail(B)|: the ray integral split at A vs at B,
+    and the sum of the four claimed bars."""
+    parts = [head_integral(p, A), ibp_tail(p, A), head_integral(p, B), ibp_tail(p, B)]
+    gap = abs(parts[0].value + parts[1].value - parts[2].value - parts[3].value)
+    return gap, sum(r.abs_error_estimate for r in parts)
 
 
 def test_split_point_invariance_random_problems():
@@ -88,13 +89,13 @@ def test_split_point_invariance_random_problems():
         p = RayIntegralProblem(mus, z, 1 - 1j)
         A = float(rng.uniform(0.8, 3.0))
         B = float(rng.uniform(8.0, 20.0))
-        assert _split_point_gap(p, A, B) < 1e-9
+        assert _split_point_gap(p, A, B)[0] < 1e-9
 
 
 def test_split_point_invariance_large_A():
     # the boundary terms shrink like 1/A; the split stays exact far out
     p = RayIntegralProblem((1.0, 0.8), 1.0 + 0.5j, 1 - 1j)
-    assert _split_point_gap(p, 12.0, 30.0) < 1e-9
+    assert _split_point_gap(p, 12.0, 30.0)[0] < 1e-9
 
 
 def test_boundary_term_modulus_bound():
@@ -161,15 +162,15 @@ def _half_kappa0(taus):
     return params, min_curvature(params) / 2
 
 
-@pytest.mark.parametrize("params, kappa, passes", [
-    # ideal regular d = 5: all six factors equal, 1 + 6 + 15 integrals, 3 distinct
-    (regular_parameters(RegularSimplexSpec(d=5, side_length=math.inf, kappa=-1.0)), -1.0, 3),
+@pytest.mark.parametrize("params, kappa", [
+    # ideal regular d = 5: all six factors equal (1 + 6 + 15 integrals, 3 distinct)
+    (regular_parameters(RegularSimplexSpec(d=5, side_length=math.inf, kappa=-1.0)), -1.0),
     # distinct taus: all 1 + 5 + 10 integrals differ
-    (*_half_kappa0((1.0, 1.4, 0.7, 1.1, 0.9)), 16),
+    _half_kappa0((1.0, 1.4, 0.7, 1.1, 0.9)),
     # two repeated pairs: 1 + 3 + 5 distinct integrals
-    (*_half_kappa0((1.0, 1.0, 1.3, 1.3, 0.8)), 9),
+    _half_kappa0((1.0, 1.0, 1.3, 1.3, 0.8)),
 ], ids=["ideal-regular-d5", "distinct-d4", "two-pairs-d4"])
-def test_ibp_tail_runs_each_distinct_tail_integral_once(monkeypatch, params, kappa, passes):
+def test_ibp_tail_runs_one_tail_pass_per_ray(monkeypatch, params, kappa):
     nodes = []
     real = rayquad.tail_product_integral
 
@@ -181,6 +182,23 @@ def test_ibp_tail_runs_each_distinct_tail_integral_once(monkeypatch, params, kap
     monkeypatch.setattr(rayquad, "tail_product_integral", counted)
     p = RayIntegralProblem(params.multipliers(), kappa - params.s, 1 - 1j)
     r = ibp_tail(p, SPLIT_A)
-    assert len(nodes) == passes
-    # the boundary CDF points plus every node of the passes that ran
-    assert r.evaluations == len(p.mus) + sum(nodes)
+    assert len(nodes) == 1
+    # the boundary CDF points plus every node of the pass
+    assert r.evaluations == len(p.mus) + nodes[0]
+
+
+def test_split_point_invariance_hyperbolic_rays():
+    # real z < 0, as every hyperbolic volume has: distinct taus, both rays of
+    # the transform and both half planes; the two splits see different tail
+    # rates X |g_n|, rotations and truncation points
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        params = OrthocentricParams(tuple(rng.uniform(0.6, 1.8, int(rng.integers(3, 8)))))
+        z = float(rng.uniform(0.2, 0.8)) * min_curvature(params) - params.s
+        A, B = float(rng.uniform(1.0, 3.0)), float(rng.uniform(5.0, 8.0))
+        for sign in (1.0, -1.0):
+            mus = tuple(sign * m for m in params.multipliers())
+            for om, hp in [(1 - 1j, HalfPlane.UPPER), (1 + 1j, HalfPlane.LOWER)]:
+                gap, bars = _split_point_gap(RayIntegralProblem(mus, z, om, hp), A, B)
+                assert gap <= bars
+                assert gap < 1e-10

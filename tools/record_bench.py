@@ -14,6 +14,8 @@ Each checkout is a full tree (``git archive`` or ``git clone``) with its own
 * the ``--trace 1`` tail counts and time of every gated workload, on both
   sides;
 * ``regular_volume(d, inf)`` times for d = 2..12, on both sides;
+* orthocentric hyperbolic ``volume()`` times for d = 2..14 (taus ~ U(0.6, 1.8)
+  from ``default_rng(d)``, kappa = kappa0/2), on both sides;
 * the Tier-1 suite's wall time and summary line, on both sides.
 
 Runs are sequential, one process at a time, so the two sides never compete
@@ -39,8 +41,10 @@ PAIRS = 10
 FIRST_SEED = 3
 #: ``--seconds`` of every benchmarks/run.py run
 SECONDS = 20
-#: timings per d of regular_volume, after a warm-up
+#: timings per d of regular_volume and of the orthocentric volume, after a warm-up
 REPEATS = 5
+#: an orthocentric volume slower than this is timed once (the parent's d = 14)
+LONG_CALL_S = 5.0
 
 TRACED_WORKLOADS = ("regular-sweep", "orthocentric-hyperbolic", "verify-oracles")
 TRACED_METRICS = ("rayquad.tail_products", "rayquad.tail_quadratures", "rayquad.tail_s")
@@ -59,6 +63,36 @@ for d in range(2, 13):
         regular_volume(d, math.inf)
         times.append(time.perf_counter() - t0)
     out[d] = 1e3 * statistics.median(times)
+print(json.dumps(out))
+"""
+
+#: one child per side: warm up, then per d the median of REPEATS timings, or
+#: a single timing where one call takes longer than LONG_CALL_S
+ORTHO_CHILD = """
+import json, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from simplexvol import engine, geometry
+repeats, long_call = int(sys.argv[2]), float(sys.argv[3])
+
+def request(d):
+    taus = tuple(float(t) for t in np.random.default_rng(d).uniform(0.6, 1.8, d + 1))
+    params = geometry.OrthocentricParams(taus)
+    return engine.VolumeRequest(geometry=params, kappa=geometry.min_curvature(params) / 2)
+
+def timed(req):
+    t0 = time.perf_counter()
+    engine.volume(req)
+    return time.perf_counter() - t0
+
+engine.volume(request(2))
+out = {}
+for d in range(2, 15):
+    req = request(d)
+    times = [timed(req)]
+    while times[0] < long_call and len(times) < repeats:
+        times.append(timed(req))
+    out[d] = {"ms": 1e3 * statistics.median(times), "calls": len(times)}
 print(json.dumps(out))
 """
 
@@ -129,12 +163,12 @@ def traced(sides, seed):
     return out
 
 
-def regular_times(sides):
+def child_times(sides, child, *args):
     env = dict(os.environ, **PINNED_ENV)
     out = {}
     for side, root in sides.items():
-        proc = subprocess.run([sys.executable, "-c", REGULAR_CHILD, str(Path(root) / "src"),
-                               str(REPEATS)], capture_output=True, text=True, check=True,
+        proc = subprocess.run([sys.executable, "-c", child, str(Path(root) / "src"),
+                               *map(str, args)], capture_output=True, text=True, check=True,
                               env=env, timeout=1800)
         out[side] = json.loads(proc.stdout)
     return out
@@ -182,7 +216,13 @@ def main(argv=None):
         "trace": {"seed": 1, "seconds": SECONDS, "workloads": traced(sides, 1)},
         "regular_volume_ms": {"call": "regular_volume(d, inf)",
                               "statistic": f"median of {REPEATS} calls after a warm-up",
-                              **regular_times(sides)},
+                              **child_times(sides, REGULAR_CHILD, REPEATS)},
+        "orthocentric_volume_ms": {
+            "call": "volume() of OrthocentricParams(taus), taus = "
+                    "default_rng(d).uniform(0.6, 1.8, d + 1), kappa = min_curvature / 2",
+            "statistic": f"median of {REPEATS} calls after a warm-up, one call where the "
+                         f"first takes over {LONG_CALL_S} s",
+            **child_times(sides, ORTHO_CHILD, REPEATS, LONG_CALL_S)},
         "tier1": tier1(sides),
     }
     with open(args.out, "w") as fh:
