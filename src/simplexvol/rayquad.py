@@ -7,20 +7,18 @@ Evaluates integrals of the form
 where N is the analytically continued normal CDF.  On the boundary rays
 arg(omega) = -+pi/4 the integral converges only conditionally; it is split at
 the fixed point y = SPLIT_A into a finite head (adaptive quadrature) plus a
-stabilized tail obtained by integration by parts in x = y^2.  The tail
-pieces are products of CDFs times x^(-p) exp(-gamma x) with Re(gamma) >= 0,
-and their rates differ only by the c_l^2/2 of the factors a piece skips:
-gamma_l = gamma_0 + c_l^2/2, with gamma_0 = omega^2/2 and c_l = mu_l sqrt(z) omega.
-Each CDF factor splits exactly into its limit H(c) in {0, 1} plus a residual
-written with the scaled complementary error function,
+tail beyond it, taken in x = y^2.  Each CDF factor of the tail splits exactly
+into its limit H(c) in {0, 1} plus a residual written with the scaled
+complementary error function,
 
     N(c sqrt(x)) - H(c) = -(s/2) exp(-c^2 x/2) erfcx(s c sqrt(x/2)),  s = sign(Re c),
 
-so the product is a finite sum of terms with a single exponential rate each,
-and by the identity above all pieces share one set of rates.  Every term is
-integrated on its own rotated contour, where it decays without oscillating,
-and the whole tail of a ray is one adaptive pass.  The split is exact for
-every split point, so no asymptotic regime constrains it.
+so the tail integrand x^(-1/2) exp(-omega^2 x/2) prod_j N(c_j sqrt(x)) is a
+finite sum over compositions (which factors contribute their residual), each
+with a single exponential rate.  Every composition is integrated on its own
+rotated contour, where it decays without oscillating, and the whole tail of a
+ray is one adaptive pass.  The split is exact for every split point, so no
+asymptotic regime constrains it.
 Everything is deterministic and pure.
 """
 
@@ -34,7 +32,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import erfcx
 
-from .cnormal import SQRT_2PI, norm_cdf_array
+from .cnormal import norm_cdf_array
 from .errors import NearPoleError, SectorError
 from .quadrature import adaptive_gk, oscillation_edges
 
@@ -166,35 +164,29 @@ def head_integral(p, A, tol=DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# tail integrals
+# tail
 # ---------------------------------------------------------------------------
 
-def tail_product_integral(mus, z, sqz, omega, X, tol=DEFAULT_TOL):
-    """The whole integration-by-parts tail of one ray beyond x = X, in one pass.
+def tail_product_integral(mus, sqz, omega, X, tol=DEFAULT_TOL):
+    """The whole tail of one ray beyond x = X, in one pass.
 
     Requires X > 0, sqz the branch square root of z and omega the canonical
     boundary ray of its half plane, so that |arg(s_j c_j)| <= pi/4 below.
-    The identity's tail is
+    In x = y^2 the tail is
 
-        -T_()(3/2)/(2 omega) - Q sum_l b_l T_(l)(2)
-            + K sum_{l1<l2} (a_l1 b_l2 + b_l1 a_l2) T_(l1,l2)(3/2),
-        T_S(p) = int_X^inf prod_{j not in S} N(c_j sqrt(x)) x^(-p) exp(-gamma_S x) dx,
+        (omega/2) int_X^inf x^(-1/2) exp(-gamma_0 x) prod_j N(c_j sqrt(x)) dx,
 
-    with c_j = mu_j sqrt(z) omega, a = mu, b = mu/(1 + mu^2 z),
-    Q = sqrt(z)/(sqrt(2 pi) omega^2), K = z/(4 pi omega) and
-    gamma_S = gamma_0 + sum_{l in S} c_l^2/2, gamma_0 = omega^2/2.  Each factor
-    is H_j + R_j with R_j = rho_j exp(-c_j^2 x/2) erfcx(s_j c_j sqrt(x/2))
-    (exact), s_j = sign(Re c_j), rho_j = -s_j/2.  Since exp(-c_l^2 x/2) =
-    R_l y_l with y_l = 1/(rho_l erfcx_l), a skipped factor is a residual
-    times y_l, so the 1 + (d+1) + C(d+1, 2) integrals share the terms of
-    prod_j (H_j + R_j) exp(-gamma_0 x).  With equal multipliers grouped, that
-    product is a sum over compositions n (how many factors of group g
-    contribute R), each with one rate g_n = gamma_0 + sum_g n_g c_g^2/2, and
+    with c_j = mu_j sqrt(z) omega and gamma_0 = omega^2/2.  Each factor is
+    H_j + R_j with R_j = rho_j exp(-c_j^2 x/2) erfcx(s_j c_j sqrt(x/2))
+    (exact), s_j = sign(Re c_j), rho_j = -s_j/2 and H_j = (1 + s_j)/2.  With
+    equal multipliers grouped, the product is a sum over compositions n (how
+    many factors of group g contribute R), each with one rate
+    g_n = gamma_0 + sum_g n_g c_g^2/2, so
 
-        tail = sum_n int_X^inf coef_n x^(-3/2) exp(-g_n x) prod_g erfcx_g^n_g bracket_n dx,
-        bracket_n = -1/(2 omega) - x^(-1/2) Q B_n + K (A_n B_n - sum_g n_g a_g b_g y_g^2),
-        A_n = sum_g n_g a_g y_g,  B_n = sum_g n_g b_g y_g.
+        tail = (omega/2) sum_n coef_n int_X^inf x^(-1/2) exp(-g_n x) prod_g erfcx_g^n_g dx,
+        coef_n = prod_g C(m_g, n_g) rho_g^n_g,
 
+    where a group with H = 0 contributes its residual in every composition.
     A composition is integrated along x = X(1 + e^{ia}(e^v - 1)),
     a = -arg(g_n), where exp(-g_n x) decays monotonically and every erfcx
     argument keeps Re >= 0 (so |erfcx| <= 1); a rate within rounding of 0 is
@@ -228,7 +220,8 @@ def tail_product_integral(mus, z, sqz, omega, X, tol=DEFAULT_TOL):
     rate = np.maximum(rate.real, 0.0) + 1j * rate.imag   # rounding below Re = 0
     alpha = -np.angle(rate)
     gX = np.abs(rate) * X
-    pref = coef * np.exp(1j * alpha - rate * X) / math.sqrt(X)
+    # dx = X e^{ia} e^v dv and x^(-1/2) = X^(-1/2) base^(-1/2) on a contour
+    pref = 0.5 * omega * coef * np.exp(1j * alpha - rate * X) * math.sqrt(X)
     # rounding: a few eps per factor of each term's actual size; a bound needs
     # no more than a factor of accuracy, so it is integrated already scaled
     apref = np.abs(pref) * (len(mus) * 2e-15)
@@ -239,15 +232,12 @@ def tail_product_integral(mus, z, sqz, omega, X, tol=DEFAULT_TOL):
     for u in range(len(rotations)):
         rows = np.nonzero(cls == u)[0]
         blocks += [(u, rows[i:i + _BLOCK_ROWS]) for i in range(0, len(rows), _BLOCK_ROWS)]
-    a = mu[:, None, None]
-    b = (mu / (1.0 + mu * mu * z))[:, None, None]
-    # x^(-1/2) = X^(-1/2) base^(-1/2) on a contour; Q keeps the X^(-1/2)
-    Q = sqz / (SQRT_2PI * omega * omega * math.sqrt(X))
-    K = z / (4.0 * math.pi * omega)
-    t1 = -1.0 / (2.0 * omega)
 
     # truncation: (p-1) log((1+w)/sqrt(2)) + gX w >= 45 for the slowest rate,
-    # p = 3/2 being the slowest algebraic decay of any bracket term
+    # p = 3/2 being the slowest algebraic decay of a composition of rate 0:
+    # it has at least two residual factors, each erfcx ~ x^(-1/2), because a
+    # single one would sit at the pole 1 + mu^2 z = 0 that RayIntegralProblem
+    # rejects (the others decay exponentially)
     slowest = float(gX.min())
 
     def decayed(v):
@@ -261,33 +251,17 @@ def tail_product_integral(mus, z, sqz, omega, X, tol=DEFAULT_TOL):
 
     def f(v):
         w = np.expm1(v)
-        base = 1.0 + ea[:, None] * w[None, :]                       # (U, n)
-        ex = erfcx(arg_scale[:, None, None] * np.sqrt(base)[None, :, :])  # (G, U, n)
-        log_e = np.log(ex)
-        y = 1.0 / (rho[:, None, None] * ex)
-        ay, by = a * y, b * y
-        aby = ay * by
-        shared = v - 1.5 * np.log(base)
-        qx = Q / np.sqrt(base)
+        base = 1.0 + ea[:, None] * w[None, :]                             # (U, n)
+        log_e = np.log(erfcx(arg_scale[:, None, None] * np.sqrt(base)[None]))  # (G, U, n)
+        shared = v - 0.5 * np.log(base)
         out = np.zeros((2, len(v)), dtype=complex)
         # in place, one block of one rotation class at a time, so the few
         # (rows, n) arrays alive at once stay small at any d
         for u, rows in blocks:
-            k = comps[rows]
-            sb = k @ by[:, u, :]
-            bracket = k @ ay[:, u, :]
-            bracket *= sb
-            bracket -= k @ aby[:, u, :]
-            bracket *= K
-            sb *= qx[u]
-            bracket -= sb
-            bracket += t1
-            del sb
-            term = k @ log_e[:, u, :]
+            term = comps[rows] @ log_e[:, u, :]
             term += shared[u]
             term -= gX[rows, None] * w
             np.exp(term, out=term)
-            term *= bracket
             out[0] += pref[rows] @ term
             out[1] += apref[rows] @ np.abs(term)
         return out
@@ -297,52 +271,15 @@ def tail_product_integral(mus, z, sqz, omega, X, tol=DEFAULT_TOL):
     return complex(vals[0]), float(errs[0]) + abs(vals[1]), neval
 
 
-# ---------------------------------------------------------------------------
-# integration-by-parts tail
-# ---------------------------------------------------------------------------
-
-def _ibp_pieces(p, A, tol):
-    """Boundary terms at y = A plus the tail integrals of the identity.
-
-    Two integrations by parts in x = y^2 leave boundary terms at x = A^2 and
-    1 + (d+1) + C(d+1, 2) tail integrals whose rates differ only by the c_l^2/2
-    of the factors they skip (gamma_l = gamma_0 + c_l^2/2); tail_product_integral
-    evaluates all of them in one pass, once per ray.  Returns (value, error,
-    evaluations): the boundary CDF points plus the nodes of that pass.
-    """
+def ibp_tail(p, A, tol=DEFAULT_TOL):
+    """Everything beyond y = A: the composition sum of tail_product_integral."""
     omega = _canonical_omega(p.half_plane)
     if abs(cmath.phase(p.omega) - cmath.phase(omega)) > _ARG_TOL:
         raise SectorError("stabilized tail requires arg(omega) = -pi/4 (upper) "
                           "or +pi/4 (lower)")
     if A <= 0:
         raise ValueError("the stabilized tail requires a split point A > 0")
-    sqz = p.branch_sqrt_z()
-    mus = np.asarray(p.mus)
-    cs = mus * sqz * omega
-    z = p.z
-    om2 = omega * omega
-    denons = 1.0 + mus ** 2 * z
-    X = A * A
-
-    phiA = norm_cdf_array(cs * A)
-    # boundary term at x = A^2 from the first integration by parts
-    b1 = np.prod(phiA) / (A * omega) * cmath.exp(-0.5 * om2 * X)
-    # boundary terms at x = A^2 from the second integration by parts
-    prod_all = np.prod(phiA)
-    b2 = 0.0 + 0.0j
-    for l in range(len(mus)):
-        pl = prod_all / phiA[l]
-        pref = mus[l] * sqz / (SQRT_2PI * om2 * denons[l])
-        b2 += pref * pl / X * cmath.exp(-0.5 * om2 * X * denons[l])
-
-    err = float(len(cs)) * 2e-15 * (abs(b1) + abs(b2) + 1.0)
-    tv, te, neval = tail_product_integral(p.mus, z, sqz, omega, X, tol)
-    return b1 + b2 + tv, err + te, len(cs) + neval
-
-
-def ibp_tail(p, A, tol=DEFAULT_TOL):
-    """Everything beyond y = A: boundary terms plus absolutely convergent tails."""
-    val, err, neval = _ibp_pieces(p, A, tol)
+    val, err, neval = tail_product_integral(p.mus, p.branch_sqrt_z(), omega, A * A, tol)
     return IntegralResult(val, err, neval, IntegralPath.STABILIZED_IBP)
 
 
