@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 
 from .cnormal import norm_cdf, norm_cdf_array
 from .engine import (
-    Branch, OrthantTransform, VolumeRequest, VolumeResult,
-    curvature_scaling_residual, orthant_probability, regular_volume,
-    sphere_surface_area, volume,
+    Branch, OrthantTransform, VolumeRequest, VolumeResult, orthant_probability,
+    regular_volume, sphere_surface_area, volume,
 )
 from .errors import (
     CostLimitError, GeometryDomainError, NearPoleError, OverflowRegionError,
@@ -54,9 +53,8 @@ __all__ = [
     "OrthantTransform", "OrthocentricParams", "OverflowRegionError",
     "RankDeficiencyError", "RayIntegralProblem", "RegularSimplexSpec",
     "SectorError", "SimplexVolError", "ToleranceError", "VertexRealization",
-    "VolumeRequest", "VolumeResult", "cosh_ratio",
-    "curvature_scaling_residual", "direct_klein_volume", "euclidean_volume",
-    "head_integral", "ibp_tail", "ideal_tetrahedron_volume",
+    "VolumeRequest", "VolumeResult", "cosh_ratio", "direct_klein_volume",
+    "euclidean_volume", "head_integral", "ibp_tail", "ideal_tetrahedron_volume",
     "ideal_volume_highprec", "mc_spherical_volume", "min_curvature",
     "norm_cdf", "norm_cdf_array", "orthant_probability", "ray_integral",
     "realize_vertices", "regular_parameters", "regular_tetrahedron_volume",

@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,23 +32,11 @@ EXIT_DOMAIN = 2
 EXIT_TOLERANCE = 3
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    tool_version: str = __version__
-    tolerances: dict = field(default_factory=dict)
-    wall_time_ms: int = 0
-
-    def file_header(self):
-        """Manifest line embedded in data files; volatile fields excluded."""
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "tool_version": self.tool_version,
-            "tolerances": self.tolerances,
-        }
-        return "# " + json.dumps(payload, sort_keys=True)
+def _file_header(command, parameters, tol):
+    """Manifest line embedded in data files; volatile fields excluded."""
+    return "# " + json.dumps({"command": command, "parameters": parameters,
+                              "tool_version": __version__, "tolerances": {"tol": tol}},
+                             sort_keys=True)
 
 
 def _thread_count():
@@ -98,14 +85,7 @@ def cmd_volume(args):
     t0 = time.perf_counter()
     req = _build_request(args)
     res = volume(req)
-    man = RunManifest(
-        command="volume",
-        parameters={k: getattr(args, k) for k in
-                    ("regular", "ideal", "orthocentric", "ell", "kappa")
-                    if getattr(args, k) is not None},
-        tolerances={"tol": args.tol},
-        wall_time_ms=int(1000 * (time.perf_counter() - t0)),
-    )
+    wall_ms = int(1000 * (time.perf_counter() - t0))
     if args.format == "json":
         print(json.dumps({
             "volume": res.volume, "abs_error": res.abs_error,
@@ -113,7 +93,10 @@ def cmd_volume(args):
             "tool_version": __version__,
         }, sort_keys=True))
     elif args.format == "csv":
-        print(man.file_header())
+        params = {k: getattr(args, k) for k in
+                  ("regular", "ideal", "orthocentric", "ell", "kappa")
+                  if getattr(args, k) is not None}
+        print(_file_header("volume", params, args.tol))
         print("param,volume,abs_error,residual_imag,status")
         print(f",{_fmt(res.volume)},{_fmt(res.abs_error)},"
               f"{_fmt(res.residual_imag)},ok")
@@ -122,7 +105,7 @@ def cmd_volume(args):
         print(f"abs_error     = {_fmt(res.abs_error)}")
         print(f"residual_imag = {_fmt(res.residual_imag)}")
         print(f"branch        = {res.branch.value}")
-        print(f"wall_time_ms  = {man.wall_time_ms}")
+        print(f"wall_time_ms  = {wall_ms}")
     return EXIT_OK
 
 
@@ -157,15 +140,11 @@ def cmd_sweep(args):
     else:
         rows = [one(ell) for ell in grid]
 
-    man = RunManifest(
-        command="sweep",
-        parameters={"d": args.d, "kappa": args.kappa,
-                    "grid": [("inf" if math.isinf(g) else g) for g in grid]},
-        tolerances={"tol": args.tol},
-        wall_time_ms=int(1000 * (time.perf_counter() - t0)),
-    )
-    lines = [man.file_header()]
-    lines.append("param,volume,abs_error,residual_imag,status,monotone")
+    wall_ms = int(1000 * (time.perf_counter() - t0))
+    params = {"d": args.d, "kappa": args.kappa,
+              "grid": [("inf" if math.isinf(g) else g) for g in grid]}
+    lines = [_file_header("sweep", params, args.tol),
+             "param,volume,abs_error,residual_imag,status,monotone"]
     prev = None
     for ell, vol, err, resid, status in rows:
         if status == "ok":
@@ -173,16 +152,12 @@ def cmd_sweep(args):
             prev = vol
         else:
             mono = "n/a"
-        ptxt = "inf" if math.isinf(ell) else _fmt(ell)
-        vtxt = "nan" if math.isnan(vol) else _fmt(vol)
-        etxt = "nan" if math.isnan(err) else _fmt(err)
-        rtxt = "nan" if math.isnan(resid) else _fmt(resid)
-        lines.append(f"{ptxt},{vtxt},{etxt},{rtxt},{status},{mono}")
+        lines.append(f"{_fmt(ell)},{_fmt(vol)},{_fmt(err)},{_fmt(resid)},{status},{mono}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        print(f"wrote {args.out} ({len(rows)} rows, {man.wall_time_ms} ms)")
+        print(f"wrote {args.out} ({len(rows)} rows, {wall_ms} ms)")
     else:
         sys.stdout.write(text)
     if any(r[4] != "ok" for r in rows):

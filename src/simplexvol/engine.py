@@ -19,7 +19,6 @@ The exact volume is real; the imaginary residual of the assembled expression
 is reported as a numerical health diagnostic.
 """
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Union
@@ -27,10 +26,10 @@ from typing import NamedTuple, Union
 from .cnormal import SQRT_2PI
 from .errors import GeometryDomainError, ToleranceError
 from .geometry import (
-    OrthocentricParams, RegularSimplexSpec, cosh_ratio, euclidean_volume,
-    min_curvature, realize_vertices, regular_parameters, sphere_surface_area,
+    OrthocentricParams, RegularSimplexSpec, euclidean_volume, min_curvature,
+    realize_vertices, regular_parameters, sphere_surface_area,
 )
-from .rayquad import HalfPlane, RayIntegralProblem, ray_integral
+from .rayquad import HalfPlane, RayIntegralProblem, _canonical_omega, ray_integral
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -100,10 +99,7 @@ def orthant_probability(mus, z, tol=_quad_tol(1e-10), half_plane=HalfPlane.UPPER
     of the excluded points z = -1/mu_j^2.
     """
     z = complex(z)
-    if z.imag == 0 and z.real > 0:
-        omega = 1.0 + 0.0j
-    else:
-        omega = 1 - 1j if half_plane is HalfPlane.UPPER else 1 + 1j
+    omega = 1.0 if z.imag == 0 and z.real > 0 else _canonical_omega(half_plane)
     p1 = RayIntegralProblem(mus, z, omega, half_plane)
     p2 = replace(p1, mus=tuple(-m for m in p1.mus))
     if z == 0:
@@ -115,17 +111,14 @@ def orthant_probability(mus, z, tol=_quad_tol(1e-10), half_plane=HalfPlane.UPPER
     return OrthantTransform(value, err, r1.evaluations + r2.evaluations)
 
 
-def _resolve_geometry(req):
-    geo = req.geometry
-    if isinstance(geo, RegularSimplexSpec):
-        params = regular_parameters(geo)
-        return params, geo.d, req.kappa
-    return geo, geo.dimension, req.kappa
-
-
 def volume(req):
     """Volume of the requested simplex in the space of curvature kappa."""
-    params, d, kappa = _resolve_geometry(req)
+    geo = req.geometry
+    if isinstance(geo, RegularSimplexSpec):
+        params, d = regular_parameters(geo), geo.d
+    else:
+        params, d = geo, geo.dimension
+    kappa = req.kappa
     if kappa == 0.0:
         vol = euclidean_volume(realize_vertices(params))
         return VolumeResult(vol, 1e-13 * max(vol, 1.0), 0.0, Branch.REAL_AXIS, 0)
@@ -134,23 +127,17 @@ def volume(req):
         raise GeometryDomainError(
             f"kappa must be >= kappa0 = {k0:.12g} for this simplex; got {kappa}")
     kappa = max(kappa, k0)  # clamp rounding right at the boundary
-    s = params.s
-    z = kappa - s
-    mus = params.multipliers()
+    z = kappa - params.s
     hp = HalfPlane.LOWER if req.use_lower_branch else HalfPlane.UPPER
-    tr = orthant_probability(mus, z, _quad_tol(req.tolerance), hp)
+    tr = orthant_probability(params.multipliers(), z, _quad_tol(req.tolerance), hp)
     area = sphere_surface_area(d)
-    if kappa < 0:
-        # i^d for the upper branch, (-i)^d for the lower branch
-        ipow = _I_POW[d % 4] if hp is HalfPlane.UPPER else _I_POW[(4 - d % 4) % 4]
-        c = area * tr.value / (ipow * abs(kappa) ** (d / 2.0))
-        scale = area / abs(kappa) ** (d / 2.0)
-        branch = Branch.LOWER_RAY if req.use_lower_branch else Branch.UPPER_RAY
-    else:
-        c = area * tr.value / kappa ** (d / 2.0)
-        scale = area / kappa ** (d / 2.0)
-        branch = Branch.REAL_AXIS if (z.imag == 0 and z.real >= 0) else (
-            Branch.LOWER_RAY if req.use_lower_branch else Branch.UPPER_RAY)
+    norm = abs(kappa) ** (d / 2.0)
+    # i^d on the upper branch and (-i)^d on the lower one, for kappa < 0 only
+    ipow = 1 if kappa > 0 else _I_POW[(d if hp is HalfPlane.UPPER else -d) % 4]
+    c = area * tr.value / (ipow * norm)
+    scale = area / norm
+    branch = (Branch.REAL_AXIS if z >= 0 else
+              Branch.LOWER_RAY if req.use_lower_branch else Branch.UPPER_RAY)
     vol = c.real
     residual = abs(c.imag)
     abs_err = scale * tr.abs_error + residual
@@ -166,20 +153,3 @@ def regular_volume(d, side_length, kappa=-1.0, tolerance=1e-10):
     """Convenience wrapper: volume of the regular simplex (side inf = ideal)."""
     spec = RegularSimplexSpec(d=d, side_length=side_length, kappa=kappa)
     return volume(VolumeRequest(geometry=spec, tolerance=tolerance))
-
-
-def curvature_scaling_residual(spec, tolerance=1e-10):
-    """|Vol_{d,kappa}(ell) - |kappa|^{-d/2} Vol_{d,-1}(ell sqrt(|kappa|))|.
-
-    The coupling of the volume integrand depends on ell*sqrt(-kappa) only, so
-    this vanishes identically up to quadrature error.
-    """
-    if spec.is_ideal:
-        ref = RegularSimplexSpec(d=spec.d, side_length=math.inf, kappa=-1.0)
-    else:
-        ref = RegularSimplexSpec(d=spec.d,
-                                 side_length=spec.side_length * math.sqrt(-spec.kappa),
-                                 kappa=-1.0)
-    v1 = volume(VolumeRequest(geometry=spec, tolerance=tolerance))
-    v2 = volume(VolumeRequest(geometry=ref, tolerance=tolerance))
-    return abs(v1.volume - abs(spec.kappa) ** (-spec.d / 2.0) * v2.volume)

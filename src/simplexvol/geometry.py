@@ -77,16 +77,6 @@ class VertexRealization:
 
     vertices: np.ndarray
 
-    def gram_residual(self, params):
-        """Largest deviation of the vertex Gram matrix from its closed form."""
-        v = self.vertices
-        g = v @ v.T
-        s = params.s
-        want = np.full_like(g, -1.0 / s)
-        want[np.diag_indices_from(want)] = [-1.0 / s + 1.0 / t ** 2
-                                            for t in params.taus]
-        return float(np.max(np.abs(g - want)))
-
 
 def min_curvature(params):
     """Most negative curvature kappa0 for which the simplex fits the model ball.

@@ -2,8 +2,8 @@
 
 The integrand is called once per refinement round on the union of all new
 panels' nodes, which keeps the number of (expensive, batched) special-function
-evaluations low.  Supports componentwise integrands f: (n,) -> (m, n) so a
-whole ladder of related integrals can share one adaptive pass.  Summation
+evaluations low.  Supports componentwise integrands f: (n,) -> (m, n), so a
+value and a bound integrated alongside it share one adaptive pass.  Summation
 order is deterministic (panel order, numpy pairwise reduction), so results
 are reproducible across runs and thread counts.
 """
@@ -51,17 +51,12 @@ def _apply_rule(f, lo, hi):
 
 
 def adaptive_gk(f, a, b, abs_tol, rel_tol=0.0, max_panels=512, initial_edges=None):
-    """Integrate f over [a, b] componentwise.
+    """Integrate f from a to b componentwise (negated when b < a, 0 when b == a).
 
     f maps a flat node array (n,) to values (n,) or (m, n).  Returns
     (values (m,), error_estimates (m,), n_evaluations).  Raises
     ToleranceError (carrying the best result) if max_panels is exhausted.
     """
-    if b <= a:
-        probe = np.asarray(f(np.array([0.5 * (a + b)])))
-        m = 1 if probe.ndim == 1 else probe.shape[0]
-        return np.zeros(m, dtype=probe.dtype), np.zeros(m), 1
-
     if initial_edges is None:
         edges = np.linspace(a, b, 5)
     else:

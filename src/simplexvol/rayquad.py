@@ -4,12 +4,15 @@ Evaluates integrals of the form
 
     I = lim_{B->inf} int_0^B prod_j N(mu_j sqrt(z) omega y) exp(-omega^2 y^2/2) omega dy
 
-where N is the analytically continued normal CDF.  On the boundary rays
-arg(omega) = -+pi/4 the integral converges only conditionally; it is split at
-the fixed point y = SPLIT_A into a finite head (adaptive quadrature) plus a
-tail beyond it, taken in x = y^2.  Each CDF factor of the tail splits exactly
-into its limit H(c) in {0, 1} plus a residual written with the scaled
-complementary error function,
+where N is the analytically continued normal CDF.  One routine integrates
+the CDF product directly along omega over a finite segment [0, L]: on an
+interior ray, where the integral converges absolutely, the segment runs to a
+truncation point past which the Gaussian factor leaves less than the
+tolerance.  On the boundary rays arg(omega) = -+pi/4 the integral converges
+only conditionally; there the same routine gives the head [0, SPLIT_A], and
+the tail beyond it is taken in x = y^2.  Each CDF factor of the tail splits
+exactly into its limit H(c) in {0, 1} plus a residual written with the
+scaled complementary error function,
 
     N(c sqrt(x)) - H(c) = -(s/2) exp(-c^2 x/2) erfcx(s c sqrt(x/2)),  s = sign(Re c),
 
@@ -93,7 +96,10 @@ class RayIntegralProblem:
                     f"at the excluded pole -1/mu^2 for mu={m}")
 
     def branch_sqrt_z(self):
-        return branch_sqrt(self.z, self.half_plane)
+        """sqrt(z) = sqrt(r) e^{i theta/2} with theta in [0, pi] for UPPER, so
+        sqrt(-r) = +i sqrt(r) whatever the sign of a zero Im z; LOWER mirrors it."""
+        root = cmath.sqrt(complex(self.z.real, abs(self.z.imag)))
+        return root if self.half_plane is HalfPlane.UPPER else root.conjugate()
 
 
 @dataclass(frozen=True)
@@ -104,45 +110,30 @@ class IntegralResult:
     path: IntegralPath
 
 
-def branch_sqrt(z, half_plane):
-    """Square root with the half-plane branch convention.
-
-    UPPER: sqrt(r e^{i theta}) = sqrt(r) e^{i theta/2} with theta in [0, pi]
-    (so sqrt(-r) = +i sqrt(r)); LOWER mirrors with theta in [-pi, 0].
-    """
-    zc = complex(z)
-    r = abs(zc)
-    if r == 0.0:
-        return 0j
-    th = math.atan2(zc.imag, zc.real)
-    if zc.imag == 0.0:
-        if half_plane is HalfPlane.UPPER:
-            th = math.pi if zc.real < 0 else 0.0
-        else:
-            th = -math.pi if zc.real < 0 else 0.0
-    return math.sqrt(r) * cmath.exp(0.5j * th)
-
-
 def _canonical_omega(half_plane):
     return 1 - 1j if half_plane is HalfPlane.UPPER else 1 + 1j
 
 
-def _coefficients(p):
-    """c_j = mu_j * sqrt(z) * omega for each multiplier."""
+def _segment(p, L, tol, min_panels):
+    """Integral of the CDF product along p.omega over y in [0, L].
+
+    Returns (value, error_bound, evaluations); the bound adds a few eps per
+    CDF factor and unit length for rounding.
+    """
     sq = p.branch_sqrt_z()
-    return np.array([m * sq * p.omega for m in p.mus])
-
-
-def _product_integrand(cs, omega):
-    om2 = omega * omega
-    csa = np.asarray(cs)
+    cs = np.array([m * sq * p.omega for m in p.mus])
+    om2 = p.omega * p.omega
 
     def f(y):
-        args = csa[:, None] * y[None, :]
-        vals = norm_cdf_array(args)
-        return np.prod(vals, axis=0) * np.exp(-0.5 * om2 * y * y) * omega
+        vals = norm_cdf_array(cs[:, None] * y[None, :])
+        return np.prod(vals, axis=0) * np.exp(-0.5 * om2 * y * y) * p.omega
 
-    return f
+    edges = oscillation_edges(0.0, L, abs(om2.imag), min_panels=min_panels)
+    # the oscillation-paced initial grid must be allowed to refine locally
+    vals, errs, neval = adaptive_gk(f, 0.0, L, abs_tol=tol, rel_tol=tol,
+                                    max_panels=max(_MAX_PANELS, 3 * len(edges)),
+                                    initial_edges=edges)
+    return complex(vals[0]), float(errs[0]) + len(cs) * L * 2e-15, neval
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +142,7 @@ def _product_integrand(cs, omega):
 
 def head_integral(p, A, tol=DEFAULT_TOL):
     """Integral of the CDF product over the finite segment [0, A] of the ray."""
-    cs = _coefficients(p)
-    f = _product_integrand(cs, p.omega)
-    rate = abs((p.omega * p.omega).imag)
-    edges = oscillation_edges(0.0, A, rate) if A > 0 else None
-    # the oscillation-paced initial grid must be allowed to refine locally
-    cap = _MAX_PANELS if edges is None else max(_MAX_PANELS, 3 * len(edges))
-    vals, errs, neval = adaptive_gk(f, 0.0, A, abs_tol=tol, rel_tol=tol,
-                                    max_panels=cap, initial_edges=edges)
-    return IntegralResult(complex(vals[0]), float(errs[0]) + len(cs) * A * 2e-15,
-                          neval, IntegralPath.DIRECT_RAY)
+    return IntegralResult(*_segment(p, A, tol, 4), IntegralPath.DIRECT_RAY)
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +283,12 @@ def ray_integral(p, tol=DEFAULT_TOL):
                               IntegralPath.STABILIZED_IBP)
 
     # interior ray: absolutely convergent, direct truncated quadrature
-    sqz = p.branch_sqrt_z()
-    if abs(cmath.phase(sqz * p.omega)) > math.pi / 4 + _ARG_TOL:
+    if abs(cmath.phase(p.branch_sqrt_z() * p.omega)) > math.pi / 4 + _ARG_TOL:
         raise SectorError("interior-ray evaluation requires the CDF arguments to "
                           "stay in the bounded sectors: |arg(sqrt(z)*omega)| <= pi/4")
     re_om2 = (p.omega * p.omega).real
-    d1 = len(p.mus)
-    bound = 1.2 ** d1 * abs(p.omega)
+    bound = 1.2 ** len(p.mus) * abs(p.omega)
     Y = math.sqrt(2.0 * (math.log(bound / min(tol, 1e-10)) + 5.0) / re_om2)
-    cs = _coefficients(p)
-    f = _product_integrand(cs, p.omega)
-    edges = oscillation_edges(0.0, Y, abs((p.omega * p.omega).imag), min_panels=8)
-    vals, errs, neval = adaptive_gk(f, 0.0, Y, abs_tol=tol, rel_tol=tol,
-                                    max_panels=_MAX_PANELS, initial_edges=edges)
+    value, err, neval = _segment(p, Y, tol, 8)
     trunc = bound * math.exp(-0.5 * re_om2 * Y * Y) / (re_om2 * Y)
-    return IntegralResult(complex(vals[0]), float(errs[0]) + trunc + d1 * Y * 2e-15,
-                          neval, IntegralPath.DIRECT_RAY)
+    return IntegralResult(value, err + trunc, neval, IntegralPath.DIRECT_RAY)

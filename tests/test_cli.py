@@ -123,7 +123,7 @@ def test_sweep_marks_failed_rows_and_exits_3(monkeypatch, capsys):
     code = main(["sweep", "--d", "3", "--kappa", "-1", "--ell-grid", "1,2"])
     out = capsys.readouterr().out
     assert code == 3
-    assert "failed:ToleranceError" in out
+    assert out.splitlines()[-1] == "2.0,nan,nan,nan,failed:ToleranceError,n/a"
 
 
 def test_tolerance_error_maps_to_exit_3(monkeypatch):

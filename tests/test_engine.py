@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from simplexvol.engine import (
-    Branch, VolumeRequest, curvature_scaling_residual, orthant_probability,
-    regular_volume, sphere_surface_area, volume,
+    Branch, VolumeRequest, orthant_probability, regular_volume,
+    sphere_surface_area, volume,
 )
 from simplexvol.errors import GeometryDomainError, NearPoleError
 from simplexvol.geometry import (
@@ -197,6 +197,23 @@ def test_boundary_kappa_accepted():
     k0 = min_curvature(p)
     r = volume(VolumeRequest(geometry=p, kappa=k0))
     assert r.volume == pytest.approx(math.pi / abs(k0), abs=1e-8)
+
+
+def curvature_scaling_residual(spec, tolerance=1e-10):
+    """|Vol_{d,kappa}(ell) - |kappa|^{-d/2} Vol_{d,-1}(ell sqrt(|kappa|))|.
+
+    The coupling of the volume integrand depends on ell*sqrt(-kappa) only, so
+    this vanishes identically up to quadrature error.
+    """
+    if spec.is_ideal:
+        ref = RegularSimplexSpec(d=spec.d, side_length=math.inf, kappa=-1.0)
+    else:
+        ref = RegularSimplexSpec(d=spec.d,
+                                 side_length=spec.side_length * math.sqrt(-spec.kappa),
+                                 kappa=-1.0)
+    v1 = volume(VolumeRequest(geometry=spec, tolerance=tolerance))
+    v2 = volume(VolumeRequest(geometry=ref, tolerance=tolerance))
+    return abs(v1.volume - abs(spec.kappa) ** (-spec.d / 2.0) * v2.volume)
 
 
 def test_curvature_scaling():

@@ -115,7 +115,11 @@ def test_gram_residuals_random():
     for _ in range(100):
         taus = tuple(rng.uniform(0.2, 4.0, int(rng.integers(3, 9))))
         p = OrthocentricParams(taus)
-        assert realize_vertices(p).gram_residual(p) < 1e-12
+        v = realize_vertices(p).vertices
+        # closed form: -1/s off the diagonal, -1/s + 1/tau_j^2 on it
+        want = np.full((len(taus), len(taus)), -1.0 / p.s)
+        want[np.diag_indices_from(want)] += [1.0 / t ** 2 for t in p.taus]
+        assert np.max(np.abs(v @ v.T - want)) < 1e-12
 
 
 def test_euclidean_volume_equilateral():

@@ -47,6 +47,12 @@ def test_empty_interval():
     assert vals[0] == 0.0
 
 
+def test_reversed_limits_negate():
+    vals, errs, _ = adaptive_gk(lambda x: x, 1.0, 0.0, 1e-12)
+    assert vals[0] == pytest.approx(-0.5, rel=1e-14)
+    assert errs[0] < 1e-12
+
+
 def test_tolerance_error_carries_best_result():
     # a needle the panel budget cannot resolve
     def f(x):

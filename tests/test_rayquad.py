@@ -133,6 +133,24 @@ def test_problem_validation():
         RayIntegralProblem((1.0,), -1j, 1 - 1j, HalfPlane.UPPER)  # Im z < 0
 
 
+def test_branch_sqrt_half_plane_convention():
+    def root(z, hp):
+        return RayIntegralProblem((1.0,), z, 1.0, hp).branch_sqrt_z()
+
+    # the cut: +i sqrt(r) above, -i sqrt(r) below, whatever the sign of Im z = 0
+    for im in (0.0, -0.0):
+        assert root(complex(-4.0, im), HalfPlane.UPPER) == pytest.approx(2j, abs=1e-15)
+        assert root(complex(-4.0, im), HalfPlane.LOWER) == pytest.approx(-2j, abs=1e-15)
+    for hp in HalfPlane:
+        assert root(0j, hp) == 0
+    rng = np.random.default_rng(3)
+    for hp, (lo, hi) in [(HalfPlane.UPPER, (0.0, math.pi)),
+                         (HalfPlane.LOWER, (-math.pi, 0.0))]:
+        for r, th in zip(rng.uniform(0.1, 10.0, 20), rng.uniform(lo, hi, 20)):
+            want = math.sqrt(r) * np.exp(0.5j * th)
+            assert root(r * np.exp(1j * th), hp) == pytest.approx(want, rel=1e-14)
+
+
 def test_half_plane_omega_mismatch():
     p = RayIntegralProblem((1.0,), 1.0 + 1j, 1 + 1j, HalfPlane.UPPER)
     with pytest.raises(SectorError):
