@@ -19,7 +19,7 @@ The exact volume is real; the imaginary residual of the assembled expression
 is reported as a numerical health diagnostic.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Union
 
@@ -56,7 +56,7 @@ class VolumeRequest:
     use_lower_branch: bool = False
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if isinstance(self.geometry, RegularSimplexSpec):
             k = self.geometry.kappa
@@ -86,7 +86,7 @@ class OrthantTransform(NamedTuple):
 
 
 def _quad_tol(tolerance):
-    """Quadrature tolerance for each ray integral of a transform to tolerance."""
+    """Quadrature tolerance for the one ray integral of a transform to tolerance."""
     return min(max(tolerance / 8.0, 1e-14), 1e-4)
 
 
@@ -100,15 +100,12 @@ def orthant_probability(mus, z, tol=_quad_tol(1e-10), half_plane=HalfPlane.UPPER
     """
     z = complex(z)
     omega = 1.0 if z.imag == 0 and z.real > 0 else _canonical_omega(half_plane)
-    p1 = RayIntegralProblem(mus, z, omega, half_plane)
-    p2 = replace(p1, mus=tuple(-m for m in p1.mus))
+    p = RayIntegralProblem(mus, z, omega, half_plane)
     if z == 0:
-        return OrthantTransform(complex(2.0 ** (-len(p1.mus))), 1e-16, 0)
-    r1 = ray_integral(p1, tol)
-    r2 = ray_integral(p2, tol)
-    value = (r1.value + r2.value) / SQRT_2PI
-    err = (r1.abs_error_estimate + r2.abs_error_estimate) / SQRT_2PI
-    return OrthantTransform(value, err, r1.evaluations + r2.evaluations)
+        return OrthantTransform(complex(2.0 ** (-len(p.mus))), 1e-16, 0)
+    r = ray_integral(p, tol)
+    return OrthantTransform(r.value / SQRT_2PI, r.abs_error_estimate / SQRT_2PI,
+                            r.evaluations)
 
 
 def volume(req):

@@ -1,27 +1,31 @@
-"""Improper ray integrals of products of complex normal CDFs.
+"""Improper ray integrals of the orthant transform's sum of two CDF products.
 
 Evaluates integrals of the form
 
-    I = lim_{B->inf} int_0^B prod_j N(mu_j sqrt(z) omega y) exp(-omega^2 y^2/2) omega dy
+    I = lim_{B->inf} int_0^B [prod_j N(c_j y) + prod_j N(-c_j y)]
+                             exp(-omega^2 y^2/2) omega dy,
 
-where N is the analytically continued normal CDF.  One routine integrates
-the CDF product directly along omega over a finite segment [0, L]: on an
-interior ray, where the integral converges absolutely, the segment runs to a
-truncation point past which the Gaussian factor leaves less than the
-tolerance.  On the boundary rays arg(omega) = -+pi/4 the integral converges
-only conditionally; there the same routine gives the head [0, SPLIT_A], and
-the tail beyond it is taken in x = y^2.  Each CDF factor of the tail splits
-exactly into its limit H(c) in {0, 1} plus a residual written with the
-scaled complementary error function,
+c_j = mu_j sqrt(z) omega, where N is the analytically continued normal CDF:
+the whole integrand of one orthant transform, so a transform is one ray
+integral.  As N(-w) = 1 - N(w) holds exactly, one set of CDF values gives
+both products.  One routine integrates this integrand directly along omega
+over a finite segment [0, L]: on an interior ray, where the integral
+converges absolutely, the segment runs to a truncation point past which the
+Gaussian factor leaves less than the tolerance.  On the boundary rays
+arg(omega) = -+pi/4 the integral converges only conditionally; there the
+same routine gives the head [0, SPLIT_A], and the tail beyond it is taken
+in x = y^2.  Each CDF factor of the tail splits exactly into its limit
+H(c) in {0, 1} plus a residual written with the scaled complementary error
+function,
 
     N(c sqrt(x)) - H(c) = -(s/2) exp(-c^2 x/2) erfcx(s c sqrt(x/2)),  s = sign(Re c),
 
-so the tail integrand x^(-1/2) exp(-omega^2 x/2) prod_j N(c_j sqrt(x)) is a
-finite sum over compositions (which factors contribute their residual), each
-with a single exponential rate.  Every composition is integrated on its own
-rotated contour, where it decays without oscillating, and the whole tail of a
-ray is one adaptive pass.  The split is exact for every split point, so no
-asymptotic regime constrains it.
+and N(-c sqrt(x)) = 1 - H(c) minus the same residual, so the tail integrand
+is a finite sum over compositions (which factors contribute their residual),
+each with a single exponential rate shared by both products.  Every
+composition is integrated on its own rotated contour, where it decays
+without oscillating, and the whole tail of a ray is one adaptive pass.  The
+split is exact for every split point, so no asymptotic regime constrains it.
 Everything is deterministic and pure.
 """
 
@@ -69,7 +73,8 @@ class IntegralPath(Enum):
 
 @dataclass(frozen=True)
 class RayIntegralProblem:
-    """One ray integral: multipliers, evaluation point, ray direction, branch."""
+    """One ray integral of the sum of both CDF products (see module doc):
+    multipliers, evaluation point, ray direction, branch."""
 
     mus: tuple
     z: complex
@@ -115,25 +120,27 @@ def _canonical_omega(half_plane):
 
 
 def _segment(p, L, tol, min_panels):
-    """Integral of the CDF product along p.omega over y in [0, L].
+    """Integral of the symmetric CDF integrand along p.omega over y in [0, L].
 
+    The integrand is (prod_j N(c_j y) + prod_j N(-c_j y)) exp(-omega^2 y^2/2)
+    omega, both products from one CDF call, as N(-w) = 1 - N(w) exactly.
     Returns (value, error_bound, evaluations); the bound adds a few eps per
-    CDF factor and unit length for rounding.
+    CDF factor of each product and unit length for rounding.
     """
-    sq = p.branch_sqrt_z()
-    cs = np.array([m * sq * p.omega for m in p.mus])
+    cs = np.array(p.mus) * p.branch_sqrt_z() * p.omega
     om2 = p.omega * p.omega
 
     def f(y):
         vals = norm_cdf_array(cs[:, None] * y[None, :])
-        return np.prod(vals, axis=0) * np.exp(-0.5 * om2 * y * y) * p.omega
+        return ((np.prod(vals, axis=0) + np.prod(1.0 - vals, axis=0))
+                * np.exp(-0.5 * om2 * y * y) * p.omega)
 
     edges = oscillation_edges(0.0, L, abs(om2.imag), min_panels=min_panels)
     # the oscillation-paced initial grid must be allowed to refine locally
     vals, errs, neval = adaptive_gk(f, 0.0, L, abs_tol=tol, rel_tol=tol,
                                     max_panels=max(_MAX_PANELS, 3 * len(edges)),
                                     initial_edges=edges)
-    return complex(vals[0]), float(errs[0]) + len(cs) * L * 2e-15, neval
+    return complex(vals[0]), float(errs[0]) + 2 * len(cs) * L * 2e-15, neval
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +148,7 @@ def _segment(p, L, tol, min_panels):
 # ---------------------------------------------------------------------------
 
 def head_integral(p, A, tol=DEFAULT_TOL):
-    """Integral of the CDF product over the finite segment [0, A] of the ray."""
+    """Integral of both CDF products over the finite segment [0, A] of the ray."""
     return IntegralResult(*_segment(p, A, tol, 4), IntegralPath.DIRECT_RAY)
 
 
@@ -156,24 +163,30 @@ def tail_product_integral(mus, sqz, omega, X, tol=DEFAULT_TOL):
     boundary ray of its half plane, so that |arg(s_j c_j)| <= pi/4 below.
     In x = y^2 the tail is
 
-        (omega/2) int_X^inf x^(-1/2) exp(-gamma_0 x) prod_j N(c_j sqrt(x)) dx,
+        (omega/2) int_X^inf x^(-1/2) exp(-gamma_0 x)
+                  [prod_j N(c_j sqrt(x)) + prod_j N(-c_j sqrt(x))] dx,
 
     with c_j = mu_j sqrt(z) omega and gamma_0 = omega^2/2.  Each factor is
-    H_j + R_j with R_j = rho_j exp(-c_j^2 x/2) erfcx(s_j c_j sqrt(x/2))
-    (exact), s_j = sign(Re c_j), rho_j = -s_j/2 and H_j = (1 + s_j)/2.  With
-    equal multipliers grouped, the product is a sum over compositions n (how
-    many factors of group g contribute R), each with one rate
-    g_n = gamma_0 + sum_g n_g c_g^2/2, so
+    N(c_j sqrt(x)) = H_j + R_j with R_j = rho_j exp(-c_j^2 x/2)
+    erfcx(s_j c_j sqrt(x/2)) (exact), s_j = sign(Re c_j), rho_j = -s_j/2 and
+    H_j = (1 + s_j)/2, and N(-c_j sqrt(x)) = (1 - H_j) - R_j.  With equal
+    multipliers grouped (m_g factors in group g), both products are sums over
+    the same compositions n (how many factors of group g contribute R), each
+    with one rate g_n = gamma_0 + sum_g n_g c_g^2/2, so
 
         tail = (omega/2) sum_n coef_n int_X^inf x^(-1/2) exp(-g_n x) prod_g erfcx_g^n_g dx,
-        coef_n = prod_g C(m_g, n_g) rho_g^n_g,
+        coef_n = prod_g C(m_g, n_g) rho_g^n_g
+                 * [prod_g H_g^(m_g-n_g) + (-1)^|n| prod_g (1 - H_g)^(m_g-n_g)].
 
-    where a group with H = 0 contributes its residual in every composition.
-    A composition is integrated along x = X(1 + e^{ia}(e^v - 1)),
-    a = -arg(g_n), where exp(-g_n x) decays monotonically and every erfcx
-    argument keeps Re >= 0 (so |erfcx| <= 1); a rate within rounding of 0 is
-    set to exactly 0, so that composition's algebraic tail is not cut at a
-    spurious exponential scale.  Compositions sharing a rotation share their
+    The first product reaches only the compositions in which every group with
+    H = 0 contributes all its residuals, the second only those in which every
+    group with H = 1 does; both reach only the all-residual one, whose parts
+    cancel when the number of factors is odd.  Compositions with coefficient
+    exactly 0 are dropped.  A composition is integrated along
+    x = X(1 + e^{ia}(e^v - 1)), a = -arg(g_n), where exp(-g_n x) decays
+    monotonically and every erfcx argument keeps Re >= 0 (so |erfcx| <= 1); a
+    rate within rounding of 0 is set to exactly 0, so that composition's
+    algebraic tail is not cut at a spurious exponential scale.  Compositions sharing a rotation share their
     erfcx values, and all of them are summed inside one adaptive pass over v,
     once per ray.  The same pass integrates the rounding bound, an eps-scaled
     sum_n |term_n|, as a second component.  Returns (value, error_bound,
@@ -184,12 +197,15 @@ def tail_product_integral(mus, sqz, omega, X, tol=DEFAULT_TOL):
     gc = mu * sqz * omega
     sgn = np.where(gc.real > 0, 1.0, -1.0)
     rho = -0.5 * sgn
-    # a factor with limit H = 0 contributes its residual in every composition
-    comps = np.array(list(itertools.product(
-        *(range(m + 1) if s > 0 else (m,) for s, m in zip(sgn, groups.values())))),
-        dtype=int)
-    coef = np.ones(len(comps))
-    for g, m in enumerate(groups.values()):
+    H = 0.5 * (1.0 + sgn)
+    sizes = np.array(list(groups.values()))
+    comps = np.array(list(itertools.product(*(range(m + 1) for m in sizes))), dtype=int)
+    rest = sizes - comps
+    # the limits' products are exactly 0 or 1, so the bracket is an exact integer
+    coef = (np.prod(H ** rest, axis=1)
+            + (-1.0) ** comps.sum(axis=1) * np.prod((1.0 - H) ** rest, axis=1))
+    comps, coef = comps[coef != 0], coef[coef != 0]
+    for g, m in enumerate(sizes):
         binom = np.array([math.comb(m, k) for k in range(m + 1)], dtype=float)
         coef *= binom[comps[:, g]] * rho[g] ** comps[:, g]
     half_c2 = 0.5 * gc * gc
@@ -270,7 +286,9 @@ def ibp_tail(p, A, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 def ray_integral(p, tol=DEFAULT_TOL):
-    """The improper ray integral, via the path appropriate for arg(omega)."""
+    """The improper ray integral of the sum of both CDF products, via the path
+    appropriate for arg(omega): the direct segment on an interior ray, head
+    and composition-sum tail on a boundary ray."""
     th = cmath.phase(p.omega)
     if abs(abs(th) - math.pi / 4) <= _ARG_TOL:
         # ibp_tail raises SectorError if omega is the other half plane's ray
@@ -287,7 +305,7 @@ def ray_integral(p, tol=DEFAULT_TOL):
         raise SectorError("interior-ray evaluation requires the CDF arguments to "
                           "stay in the bounded sectors: |arg(sqrt(z)*omega)| <= pi/4")
     re_om2 = (p.omega * p.omega).real
-    bound = 1.2 ** len(p.mus) * abs(p.omega)
+    bound = 2.0 * 1.2 ** len(p.mus) * abs(p.omega)
     Y = math.sqrt(2.0 * (math.log(bound / min(tol, 1e-10)) + 5.0) / re_om2)
     value, err, neval = _segment(p, Y, tol, 8)
     trunc = bound * math.exp(-0.5 * re_om2 * Y * Y) / (re_om2 * Y)

@@ -34,6 +34,12 @@ def test_volume_rejects_zero_side():
     assert r.returncode == 2
 
 
+def test_volume_rejects_nan_tolerance(capsys):
+    assert main(["volume", "--regular", "3", "--ell", "1", "--kappa", "-1",
+                 "--tol", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("domain error:")
+
+
 def test_volume_rejects_kappa_below_bound_citing_it():
     r = run_cli("volume", "--orthocentric", "1,1,1", "--kappa", "-1.6")
     assert r.returncode == 2

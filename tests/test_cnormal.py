@@ -76,6 +76,10 @@ def test_reflection_identity():
     # strict absolute bound where the function is bounded
     bounded = np.abs(np.abs(np.angle(z)) - np.pi / 2) >= np.pi / 4
     assert np.max(np.abs((v + vm - 1.0)[bounded])) <= 10 * TARGET
+    # exact, by construction: the ray integrand takes prod N(-c y) as prod (1 - N(c y))
+    axes = np.linspace(-10.0, 10.0, 2001)
+    z = np.concatenate([z, axes, 1j * axes, [0j]])
+    assert np.array_equal(norm_cdf_array(-z), 1 - norm_cdf_array(z))
 
 
 def test_conjugation_identity():

@@ -24,6 +24,15 @@ from simplexvol._hp import ideal_volume_highprec
 IDEAL_D3 = 1.0149416064096535          # -3 int_0^{pi/3} log(2 sin t) dt
 IDEAL_D4 = 0.2688956601693112          # (10 pi/3) asin(1/3) - pi^2/3
 
+#: ideal regular volumes (kappa = -1) from the mpmath twin at 40 digits
+HP_PINNED = {
+    3: "1.01494160640965362502112223363",
+    5: "0.0575647376851779272462273249443",
+    10: "2.50524779083904730211784044675e-6",
+    11: "2.37517016038058723579683319592e-7",
+    12: "2.05778857928775985627737024734e-8",  # includes the n = d frequency
+}
+
 
 def test_sphere_surface_area_values():
     assert sphere_surface_area(1) == pytest.approx(2 * math.pi)
@@ -91,6 +100,15 @@ def test_ideal_d3_value():
 def test_ideal_d4_value():
     r = regular_volume(4, math.inf, -1.0)
     assert r.volume == pytest.approx(IDEAL_D4, abs=1e-8)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 10, 11, 12])
+def test_ideal_regular_bar_covers_error(d):
+    # closed forms for d <= 4, the twin's pinned values (good to about 2e-16
+    # relative at d = 12) above
+    ref = float(HP_PINNED[d]) if d >= 5 else {2: math.pi, 3: IDEAL_D3, 4: IDEAL_D4}[d]
+    r = regular_volume(d, math.inf, -1.0)
+    assert abs(r.volume - ref) <= r.abs_error
 
 
 def test_degenerate_side_length_gives_zero():
@@ -252,13 +270,7 @@ def test_highprec_kappa_scaling():
     assert abs(float(v1) - float(v2) / 8.0) < 1e-15
 
 
-@pytest.mark.parametrize("d, expected", [
-    (3, "1.01494160640965362502112223363"),
-    (5, "0.0575647376851779272462273249443"),
-    (10, "2.50524779083904730211784044675e-6"),
-    (11, "2.37517016038058723579683319592e-7"),
-    (12, "2.05778857928775985627737024734e-8"),  # includes the n = d frequency
-])
+@pytest.mark.parametrize("d, expected", sorted(HP_PINNED.items()))
 def test_highprec_pinned_values(d, expected):
     with mp.workdps(40):
         ref = mp.mpf(expected)
@@ -331,5 +343,7 @@ def test_request_validation():
         VolumeRequest(geometry=OrthocentricParams((1.0, 1.0, 1.0)))  # no kappa
     with pytest.raises(ValueError):
         VolumeRequest(geometry=RegularSimplexSpec(2, 1.0, -1.0), tolerance=0.0)
+    with pytest.raises(ValueError):
+        VolumeRequest(geometry=RegularSimplexSpec(2, 1.0, -1.0), tolerance=math.nan)
     with pytest.raises(GeometryDomainError):
         VolumeRequest(geometry=RegularSimplexSpec(2, 1.0, -1.0), kappa=-2.0)

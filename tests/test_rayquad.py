@@ -7,6 +7,7 @@ import pytest
 
 from simplexvol import rayquad
 from simplexvol.cnormal import SQRT_2PI
+from simplexvol.engine import orthant_probability
 from simplexvol.errors import NearPoleError, SectorError
 from simplexvol.geometry import (
     OrthocentricParams, RegularSimplexSpec, min_curvature, regular_parameters,
@@ -15,8 +16,7 @@ from simplexvol.rayquad import (
     SPLIT_A, HalfPlane, RayIntegralProblem, head_integral, ibp_tail, ray_integral,
 )
 
-# sqrt(2 pi) * 3/8, by the substitution u = N(x) in int_0^inf N(x) e^{-x^2/2} dx
-D0_RAY_VALUE = 0.9399856029866252
+BOUNDARY_RAYS = [(1 - 1j, HalfPlane.UPPER), (1 + 1j, HalfPlane.LOWER)]
 
 
 def test_head_empty_interval_is_zero():
@@ -24,16 +24,15 @@ def test_head_empty_interval_is_zero():
     assert head_integral(p, 0.0).value == 0.0
 
 
-def test_single_factor_real_ray_oracle():
-    r = ray_integral(RayIntegralProblem((1.0,), 1.0, 1.0))
-    assert abs(r.value - D0_RAY_VALUE) < 1e-12
-    assert abs(r.value.imag) < 1e-14
-
-
-def test_single_factor_boundary_ray_matches_oracle():
-    r = ray_integral(RayIntegralProblem((1.0,), 1.0, 1 - 1j))
-    assert abs(r.value - D0_RAY_VALUE) < 1e-11
-    assert r.abs_error_estimate < 1e-10
+def test_equal_factor_ray_closed_form():
+    # int_0^inf (N(x)^m + N(-x)^m) e^{-x^2/2} dx = int_R N(x)^m e^{-x^2/2} dx
+    # = sqrt(2 pi) / (m+1): the chance that the largest of m+1 iid normals is
+    # a given one; on the real ray and on both boundary rays
+    for m in range(1, 6):
+        for om, hp in [(1.0, HalfPlane.UPPER)] + BOUNDARY_RAYS:
+            r = ray_integral(RayIntegralProblem((1.0,) * m, 1.0, om, hp))
+            assert abs(r.value - SQRT_2PI / (m + 1)) <= r.abs_error_estimate
+            assert r.abs_error_estimate < 1e-12
 
 
 def test_interior_ray_matches_real_ray():
@@ -100,9 +99,12 @@ def test_split_point_invariance_large_A():
 
 
 def test_boundary_ray_at_z_zero():
-    # every factor is N(0) = 1/2, so the integral is int_0^inf e^{-t^2/2} dt / 2
-    r = ray_integral(RayIntegralProblem((1.0,), 0.0, 1 - 1j))
-    assert abs(r.value - SQRT_2PI / 4) < 1e-12
+    # every factor is N(0) = 1/2, so the integral is 2^(1-m) int_0^inf e^{-t^2/2} dt
+    for m in range(1, 6):
+        for om, hp in BOUNDARY_RAYS:
+            r = ray_integral(RayIntegralProblem((1.0,) * m, 0.0, om, hp))
+            assert abs(r.value - 2.0 ** -m * SQRT_2PI) <= r.abs_error_estimate
+            assert r.abs_error_estimate < 1e-12
 
 
 def test_ibp_assembly_matches_interior_ray_for_upper_z():
@@ -192,6 +194,10 @@ def test_ibp_tail_runs_one_tail_pass_per_ray(monkeypatch, params, kappa):
     assert len(nodes) == 1
     # every node of the pass, and nothing else
     assert r.evaluations == nodes[0]
+    # a transform integrates both CDF products on one ray, in one tail pass
+    nodes.clear()
+    orthant_probability(params.multipliers(), kappa - params.s)
+    assert len(nodes) == 1
 
 
 def _hyperbolic_rays():
@@ -210,13 +216,11 @@ def _hyperbolic_rays():
 
 
 def test_split_point_invariance_hyperbolic_rays():
-    # real z < 0, as every hyperbolic volume has: both rays of the transform
-    # and both half planes; the two splits see different tail rates X |g_n|,
-    # rotations and truncation points
+    # real z < 0, as every hyperbolic volume has, on both half planes; the two
+    # splits see different tail rates X |g_n|, rotations and truncation points
     for params, z, A, B in _hyperbolic_rays():
-        for sign in (1.0, -1.0):
-            mus = tuple(sign * m for m in params.multipliers())
-            for om, hp in [(1 - 1j, HalfPlane.UPPER), (1 + 1j, HalfPlane.LOWER)]:
-                gap, bars = _split_point_gap(RayIntegralProblem(mus, z, om, hp), A, B)
-                assert gap <= bars
-                assert gap < 1e-10
+        for om, hp in BOUNDARY_RAYS:
+            p = RayIntegralProblem(params.multipliers(), z, om, hp)
+            gap, bars = _split_point_gap(p, A, B)
+            assert gap <= bars
+            assert gap < 1e-10
