@@ -18,10 +18,25 @@ from simplexvol.rayquad import (
 
 BOUNDARY_RAYS = [(1 - 1j, HalfPlane.UPPER), (1 + 1j, HalfPlane.LOWER)]
 
+# N(x) + N(-x) = 1, so int_0^inf (N(x) + N(-x)) e^{-x^2/2} dx = sqrt(2 pi) / 2
+D0_RAY_VALUE = SQRT_2PI / 2
+
 
 def test_head_empty_interval_is_zero():
     p = RayIntegralProblem((1.0,), 1.0, 1.0)
     assert head_integral(p, 0.0).value == 0.0
+
+
+def test_single_factor_real_ray_oracle():
+    r = ray_integral(RayIntegralProblem((1.0,), 1.0, 1.0))
+    assert abs(r.value - D0_RAY_VALUE) < 1e-12
+    assert abs(r.value.imag) < 1e-14
+
+
+def test_single_factor_boundary_ray_matches_oracle():
+    r = ray_integral(RayIntegralProblem((1.0,), 1.0, 1 - 1j))
+    assert abs(r.value - D0_RAY_VALUE) < 1e-11
+    assert r.abs_error_estimate < 1e-10
 
 
 def test_equal_factor_ray_closed_form():
