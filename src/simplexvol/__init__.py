@@ -17,21 +17,20 @@ __version__ = "0.1.0"
 
 from .cnormal import norm_cdf, norm_cdf_array
 from .engine import (
-    Branch, OrthantTransform, VolumeRequest, VolumeResult, orthant_probability,
-    regular_volume, sphere_surface_area, volume,
+    Branch, VolumeRequest, VolumeResult, orthant_probability, regular_volume,
+    sphere_surface_area, volume,
 )
 from .errors import (
     CostLimitError, GeometryDomainError, NearPoleError, OverflowRegionError,
     RankDeficiencyError, SectorError, SimplexVolError, ToleranceError,
 )
 from .geometry import (
-    OrthocentricParams, RegularSimplexSpec, VertexRealization, cosh_ratio,
-    euclidean_volume, min_curvature, realize_vertices, regular_parameters,
-    side_length,
+    OrthocentricParams, RegularSimplexSpec, cosh_ratio, euclidean_volume,
+    min_curvature, realize_vertices, regular_parameters, side_length,
 )
 from .rayquad import (
-    HalfPlane, IntegralPath, IntegralResult, RayIntegralProblem, head_integral,
-    ibp_tail, ray_integral,
+    HalfPlane, IntegralResult, RayIntegralProblem, head_integral, ibp_tail,
+    ray_integral,
 )
 
 #: submodules loaded on first use, as ``import simplexvol.oracles`` would
@@ -49,10 +48,9 @@ _LAZY = {
 
 __all__ = [
     "Branch", "CostLimitError", "GeometryDomainError", "HalfPlane",
-    "IntegralPath", "IntegralResult", "MonteCarloReport", "NearPoleError",
-    "OrthantTransform", "OrthocentricParams", "OverflowRegionError",
-    "RankDeficiencyError", "RayIntegralProblem", "RegularSimplexSpec",
-    "SectorError", "SimplexVolError", "ToleranceError", "VertexRealization",
+    "IntegralResult", "MonteCarloReport", "NearPoleError", "OrthocentricParams",
+    "OverflowRegionError", "RankDeficiencyError", "RayIntegralProblem",
+    "RegularSimplexSpec", "SectorError", "SimplexVolError", "ToleranceError",
     "VolumeRequest", "VolumeResult", "cosh_ratio", "direct_klein_volume",
     "euclidean_volume", "head_integral", "ibp_tail", "ideal_tetrahedron_volume",
     "ideal_volume_highprec", "mc_spherical_volume", "min_curvature",

@@ -1,7 +1,8 @@
 """Command-line front end: single volumes, side-length sweeps, verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 domain violation,
-3 tolerance failure or cost limit (including partially failed sweep rows).
+Exit codes: 0 success, 1 verification failure, 2 domain violation (any
+other library error, or an invalid value), 3 tolerance failure or cost limit
+(including partially failed sweep rows).
 
 Data files are CSV with a '#'-prefixed JSON manifest header line; identical
 invocations produce byte-identical files (volatile fields such as wall time
@@ -20,10 +21,7 @@ import numpy as np
 
 from . import __version__
 from .engine import VolumeRequest, regular_volume, volume
-from .errors import (
-    CostLimitError, GeometryDomainError, NearPoleError, SimplexVolError,
-    ToleranceError,
-)
+from .errors import CostLimitError, GeometryDomainError, SimplexVolError, ToleranceError
 from .geometry import OrthocentricParams, RegularSimplexSpec, min_curvature
 
 EXIT_OK = 0
@@ -49,7 +47,10 @@ def _thread_count():
 def _parse_ell(text):
     if text.strip().lower() in ("inf", "infinity"):
         return math.inf
-    return float(text)
+    ell = float(text)
+    if math.isnan(ell):
+        raise GeometryDomainError("side length must be a number, not nan")
+    return ell
 
 
 def _fmt(x):
@@ -365,15 +366,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GeometryDomainError, NearPoleError, ValueError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except ToleranceError as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     except CostLimitError as exc:
         print(f"cost limit: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
+    except (SimplexVolError, ValueError) as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

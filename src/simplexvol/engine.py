@@ -19,17 +19,20 @@ The exact volume is real; the imaginary residual of the assembled expression
 is reported as a numerical health diagnostic.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Union
+from typing import Union
 
 from .cnormal import SQRT_2PI
 from .errors import GeometryDomainError, ToleranceError
 from .geometry import (
     OrthocentricParams, RegularSimplexSpec, euclidean_volume, min_curvature,
-    realize_vertices, regular_parameters, sphere_surface_area,
+    regular_parameters, sphere_surface_area,
 )
-from .rayquad import HalfPlane, RayIntegralProblem, _canonical_omega, ray_integral
+from .rayquad import (
+    HalfPlane, IntegralResult, RayIntegralProblem, _canonical_omega, ray_integral,
+)
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -44,9 +47,11 @@ class Branch(Enum):
 class VolumeRequest:
     """What to compute: a geometry, a curvature, and an accuracy target.
 
-    geometry is either OrthocentricParams (kappa required, any kappa >= kappa0)
-    or RegularSimplexSpec (kappa < 0 carried by the spec; side_length = inf
-    encodes the ideal simplex).  tolerance is absolute on the orthant-transform
+    geometry is either OrthocentricParams (kappa required, any finite
+    kappa >= kappa0; kappa = 0 gives the Euclidean volume in closed form) or
+    RegularSimplexSpec (kappa < 0 carried by the spec; side_length = inf
+    encodes the ideal simplex).  A non-finite kappa raises
+    GeometryDomainError.  tolerance is absolute on the orthant-transform
     values, which surfaces as roughly 1e2*tolerance relative on volumes.
     """
 
@@ -58,6 +63,8 @@ class VolumeRequest:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if self.kappa is not None and not math.isfinite(self.kappa):
+            raise GeometryDomainError(f"kappa must be finite; got {self.kappa}")
         if isinstance(self.geometry, RegularSimplexSpec):
             k = self.geometry.kappa
             if self.kappa is not None and float(self.kappa) != k:
@@ -79,12 +86,6 @@ class VolumeResult:
     evaluations: int = 0
 
 
-class OrthantTransform(NamedTuple):
-    value: complex
-    abs_error: float
-    evaluations: int
-
-
 def _quad_tol(tolerance):
     """Quadrature tolerance for the one ray integral of a transform to tolerance."""
     return min(max(tolerance / 8.0, 1e-14), 1e-4)
@@ -96,16 +97,18 @@ def orthant_probability(mus, z, tol=_quad_tol(1e-10), half_plane=HalfPlane.UPPER
     For real z > 0 this is the plain real-axis integral; elsewhere it is
     evaluated on the boundary ray matching the half plane.  The inputs are
     validated by RayIntegralProblem, which raises NearPoleError within 1e-8
-    of the excluded points z = -1/mu_j^2.
+    of the excluded points z = -1/mu_j^2.  Returns the ray integral's
+    IntegralResult scaled by (2 pi)^(-1/2); at z = 0 it is the exact 2^(-len(mus))
+    with no evaluations.
     """
     z = complex(z)
     omega = 1.0 if z.imag == 0 and z.real > 0 else _canonical_omega(half_plane)
     p = RayIntegralProblem(mus, z, omega, half_plane)
     if z == 0:
-        return OrthantTransform(complex(2.0 ** (-len(p.mus))), 1e-16, 0)
+        return IntegralResult(complex(2.0 ** (-len(p.mus))), 1e-16, 0)
     r = ray_integral(p, tol)
-    return OrthantTransform(r.value / SQRT_2PI, r.abs_error_estimate / SQRT_2PI,
-                            r.evaluations)
+    return IntegralResult(r.value / SQRT_2PI, r.abs_error_estimate / SQRT_2PI,
+                          r.evaluations)
 
 
 def volume(req):
@@ -117,8 +120,13 @@ def volume(req):
         params, d = geo, geo.dimension
     kappa = req.kappa
     if kappa == 0.0:
-        vol = euclidean_volume(realize_vertices(params))
-        return VolumeResult(vol, 1e-13 * max(vol, 1.0), 0.0, Branch.REAL_AXIS, 0)
+        vol = euclidean_volume(params)
+        # relative rounding of the closed form, in units u = eps/2: the squares
+        # and fsum move s by 2u, which the square root halves before adding
+        # its own u; the d products of the taus' mantissas, the product with
+        # d! (and d!'s conversion to a float past d = 22) and the division add
+        # (d + 3)u.  The total is at most (d + 5)u, and the bar is twice that.
+        return VolumeResult(vol, (d + 5) * math.ulp(1.0) * vol, 0.0, Branch.REAL_AXIS, 0)
     k0 = min_curvature(params)
     if kappa < k0 * (1.0 + 1e-12):
         raise GeometryDomainError(
@@ -137,7 +145,7 @@ def volume(req):
               Branch.LOWER_RAY if req.use_lower_branch else Branch.UPPER_RAY)
     vol = c.real
     residual = abs(c.imag)
-    abs_err = scale * tr.abs_error + residual
+    abs_err = scale * tr.abs_error_estimate + residual
     if residual > 100.0 * req.tolerance * max(1.0, scale):
         raise ToleranceError(
             f"imaginary residual {residual:.3g} exceeds 100x the requested tolerance; "

@@ -71,13 +71,6 @@ class RegularSimplexSpec:
         return math.isinf(self.side_length)
 
 
-@dataclass(frozen=True)
-class VertexRealization:
-    """Vertices of an orthocentric simplex in d-dimensional coordinates."""
-
-    vertices: np.ndarray
-
-
 def min_curvature(params):
     """Most negative curvature kappa0 for which the simplex fits the model ball.
 
@@ -143,9 +136,11 @@ def cosh_ratio(spec):
 def realize_vertices(params):
     """Concrete vertices satisfying the orthocentric Gram identities.
 
-    Start from e_j/tau_j - H in (d+1)-space, where H is the common altitude
-    foot sum(tau_j e_j)/s; these vectors span the hyperplane orthogonal to
-    (tau_0, ..., tau_d), which is mapped isometrically onto R^d.
+    Returns a (d+1, d) array whose row j is v_j.  Start from e_j/tau_j - H in
+    (d+1)-space, where H is the common altitude foot sum(tau_j e_j)/s; these
+    vectors span the hyperplane orthogonal to (tau_0, ..., tau_d), which is
+    mapped isometrically onto R^d.  Raises RankDeficiencyError if the edge
+    vectors' numerical rank (absolute tolerance 1e-10) falls below d.
     """
     taus = np.asarray(params.taus)
     s = params.s
@@ -165,7 +160,7 @@ def realize_vertices(params):
     verts = pts @ basis.T
     if np.linalg.matrix_rank(verts[1:] - verts[0], tol=1e-10) < n - 1:
         raise RankDeficiencyError("vertex realization is rank deficient")
-    return VertexRealization(vertices=verts)
+    return verts
 
 
 def sphere_surface_area(d):
@@ -180,9 +175,17 @@ def sphere_surface_area(d):
     return 2.0 * math.pi ** (n2 / 2.0) / g
 
 
-def euclidean_volume(realization):
-    """Euclidean volume |det(v_1 - v_0, ..., v_d - v_0)| / d! of the simplex."""
-    v = realization.vertices
-    d = v.shape[1]
-    mat = v[1:] - v[0]
-    return abs(np.linalg.det(mat)) / math.factorial(d)
+def euclidean_volume(params):
+    """Euclidean volume sqrt(s) / (d! prod_j tau_j) of the orthocentric simplex.
+
+    The edge vectors v_j - v_0 (j >= 1) have the Gram matrix
+    diag(tau_j^-2) + tau_0^-2 11^T, whose determinant is s / prod_j tau_j^2,
+    so no vertices are built.
+    """
+    d = params.dimension
+    # prod_j tau_j = prod(mants) 2^sum(exps): the power of two is applied last,
+    # exactly, so the product neither overflows nor underflows while the
+    # volume itself is a normal float
+    mants, exps = zip(*(math.frexp(t) for t in params.taus))
+    core = math.sqrt(params.s) / (math.factorial(d) * math.prod(mants))
+    return math.ldexp(core, -sum(exps))

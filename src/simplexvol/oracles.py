@@ -65,26 +65,26 @@ def mc_spherical_volume(params, kappa, samples=1_000_000, seed=0):
     )
 
 
-def direct_klein_volume(realization, kappa, rel_tol=1e-6):
+def direct_klein_volume(vertices, kappa, rel_tol=1e-6):
     """Volume by direct integration of (1 + kappa |y|^2)^{-(d+1)/2} over the simplex.
 
-    Deterministic iterated quadrature after the standard map from the unit
-    cube onto the simplex; limited to d in {2, 3} (the cost grows
-    exponentially with d).  Warns via GeometryDomainError when kappa is
+    vertices is the simplex's (d+1, d) vertex array, as realize_vertices
+    returns it.  Deterministic iterated quadrature after the standard map
+    from the unit cube onto the simplex; limited to d in {2, 3} (the cost
+    grows exponentially with d).  Warns via GeometryDomainError when kappa is
     numerically at the admissibility boundary, where the integrand blows up.
     """
-    v = realization.vertices
-    d = v.shape[1]
+    d = vertices.shape[1]
     if d not in (2, 3):
         raise CostLimitError("direct Klein integration is limited to d in {2, 3}")
     if kappa < 0:
-        rmax2 = float(np.max(np.sum(v * v, axis=1)))
+        rmax2 = float(np.max(np.sum(vertices * vertices, axis=1)))
         if 1.0 + kappa * rmax2 <= 0.0:
             raise GeometryDomainError(
                 "simplex does not fit strictly inside the model ball at this kappa")
     ex = (d + 1) / 2.0
-    v0 = v[0]
-    B = (v[1:] - v0).T  # columns are edge vectors
+    v0 = vertices[0]
+    B = (vertices[1:] - v0).T  # columns are edge vectors
     jac0 = abs(np.linalg.det(B))
 
     if d == 2:

@@ -50,20 +50,19 @@ def _apply_rule(f, lo, hi):
     return k15, np.abs(k15 - g7), x.size
 
 
-def adaptive_gk(f, a, b, abs_tol, rel_tol=0.0, max_panels=512, initial_edges=None):
-    """Integrate f from a to b componentwise (negated when b < a, 0 when b == a).
+def adaptive_gk(f, edges, abs_tol, rel_tol=0.0, max_panels=512):
+    """Integrate f componentwise over the interval that the grid edges spans.
 
-    f maps a flat node array (n,) to values (n,) or (m, n).  Returns
-    (values (m,), error_estimates (m,), n_evaluations).  Raises
-    ToleranceError (carrying the best result) if max_panels is exhausted.
+    edges is the initial panel grid, from its first entry to its last: a
+    decreasing grid gives the negated integral, and a grid whose points all
+    coincide gives 0.  f maps a flat node array (n,) to values (n,) or
+    (m, n).  Returns (values (m,), error_estimates (m,), n_evaluations).
+    Raises ToleranceError (carrying the best result) if max_panels is
+    exhausted.
     """
-    if initial_edges is None:
-        edges = np.linspace(a, b, 5)
-    else:
-        edges = np.asarray(initial_edges, dtype=float)
+    edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1].copy(), edges[1:].copy()
     vals, errs, neval = _apply_rule(f, lo, hi)
-    m = vals.shape[0]
 
     while True:
         total = vals.sum(axis=1)
@@ -94,22 +93,23 @@ def adaptive_gk(f, a, b, abs_tol, rel_tol=0.0, max_panels=512, initial_edges=Non
         errs = np.concatenate([errs[:, keep], nerrs], axis=1)
 
 
-def oscillation_edges(a, b, phase_rate, min_panels=4):
-    """Panel edges on [a, b] for integrands oscillating like exp(i*phase_rate*y^2/2).
+def oscillation_edges(b, phase_rate, min_panels=4):
+    """Panel edges on [0, b] for integrands oscillating like exp(i*phase_rate*y^2/2).
 
-    Edges are placed so each panel spans at most ~pi of accumulated phase.
+    Edges are placed where the accumulated phase reaches a multiple of pi, so
+    each panel spans at most pi of it; a grid with fewer than min_panels
+    panels is replaced by min_panels equal ones.
     """
-    edges = [a]
+    edges = [0.0]
     if phase_rate > 0:
-        k = int(np.floor(phase_rate * a * a / (2 * np.pi))) + 1
+        k = 1
         while True:
             y = np.sqrt(2 * np.pi * k / phase_rate)
             if y >= b:
                 break
-            if y > edges[-1] + 1e-12 * max(1.0, b):
-                edges.append(y)
+            edges.append(y)
             k += 1
     edges.append(b)
     if len(edges) - 1 < min_panels:
-        return np.linspace(a, b, min_panels + 1)
+        return np.linspace(0.0, b, min_panels + 1)
     return np.asarray(edges)

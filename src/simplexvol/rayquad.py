@@ -66,11 +66,6 @@ class HalfPlane(Enum):
     LOWER = "lower"
 
 
-class IntegralPath(Enum):
-    DIRECT_RAY = "direct_ray"
-    STABILIZED_IBP = "stabilized_ibp"
-
-
 @dataclass(frozen=True)
 class RayIntegralProblem:
     """One ray integral of the sum of both CDF products (see module doc):
@@ -109,10 +104,12 @@ class RayIntegralProblem:
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """A ray integral (or one of its parts, or an orthant transform): value,
+    error bound and the number of integrand nodes evaluated."""
+
     value: complex
     abs_error_estimate: float
     evaluations: int
-    path: IntegralPath
 
 
 def _canonical_omega(half_plane):
@@ -135,11 +132,10 @@ def _segment(p, L, tol, min_panels):
         return ((np.prod(vals, axis=0) + np.prod(1.0 - vals, axis=0))
                 * np.exp(-0.5 * om2 * y * y) * p.omega)
 
-    edges = oscillation_edges(0.0, L, abs(om2.imag), min_panels=min_panels)
+    edges = oscillation_edges(L, abs(om2.imag), min_panels=min_panels)
     # the oscillation-paced initial grid must be allowed to refine locally
-    vals, errs, neval = adaptive_gk(f, 0.0, L, abs_tol=tol, rel_tol=tol,
-                                    max_panels=max(_MAX_PANELS, 3 * len(edges)),
-                                    initial_edges=edges)
+    vals, errs, neval = adaptive_gk(f, edges, abs_tol=tol, rel_tol=tol,
+                                    max_panels=max(_MAX_PANELS, 3 * len(edges)))
     return complex(vals[0]), float(errs[0]) + 2 * len(cs) * L * 2e-15, neval
 
 
@@ -149,7 +145,7 @@ def _segment(p, L, tol, min_panels):
 
 def head_integral(p, A, tol=DEFAULT_TOL):
     """Integral of both CDF products over the finite segment [0, A] of the ray."""
-    return IntegralResult(*_segment(p, A, tol, 4), IntegralPath.DIRECT_RAY)
+    return IntegralResult(*_segment(p, A, tol, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +260,8 @@ def tail_product_integral(mus, sqz, omega, X, tol=DEFAULT_TOL):
             out[1] += apref[rows] @ np.abs(term)
         return out
 
-    vals, errs, neval = adaptive_gk(f, 0.0, vhi, abs_tol=tol / 4, rel_tol=tol / 4,
-                                    max_panels=1024, initial_edges=edges)
+    vals, errs, neval = adaptive_gk(f, edges, abs_tol=tol / 4, rel_tol=tol / 4,
+                                    max_panels=1024)
     return complex(vals[0]), float(errs[0]) + abs(vals[1]), neval
 
 
@@ -277,8 +273,8 @@ def ibp_tail(p, A, tol=DEFAULT_TOL):
                           "or +pi/4 (lower)")
     if A <= 0:
         raise ValueError("the stabilized tail requires a split point A > 0")
-    val, err, neval = tail_product_integral(p.mus, p.branch_sqrt_z(), omega, A * A, tol)
-    return IntegralResult(val, err, neval, IntegralPath.STABILIZED_IBP)
+    return IntegralResult(*tail_product_integral(p.mus, p.branch_sqrt_z(), omega,
+                                                 A * A, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +293,7 @@ def ray_integral(p, tol=DEFAULT_TOL):
         tail = ibp_tail(p, SPLIT_A, tol)
         return IntegralResult(head.value + tail.value,
                               head.abs_error_estimate + tail.abs_error_estimate,
-                              head.evaluations + tail.evaluations,
-                              IntegralPath.STABILIZED_IBP)
+                              head.evaluations + tail.evaluations)
 
     # interior ray: absolutely convergent, direct truncated quadrature
     if abs(cmath.phase(p.branch_sqrt_z() * p.omega)) > math.pi / 4 + _ARG_TOL:
@@ -309,4 +304,4 @@ def ray_integral(p, tol=DEFAULT_TOL):
     Y = math.sqrt(2.0 * (math.log(bound / min(tol, 1e-10)) + 5.0) / re_om2)
     value, err, neval = _segment(p, Y, tol, 8)
     trunc = bound * math.exp(-0.5 * re_om2 * Y * Y) / (re_om2 * Y)
-    return IntegralResult(value, err + trunc, neval, IntegralPath.DIRECT_RAY)
+    return IntegralResult(value, err + trunc, neval)

@@ -165,3 +165,55 @@ def test_kappa_scaling_in_sweeps():
     v2 = [float(ln.split(",")[1]) for ln in r2.stdout.strip().splitlines()[2:]]
     for a, b in zip(v1, v2):
         assert abs(a - b / 8.0) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["SectorError", "OverflowRegionError",
+                                  "RankDeficiencyError"])
+def test_other_library_errors_map_to_exit_2(monkeypatch, capsys, name):
+    import simplexvol.cli as cli
+    from simplexvol import errors
+
+    def boom(req):
+        raise getattr(errors, name)("synthetic")
+
+    monkeypatch.setattr(cli, "volume", boom)
+    assert main(["volume", "--ideal", "2", "--kappa", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf", "-inf"])
+def test_volume_rejects_non_finite_kappa(capsys, kappa):
+    assert main(["volume", "--orthocentric", "1,1,1", f"--kappa={kappa}"]) == 2
+    assert "kappa" in capsys.readouterr().err
+
+
+def test_sweep_rejects_nan_side_length(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--d", "3", "--ell-grid", "1,nan,2", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["sweep", "--d", "3", "--ell-grid", "1,nan,2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_volume_csv_format(capsys):
+    from simplexvol.engine import regular_volume
+    assert main(["volume", "--ideal", "2", "--kappa", "-1", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("# ")
+    assert json.loads(lines[0][2:])["command"] == "volume"
+    assert lines[1] == "param,volume,abs_error,residual_imag,status"
+    r = regular_volume(2, math.inf, -1.0)
+    assert lines[2] == (f",{float(r.volume)!r},{float(r.abs_error)!r},"
+                        f"{float(r.residual_imag)!r},ok")
+
+
+def test_volume_euclidean_tiny_triangle(capsys):
+    # the equilateral triangle of side sqrt(2)*1e-11
+    assert main(["volume", "--orthocentric", "1e11,1e11,1e11", "--kappa", "0",
+                 "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["volume"] == 8.660254037844386e-23
+    assert 0.0 < out["abs_error"] < out["volume"]

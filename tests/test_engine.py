@@ -160,7 +160,7 @@ def test_euclidean_limit():
     for _ in range(5):
         d = int(rng.integers(2, 4))
         p = OrthocentricParams(tuple(rng.uniform(0.6, 1.8, d + 1)))
-        ev = euclidean_volume(realize_vertices(p))
+        ev = euclidean_volume(p)
         for kap in (1e-4, -1e-4):
             r = volume(VolumeRequest(geometry=p, kappa=kap))
             assert abs(r.volume - ev) / ev < 1e-3
@@ -169,8 +169,35 @@ def test_euclidean_limit():
 def test_euclidean_kappa_zero_path():
     p = OrthocentricParams((1.0, 1.3, 0.8))
     r = volume(VolumeRequest(geometry=p, kappa=0.0))
-    assert r.volume == pytest.approx(euclidean_volume(realize_vertices(p)), rel=1e-12)
+    v = realize_vertices(p)
+    det = abs(np.linalg.det(v[1:] - v[0])) / math.factorial(2)
+    assert r.volume == pytest.approx(det, rel=1e-12)
     assert r.branch is Branch.REAL_AXIS
+
+
+@pytest.mark.parametrize("d, tau", [(2, 1e7), (2, 1e11), (3, 1e100), (3, 1e-100),
+                                    (12, 1e24), (12, 1e-24)])
+def test_euclidean_volume_far_from_unit_scale(d, tau):
+    # regular simplices of volume sqrt(d+1)/(d! tau^d), where prod_j tau_j may
+    # leave the float range; the bar stays relative to the volume
+    r = volume(VolumeRequest(geometry=OrthocentricParams((tau,) * (d + 1)), kappa=0.0))
+    with mp.workdps(50):
+        ref = mp.sqrt(d + 1) / (mp.factorial(d) * mp.mpf(tau) ** d)
+        assert abs(mp.mpf(r.volume) - ref) <= r.abs_error
+    assert 0.0 < r.abs_error < r.volume
+
+
+def test_euclidean_bar_covers_rounding():
+    # the closed form sqrt(s)/(d! prod tau) of the same float taus at 50 digits
+    rng = np.random.default_rng(13)
+    with mp.workdps(50):
+        for _ in range(200):
+            d = int(rng.integers(2, 13))
+            taus = tuple(rng.uniform(0.2, 4.0, d + 1) * 10.0 ** rng.uniform(-3, 3))
+            r = volume(VolumeRequest(geometry=OrthocentricParams(taus), kappa=0.0))
+            s = mp.fsum(mp.mpf(t) ** 2 for t in taus)
+            ref = mp.sqrt(s) / (mp.factorial(d) * mp.fprod(mp.mpf(t) for t in taus))
+            assert abs(mp.mpf(r.volume) - ref) <= r.abs_error, (d, taus)
 
 
 def test_kappa_below_bound_rejected():
@@ -347,3 +374,8 @@ def test_request_validation():
         VolumeRequest(geometry=RegularSimplexSpec(2, 1.0, -1.0), tolerance=math.nan)
     with pytest.raises(GeometryDomainError):
         VolumeRequest(geometry=RegularSimplexSpec(2, 1.0, -1.0), kappa=-2.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(GeometryDomainError, match="kappa"):
+            VolumeRequest(geometry=OrthocentricParams((1.0, 1.0, 1.0)), kappa=bad)
+        with pytest.raises(GeometryDomainError, match="kappa"):
+            VolumeRequest(geometry=RegularSimplexSpec(2, 1.0, -1.0), kappa=bad)

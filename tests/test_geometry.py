@@ -7,9 +7,8 @@ import pytest
 
 from simplexvol.errors import GeometryDomainError
 from simplexvol.geometry import (
-    OrthocentricParams, RegularSimplexSpec, VertexRealization,
-    cosh_ratio, euclidean_volume, min_curvature, realize_vertices,
-    regular_parameters, side_length,
+    OrthocentricParams, RegularSimplexSpec, cosh_ratio, euclidean_volume,
+    min_curvature, realize_vertices, regular_parameters, side_length,
 )
 
 
@@ -99,8 +98,7 @@ def test_cosh_ratio_limits():
 
 def test_realize_vertices_equilateral():
     p = OrthocentricParams((1.0, 1.0, 1.0))
-    r = realize_vertices(p)
-    v = r.vertices
+    v = realize_vertices(p)
     assert v.shape == (3, 2)
     for j in range(3):
         assert v[j] @ v[j] == pytest.approx(2.0 / 3.0, abs=1e-13)
@@ -115,7 +113,7 @@ def test_gram_residuals_random():
     for _ in range(100):
         taus = tuple(rng.uniform(0.2, 4.0, int(rng.integers(3, 9))))
         p = OrthocentricParams(taus)
-        v = realize_vertices(p).vertices
+        v = realize_vertices(p)
         # closed form: -1/s off the diagonal, -1/s + 1/tau_j^2 on it
         want = np.full((len(taus), len(taus)), -1.0 / p.s)
         want[np.diag_indices_from(want)] += [1.0 / t ** 2 for t in p.taus]
@@ -125,18 +123,20 @@ def test_gram_residuals_random():
 def test_euclidean_volume_equilateral():
     # edge sqrt(2) equilateral triangle: area = sqrt(3)/2
     p = OrthocentricParams((1.0, 1.0, 1.0))
-    vol = euclidean_volume(realize_vertices(p))
+    vol = euclidean_volume(p)
     assert vol == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-13)
 
 
-def test_euclidean_volume_unit_right_simplex():
-    r = VertexRealization(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    assert euclidean_volume(r) == pytest.approx(0.5)
-
-
-def test_euclidean_volume_degenerate():
-    r = VertexRealization(vertices=np.zeros((3, 2)))
-    assert euclidean_volume(r) == 0.0
+def test_euclidean_volume_matches_vertex_determinant():
+    # the closed form against |det(v_1 - v_0, ..., v_d - v_0)| / d! of the
+    # realized vertices, over seeded taus
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        d = int(rng.integers(2, 13))
+        p = OrthocentricParams(tuple(rng.uniform(0.2, 4.0, d + 1)))
+        v = realize_vertices(p)
+        det = abs(np.linalg.det(v[1:] - v[0])) / math.factorial(d)
+        assert euclidean_volume(p) == pytest.approx(det, rel=1e-12, abs=0.0)
 
 
 def test_type_validation():

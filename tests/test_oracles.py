@@ -74,9 +74,8 @@ def test_mc_engine_cross_check():
 
 def test_klein_near_zero_curvature_matches_euclidean():
     p = OrthocentricParams((1.0, 1.2, 0.9))
-    r = realize_vertices(p)
-    ev = euclidean_volume(r)
-    dk = direct_klein_volume(r, kappa=1e-8, rel_tol=1e-9)
+    ev = euclidean_volume(p)
+    dk = direct_klein_volume(realize_vertices(p), kappa=1e-8, rel_tol=1e-9)
     assert abs(dk - ev) / ev < 1e-6
 
 
