@@ -25,8 +25,8 @@ from .errors import (
     RankDeficiencyError, SectorError, SimplexVolError, ToleranceError,
 )
 from .geometry import (
-    OrthocentricParams, RegularSimplexSpec, cosh_ratio, euclidean_volume,
-    min_curvature, realize_vertices, regular_parameters, side_length,
+    OrthocentricParams, euclidean_volume, min_curvature, realize_vertices,
+    regular_parameters, side_length,
 )
 from .rayquad import (
     HalfPlane, IntegralResult, RayIntegralProblem, head_integral, ibp_tail,
@@ -50,13 +50,13 @@ __all__ = [
     "Branch", "CostLimitError", "GeometryDomainError", "HalfPlane",
     "IntegralResult", "MonteCarloReport", "NearPoleError", "OrthocentricParams",
     "OverflowRegionError", "RankDeficiencyError", "RayIntegralProblem",
-    "RegularSimplexSpec", "SectorError", "SimplexVolError", "ToleranceError",
-    "VolumeRequest", "VolumeResult", "cosh_ratio", "direct_klein_volume",
-    "euclidean_volume", "head_integral", "ibp_tail", "ideal_tetrahedron_volume",
-    "ideal_volume_highprec", "mc_spherical_volume", "min_curvature",
-    "norm_cdf", "norm_cdf_array", "orthant_probability", "ray_integral",
-    "realize_vertices", "regular_parameters", "regular_tetrahedron_volume",
-    "regular_volume", "side_length", "sphere_surface_area", "volume",
+    "SectorError", "SimplexVolError", "ToleranceError", "VolumeRequest",
+    "VolumeResult", "direct_klein_volume", "euclidean_volume", "head_integral",
+    "ibp_tail", "ideal_tetrahedron_volume", "ideal_volume_highprec",
+    "mc_spherical_volume", "min_curvature", "norm_cdf", "norm_cdf_array",
+    "orthant_probability", "ray_integral", "realize_vertices",
+    "regular_parameters", "regular_tetrahedron_volume", "regular_volume",
+    "side_length", "sphere_surface_area", "volume",
 ]
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .engine import VolumeRequest, regular_volume, volume
 from .errors import CostLimitError, GeometryDomainError, SimplexVolError, ToleranceError
-from .geometry import OrthocentricParams, RegularSimplexSpec, min_curvature
+from .geometry import OrthocentricParams, min_curvature, regular_parameters
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -44,15 +44,6 @@ def _thread_count():
         return 1
 
 
-def _parse_ell(text):
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    ell = float(text)
-    if math.isnan(ell):
-        raise GeometryDomainError("side length must be a number, not nan")
-    return ell
-
-
 def _fmt(x):
     return repr(float(x))
 
@@ -70,16 +61,13 @@ def _build_request(args):
     if args.regular is not None:
         if args.ell is None:
             raise GeometryDomainError("--regular requires --ell")
-        spec = RegularSimplexSpec(d=args.regular, side_length=_parse_ell(args.ell),
-                                  kappa=args.kappa)
-        return VolumeRequest(geometry=spec, tolerance=args.tol)
-    if args.ideal is not None:
-        spec = RegularSimplexSpec(d=args.ideal, side_length=math.inf,
-                                  kappa=args.kappa)
-        return VolumeRequest(geometry=spec, tolerance=args.tol)
-    taus = tuple(float(t) for t in args.orthocentric.split(","))
-    return VolumeRequest(geometry=OrthocentricParams(taus), kappa=args.kappa,
-                         tolerance=args.tol)
+        params = regular_parameters(args.regular, float(args.ell), args.kappa)
+    elif args.ideal is not None:
+        params = regular_parameters(args.ideal, math.inf, args.kappa)
+    else:
+        taus = tuple(float(t) for t in args.orthocentric.split(","))
+        params = OrthocentricParams(taus)
+    return VolumeRequest(params, args.kappa, args.tol)
 
 
 def cmd_volume(args):
@@ -116,11 +104,15 @@ def cmd_volume(args):
 
 def _sweep_grid(args):
     if args.ell_grid is not None:
-        return [_parse_ell(t) for t in args.ell_grid.split(",") if t.strip()]
-    if args.ell_log_range is not None:
+        grid = [float(t) for t in args.ell_grid.split(",") if t.strip()]
+    elif args.ell_log_range is not None:
         lo, hi, n = args.ell_log_range.split(":")
-        return list(np.geomspace(float(lo), float(hi), int(n)))
-    raise GeometryDomainError("sweep requires --ell-grid or --ell-log-range")
+        grid = list(np.geomspace(float(lo), float(hi), int(n)))
+    else:
+        raise GeometryDomainError("sweep requires --ell-grid or --ell-log-range")
+    for ell in grid:  # every value is checked before the first row is computed
+        regular_parameters(args.d, ell, args.kappa)
+    return grid
 
 
 def cmd_sweep(args):

@@ -17,18 +17,21 @@ with mu_j = tau_j/s, taken along the ray 1-i with sqrt(-r) = +i sqrt(r)
 (upper branch) or along 1+i with the mirrored convention (lower branch).
 The exact volume is real; the imaginary residual of the assembled expression
 is reported as a numerical health diagnostic.
+
+A regular simplex is the equal-tau case, so it takes the same path:
+regular_volume turns (d, side length, kappa) into OrthocentricParams with
+geometry.regular_parameters, which is where those three inputs are checked.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
 
 from .cnormal import SQRT_2PI
 from .errors import GeometryDomainError, ToleranceError
 from .geometry import (
-    OrthocentricParams, RegularSimplexSpec, euclidean_volume, min_curvature,
-    regular_parameters, sphere_surface_area,
+    OrthocentricParams, euclidean_volume, min_curvature, regular_parameters,
+    sphere_surface_area,
 )
 from .rayquad import (
     HalfPlane, IntegralResult, RayIntegralProblem, _canonical_omega, ray_integral,
@@ -47,34 +50,25 @@ class Branch(Enum):
 class VolumeRequest:
     """What to compute: a geometry, a curvature, and an accuracy target.
 
-    geometry is either OrthocentricParams (kappa required, any finite
-    kappa >= kappa0; kappa = 0 gives the Euclidean volume in closed form) or
-    RegularSimplexSpec (kappa < 0 carried by the spec; side_length = inf
-    encodes the ideal simplex).  A non-finite kappa raises
-    GeometryDomainError.  tolerance is absolute on the orthant-transform
-    values, which surfaces as roughly 1e2*tolerance relative on volumes.
+    geometry is the OrthocentricParams of the simplex (a regular simplex is
+    the equal-tau case; regular_parameters builds it from a side length).
+    kappa is any finite curvature >= kappa0; kappa = 0 gives the Euclidean
+    volume in closed form, and a non-finite kappa raises GeometryDomainError.
+    tolerance is absolute on the orthant-transform values, which surfaces as
+    roughly 1e2*tolerance relative on volumes.
     """
 
-    geometry: Union[OrthocentricParams, RegularSimplexSpec]
-    kappa: float = None
+    geometry: OrthocentricParams
+    kappa: float
     tolerance: float = 1e-10
     use_lower_branch: bool = False
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.kappa is not None and not math.isfinite(self.kappa):
+        if not math.isfinite(self.kappa):
             raise GeometryDomainError(f"kappa must be finite; got {self.kappa}")
-        if isinstance(self.geometry, RegularSimplexSpec):
-            k = self.geometry.kappa
-            if self.kappa is not None and float(self.kappa) != k:
-                raise GeometryDomainError(
-                    "kappa given both in the spec and the request, inconsistently")
-            object.__setattr__(self, "kappa", k)
-        else:
-            if self.kappa is None:
-                raise GeometryDomainError("orthocentric requests must supply kappa")
-            object.__setattr__(self, "kappa", float(self.kappa))
+        object.__setattr__(self, "kappa", float(self.kappa))
 
 
 @dataclass(frozen=True)
@@ -113,12 +107,8 @@ def orthant_probability(mus, z, tol=_quad_tol(1e-10), half_plane=HalfPlane.UPPER
 
 def volume(req):
     """Volume of the requested simplex in the space of curvature kappa."""
-    geo = req.geometry
-    if isinstance(geo, RegularSimplexSpec):
-        params, d = regular_parameters(geo), geo.d
-    else:
-        params, d = geo, geo.dimension
-    kappa = req.kappa
+    params = req.geometry
+    d, kappa = params.dimension, req.kappa
     if kappa == 0.0:
         vol = euclidean_volume(params)
         # relative rounding of the closed form, in units u = eps/2: the squares
@@ -156,5 +146,5 @@ def volume(req):
 
 def regular_volume(d, side_length, kappa=-1.0, tolerance=1e-10):
     """Convenience wrapper: volume of the regular simplex (side inf = ideal)."""
-    spec = RegularSimplexSpec(d=d, side_length=side_length, kappa=kappa)
-    return volume(VolumeRequest(geometry=spec, tolerance=tolerance))
+    params = regular_parameters(d, side_length, kappa)
+    return volume(VolumeRequest(params, kappa, tolerance))

@@ -47,30 +47,6 @@ class OrthocentricParams:
         return tuple(t / self.s for t in self.taus)
 
 
-@dataclass(frozen=True)
-class RegularSimplexSpec:
-    """Regular hyperbolic simplex: dimension, side length (inf = ideal), curvature."""
-
-    d: int
-    side_length: float
-    kappa: float = -1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "side_length", float(self.side_length))
-        object.__setattr__(self, "kappa", float(self.kappa))
-        if self.d < 2:
-            raise GeometryDomainError("dimension must be >= 2")
-        if not self.side_length > 0:
-            raise GeometryDomainError("side length must be positive (inf = ideal)")
-        if self.kappa >= 0 or not math.isfinite(self.kappa):
-            raise GeometryDomainError("regular simplex spec requires kappa < 0")
-
-    @property
-    def is_ideal(self):
-        return math.isinf(self.side_length)
-
-
 def min_curvature(params):
     """Most negative curvature kappa0 for which the simplex fits the model ball.
 
@@ -101,15 +77,23 @@ def side_length(params, j, k, kappa):
     return math.acosh(arg) / math.sqrt(-kappa)
 
 
-def regular_parameters(spec):
-    """Equal orthocentric parameters reproducing the requested side length.
+def regular_parameters(d, side_length, kappa=-1.0):
+    """Equal orthocentric parameters of the regular d-simplex of the given side.
 
-    For ell = inf (or cosh overflow) the ideal limit tau^2 = -kappa*d/(d+1)
-    is used directly.
+    The one place the inputs of a regular simplex are checked: d >= 2,
+    side_length > 0 (inf = ideal; NaN fails the comparison) and kappa finite
+    and negative.  For ell = inf (or cosh overflow) the ideal limit
+    tau^2 = -kappa*d/(d+1) is used directly.
     """
-    d, kappa = spec.d, spec.kappa
-    u = spec.side_length * math.sqrt(-kappa)
-    if spec.is_ideal or u > _COSH_LIMIT:
+    d, side_length, kappa = int(d), float(side_length), float(kappa)
+    if d < 2:
+        raise GeometryDomainError("dimension must be >= 2")
+    if not side_length > 0:
+        raise GeometryDomainError("side length must be positive (inf = ideal)")
+    if kappa >= 0 or not math.isfinite(kappa):
+        raise GeometryDomainError("regular simplices require a finite kappa < 0")
+    u = side_length * math.sqrt(-kappa)
+    if u > _COSH_LIMIT:
         tau2 = -kappa * d / (d + 1.0)
     else:
         ch = math.cosh(u)
@@ -119,20 +103,6 @@ def regular_parameters(spec):
     return OrthocentricParams(taus=(tau,) * (d + 1))
 
 
-def cosh_ratio(spec):
-    """cosh(ell sqrt(-kappa)) / (1 + d cosh(ell sqrt(-kappa))), in (1/(d+1), 1/d].
-
-    This is the squared coupling of the volume integrand; it equals 1/d
-    exactly in the ideal case.
-    """
-    d = spec.d
-    u = spec.side_length * math.sqrt(-spec.kappa)
-    if spec.is_ideal or u > _COSH_LIMIT:
-        return 1.0 / d
-    ch = math.cosh(u)
-    return ch / (1.0 + d * ch)
-
-
 def realize_vertices(params):
     """Concrete vertices satisfying the orthocentric Gram identities.
 
@@ -140,7 +110,9 @@ def realize_vertices(params):
     (d+1)-space, where H is the common altitude foot sum(tau_j e_j)/s; these
     vectors span the hyperplane orthogonal to (tau_0, ..., tau_d), which is
     mapped isometrically onto R^d.  Raises RankDeficiencyError if the edge
-    vectors' numerical rank (absolute tolerance 1e-10) falls below d.
+    vectors' numerical rank falls below d; NumPy's default rank tolerance is
+    relative to the largest singular value, so the scale of the taus alone
+    never triggers it.
     """
     taus = np.asarray(params.taus)
     s = params.s
@@ -158,7 +130,7 @@ def realize_vertices(params):
         u /= nu
         basis = (np.eye(n) - 2.0 * np.outer(u, u))[1:]
     verts = pts @ basis.T
-    if np.linalg.matrix_rank(verts[1:] - verts[0], tol=1e-10) < n - 1:
+    if np.linalg.matrix_rank(verts[1:] - verts[0]) < n - 1:
         raise RankDeficiencyError("vertex realization is rank deficient")
     return verts
 

@@ -114,6 +114,13 @@ def test_verify_phi_passes():
     assert main(["verify", "phi", "--samples", "2000"]) == 0
 
 
+@pytest.mark.parametrize("suite", [
+    ["abrosimov"], ["klein-direct"], ["mc-spherical"], ["asymptotic", "--dmax", "11"],
+], ids=lambda s: s[0])
+def test_verify_suite_passes(suite):
+    assert main(["verify", *suite]) == 0
+
+
 def test_sweep_marks_failed_rows_and_exits_3(monkeypatch, capsys):
     import simplexvol.cli as cli
     from simplexvol.errors import ToleranceError
@@ -194,6 +201,22 @@ def test_sweep_rejects_nan_side_length(tmp_path, capsys):
     assert main(["sweep", "--d", "3", "--ell-grid", "1,nan,2", "--out", str(out)]) == 2
     assert not out.exists()
     assert main(["sweep", "--d", "3", "--ell-grid", "1,nan,2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["--d", "2", "--ell-log-range", "nan:2:2"],
+    ["--d", "2", "--ell-grid", "1,-inf"],
+    ["--d", "2", "--ell-grid", "0,1"],
+    ["--d", "2", "--ell-grid", "1,2", "--kappa", "1"],
+    ["--d", "1", "--ell-grid", "1,2"],
+], ids=["nan-range", "minus-inf", "zero", "positive-kappa", "d1"])
+def test_sweep_checks_whole_grid_before_any_row(tmp_path, capsys, args):
+    # one bad value rejects the sweep with exit 2 before a row is computed
+    out = tmp_path / "s.csv"
+    assert main(["sweep", *args, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["sweep", *args]) == 2
     assert capsys.readouterr().out == ""
 
 

@@ -13,8 +13,8 @@ from simplexvol.engine import (
 )
 from simplexvol.errors import GeometryDomainError, NearPoleError
 from simplexvol.geometry import (
-    OrthocentricParams, RegularSimplexSpec, euclidean_volume, min_curvature,
-    realize_vertices,
+    OrthocentricParams, euclidean_volume, min_curvature, realize_vertices,
+    regular_parameters,
 )
 from simplexvol.oracles import direct_klein_volume
 from simplexvol.rayquad import HalfPlane
@@ -140,9 +140,9 @@ def test_monotone_in_side_length_with_ideal_supremum():
 
 
 def test_branch_agreement():
-    spec = RegularSimplexSpec(3, 1.5, -1.0)
-    up = volume(VolumeRequest(geometry=spec))
-    lo = volume(VolumeRequest(geometry=spec, use_lower_branch=True))
+    p = regular_parameters(3, 1.5, -1.0)
+    up = volume(VolumeRequest(geometry=p, kappa=-1.0))
+    lo = volume(VolumeRequest(geometry=p, kappa=-1.0, use_lower_branch=True))
     assert up.branch is Branch.UPPER_RAY and lo.branch is Branch.LOWER_RAY
     assert abs(up.volume - lo.volume) < 1e-10
 
@@ -244,27 +244,20 @@ def test_boundary_kappa_accepted():
     assert r.volume == pytest.approx(math.pi / abs(k0), abs=1e-8)
 
 
-def curvature_scaling_residual(spec, tolerance=1e-10):
+def curvature_scaling_residual(d, ell, kappa, tolerance=1e-10):
     """|Vol_{d,kappa}(ell) - |kappa|^{-d/2} Vol_{d,-1}(ell sqrt(|kappa|))|.
 
     The coupling of the volume integrand depends on ell*sqrt(-kappa) only, so
     this vanishes identically up to quadrature error.
     """
-    if spec.is_ideal:
-        ref = RegularSimplexSpec(d=spec.d, side_length=math.inf, kappa=-1.0)
-    else:
-        ref = RegularSimplexSpec(d=spec.d,
-                                 side_length=spec.side_length * math.sqrt(-spec.kappa),
-                                 kappa=-1.0)
-    v1 = volume(VolumeRequest(geometry=spec, tolerance=tolerance))
-    v2 = volume(VolumeRequest(geometry=ref, tolerance=tolerance))
-    return abs(v1.volume - abs(spec.kappa) ** (-spec.d / 2.0) * v2.volume)
+    v1 = regular_volume(d, ell, kappa, tolerance)
+    v2 = regular_volume(d, ell * math.sqrt(-kappa), -1.0, tolerance)
+    return abs(v1.volume - abs(kappa) ** (-d / 2.0) * v2.volume)
 
 
 def test_curvature_scaling():
-    spec = RegularSimplexSpec(3, 1.0, -4.0)
-    assert curvature_scaling_residual(spec) < 1e-9
-    assert curvature_scaling_residual(RegularSimplexSpec(3, 1.0, -1.0)) < 1e-12
+    assert curvature_scaling_residual(3, 1.0, -4.0) < 1e-9
+    assert curvature_scaling_residual(3, 1.0, -1.0) < 1e-12
     r = regular_volume(2, math.inf, -4.0)
     assert r.volume == pytest.approx(math.pi / 4.0, abs=1e-8)
 
@@ -366,16 +359,15 @@ def test_gamma_ladder_matches_direct_gammainc(d, n):
 
 
 def test_request_validation():
-    with pytest.raises(GeometryDomainError):
+    with pytest.raises(TypeError):
         VolumeRequest(geometry=OrthocentricParams((1.0, 1.0, 1.0)))  # no kappa
+    p = regular_parameters(2, 1.0, -1.0)
     with pytest.raises(ValueError):
-        VolumeRequest(geometry=RegularSimplexSpec(2, 1.0, -1.0), tolerance=0.0)
+        VolumeRequest(geometry=p, kappa=-1.0, tolerance=0.0)
     with pytest.raises(ValueError):
-        VolumeRequest(geometry=RegularSimplexSpec(2, 1.0, -1.0), tolerance=math.nan)
-    with pytest.raises(GeometryDomainError):
-        VolumeRequest(geometry=RegularSimplexSpec(2, 1.0, -1.0), kappa=-2.0)
+        VolumeRequest(geometry=p, kappa=-1.0, tolerance=math.nan)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(GeometryDomainError, match="kappa"):
             VolumeRequest(geometry=OrthocentricParams((1.0, 1.0, 1.0)), kappa=bad)
         with pytest.raises(GeometryDomainError, match="kappa"):
-            VolumeRequest(geometry=RegularSimplexSpec(2, 1.0, -1.0), kappa=bad)
+            regular_volume(2, 1.0, bad)

@@ -7,8 +7,8 @@ import pytest
 
 from simplexvol.errors import GeometryDomainError
 from simplexvol.geometry import (
-    OrthocentricParams, RegularSimplexSpec, cosh_ratio, euclidean_volume,
-    min_curvature, realize_vertices, regular_parameters, side_length,
+    OrthocentricParams, euclidean_volume, min_curvature, realize_vertices,
+    regular_parameters, side_length,
 )
 
 
@@ -68,8 +68,7 @@ def test_regular_parameters_round_trip_grid():
     for d in range(2, 11):
         for kappa in (-0.5, -1.0, -2.0):
             for ell in np.geomspace(1e-3, 20.0, 7):
-                spec = RegularSimplexSpec(d=d, side_length=float(ell), kappa=kappa)
-                p = regular_parameters(spec)
+                p = regular_parameters(d, float(ell), kappa)
                 got = side_length(p, 0, 1, kappa)
                 floor = 50.0 * eps * math.cosh(min(ell * math.sqrt(-kappa), 30.0))
                 tol = max(ell * 1e-10, 1e-12, floor)
@@ -77,23 +76,27 @@ def test_regular_parameters_round_trip_grid():
 
 
 def test_regular_parameters_ideal_limit():
-    spec = RegularSimplexSpec(d=4, side_length=math.inf, kappa=-2.0)
-    p = regular_parameters(spec)
+    p = regular_parameters(4, math.inf, -2.0)
     assert p.taus[0] ** 2 == pytest.approx(2.0 * 4 / 5, rel=1e-14)
 
 
 def test_regular_parameters_small_side_blows_up():
-    spec = RegularSimplexSpec(d=3, side_length=1e-8, kappa=-1.0)
-    assert regular_parameters(spec).taus[0] > 1e7
+    assert regular_parameters(3, 1e-8, -1.0).taus[0] > 1e7
+
+
+def _coupling(d, ell, kappa):
+    # mu^2 (s - kappa) = cosh(u) / (1 + d cosh(u)) with u = ell sqrt(-kappa),
+    # the squared coupling of the volume integrand, in (1/(d+1), 1/d]
+    p = regular_parameters(d, ell, kappa)
+    return p.multipliers()[0] ** 2 * (p.s - kappa)
 
 
 def test_cosh_ratio_limits():
-    assert cosh_ratio(RegularSimplexSpec(4, math.inf, -1.0)) == 0.25
-    assert cosh_ratio(RegularSimplexSpec(3, 1e-9, -1.0)) == pytest.approx(0.25, abs=1e-9)
-    spec = RegularSimplexSpec(2, math.acosh(2.0), -1.0)
-    assert cosh_ratio(spec) == pytest.approx(0.4, abs=1e-14)
+    assert _coupling(4, math.inf, -1.0) == pytest.approx(0.25, rel=1e-15)
+    assert _coupling(3, 1e-9, -1.0) == pytest.approx(0.25, abs=1e-9)
+    assert _coupling(2, math.acosh(2.0), -1.0) == pytest.approx(0.4, abs=1e-14)
     # overflow-safe routing to the ideal value
-    assert cosh_ratio(RegularSimplexSpec(3, 800.0, -1.0)) == pytest.approx(1/3)
+    assert _coupling(3, 800.0, -1.0) == pytest.approx(1/3)
 
 
 def test_realize_vertices_equilateral():
@@ -118,6 +121,17 @@ def test_gram_residuals_random():
         want = np.full((len(taus), len(taus)), -1.0 / p.s)
         want[np.diag_indices_from(want)] += [1.0 / t ** 2 for t in p.taus]
         assert np.max(np.abs(v @ v.T - want)) < 1e-12
+
+
+@pytest.mark.parametrize("tau, d", [(1e11, 2), (1e24, 12), (1e100, 3), (1e-100, 3)])
+def test_realize_vertices_at_any_scale(tau, d):
+    # the rank test must not depend on the scale of the taus: the edge
+    # vectors' Gram matrix is diag(tau_j^-2) + tau_0^-2 11^T at every scale
+    p = OrthocentricParams((tau,) * (d + 1))
+    v = realize_vertices(p)
+    edges = v[1:] - v[0]
+    want = np.diag([t ** -2 for t in p.taus[1:]]) + p.taus[0] ** -2
+    assert np.max(np.abs(edges @ edges.T - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_euclidean_volume_equilateral():
@@ -145,8 +159,8 @@ def test_type_validation():
     with pytest.raises(GeometryDomainError):
         OrthocentricParams((1.0, -1.0, 1.0))
     with pytest.raises(GeometryDomainError):
-        RegularSimplexSpec(1, 1.0, -1.0)
+        regular_parameters(1, 1.0, -1.0)
     with pytest.raises(GeometryDomainError):
-        RegularSimplexSpec(3, 1.0, 1.0)  # spherical regular specs not supported
+        regular_parameters(3, 1.0, 1.0)  # spherical regular simplices not supported
     with pytest.raises(GeometryDomainError):
-        RegularSimplexSpec(3, 0.0, -1.0)
+        regular_parameters(3, 0.0, -1.0)

@@ -14,8 +14,8 @@ from simplexvol import _hp, oracles
 from simplexvol.engine import VolumeRequest, regular_volume, volume
 from simplexvol.errors import CostLimitError, GeometryDomainError
 from simplexvol.geometry import (
-    OrthocentricParams, RegularSimplexSpec, euclidean_volume, min_curvature,
-    realize_vertices, regular_parameters,
+    OrthocentricParams, euclidean_volume, min_curvature, realize_vertices,
+    regular_parameters,
 )
 from simplexvol.oracles import (
     direct_klein_volume, ideal_tetrahedron_volume, mc_spherical_volume,
@@ -80,16 +80,14 @@ def test_klein_near_zero_curvature_matches_euclidean():
 
 
 def test_klein_matches_engine_d2():
-    spec = RegularSimplexSpec(2, math.acosh(2.0), -1.0)
-    p = regular_parameters(spec)
+    p = regular_parameters(2, math.acosh(2.0), -1.0)
     dk = direct_klein_volume(realize_vertices(p), -1.0, rel_tol=1e-8)
     eng = volume(VolumeRequest(geometry=p, kappa=-1.0)).volume
     assert abs(dk - eng) / dk < 1e-4
 
 
 def test_klein_abrosimov_engine_triple_check_d3():
-    spec = RegularSimplexSpec(3, 1.0, -1.0)
-    p = regular_parameters(spec)
+    p = regular_parameters(3, 1.0, -1.0)
     dk = direct_klein_volume(realize_vertices(p), -1.0, rel_tol=1e-8)
     ab = regular_tetrahedron_volume(1.0)
     eng = volume(VolumeRequest(geometry=p, kappa=-1.0)).volume

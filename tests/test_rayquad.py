@@ -10,7 +10,7 @@ from simplexvol.cnormal import SQRT_2PI
 from simplexvol.engine import orthant_probability
 from simplexvol.errors import NearPoleError, SectorError
 from simplexvol.geometry import (
-    OrthocentricParams, RegularSimplexSpec, min_curvature, regular_parameters,
+    OrthocentricParams, min_curvature, regular_parameters,
 )
 from simplexvol.rayquad import (
     SPLIT_A, HalfPlane, RayIntegralProblem, head_integral, ibp_tail, ray_integral,
@@ -188,7 +188,7 @@ def _half_kappa0(taus):
 
 @pytest.mark.parametrize("params, kappa", [
     # ideal regular d = 5: all six factors equal (1 + 6 + 15 integrals, 3 distinct)
-    (regular_parameters(RegularSimplexSpec(d=5, side_length=math.inf, kappa=-1.0)), -1.0),
+    (regular_parameters(5, math.inf, -1.0), -1.0),
     # distinct taus: all 1 + 5 + 10 integrals differ
     _half_kappa0((1.0, 1.4, 0.7, 1.1, 0.9)),
     # two repeated pairs: 1 + 3 + 5 distinct integrals
@@ -224,8 +224,7 @@ def _hyperbolic_rays():
         z = float(rng.uniform(0.2, 0.8)) * min_curvature(params) - params.s
         yield params, z, float(rng.uniform(1.0, 3.0)), float(rng.uniform(5.0, 8.0))
     for d in range(2, 9):
-        params = regular_parameters(RegularSimplexSpec(d=d, side_length=math.inf,
-                                                       kappa=-1.0))
+        params = regular_parameters(d, math.inf, -1.0)
         yield (params, -1.0 - params.s,
                float(rng.uniform(1.0, 3.0)), float(rng.uniform(5.0, 8.0)))
 
