@@ -29,8 +29,7 @@ from .geometry import (
     regular_parameters, side_length,
 )
 from .rayquad import (
-    HalfPlane, IntegralResult, RayIntegralProblem, head_integral, ibp_tail,
-    ray_integral,
+    IntegralResult, RayIntegralProblem, head_integral, ibp_tail, ray_integral,
 )
 
 #: submodules loaded on first use, as ``import simplexvol.oracles`` would
@@ -47,8 +46,8 @@ _LAZY = {
 }
 
 __all__ = [
-    "Branch", "CostLimitError", "GeometryDomainError", "HalfPlane",
-    "IntegralResult", "MonteCarloReport", "NearPoleError", "OrthocentricParams",
+    "Branch", "CostLimitError", "GeometryDomainError", "IntegralResult",
+    "MonteCarloReport", "NearPoleError", "OrthocentricParams",
     "OverflowRegionError", "RankDeficiencyError", "RayIntegralProblem",
     "SectorError", "SimplexVolError", "ToleranceError", "VolumeRequest",
     "VolumeResult", "direct_klein_volume", "euclidean_volume", "head_integral",

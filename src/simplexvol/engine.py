@@ -33,9 +33,7 @@ from .geometry import (
     OrthocentricParams, euclidean_volume, min_curvature, regular_parameters,
     sphere_surface_area,
 )
-from .rayquad import (
-    HalfPlane, IntegralResult, RayIntegralProblem, _canonical_omega, ray_integral,
-)
+from .rayquad import IntegralResult, RayIntegralProblem, ray_integral
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -85,19 +83,22 @@ def _quad_tol(tolerance):
     return min(max(tolerance / 8.0, 1e-14), 1e-4)
 
 
-def orthant_probability(mus, z, tol=_quad_tol(1e-10), half_plane=HalfPlane.UPPER):
+def orthant_probability(mus, z, tol=_quad_tol(1e-10), use_lower_branch=False):
     """Analytic continuation of the Gaussian orthant probability (see module doc).
 
-    For real z > 0 this is the plain real-axis integral; elsewhere it is
-    evaluated on the boundary ray matching the half plane.  The inputs are
-    validated by RayIntegralProblem, which raises NearPoleError within 1e-8
-    of the excluded points z = -1/mu_j^2.  Returns the ray integral's
-    IntegralResult scaled by (2 pi)^(-1/2); at z = 0 it is the exact 2^(-len(mus))
-    with no evaluations.
+    For real z > 0 this is the plain real-axis integral.  Elsewhere it is
+    evaluated on the boundary ray 1 - i (upper branch, Im z >= 0), or on
+    1 + i (lower branch, Im z <= 0) if use_lower_branch is set; on the cut
+    the ray picks the root of z (see RayIntegralProblem.branch_sqrt_z).  The
+    inputs are validated by RayIntegralProblem, which raises NearPoleError
+    within 1e-8 of the excluded points z = -1/mu_j^2.  Returns the ray
+    integral's IntegralResult scaled by (2 pi)^(-1/2); at z = 0 it is the
+    exact 2^(-len(mus)) with no evaluations.
     """
     z = complex(z)
-    omega = 1.0 if z.imag == 0 and z.real > 0 else _canonical_omega(half_plane)
-    p = RayIntegralProblem(mus, z, omega, half_plane)
+    omega = (1.0 if z.imag == 0 and z.real > 0 else
+             1 + 1j if use_lower_branch else 1 - 1j)
+    p = RayIntegralProblem(mus, z, omega)
     if z == 0:
         return IntegralResult(complex(2.0 ** (-len(p.mus))), 1e-16, 0)
     r = ray_integral(p, tol)
@@ -123,12 +124,12 @@ def volume(req):
             f"kappa must be >= kappa0 = {k0:.12g} for this simplex; got {kappa}")
     kappa = max(kappa, k0)  # clamp rounding right at the boundary
     z = kappa - params.s
-    hp = HalfPlane.LOWER if req.use_lower_branch else HalfPlane.UPPER
-    tr = orthant_probability(params.multipliers(), z, _quad_tol(req.tolerance), hp)
+    tr = orthant_probability(params.multipliers(), z, _quad_tol(req.tolerance),
+                             req.use_lower_branch)
     area = sphere_surface_area(d)
     norm = abs(kappa) ** (d / 2.0)
     # i^d on the upper branch and (-i)^d on the lower one, for kappa < 0 only
-    ipow = 1 if kappa > 0 else _I_POW[(d if hp is HalfPlane.UPPER else -d) % 4]
+    ipow = 1 if kappa > 0 else _I_POW[(-d if req.use_lower_branch else d) % 4]
     c = area * tr.value / (ipow * norm)
     scale = area / norm
     branch = (Branch.REAL_AXIS if z >= 0 else

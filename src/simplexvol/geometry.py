@@ -10,6 +10,7 @@ special case.  All functions here are pure and exact up to rounding.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,14 +81,15 @@ def side_length(params, j, k, kappa):
 def regular_parameters(d, side_length, kappa=-1.0):
     """Equal orthocentric parameters of the regular d-simplex of the given side.
 
-    The one place the inputs of a regular simplex are checked: d >= 2,
+    The one place the inputs of a regular simplex are checked: d an integer
+    >= 2 (numbers.Integral, so NumPy integers pass and 2.7 does not),
     side_length > 0 (inf = ideal; NaN fails the comparison) and kappa finite
     and negative.  For ell = inf (or cosh overflow) the ideal limit
     tau^2 = -kappa*d/(d+1) is used directly.
     """
+    if not isinstance(d, numbers.Integral) or d < 2:
+        raise GeometryDomainError(f"dimension must be an integer >= 2; got {d!r}")
     d, side_length, kappa = int(d), float(side_length), float(kappa)
-    if d < 2:
-        raise GeometryDomainError("dimension must be >= 2")
     if not side_length > 0:
         raise GeometryDomainError("side length must be positive (inf = ideal)")
     if kappa >= 0 or not math.isfinite(kappa):

@@ -50,15 +50,16 @@ def _apply_rule(f, lo, hi):
     return k15, np.abs(k15 - g7), x.size
 
 
-def adaptive_gk(f, edges, abs_tol, rel_tol=0.0, max_panels=512):
+def adaptive_gk(f, edges, tol, max_panels=512):
     """Integrate f componentwise over the interval that the grid edges spans.
 
     edges is the initial panel grid, from its first entry to its last: a
     decreasing grid gives the negated integral, and a grid whose points all
     coincide gives 0.  f maps a flat node array (n,) to values (n,) or
-    (m, n).  Returns (values (m,), error_estimates (m,), n_evaluations).
-    Raises ToleranceError (carrying the best result) if max_panels is
-    exhausted.
+    (m, n).  A pass ends once every component's error estimate is at most
+    tol * max(1, |I|), which is absolute below |I| = 1 and relative above.
+    Returns (values (m,), error_estimates (m,), n_evaluations).  Raises
+    ToleranceError (carrying the best result) if max_panels is exhausted.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1].copy(), edges[1:].copy()
@@ -67,8 +68,8 @@ def adaptive_gk(f, edges, abs_tol, rel_tol=0.0, max_panels=512):
     while True:
         total = vals.sum(axis=1)
         toterr = errs.sum(axis=1)
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-        bad = toterr > tol
+        target = tol * np.maximum(1.0, np.abs(total))
+        bad = toterr > target
         if not np.any(bad):
             return total, toterr, neval
         if lo.size >= max_panels:
@@ -76,7 +77,7 @@ def adaptive_gk(f, edges, abs_tol, rel_tol=0.0, max_panels=512):
                 f"quadrature tolerance not met with {lo.size} panels",
                 result=(total, toterr, neval))
         # split every panel whose worst normalized error share is significant
-        score = (errs[bad] / tol[bad, None]).max(axis=0)
+        score = (errs[bad] / target[bad, None]).max(axis=0)
         split = score > 0.5 / lo.size
         if not np.any(split):
             split = score >= score.max()

@@ -33,8 +33,7 @@ import cmath
 import collections
 import itertools
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfcx
@@ -46,7 +45,7 @@ from .quadrature import adaptive_gk, oscillation_edges
 #: where boundary-ray integrals split into head and stabilized tail
 SPLIT_A = 4.0
 
-#: default absolute and relative quadrature tolerance
+#: default quadrature tolerance (see adaptive_gk)
 DEFAULT_TOL = 1e-12
 
 _MAX_PANELS = 512
@@ -61,20 +60,19 @@ _POLE_GUARD = 1e-8
 _BLOCK_ROWS = 256
 
 
-class HalfPlane(Enum):
-    UPPER = "upper"
-    LOWER = "lower"
-
-
 @dataclass(frozen=True)
 class RayIntegralProblem:
     """One ray integral of the sum of both CDF products (see module doc):
-    multipliers, evaluation point, ray direction, branch."""
+    multipliers, evaluation point and ray direction.
+
+    The ray also carries the branch: a boundary ray, |arg(omega)| = pi/4
+    within _ARG_TOL, is normalised to exactly 1 - i or 1 + i, and it must not
+    face z across the real axis (Im z * Im omega > 0 raises ValueError).
+    """
 
     mus: tuple
     z: complex
     omega: complex
-    half_plane: HalfPlane = HalfPlane.UPPER
 
     def __post_init__(self):
         mus = tuple(float(m) for m in self.mus)
@@ -85,21 +83,28 @@ class RayIntegralProblem:
             raise ValueError("mus must be a nonempty tuple of nonzero reals")
         if self.omega == 0 or abs(cmath.phase(self.omega)) > math.pi / 4 + _ARG_TOL:
             raise ValueError("omega must satisfy 0 < |arg(omega)| <= pi/4")
-        if self.half_plane is HalfPlane.UPPER and self.z.imag < 0:
-            raise ValueError("upper half-plane problems require Im z >= 0")
-        if self.half_plane is HalfPlane.LOWER and self.z.imag > 0:
-            raise ValueError("lower half-plane problems require Im z <= 0")
+        if self.on_boundary():
+            object.__setattr__(self, "omega", 1 + 1j if self.omega.imag > 0 else 1 - 1j)
+            if self.z.imag * self.omega.imag > 0:
+                raise ValueError("the boundary ray 1 - i needs Im z >= 0, and 1 + i "
+                                 "needs Im z <= 0")
         for m in mus:
             if abs(1.0 + m * m * self.z) < _POLE_GUARD:
                 raise NearPoleError(
                     f"1 + mu^2 z vanishes to within {_POLE_GUARD:g}: z is numerically "
                     f"at the excluded pole -1/mu^2 for mu={m}")
 
+    def on_boundary(self):
+        """Whether omega is a boundary ray, |arg(omega)| = pi/4."""
+        return abs(abs(cmath.phase(self.omega)) - math.pi / 4) <= _ARG_TOL
+
     def branch_sqrt_z(self):
-        """sqrt(z) = sqrt(r) e^{i theta/2} with theta in [0, pi] for UPPER, so
-        sqrt(-r) = +i sqrt(r) whatever the sign of a zero Im z; LOWER mirrors it."""
+        """The principal sqrt(z), except on the cut (Im z = 0 of either sign,
+        Re z < 0), where the ray picks the root: +i sqrt(r) for 1 - i and
+        -i sqrt(r) for 1 + i."""
         root = cmath.sqrt(complex(self.z.real, abs(self.z.imag)))
-        return root if self.half_plane is HalfPlane.UPPER else root.conjugate()
+        below = self.z.imag < 0 or (self.z.imag == 0 and self.omega.imag > 0)
+        return root.conjugate() if below else root
 
 
 @dataclass(frozen=True)
@@ -110,10 +115,6 @@ class IntegralResult:
     value: complex
     abs_error_estimate: float
     evaluations: int
-
-
-def _canonical_omega(half_plane):
-    return 1 - 1j if half_plane is HalfPlane.UPPER else 1 + 1j
 
 
 def _segment(p, L, tol, min_panels):
@@ -134,7 +135,7 @@ def _segment(p, L, tol, min_panels):
 
     edges = oscillation_edges(L, abs(om2.imag), min_panels=min_panels)
     # the oscillation-paced initial grid must be allowed to refine locally
-    vals, errs, neval = adaptive_gk(f, edges, abs_tol=tol, rel_tol=tol,
+    vals, errs, neval = adaptive_gk(f, edges, tol,
                                     max_panels=max(_MAX_PANELS, 3 * len(edges)))
     return complex(vals[0]), float(errs[0]) + 2 * len(cs) * L * 2e-15, neval
 
@@ -155,9 +156,9 @@ def head_integral(p, A, tol=DEFAULT_TOL):
 def tail_product_integral(mus, sqz, omega, X, tol=DEFAULT_TOL):
     """The whole tail of one ray beyond x = X, in one pass.
 
-    Requires X > 0, sqz the branch square root of z and omega the canonical
-    boundary ray of its half plane, so that |arg(s_j c_j)| <= pi/4 below.
-    In x = y^2 the tail is
+    Requires X > 0, omega the boundary ray 1 - i or 1 + i and sqz the root of
+    z that this ray picks (RayIntegralProblem.branch_sqrt_z), so that
+    |arg(s_j c_j)| <= pi/4 below.  In x = y^2 the tail is
 
         (omega/2) int_X^inf x^(-1/2) exp(-gamma_0 x)
                   [prod_j N(c_j sqrt(x)) + prod_j N(-c_j sqrt(x))] dx,
@@ -260,20 +261,19 @@ def tail_product_integral(mus, sqz, omega, X, tol=DEFAULT_TOL):
             out[1] += apref[rows] @ np.abs(term)
         return out
 
-    vals, errs, neval = adaptive_gk(f, edges, abs_tol=tol / 4, rel_tol=tol / 4,
-                                    max_panels=1024)
+    vals, errs, neval = adaptive_gk(f, edges, tol / 4, max_panels=1024)
     return complex(vals[0]), float(errs[0]) + abs(vals[1]), neval
 
 
 def ibp_tail(p, A, tol=DEFAULT_TOL):
-    """Everything beyond y = A: the composition sum of tail_product_integral."""
-    omega = _canonical_omega(p.half_plane)
-    if abs(cmath.phase(p.omega) - cmath.phase(omega)) > _ARG_TOL:
-        raise SectorError("stabilized tail requires arg(omega) = -pi/4 (upper) "
-                          "or +pi/4 (lower)")
+    """Everything beyond y = A on a boundary ray: the composition sum of
+    tail_product_integral.  Raises SectorError on an interior ray."""
+    if not p.on_boundary():
+        raise SectorError("the stabilized tail requires a boundary ray, "
+                          "arg(omega) = -pi/4 or +pi/4")
     if A <= 0:
         raise ValueError("the stabilized tail requires a split point A > 0")
-    return IntegralResult(*tail_product_integral(p.mus, p.branch_sqrt_z(), omega,
+    return IntegralResult(*tail_product_integral(p.mus, p.branch_sqrt_z(), p.omega,
                                                  A * A, tol))
 
 
@@ -283,13 +283,11 @@ def ibp_tail(p, A, tol=DEFAULT_TOL):
 
 def ray_integral(p, tol=DEFAULT_TOL):
     """The improper ray integral of the sum of both CDF products, via the path
-    appropriate for arg(omega): the direct segment on an interior ray, head
-    and composition-sum tail on a boundary ray."""
-    th = cmath.phase(p.omega)
-    if abs(abs(th) - math.pi / 4) <= _ARG_TOL:
-        # ibp_tail raises SectorError if omega is the other half plane's ray
-        head = head_integral(replace(p, omega=_canonical_omega(p.half_plane)),
-                             SPLIT_A, tol)
+    that p.on_boundary() picks: head and composition-sum tail on a boundary
+    ray, the direct segment on an interior ray, which raises SectorError
+    when the CDF arguments leave the bounded sectors (z on the cut, say)."""
+    if p.on_boundary():
+        head = head_integral(p, SPLIT_A, tol)
         tail = ibp_tail(p, SPLIT_A, tol)
         return IntegralResult(head.value + tail.value,
                               head.abs_error_estimate + tail.abs_error_estimate,

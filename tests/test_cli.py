@@ -47,9 +47,9 @@ def test_volume_rejects_kappa_below_bound_citing_it():
 
 
 def test_volume_requires_exactly_one_geometry():
-    r = run_cli("volume", "--ideal", "2", "--regular", "3", "--ell", "1",
-                "--kappa", "-1")
-    assert r.returncode == 2
+    for args in (["--ideal", "2", "--regular", "3", "--ell", "1"], []):
+        r = run_cli("volume", *args, "--kappa", "-1")
+        assert r.returncode == 2
 
 
 def test_volume_text_format_carries_error_estimate():
@@ -210,7 +210,10 @@ def test_sweep_rejects_nan_side_length(tmp_path, capsys):
     ["--d", "2", "--ell-grid", "0,1"],
     ["--d", "2", "--ell-grid", "1,2", "--kappa", "1"],
     ["--d", "1", "--ell-grid", "1,2"],
-], ids=["nan-range", "minus-inf", "zero", "positive-kappa", "d1"])
+    ["--d", "1", "--ell-grid", ""],
+    ["--d", "2", "--ell-grid", "", "--kappa", "5"],
+], ids=["nan-range", "minus-inf", "zero", "positive-kappa", "d1", "d1-empty-grid",
+        "positive-kappa-empty-grid"])
 def test_sweep_checks_whole_grid_before_any_row(tmp_path, capsys, args):
     # one bad value rejects the sweep with exit 2 before a row is computed
     out = tmp_path / "s.csv"

@@ -17,7 +17,6 @@ from simplexvol.geometry import (
     regular_parameters,
 )
 from simplexvol.oracles import direct_klein_volume
-from simplexvol.rayquad import HalfPlane
 from simplexvol import _hp
 from simplexvol._hp import ideal_volume_highprec
 
@@ -54,8 +53,8 @@ def test_transform_vanishes_at_minus_s():
 
 def test_transform_real_and_equal_across_branches_for_positive_z():
     mus = (0.4, 0.9, 1.3)
-    up = orthant_probability(mus, 2.0, half_plane=HalfPlane.UPPER)
-    lo = orthant_probability(mus, 2.0, half_plane=HalfPlane.LOWER)
+    up = orthant_probability(mus, 2.0, use_lower_branch=False)
+    lo = orthant_probability(mus, 2.0, use_lower_branch=True)
     assert abs(up.value.imag) < 1e-12
     assert abs(up.value - lo.value) < 1e-12
 
@@ -72,8 +71,8 @@ def test_transform_increases_to_one_half():
 def test_transform_conjugation_between_branches():
     mus = (0.7, 1.1)
     z = 0.8 + 1.3j
-    up = orthant_probability(mus, z, half_plane=HalfPlane.UPPER)
-    lo = orthant_probability(mus, np.conj(z), half_plane=HalfPlane.LOWER)
+    up = orthant_probability(mus, z, use_lower_branch=False)
+    lo = orthant_probability(mus, np.conj(z), use_lower_branch=True)
     assert abs(up.value - np.conj(lo.value)) < 1e-10
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from simplexvol.engine import regular_volume
 from simplexvol.errors import GeometryDomainError
 from simplexvol.geometry import (
     OrthocentricParams, euclidean_volume, min_curvature, realize_vertices,
@@ -82,6 +83,15 @@ def test_regular_parameters_ideal_limit():
 
 def test_regular_parameters_small_side_blows_up():
     assert regular_parameters(3, 1e-8, -1.0).taus[0] > 1e7
+
+
+def test_regular_parameters_needs_an_integer_dimension():
+    # a fractional d is rejected, not truncated; NumPy integers are integers
+    with pytest.raises(GeometryDomainError):
+        regular_parameters(2.7, 1.0, -1.0)
+    with pytest.raises(GeometryDomainError):
+        regular_volume(2.7, 1.0)
+    assert repr(regular_volume(np.int64(3), 1.0)) == repr(regular_volume(3, 1.0))
 
 
 def _coupling(d, ell, kappa):

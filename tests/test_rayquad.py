@@ -13,10 +13,10 @@ from simplexvol.geometry import (
     OrthocentricParams, min_curvature, regular_parameters,
 )
 from simplexvol.rayquad import (
-    SPLIT_A, HalfPlane, RayIntegralProblem, head_integral, ibp_tail, ray_integral,
+    SPLIT_A, RayIntegralProblem, head_integral, ibp_tail, ray_integral,
 )
 
-BOUNDARY_RAYS = [(1 - 1j, HalfPlane.UPPER), (1 + 1j, HalfPlane.LOWER)]
+BOUNDARY_RAYS = [1 - 1j, 1 + 1j]
 
 # N(x) + N(-x) = 1, so int_0^inf (N(x) + N(-x)) e^{-x^2/2} dx = sqrt(2 pi) / 2
 D0_RAY_VALUE = SQRT_2PI / 2
@@ -44,8 +44,8 @@ def test_equal_factor_ray_closed_form():
     # = sqrt(2 pi) / (m+1): the chance that the largest of m+1 iid normals is
     # a given one; on the real ray and on both boundary rays
     for m in range(1, 6):
-        for om, hp in [(1.0, HalfPlane.UPPER)] + BOUNDARY_RAYS:
-            r = ray_integral(RayIntegralProblem((1.0,) * m, 1.0, om, hp))
+        for om in [1.0] + BOUNDARY_RAYS:
+            r = ray_integral(RayIntegralProblem((1.0,) * m, 1.0, om))
             assert abs(r.value - SQRT_2PI / (m + 1)) <= r.abs_error_estimate
             assert r.abs_error_estimate < 1e-12
 
@@ -60,9 +60,8 @@ def test_interior_ray_matches_real_ray():
 
 def test_rotation_invariance_three_factors():
     results = []
-    for om, hp in [(1.0, HalfPlane.UPPER), (np.exp(1j * np.pi / 8), HalfPlane.UPPER),
-                   (1 - 1j, HalfPlane.UPPER), (1 + 1j, HalfPlane.LOWER)]:
-        p = RayIntegralProblem((1.0, 1.0, 1.0), 4.0, om, hp)
+    for om in [1.0, np.exp(1j * np.pi / 8), 1 - 1j, 1 + 1j]:
+        p = RayIntegralProblem((1.0, 1.0, 1.0), 4.0, om)
         results.append(ray_integral(p))
     for a in results:
         for b in results:
@@ -73,17 +72,25 @@ def test_rotation_invariance_three_factors():
 
 
 def test_real_positive_z_gives_real_value():
-    for om, hp in [(1 - 1j, HalfPlane.UPPER), (1 + 1j, HalfPlane.LOWER)]:
-        r = ray_integral(RayIntegralProblem((0.6, 1.1, 1.7), 2.5, om, hp))
+    for om in BOUNDARY_RAYS:
+        r = ray_integral(RayIntegralProblem((0.6, 1.1, 1.7), 2.5, om))
         assert abs(r.value.imag) < 1e-10
 
 
 def test_conjugation_between_half_planes():
-    z = 1.5 + 0.8j
-    ru = ray_integral(RayIntegralProblem((0.7, 1.3), z, 1 - 1j, HalfPlane.UPPER))
-    rl = ray_integral(RayIntegralProblem((0.7, 1.3), np.conj(z), 1 + 1j,
-                                         HalfPlane.LOWER))
-    assert abs(ru.value - np.conj(rl.value)) < 1e-10
+    # the ray 1 + i at conj(z) is the mirror image of the ray 1 - i at z, on
+    # the cut too, where each ray picks its own side (Im z = +0 and -0 alike)
+    rng = np.random.default_rng(13)
+    for i in range(20):
+        mus = tuple(rng.uniform(0.3, 2.0, int(rng.integers(1, 5))))
+        if i % 2:
+            z = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.0, 3.0))
+        else:
+            z = complex(rng.uniform(-3.0, -0.1), rng.choice([0.0, -0.0]))
+        ru = ray_integral(RayIntegralProblem(mus, z, 1 - 1j))
+        rl = ray_integral(RayIntegralProblem(mus, z.conjugate(), 1 + 1j))
+        assert abs(ru.value - rl.value.conjugate()) <= (ru.abs_error_estimate
+                                                        + rl.abs_error_estimate)
 
 
 def _split_point_gap(p, A, B):
@@ -116,8 +123,8 @@ def test_split_point_invariance_large_A():
 def test_boundary_ray_at_z_zero():
     # every factor is N(0) = 1/2, so the integral is 2^(1-m) int_0^inf e^{-t^2/2} dt
     for m in range(1, 6):
-        for om, hp in BOUNDARY_RAYS:
-            r = ray_integral(RayIntegralProblem((1.0,) * m, 0.0, om, hp))
+        for om in BOUNDARY_RAYS:
+            r = ray_integral(RayIntegralProblem((1.0,) * m, 0.0, om))
             assert abs(r.value - 2.0 ** -m * SQRT_2PI) <= r.abs_error_estimate
             assert r.abs_error_estimate < 1e-12
 
@@ -147,36 +154,36 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         RayIntegralProblem((1.0,), 1.0, 1j)  # arg = pi/2 > pi/4
     with pytest.raises(ValueError):
-        RayIntegralProblem((1.0,), -1j, 1 - 1j, HalfPlane.UPPER)  # Im z < 0
+        RayIntegralProblem((1.0,), -1j, 1 - 1j)  # Im z < 0
 
 
 def test_branch_sqrt_half_plane_convention():
-    def root(z, hp):
-        return RayIntegralProblem((1.0,), z, 1.0, hp).branch_sqrt_z()
+    def root(z, om):
+        return RayIntegralProblem((1.0,), z, om).branch_sqrt_z()
 
-    # the cut: +i sqrt(r) above, -i sqrt(r) below, whatever the sign of Im z = 0
+    # the cut: the ray 1 - i takes +i sqrt(r) and 1 + i takes -i sqrt(r),
+    # whatever the sign of Im z = 0
     for im in (0.0, -0.0):
-        assert root(complex(-4.0, im), HalfPlane.UPPER) == pytest.approx(2j, abs=1e-15)
-        assert root(complex(-4.0, im), HalfPlane.LOWER) == pytest.approx(-2j, abs=1e-15)
-    for hp in HalfPlane:
-        assert root(0j, hp) == 0
+        assert root(complex(-4.0, im), 1 - 1j) == pytest.approx(2j, abs=1e-15)
+        assert root(complex(-4.0, im), 1 + 1j) == pytest.approx(-2j, abs=1e-15)
+    for om in BOUNDARY_RAYS:
+        assert root(0j, om) == 0
     rng = np.random.default_rng(3)
-    for hp, (lo, hi) in [(HalfPlane.UPPER, (0.0, math.pi)),
-                         (HalfPlane.LOWER, (-math.pi, 0.0))]:
+    for om, (lo, hi) in [(1 - 1j, (0.0, math.pi)), (1 + 1j, (-math.pi, 0.0))]:
         for r, th in zip(rng.uniform(0.1, 10.0, 20), rng.uniform(lo, hi, 20)):
             want = math.sqrt(r) * np.exp(0.5j * th)
-            assert root(r * np.exp(1j * th), hp) == pytest.approx(want, rel=1e-14)
+            assert root(r * np.exp(1j * th), om) == pytest.approx(want, rel=1e-14)
 
 
 def test_half_plane_omega_mismatch():
-    p = RayIntegralProblem((1.0,), 1.0 + 1j, 1 + 1j, HalfPlane.UPPER)
-    with pytest.raises(SectorError):
-        ray_integral(p)
+    # the boundary ray 1 + i faces an upper-half-plane z across the real axis
+    with pytest.raises(ValueError):
+        RayIntegralProblem((1.0,), 1.0 + 1j, 1 + 1j)
 
 
 def test_interior_ray_sector_guard():
     # complex z pushes the CDF arguments outside the bounded sectors
-    p = RayIntegralProblem((1.0,), 4j, np.exp(1j * np.pi / 8), HalfPlane.UPPER)
+    p = RayIntegralProblem((1.0,), 4j, np.exp(1j * np.pi / 8))
     with pytest.raises(SectorError):
         ray_integral(p)
 
@@ -233,8 +240,8 @@ def test_split_point_invariance_hyperbolic_rays():
     # real z < 0, as every hyperbolic volume has, on both half planes; the two
     # splits see different tail rates X |g_n|, rotations and truncation points
     for params, z, A, B in _hyperbolic_rays():
-        for om, hp in BOUNDARY_RAYS:
-            p = RayIntegralProblem(params.multipliers(), z, om, hp)
+        for om in BOUNDARY_RAYS:
+            p = RayIntegralProblem(params.multipliers(), z, om)
             gap, bars = _split_point_gap(p, A, B)
             assert gap <= bars
             assert gap < 1e-10
