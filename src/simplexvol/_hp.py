@@ -12,13 +12,14 @@ keeps the tail expansion linear in d.
 import functools
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, mpf_cos_sin, to_fixed
+from mpmath.libmp import NoConvergence, from_man_exp, mpf_cos_sin, to_fixed
 
 _DPS = 40   # working precision in decimal digits
 _NSER = 30  # terms of the tail's binomial series
-_GUARD_BITS = 20  # extra precision of the gamma ladder's recurrence
+_GUARD_BITS = 20  # extra precision of the gamma ladder's fraction and recurrence
 _HEAD_GUARD_BITS = 40  # fixed-point bits of the head kernel beyond the working precision
-_MAX_TAYLOR_TERMS = 400  # the erf series on a panel needs under 100
+_MAX_TAYLOR_TERMS = 400  # the erf and phase series on a twin panel need under 100
+_MAX_CF_TERMS = 400  # the twin's continued fractions for Gamma(a, w) need 13-55 steps
 
 
 @functools.lru_cache(maxsize=None)
@@ -32,13 +33,17 @@ def _gl_nodes(prec):
 @functools.lru_cache(maxsize=None)
 def _fixed_nodes(prec):
     """The _gl_nodes rule in fixed point with prec + _HEAD_GUARD_BITS
-    fractional bits: one (x, x^2, w) triple per node pair +-x."""
+    fractional bits: one (x, x^2, w, cos(pi x/2), sin(pi x/2)) tuple per
+    node pair +-x."""
     W = prec + _HEAD_GUARD_BITS
     table = []
-    for x, w in _gl_nodes(prec):
-        if x > 0:
-            xf = to_fixed(x._mpf_, W)
-            table.append((xf, xf * xf >> W, to_fixed(w._mpf_, W)))
+    with mp.workprec(W):
+        for x, w in _gl_nodes(prec):
+            if x > 0:
+                xf = to_fixed(x._mpf_, W)
+                table.append((xf, xf * xf >> W, to_fixed(w._mpf_, W),
+                              to_fixed(mp.cospi(x / 2)._mpf_, W),
+                              to_fixed(mp.sinpi(x / 2)._mpf_, W)))
     return tuple(table)
 
 
@@ -46,6 +51,35 @@ def _tdiv(a, b):
     """a / b rounded toward zero for b > 0; floor division would leave a
     decaying negative sequence standing at -1."""
     return a // b if a >= 0 else -(-a // b)
+
+
+def _taylor_terms(al, be, W):
+    """[t_0, t_1, ...] up to the last nonzero term of t_0 = 1, t_-1 = 0,
+    t_(n+1) = -i (al t_n + be t_(n-1))/(n+1), with real al, be; all values
+    are (re, im) pairs in fixed point with W fractional bits."""
+    terms = []
+    ur, ui, vr, vi = 1 << W, 0, 0, 0  # t_(n-1) and t_(n-2)
+    for n in range(1, _MAX_TAYLOR_TERMS):
+        den = n << W
+        sr, si = al * ur + be * vr, al * ui + be * vi
+        nr, ni = _tdiv(si, den), _tdiv(-sr, den)
+        if not (ur or ui or nr or ni):
+            return terms  # t_(n-1) = t_n = 0, so every later term is zero
+        terms.append((ur, ui))
+        ur, ui, vr, vi = nr, ni, ur, ui
+    raise NoConvergence("Taylor series did not terminate")
+
+
+def _horner_pm(coefs, xf, sf, W):
+    """The even and odd parts at x of the series sum_k coefs[k] x^k, so that
+    its values at +-x are even +- odd; sf = x^2, all in fixed point."""
+    er = ei = 0
+    for cr, ci in reversed(coefs[::2]):
+        er, ei = (er * sf >> W) + cr, (ei * sf >> W) + ci
+    orr = oi = 0
+    for cr, ci in reversed(coefs[1::2]):
+        orr, oi = (orr * sf >> W) + cr, (oi * sf >> W) + ci
+    return er, ei, orr * xf >> W, oi * xf >> W
 
 
 def _fixed_cpow(re, im, n, W):
@@ -66,14 +100,24 @@ def _head(d, edges):
     _gl_nodes rule for int_a^b (p^(d+1) + (1 - p)^(d+1)) e^(i y^2) dy, where
     p = N(c y) = (1 + erf(z))/2 with z = (1 + i) y/sqrt(2 d).
 
-    On a panel with midpoint m and half-width h, z = z0 + rho x with
-    z0 = (1 + i) m/sqrt(2 d), rho = (1 + i) h/sqrt(2 d) and the node variable
-    x in [-1, 1].  One mp.erf call gives erf(z0); the nodes take the Taylor
-    series erf(z0 + rho x) = erf(z0) + (2/sqrt(pi)) e^(-z0^2) rho
-    sum_k (-1)^(k-1) u_(k-1) x^k/k, where u_n = H_n(z0) rho^n/n! follows the
-    scaled Hermite recurrence u_(n+1) = (2 z0 rho u_n - 2 rho^2 u_(n-1))/(n+1)
-    and e^(-z0^2) = e^(-i m^2/d).  The series, the powers and the node sum
-    run in integers scaled by 2^W, W = prec + _HEAD_GUARD_BITS.
+    On a panel with midpoint m and half-width h, y = m + h x with the node
+    variable x in [-1, 1], so z = z0 + rho x with z0 = (1 + i) m/sqrt(2 d)
+    and rho = (1 + i) h/sqrt(2 d).  One mp.erf call gives erf(z0); the nodes
+    take the Taylor series erf(z0 + rho x) = erf(z0) + (2/sqrt(pi))
+    e^(-z0^2) rho sum_k (-1)^(k-1) u_(k-1) x^k/k, where u_n = H_n(z0)
+    rho^n/n! follows the scaled Hermite recurrence
+    u_(n+1) = (2 z0 rho u_n - 2 rho^2 u_(n-1))/(n+1) and
+    e^(-z0^2) = e^(-i m^2/d).
+
+    The phase splits as e^(i y^2) = e^(i m^2) e^(i pi x/2) e^(i (delta x +
+    h^2 x^2)) with delta = 2 m h - pi/2: one cos/sin call per panel for
+    e^(i m^2), a cached table for e^(i pi x/2), and for the last factor the
+    Taylor series sum_n q_n x^n with q_(n+1) = i (delta q_n + 2 h^2
+    q_(n-1))/(n+1).  On the twin's half-oscillation panels delta = 0, but
+    the series runs until its terms vanish, so any edges are exact; its
+    terms peak near e^|delta|, so the panels should stay short.  The
+    series, the powers and the node sum run in integers scaled by 2^W,
+    W = prec + _HEAD_GUARD_BITS.
     """
     prec = mp.mp.prec
     W = prec + _HEAD_GUARD_BITS
@@ -86,6 +130,7 @@ def _head(d, edges):
 
         scale = 1 / mp.sqrt(2 * d)
         rsqpi = 1 / mp.sqrt(mp.pi)
+        quarter = fx(mp.pi / 2)
         for a, b in zip(edges[:-1], edges[1:]):
             mid, half = (a + b) / 2, (b - a) / 2
             t, r = mid * scale, half * scale  # z0 = (1 + i) t, rho = (1 + i) r
@@ -94,48 +139,40 @@ def _head(d, edges):
             g = mp.expj(-mid * mid / d) * mp.mpc(r, r) * rsqpi
             gr, gi = fx(g.real), fx(g.imag)
             # 2 z0 rho = i al and 2 rho^2 = i be with real al, be; the
-            # recurrence below carries v_n = (-1)^n u_n, so
+            # series carries v_n = (-1)^n u_n, so
             # v_(n+1) = -i (al v_n + be v_(n-1))/(n+1)
             al, be = fx(2 * mid * half / d), fx(2 * half * half / d)
-            coefs = [((one + fx(e0.real)) >> 1, fx(e0.imag) >> 1)]
-            ur, ui, vr, vi = one, 0, 0, 0  # v_(k-1) and v_(k-2)
-            for k in range(1, _MAX_TAYLOR_TERMS):
+            cdf = [((one + fx(e0.real)) >> 1, fx(e0.imag) >> 1)]
+            for k, (ur, ui) in enumerate(_taylor_terms(al, be, W), 1):
                 den = k << W
-                sr, si = al * ur + be * vr, al * ui + be * vi
-                nr, ni = _tdiv(si, den), _tdiv(-sr, den)
-                if not (ur or ui or nr or ni):
-                    break  # v_(k-1) = v_k = 0, so every later term is zero
-                coefs.append(((gr * ur - gi * ui) // den, (gr * ui + gi * ur) // den))
-                ur, ui, vr, vi = nr, ni, ur, ui
-            else:
-                raise mp.NoConvergence("erf Taylor series did not terminate")
-            even, odd = coefs[::2][::-1], coefs[1::2][::-1]
+                cdf.append(((gr * ur - gi * ui) // den, (gr * ui + gi * ur) // den))
 
+            # the phase series: q_(n+1) = -i (-delta q_n - 2 h^2 q_(n-1))/(n+1)
             mf, hf = fx(mid), fx(half)
+            delta = (mf * hf >> (W - 1)) - quarter
+            phase = _taylor_terms(-delta, -(hf * hf >> (W - 1)), W)
             panel_re = panel_im = 0
-            for xf, sf, wf in nodes:
-                er = ei = 0
-                for cr, ci in even:
-                    er, ei = (er * sf >> W) + cr, (ei * sf >> W) + ci
-                orr = oi = 0
-                for cr, ci in odd:
-                    orr, oi = (orr * sf >> W) + cr, (oi * sf >> W) + ci
-                orr, oi = orr * xf >> W, oi * xf >> W
-                hx = hf * xf >> W
+            for xf, sf, wf, cq, sq in nodes:
+                er, ei, orr, oi = _horner_pm(cdf, xf, sf, W)
+                qer, qei, qor, qoi = _horner_pm(phase, xf, sf, W)
                 pair_re = pair_im = 0
-                for p_re, p_im, y in ((er + orr, ei + oi, mf + hx),
-                                      (er - orr, ei - oi, mf - hx)):
+                # at -x both series flip their odd parts and e^(i pi x/2)
+                # becomes its conjugate
+                for p_re, p_im, q_re, q_im, s in (
+                        (er + orr, ei + oi, qer + qor, qei + qoi, sq),
+                        (er - orr, ei - oi, qer - qor, qei - qoi, -sq)):
                     ar, ai = _fixed_cpow(p_re, p_im, d + 1, W)
                     br, bi = _fixed_cpow(one - p_re, -p_im, d + 1, W)
                     fr, fi = ar + br, ai + bi
-                    cos, sin = mpf_cos_sin(from_man_exp(y * y, -2 * W), W)
-                    cy, sy = to_fixed(cos, W), to_fixed(sin, W)
+                    cy, sy = (cq * q_re - s * q_im) >> W, (cq * q_im + s * q_re) >> W
                     pair_re += fr * cy - fi * sy
                     pair_im += fr * sy + fi * cy
                 panel_re += wf * pair_re
                 panel_im += wf * pair_im
-            head_re += panel_re * hf >> 3 * W
-            head_im += panel_im * hf >> 3 * W
+            cos, sin = mpf_cos_sin(from_man_exp(mf * mf, -2 * W), W)
+            cm, sm = to_fixed(cos, W), to_fixed(sin, W)
+            head_re += (panel_re * cm - panel_im * sm) * hf >> 4 * W
+            head_im += (panel_re * sm + panel_im * cm) * hf >> 4 * W
     return mp.mpc(mp.mpf((head_re, -W)), mp.mpf((head_im, -W)))
 
 
@@ -157,18 +194,43 @@ def _poly_mul(a, b, maxlen):
     return out
 
 
+def _upper_gamma_cf(a, w):
+    """Gamma(a, w) / (w^a e^-w) by Legendre's continued fraction (DLMF
+    8.9.2) in its even contraction 1/(w + 1 - a - 1 (1 - a)/(w + 3 - a -
+    2 (2 - a)/(w + 5 - a - ...))), evaluated forward with Lentz's algorithm
+    until a step changes it by less than the working precision.  It
+    converges for w off the negative real axis, fastest when |w| is large
+    against |a|."""
+    b = w + 1 - a
+    g = c = b
+    dd = 0
+    for j in range(1, _MAX_CF_TERMS):
+        an = -j * (j - a)
+        b += 2
+        dd = 1 / (b + an * dd)
+        c = b + an / c
+        step = c * dd
+        g *= step
+        if abs(step - 1) <= mp.eps:
+            return 1 / g
+    raise NoConvergence("continued fraction for Gamma(a, w) did not converge")
+
+
 def _gamma_ladder(Q, A, m0, count):
     """[G(m0), G(m0 + 2), ..., G(m0 + 2 (count - 1))] with
     G(m) = int_A^inf y^-m exp(-Q y^2/2) dy.
 
     G(m) = A^(1 - m)/(m - 1) at Q = 0; otherwise
     G(m) = (2/Q)^a Gamma(a, w) / 2 with a = (1 - m)/2 and
-    w = Q A^2/2, on mpmath's principal branch.  One gammainc call gives the
-    most negative order; the others follow from the upward recurrence
+    w = Q A^2/2, on mpmath's principal branch.  Legendre's continued
+    fraction (_upper_gamma_cf) gives the most negative order; the others
+    follow from the upward recurrence
     Gamma(a + 1, w) = a Gamma(a, w) + w^a e^-w, which scales an error in
     Gamma(a, w) by about |a/w| per step, below 1 while |a| < |w|.  The
-    recurrence runs with guard bits, so each Gamma(a, w) is rounded once to
-    the working precision, as a direct gammainc call would be.
+    fraction and the recurrence run with guard bits, so each Gamma(a, w) is
+    rounded once to the working precision, as a direct gammainc call would
+    be.  The twin's w = -i (d - n) A^2/d has |w| >= 55, where the fraction
+    takes 13-55 steps; mp.gammainc takes slow hypergeometric paths there.
     """
     ms = range(m0, m0 + 2 * count, 2)
     if Q == 0:
@@ -177,8 +239,8 @@ def _gamma_ladder(Q, A, m0, count):
     orders = [(1 - mp.mpf(m)) / 2 for m in ms]
     with mp.extraprec(_GUARD_BITS):
         a = orders[-1]
-        gam = mp.gammainc(a, w)
         wpow = w ** a * mp.exp(-w)
+        gam = wpow * _upper_gamma_cf(a, w)
         gams = [gam]
         for _ in range(count - 1):
             gam = a * gam + wpow

@@ -1,9 +1,9 @@
 """Command-line front end: single volumes, side-length sweeps, verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 domain violation (any
-other library error, an invalid value, or a usage error that argparse
-reports), 3 tolerance failure or cost limit (including partially failed
-sweep rows).
+Exit codes: 0 success, 1 verification failure (also a suite that ran no
+checks), 2 domain violation (any other library error, an invalid value, or
+a usage error that argparse reports), 3 tolerance failure or cost limit
+(including partially failed sweep rows).
 
 Data files are CSV with a '#'-prefixed JSON manifest header line; identical
 invocations produce byte-identical files (volatile fields such as wall time
@@ -170,7 +170,7 @@ def _check(name, measured, expected, tol):
 def _suite_phi(args):
     from .cnormal import norm_cdf_array
     rng = np.random.default_rng(args.seed)
-    n = args.samples or 2000
+    n = 2000 if args.samples is None else args.samples
     z = rng.uniform(0, 10, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
     v = norm_cdf_array(z)
     vm = norm_cdf_array(-z)
@@ -240,7 +240,7 @@ def _suite_mc_spherical(args):
     from .oracles import mc_spherical_volume
     rng = np.random.default_rng(args.seed)
     checks = []
-    n = args.samples or 1_000_000
+    n = 1_000_000 if args.samples is None else args.samples
     for trial in range(3):
         d = int(rng.integers(2, 7))
         taus = tuple(rng.uniform(0.5, 2.0, d + 1))
@@ -274,7 +274,7 @@ def _suite_asymptotic(args):
     import mpmath as mp
     checks = []
     prev = None
-    for d in range(10, (args.dmax or 14) + 1):
+    for d in range(10, args.dmax + 1):
         v = ideal_volume_highprec(d)
         ratio = float(v * mp.factorial(d) / (mp.e * mp.sqrt(d)))
         ok = 0.5 <= ratio <= 1.5 and (prev is None or abs(ratio - 1) < prev)
@@ -298,6 +298,9 @@ _SUITES = {
 
 def cmd_verify(args):
     checks = _SUITES[args.suite](args)
+    if not checks:
+        print(f"suite {args.suite} ran no checks", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     for ok, name in checks:
         if not ok:
             print(f"first failing check: {name}", file=sys.stderr)
@@ -306,6 +309,13 @@ def cmd_verify(args):
 
 
 # ---------------------------------------------------------------------------
+
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    return n
+
 
 def build_parser():
     ap = argparse.ArgumentParser(
@@ -341,10 +351,11 @@ def build_parser():
 
     pc = sub.add_parser("verify", help="run a verification suite")
     pc.add_argument("suite", choices=sorted(_SUITES))
-    pc.add_argument("--samples", type=int, default=None)
+    pc.add_argument("--samples", type=_positive_int, default=None)
     pc.add_argument("--seed", type=int, default=20240815)
-    pc.add_argument("--dmax", type=int, default=None,
-                    help="largest dimension for the asymptotic suite")
+    pc.add_argument("--dmax", type=int, default=14,
+                    help="largest dimension for the asymptotic suite, which "
+                         "starts at 10")
     pc.set_defaults(func=cmd_verify)
     return ap
 

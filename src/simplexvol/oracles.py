@@ -35,27 +35,38 @@ def mc_spherical_volume(params, kappa, samples=1_000_000, seed=0):
     all j] with independent standard normals xi, xi_0..xi_d.  Sampling is
     chunked over seed-derived substreams in a fixed order, so a fixed seed
     gives a bit-identical report regardless of the execution environment.
+    Within a chunk of n samples, xi comes first and then xi_0..xi_d, n
+    values each, drawn and compared one row at a time into preallocated
+    buffers; memory stays at a few chunk-length arrays whatever d is.
+    samples must be at least 2, so that the standard error is defined.
     """
     s = params.s
     if kappa < s:
         raise GeometryDomainError(
             f"the Gaussian cone representation requires kappa >= s = {s:.6g}")
-    taus = np.asarray(params.taus)
+    if samples < 2:
+        raise ValueError(f"Monte Carlo needs at least 2 samples, got {samples}")
     d = params.dimension
-    coef = taus / s * math.sqrt(kappa - s)
+    coef = np.asarray(params.taus) / s * math.sqrt(kappa - s)
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
+    size = min(_CHUNK, samples)
+    xi_buf, row_buf, bound_buf = (np.empty(size) for _ in range(3))
+    inside_buf = np.empty(size, dtype=bool)
     hits = 0
-    done = 0
     for i in range(n_chunks):
-        n = min(_CHUNK, samples - done)
+        n = min(_CHUNK, samples - i * _CHUNK)
+        xi, row, bound, inside = xi_buf[:n], row_buf[:n], bound_buf[:n], inside_buf[:n]
         rng = np.random.default_rng(streams[i])
-        xi = rng.standard_normal(n)
-        xij = rng.standard_normal((len(taus), n))
-        hits += int(np.all(xij <= coef[:, None] * xi[None, :], axis=0).sum())
-        done += n
+        rng.standard_normal(out=xi)
+        inside.fill(True)
+        for c in coef:
+            rng.standard_normal(out=row)
+            np.multiply(c, xi, out=bound)
+            inside &= row <= bound
+        hits += int(np.count_nonzero(inside))
     p_hat = hits / samples
-    var = p_hat * (1.0 - p_hat) * samples / max(samples - 1, 1)
+    var = p_hat * (1.0 - p_hat) * samples / (samples - 1)
     scale = sphere_surface_area(d) * kappa ** (-d / 2.0)
     return MonteCarloReport(
         estimate=scale * p_hat,

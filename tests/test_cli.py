@@ -243,3 +243,26 @@ def test_volume_euclidean_tiny_triangle(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["volume"] == 8.660254037844386e-23
     assert 0.0 < out["abs_error"] < out["volume"]
+
+
+@pytest.mark.parametrize("dmax", ["9", "0"])
+def test_verify_fails_when_a_suite_runs_no_checks(capsys, dmax):
+    # the asymptotic suite runs d = 10..dmax; --dmax 0 is not the default 14
+    assert main(["verify", "asymptotic", "--dmax", dmax]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ran no checks" in captured.err
+
+
+@pytest.mark.parametrize("suite", ["phi", "mc-spherical"])
+def test_verify_rejects_non_positive_samples(capsys, suite):
+    # --samples 0 used to fall back silently to the suite's default
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--samples", "0"])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_verify_mc_single_sample_is_a_domain_error(capsys):
+    assert main(["verify", "mc-spherical", "--samples", "1"]) == 2
+    assert capsys.readouterr().err.startswith("domain error:")

@@ -332,6 +332,18 @@ def test_head_kernel_matches_per_node_erf(d):
         assert abs(fast - ref) <= 1e-40, (k, abs(fast - ref))
 
 
+@pytest.mark.parametrize("d", [3, 12])
+def test_head_kernel_matches_per_node_erf_off_the_twin_edges(d):
+    # edges not of the form sqrt(pi k): the phase series' delta = 2 m h - pi/2
+    # is nonzero (about -1.0 on [0.3, 1.1] and 2.6 on [2, 3.5])
+    with mp.workdps(_hp._DPS):
+        edges = [mp.mpf("0.3"), mp.mpf("1.1"), mp.mpf(2), mp.mpf("3.5")]
+        fast = _hp._head(d, edges)
+    with mp.workdps(60):
+        ref = sum(_head_by_nodes(d, a, b) for a, b in zip(edges[:-1], edges[1:]))
+    assert abs(fast - ref) <= 1e-40, abs(fast - ref)
+
+
 def test_highprec_rejects_bad_input():
     with pytest.raises(ValueError):
         ideal_volume_highprec(1)
@@ -355,6 +367,37 @@ def test_gamma_ladder_matches_direct_gammainc(d, n):
             a = (1 - mp.mpf(n + 2 * K)) / 2
             direct = mp.mpf(1) / 2 * (2 / Q) ** a * mp.gammainc(a, w)
             assert abs(g - direct) <= 1e-35 * abs(direct), (K, a)
+
+
+@pytest.mark.parametrize("d", [2, 7, 12, 20])
+def test_gamma_ladder_matches_60_digit_gammainc(d):
+    # every n of the twin's tail but n = d, where Q = 0 has the closed form;
+    # per ladder the seed (the continued fraction alone, K = _NSER - 1), the
+    # middle and the end of the upward recurrence (K = 0)
+    for n in range(d + 2):
+        if n == d:
+            continue
+        with mp.workdps(_hp._DPS):
+            A = mp.mpf("10.5") / mp.sqrt(mp.mpf(2) / d)
+            A = mp.sqrt(mp.pi * mp.ceil(A * A / mp.pi))
+            Q = mp.mpc(0, -2) * (d - n) / d
+            ladder = _hp._gamma_ladder(Q, A, n, _hp._NSER)
+        with mp.workdps(60):
+            w = Q * A * A / 2
+            for K in (0, _hp._NSER // 2, _hp._NSER - 1):
+                a = (1 - mp.mpf(n + 2 * K)) / 2
+                direct = mp.mpf(1) / 2 * (2 / Q) ** a * mp.gammainc(a, w)
+                assert abs(ladder[K] - direct) <= 1e-35 * abs(direct), (n, K)
+
+
+def test_twin_series_caps_raise_no_convergence(monkeypatch):
+    monkeypatch.setattr(_hp, "_MAX_CF_TERMS", 5)
+    monkeypatch.setattr(_hp, "_MAX_TAYLOR_TERMS", 5)
+    with mp.workdps(_hp._DPS):
+        with pytest.raises(mp.mp.NoConvergence):
+            _hp._upper_gamma_cf(mp.mpf(-10), mp.mpc(0, -55))
+        with pytest.raises(mp.mp.NoConvergence):
+            _hp._head(3, [mp.mpf(0), mp.sqrt(mp.pi)])
 
 
 def test_request_validation():

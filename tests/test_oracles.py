@@ -42,6 +42,40 @@ def test_mc_seed_determinism():
     assert c.estimate != a.estimate
 
 
+@pytest.mark.parametrize("taus, factor, samples, seed, estimate, std_error", [
+    ((0.8, 1.1, 1.4), 2.0, 250_000, 123, "0x1.3002177e10dd1p-2", "0x1.4c319963d2e18p-10"),
+    # two chunks, the second of 234,567 samples
+    ((1.3, 0.7, 1.9, 1.1, 0.6), 1.7, 1_234_567, 4242,
+     "0x1.1eaf0c8f3d5d7p-7", "0x1.19e92ef750d49p-15"),
+])
+def test_mc_reports_are_pinned_bits(taus, factor, samples, seed, estimate, std_error):
+    # reports of the (d+1) x n block sampler that row-at-a-time sampling replaced
+    p = OrthocentricParams(taus)
+    rep = mc_spherical_volume(p, factor * p.s, samples=samples, seed=seed)
+    assert rep == oracles.MonteCarloReport(float.fromhex(estimate),
+                                           float.fromhex(std_error), samples, seed)
+
+
+def test_mc_memory_does_not_grow_with_dimension():
+    # a (d+1) x n block and its product would take 2 x 56 MB at d = 6
+    import tracemalloc
+    p = OrthocentricParams((1.0, 1.1, 0.9, 1.2, 0.8, 1.3, 1.05))
+    tracemalloc.start()
+    try:
+        mc_spherical_volume(p, 2.0 * p.s, samples=1_000_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+
+
+@pytest.mark.parametrize("samples", [-5, 0, 1])
+def test_mc_rejects_fewer_than_two_samples(samples):
+    p = OrthocentricParams((1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        mc_spherical_volume(p, kappa=2.0 * p.s, samples=samples)
+
+
 def test_mc_zscores_over_many_seeds():
     # closed-form orthant probability 2^-(d+1); 99th-percentile z-score <= 4
     p = OrthocentricParams((1.3, 1.3, 1.3, 1.3))

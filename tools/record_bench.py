@@ -11,11 +11,14 @@ Each checkout is a full tree (``git archive`` or ``git clone``) with its own
   runs, median and quartiles over PAIRS alternating pairs
   (``benchmarks/run.py --seconds 20 --trace 0``, one seed per pair, the side
   that runs first alternating), and how many pairs the change won;
-* the ``--trace 1`` tail counts and time of every gated workload, on both
-  sides;
+* the ``--trace 1`` tail counts and time, and the ``_hp`` and Monte Carlo
+  oracle times, of every gated workload, on both sides;
 * ``regular_volume(d, inf)`` times for d = 2..12, on both sides;
 * orthocentric hyperbolic ``volume()`` times for d = 2..14 (taus ~ U(0.6, 1.8)
   from ``default_rng(d)``, kappa = kappa0/2), on both sides;
+* ``ideal_volume_highprec(d)`` times for d = 2, 12 and 20, on both sides;
+* the ``tracemalloc`` peak and time of a d = 6, 10^6-sample
+  ``mc_spherical_volume`` call, on both sides;
 * the Tier-1 suite's wall time and summary line, on both sides.
 
 Runs are sequential, one process at a time, so the two sides never compete
@@ -47,7 +50,8 @@ REPEATS = 5
 LONG_CALL_S = 5.0
 
 TRACED_WORKLOADS = ("regular-sweep", "orthocentric-hyperbolic", "verify-oracles")
-TRACED_METRICS = ("rayquad.tail_products", "rayquad.tail_quadratures", "rayquad.tail_s")
+TRACED_METRICS = ("rayquad.tail_products", "rayquad.tail_quadratures", "rayquad.tail_s",
+                  "oracles.hp_s", "oracles.hp_calls", "oracles.mc_s")
 
 #: one child per side: warm up, then the median of REPEATS timings per d
 REGULAR_CHILD = """
@@ -94,6 +98,38 @@ for d in range(2, 15):
         times.append(timed(req))
     out[d] = {"ms": 1e3 * statistics.median(times), "calls": len(times)}
 print(json.dumps(out))
+"""
+
+
+#: one child per side: warm up, then the median of REPEATS timings per d
+HP_CHILD = """
+import json, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+from simplexvol import ideal_volume_highprec
+ideal_volume_highprec(2)
+out = {}
+for d in (2, 12, 20):
+    times = []
+    for _ in range(int(sys.argv[2])):
+        t0 = time.perf_counter()
+        ideal_volume_highprec(d)
+        times.append(time.perf_counter() - t0)
+    out[d] = 1e3 * statistics.median(times)
+print(json.dumps(out))
+"""
+
+#: one child per side: the tracemalloc peak and the time of one Monte Carlo call
+MC_CHILD = """
+import json, sys, time, tracemalloc
+sys.path.insert(0, sys.argv[1])
+from simplexvol import OrthocentricParams, mc_spherical_volume
+params = OrthocentricParams((1.0, 1.1, 0.9, 1.2, 0.8, 1.3, 1.05))
+tracemalloc.start()
+t0 = time.perf_counter()
+mc_spherical_volume(params, 2.0 * params.s, samples=1_000_000, seed=3)
+wall = time.perf_counter() - t0
+peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps({"peak_mib": peak / 2 ** 20, "ms": 1e3 * wall}))
 """
 
 
@@ -223,6 +259,15 @@ def main(argv=None):
             "statistic": f"median of {REPEATS} calls after a warm-up, one call where the "
                          f"first takes over {LONG_CALL_S} s",
             **child_times(sides, ORTHO_CHILD, REPEATS, LONG_CALL_S)},
+        "highprec_ms": {"call": "ideal_volume_highprec(d)",
+                        "statistic": f"median of {REPEATS} calls after a warm-up",
+                        **child_times(sides, HP_CHILD, REPEATS)},
+        "mc_spherical": {"call": "mc_spherical_volume(OrthocentricParams((1.0, 1.1, 0.9, "
+                                 "1.2, 0.8, 1.3, 1.05)), 2 s, samples=10**6, seed=3), "
+                                 "d = 6",
+                         "statistic": "tracemalloc peak over one call, in a fresh "
+                                      "process; its wall time",
+                         **child_times(sides, MC_CHILD)},
         "tier1": tier1(sides),
     }
     with open(args.out, "w") as fh:
