@@ -11,6 +11,7 @@ are printed to the console, never written to the file).
 """
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -39,10 +40,14 @@ def _file_header(command, parameters, tol):
 
 
 def _thread_count():
+    text = os.environ.get("SIMPLEXVOL_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("SIMPLEXVOL_THREADS", "1")))
+        n = int(text)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise ValueError(f"SIMPLEXVOL_THREADS must be a positive integer; got {text!r}")
+    return n
 
 
 def _fmt(x):
@@ -115,6 +120,7 @@ def _sweep_grid(args):
 
 def cmd_sweep(args):
     t0 = time.perf_counter()
+    nthreads = _thread_count()
     grid = _sweep_grid(args)
 
     def one(ell):
@@ -124,7 +130,6 @@ def cmd_sweep(args):
         except SimplexVolError as exc:
             return (ell, math.nan, math.nan, math.nan, f"failed:{type(exc).__name__}")
 
-    nthreads = _thread_count()
     if nthreads > 1 and len(grid) > 1:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
             rows = list(pool.map(one, grid))
@@ -167,11 +172,14 @@ def _check(name, measured, expected, tol):
     return ok, name
 
 
-def _suite_phi(args):
+#: the seed of every seeded suite unless --seed is given
+DEFAULT_SEED = 20240815
+
+
+def _suite_phi(*, samples=2000, seed=DEFAULT_SEED):
     from .cnormal import norm_cdf_array
-    rng = np.random.default_rng(args.seed)
-    n = 2000 if args.samples is None else args.samples
-    z = rng.uniform(0, 10, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(0, 10, samples) * np.exp(1j * rng.uniform(-np.pi, np.pi, samples))
     v = norm_cdf_array(z)
     vm = norm_cdf_array(-z)
     vc = norm_cdf_array(np.conj(z))
@@ -201,7 +209,7 @@ def _suite_phi(args):
     return checks
 
 
-def _suite_rotation(args):
+def _suite_rotation():
     from .rayquad import RayIntegralProblem, ray_integral
     checks = []
     for z in (1.0, 4.0, 9.0):
@@ -212,7 +220,7 @@ def _suite_rotation(args):
     return checks
 
 
-def _suite_ideal_values(args):
+def _suite_ideal_values():
     from .oracles import ideal_tetrahedron_volume
     checks = []
     v2 = regular_volume(2, math.inf, -1.0).volume
@@ -226,7 +234,7 @@ def _suite_ideal_values(args):
     return checks
 
 
-def _suite_abrosimov(args):
+def _suite_abrosimov():
     from .oracles import regular_tetrahedron_volume
     checks = []
     for ell in (0.25, 0.5, 1.0, 2.0, 4.0):
@@ -236,27 +244,26 @@ def _suite_abrosimov(args):
     return checks
 
 
-def _suite_mc_spherical(args):
+def _suite_mc_spherical(*, samples=1_000_000, seed=DEFAULT_SEED):
     from .oracles import mc_spherical_volume
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     checks = []
-    n = 1_000_000 if args.samples is None else args.samples
     for trial in range(3):
         d = int(rng.integers(2, 7))
         taus = tuple(rng.uniform(0.5, 2.0, d + 1))
         p = OrthocentricParams(taus)
         kappa = p.s * float(rng.uniform(1.0, 3.0))
-        rep = mc_spherical_volume(p, kappa, samples=n, seed=int(rng.integers(2**31)))
+        rep = mc_spherical_volume(p, kappa, samples=samples, seed=int(rng.integers(2**31)))
         eng = volume(VolumeRequest(geometry=p, kappa=kappa)).volume
         checks.append(_check(f"mc-spherical trial {trial} (d={d})",
                              eng, rep.estimate, 3.0 * rep.std_error))
     return checks
 
 
-def _suite_klein_direct(args):
+def _suite_klein_direct(*, seed=DEFAULT_SEED):
     from .geometry import realize_vertices
     from .oracles import direct_klein_volume
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     checks = []
     for trial in range(3):
         d = int(rng.integers(2, 4))
@@ -269,12 +276,12 @@ def _suite_klein_direct(args):
     return checks
 
 
-def _suite_asymptotic(args):
+def _suite_asymptotic(*, dmax=14):
     from ._hp import ideal_volume_highprec
     import mpmath as mp
     checks = []
     prev = None
-    for d in range(10, args.dmax + 1):
+    for d in range(10, dmax + 1):
         v = ideal_volume_highprec(d)
         ratio = float(v * mp.factorial(d) / (mp.e * mp.sqrt(d)))
         ok = 0.5 <= ratio <= 1.5 and (prev is None or abs(ratio - 1) < prev)
@@ -285,6 +292,8 @@ def _suite_asymptotic(args):
     return checks
 
 
+#: each suite's keyword parameters are the verify flags it reads, with their
+#: defaults; a flag given to a suite that does not read it is rejected
 _SUITES = {
     "phi": _suite_phi,
     "rotation": _suite_rotation,
@@ -296,8 +305,16 @@ _SUITES = {
 }
 
 
+_VERIFY_FLAGS = ("samples", "seed", "dmax")
+
+
 def cmd_verify(args):
-    checks = _SUITES[args.suite](args)
+    suite = _SUITES[args.suite]
+    given = {k: getattr(args, k) for k in _VERIFY_FLAGS if getattr(args, k) is not None}
+    unread = [f"--{k}" for k in given if k not in inspect.signature(suite).parameters]
+    if unread:
+        raise ValueError(f"the {args.suite} suite does not read {', '.join(unread)}")
+    checks = suite(**given)
     if not checks:
         print(f"suite {args.suite} ran no checks", file=sys.stderr)
         return EXIT_VERIFY_FAIL
@@ -351,11 +368,13 @@ def build_parser():
 
     pc = sub.add_parser("verify", help="run a verification suite")
     pc.add_argument("suite", choices=sorted(_SUITES))
-    pc.add_argument("--samples", type=_positive_int, default=None)
-    pc.add_argument("--seed", type=int, default=20240815)
-    pc.add_argument("--dmax", type=int, default=14,
+    pc.add_argument("--samples", type=_positive_int,
+                    help="sample count (phi: 2000, mc-spherical: 1000000)")
+    pc.add_argument("--seed", type=int,
+                    help=f"seed of phi, mc-spherical and klein-direct ({DEFAULT_SEED})")
+    pc.add_argument("--dmax", type=int,
                     help="largest dimension for the asymptotic suite, which "
-                         "starts at 10")
+                         "starts at 10 (14)")
     pc.set_defaults(func=cmd_verify)
     return ap
 

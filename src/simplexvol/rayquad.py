@@ -8,8 +8,10 @@ Evaluates integrals of the form
 c_j = mu_j sqrt(z) omega, where N is the analytically continued normal CDF:
 the whole integrand of one orthant transform, so a transform is one ray
 integral.  As N(-w) = 1 - N(w) holds exactly, one set of CDF values gives
-both products.  One routine integrates this integrand directly along omega
-over a finite segment [0, L]: on an interior ray, where the integral
+both products, and equal multipliers share their values: a ray groups its
+factors once, and every stage evaluates one CDF row (or erfcx row) per
+distinct multiplier.  One routine integrates this integrand directly along
+omega over a finite segment [0, L]: on an interior ray, where the integral
 converges absolutely, the segment runs to a truncation point past which the
 Gaussian factor leaves less than the tolerance.  On the boundary rays
 arg(omega) = -+pi/4 the integral converges only conditionally; there the
@@ -30,10 +32,9 @@ Everything is deterministic and pure.
 """
 
 import cmath
-import collections
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erfcx
@@ -68,11 +69,19 @@ class RayIntegralProblem:
     The ray also carries the branch: a boundary ray, |arg(omega)| = pi/4
     within _ARG_TOL, is normalised to exactly 1 - i or 1 + i, and it must not
     face z across the real axis (Im z * Im omega > 0 raises ValueError).
+
+    It also groups its factors once, for every stage: ``distinct`` holds the
+    distinct multipliers in order of first appearance, ``counts`` how many
+    factors each has, and ``index`` each factor's position in ``distinct``
+    (so mus[j] == distinct[index[j]]).
     """
 
     mus: tuple
     z: complex
     omega: complex
+    distinct: tuple = field(init=False, repr=False, compare=False)
+    counts: tuple = field(init=False, repr=False, compare=False)
+    index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mus = tuple(float(m) for m in self.mus)
@@ -88,7 +97,12 @@ class RayIntegralProblem:
             if self.z.imag * self.omega.imag > 0:
                 raise ValueError("the boundary ray 1 - i needs Im z >= 0, and 1 + i "
                                  "needs Im z <= 0")
-        for m in mus:
+        first = {}
+        index = tuple(first.setdefault(m, len(first)) for m in mus)
+        object.__setattr__(self, "distinct", tuple(first))
+        object.__setattr__(self, "counts", tuple(index.count(g) for g in range(len(first))))
+        object.__setattr__(self, "index", index)
+        for m in self.distinct:
             if abs(1.0 + m * m * self.z) < _POLE_GUARD:
                 raise NearPoleError(
                     f"1 + mu^2 z vanishes to within {_POLE_GUARD:g}: z is numerically "
@@ -121,15 +135,19 @@ def _segment(p, L, tol, min_panels):
     """Integral of the symmetric CDF integrand along p.omega over y in [0, L].
 
     The integrand is (prod_j N(c_j y) + prod_j N(-c_j y)) exp(-omega^2 y^2/2)
-    omega, both products from one CDF call, as N(-w) = 1 - N(w) exactly.
-    Returns (value, error_bound, evaluations); the bound adds a few eps per
-    CDF factor of each product and unit length for rounding.
+    omega, both products from one CDF call, as N(-w) = 1 - N(w) exactly.  The
+    call evaluates one row per distinct multiplier (p.distinct), and the rows
+    are gathered back into factor order (p.index) before the products, so
+    they equal the per-factor ones bit for bit.  Returns (value, error_bound,
+    evaluations); the bound adds a few eps per CDF factor (not per distinct
+    row) of each product and unit length for rounding.
     """
-    cs = np.array(p.mus) * p.branch_sqrt_z() * p.omega
+    cs = np.array(p.distinct) * p.branch_sqrt_z() * p.omega
+    rows = np.array(p.index)
     om2 = p.omega * p.omega
 
     def f(y):
-        vals = norm_cdf_array(cs[:, None] * y[None, :])
+        vals = norm_cdf_array(cs[:, None] * y[None, :])[rows]
         return ((np.prod(vals, axis=0) + np.prod(1.0 - vals, axis=0))
                 * np.exp(-0.5 * om2 * y * y) * p.omega)
 
@@ -137,7 +155,7 @@ def _segment(p, L, tol, min_panels):
     # the oscillation-paced initial grid must be allowed to refine locally
     vals, errs, neval = adaptive_gk(f, edges, tol,
                                     max_panels=max(_MAX_PANELS, 3 * len(edges)))
-    return complex(vals[0]), float(errs[0]) + 2 * len(cs) * L * 2e-15, neval
+    return complex(vals[0]), float(errs[0]) + 2 * len(p.mus) * L * 2e-15, neval
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +171,12 @@ def head_integral(p, A, tol=DEFAULT_TOL):
 # tail
 # ---------------------------------------------------------------------------
 
-def tail_product_integral(mus, sqz, omega, X, tol=DEFAULT_TOL):
-    """The whole tail of one ray beyond x = X, in one pass.
+def tail_product_integral(p, X, tol=DEFAULT_TOL):
+    """The whole tail of the ray p beyond x = X, in one pass.
 
-    Requires X > 0, omega the boundary ray 1 - i or 1 + i and sqz the root of
-    z that this ray picks (RayIntegralProblem.branch_sqrt_z), so that
-    |arg(s_j c_j)| <= pi/4 below.  In x = y^2 the tail is
+    Requires X > 0 and p a boundary ray, omega = 1 - i or 1 + i, whose root
+    of z (p.branch_sqrt_z) keeps |arg(s_j c_j)| <= pi/4 below; ibp_tail checks
+    both.  In x = y^2 the tail is
 
         (omega/2) int_X^inf x^(-1/2) exp(-gamma_0 x)
                   [prod_j N(c_j sqrt(x)) + prod_j N(-c_j sqrt(x))] dx,
@@ -167,7 +185,8 @@ def tail_product_integral(mus, sqz, omega, X, tol=DEFAULT_TOL):
     N(c_j sqrt(x)) = H_j + R_j with R_j = rho_j exp(-c_j^2 x/2)
     erfcx(s_j c_j sqrt(x/2)) (exact), s_j = sign(Re c_j), rho_j = -s_j/2 and
     H_j = (1 + s_j)/2, and N(-c_j sqrt(x)) = (1 - H_j) - R_j.  With equal
-    multipliers grouped (m_g factors in group g), both products are sums over
+    multipliers grouped as the ray groups them (group g is p.distinct[g],
+    with m_g = p.counts[g] factors), both products are sums over
     the same compositions n (how many factors of group g contribute R), each
     with one rate g_n = gamma_0 + sum_g n_g c_g^2/2, so
 
@@ -183,19 +202,18 @@ def tail_product_integral(mus, sqz, omega, X, tol=DEFAULT_TOL):
     x = X(1 + e^{ia}(e^v - 1)), a = -arg(g_n), where exp(-g_n x) decays
     monotonically and every erfcx argument keeps Re >= 0 (so |erfcx| <= 1); a
     rate within rounding of 0 is set to exactly 0, so that composition's
-    algebraic tail is not cut at a spurious exponential scale.  Compositions sharing a rotation share their
-    erfcx values, and all of them are summed inside one adaptive pass over v,
-    once per ray.  The same pass integrates the rounding bound, an eps-scaled
+    algebraic tail is not cut at a spurious exponential scale.  Compositions
+    sharing a rotation share their erfcx values (one row per group), and all
+    of them are summed inside one adaptive pass over v, once per ray.  The same pass integrates the rounding bound, an eps-scaled
     sum_n |term_n|, as a second component.  Returns (value, error_bound,
     evaluations), the last being the pass's quadrature node count.
     """
-    groups = collections.Counter(mus)
-    mu = np.array(list(groups))
-    gc = mu * sqz * omega
+    omega = p.omega
+    gc = np.array(p.distinct) * p.branch_sqrt_z() * omega
     sgn = np.where(gc.real > 0, 1.0, -1.0)
     rho = -0.5 * sgn
     H = 0.5 * (1.0 + sgn)
-    sizes = np.array(list(groups.values()))
+    sizes = np.array(p.counts)
     comps = np.array(list(itertools.product(*(range(m + 1) for m in sizes))), dtype=int)
     rest = sizes - comps
     # the limits' products are exactly 0 or 1, so the bracket is an exact integer
@@ -219,7 +237,7 @@ def tail_product_integral(mus, sqz, omega, X, tol=DEFAULT_TOL):
     pref = 0.5 * omega * coef * np.exp(1j * alpha - rate * X) * math.sqrt(X)
     # rounding: a few eps per factor of each term's actual size; a bound needs
     # no more than a factor of accuracy, so it is integrated already scaled
-    apref = np.abs(pref) * (len(mus) * 2e-15)
+    apref = np.abs(pref) * (len(p.mus) * 2e-15)
     rotations, cls = np.unique(alpha, return_inverse=True)
     ea = np.exp(1j * rotations)
     arg_scale = sgn * gc * math.sqrt(0.5 * X)
@@ -273,8 +291,7 @@ def ibp_tail(p, A, tol=DEFAULT_TOL):
                           "arg(omega) = -pi/4 or +pi/4")
     if A <= 0:
         raise ValueError("the stabilized tail requires a split point A > 0")
-    return IntegralResult(*tail_product_integral(p.mus, p.branch_sqrt_z(), p.omega,
-                                                 A * A, tol))
+    return IntegralResult(*tail_product_integral(p, A * A, tol))
 
 
 # ---------------------------------------------------------------------------

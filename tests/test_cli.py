@@ -266,3 +266,39 @@ def test_verify_rejects_non_positive_samples(capsys, suite):
 def test_verify_mc_single_sample_is_a_domain_error(capsys):
     assert main(["verify", "mc-spherical", "--samples", "1"]) == 2
     assert capsys.readouterr().err.startswith("domain error:")
+
+
+#: the verify flags each suite reads; every other flag it is given exits 2
+_SUITE_FLAGS = {
+    "phi": ("--samples", "--seed"),
+    "rotation": (),
+    "ideal-values": (),
+    "abrosimov": (),
+    "mc-spherical": ("--samples", "--seed"),
+    "klein-direct": ("--seed",),
+    "asymptotic": ("--dmax",),
+}
+
+
+@pytest.mark.parametrize("suite, flag", [
+    (suite, flag) for suite, reads in _SUITE_FLAGS.items()
+    for flag in ("--samples", "--seed", "--dmax") if flag not in reads
+])
+def test_verify_rejects_flags_the_suite_does_not_read(capsys, suite, flag):
+    assert main(["verify", suite, flag, "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error:")
+    assert flag in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_sweep_rejects_thread_count_that_is_not_a_positive_integer(
+        tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("SIMPLEXVOL_THREADS", value)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--d", "3", "--ell-grid", "1,2", "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "SIMPLEXVOL_THREADS" in captured.err

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from simplexvol import rayquad
-from simplexvol.cnormal import SQRT_2PI
+from simplexvol.cnormal import SQRT_2PI, norm_cdf_array
 from simplexvol.engine import orthant_probability
 from simplexvol.errors import NearPoleError, SectorError
 from simplexvol.geometry import (
     OrthocentricParams, min_curvature, regular_parameters,
 )
+from simplexvol.quadrature import adaptive_gk, oscillation_edges
 from simplexvol.rayquad import (
-    SPLIT_A, RayIntegralProblem, head_integral, ibp_tail, ray_integral,
+    SPLIT_A, IntegralResult, RayIntegralProblem, head_integral, ibp_tail, ray_integral,
 )
 
 BOUNDARY_RAYS = [1 - 1j, 1 + 1j]
@@ -245,3 +246,88 @@ def test_split_point_invariance_hyperbolic_rays():
             gap, bars = _split_point_gap(p, A, B)
             assert gap <= bars
             assert gap < 1e-10
+
+
+def test_problem_groups_factors_in_order_of_first_appearance():
+    p = RayIntegralProblem((0.7, 1.2, 0.7, -0.5, 1.2, 0.7), 1.0, 1 - 1j)
+    assert p.distinct == (0.7, 1.2, -0.5)
+    assert p.counts == (3, 2, 1)
+    assert p.index == (0, 1, 0, 2, 1, 0)
+    assert tuple(p.distinct[g] for g in p.index) == p.mus
+    # the grouping is derived, so it takes no part in equality
+    assert p == RayIntegralProblem(p.mus, 1.0, 1 - 1j)
+
+
+def _per_factor_segment(p, L, tol, min_panels):
+    """The direct segment with one CDF row per factor, grouping nothing:
+    the reference the grouped rows must reproduce bit for bit."""
+    cs = np.array(p.mus) * p.branch_sqrt_z() * p.omega
+    om2 = p.omega * p.omega
+
+    def f(y):
+        vals = norm_cdf_array(cs[:, None] * y[None, :])
+        return ((np.prod(vals, axis=0) + np.prod(1.0 - vals, axis=0))
+                * np.exp(-0.5 * om2 * y * y) * p.omega)
+
+    edges = oscillation_edges(L, abs(om2.imag), min_panels=min_panels)
+    vals, errs, neval = adaptive_gk(f, edges, tol,
+                                    max_panels=max(rayquad._MAX_PANELS, 3 * len(edges)))
+    return complex(vals[0]), float(errs[0]) + 2 * len(cs) * L * 2e-15, neval
+
+
+_REGULAR_D12 = regular_parameters(12, 1.0, -1.0)
+_DISTINCT_D6 = OrthocentricParams((1.0, 1.4, 0.7, 1.1, 0.9, 1.25, 0.65))
+_REPEATED_D6 = OrthocentricParams((1.0, 1.3, 0.8, 1.0, 1.3, 0.8, 1.0))
+
+
+@pytest.mark.parametrize("params, distinct", [
+    (_REGULAR_D12, 1), (_DISTINCT_D6, 7), (_REPEATED_D6, 3),
+], ids=["regular-d12", "distinct-d6", "repeated-non-adjacent-d6"])
+def test_grouped_segment_is_bit_identical_to_per_factor_rows(monkeypatch, params, distinct):
+    # one hyperbolic head per boundary ray, and one spherical interior ray
+    mus = params.multipliers()
+    z_hyp = min_curvature(params) / 2 - params.s
+    problems = [RayIntegralProblem(mus, z_hyp, om) for om in BOUNDARY_RAYS]
+    interior = RayIntegralProblem(mus, params.s, np.exp(-0.3j))
+    assert len(interior.distinct) == distinct
+
+    calls = []
+    real_cdf = rayquad.norm_cdf_array
+
+    def spy(z):
+        calls.append(np.shape(z))
+        return real_cdf(z)
+
+    monkeypatch.setattr(rayquad, "norm_cdf_array", spy)
+    got = [head_integral(p, SPLIT_A) for p in problems] + [ray_integral(interior)]
+    # each call evaluates one row per distinct multiplier, at every node once
+    assert calls and all(rows == distinct for rows, _ in calls)
+    assert sum(n for _, n in calls) == sum(r.evaluations for r in got)
+
+    monkeypatch.setattr(rayquad, "_segment", _per_factor_segment)
+    want = [head_integral(p, SPLIT_A) for p in problems] + [ray_integral(interior)]
+    assert got == want
+
+
+# tail_product_integral (value, bar, nodes) on both boundary rays at X = SPLIT_A^2,
+# as computed before the tail shared the ray's grouping
+_TAIL_PINS = {
+    "ideal-regular-d5": [
+        ((-0.37256880666468395 - 0.13044707168393824j), 1.205886113895312e-14, 315),
+        ((-0.37256880666468395 + 0.13044707168393824j), 1.2021624552998807e-14, 315),
+    ],
+    "two-pairs-d4": [
+        ((-0.16026700127942065 - 0.15561081665558352j), 4.99606866352136e-15, 255),
+        ((-0.16026700127942065 + 0.15561081665558352j), 4.995750601291803e-15, 255),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, params, kappa", [
+    ("ideal-regular-d5", regular_parameters(5, math.inf, -1.0), -1.0),
+    ("two-pairs-d4", *_half_kappa0((1.0, 1.0, 1.3, 1.3, 0.8))),
+])
+def test_tail_product_integral_pinned(name, params, kappa):
+    for om, pin in zip(BOUNDARY_RAYS, _TAIL_PINS[name]):
+        p = RayIntegralProblem(params.multipliers(), kappa - params.s, om)
+        assert rayquad.tail_product_integral(p, SPLIT_A ** 2) == pin

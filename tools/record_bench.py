@@ -6,14 +6,17 @@
 Each checkout is a full tree (``git archive`` or ``git clone``) with its own
 ``benchmarks/`` and ``src/``.  The record holds:
 
-* a machine note: cores, CPU model, Python, NumPy, SciPy and mpmath versions;
+* a machine note: cores, CPU model, Python, NumPy, SciPy and mpmath versions,
+  and the 1/5/15-minute load averages when the record starts and when it
+  ends (one benchmark process adds about 1; more says that other work was
+  loading the machine);
 * for each workload of BENCHMARK.json and each end-to-end metric, both sides'
   runs, median and quartiles over PAIRS alternating pairs
   (``benchmarks/run.py --seconds 20 --trace 0``, one seed per pair, the side
   that runs first alternating), and how many pairs the change won;
-* the ``--trace 1`` tail counts and time, and the ``_hp`` and Monte Carlo
-  oracle times, of every gated workload, on both sides;
-* ``regular_volume(d, inf)`` times for d = 2..12, on both sides;
+* the ``--trace 1`` CDF points, head time, tail counts and time, and the
+  ``_hp`` and Monte Carlo oracle times, of every gated workload, on both sides;
+* ``regular_volume(d, inf)`` times for d = 2..14, on both sides;
 * orthocentric hyperbolic ``volume()`` times for d = 2..14 (taus ~ U(0.6, 1.8)
   from ``default_rng(d)``, kappa = kappa0/2), on both sides;
 * ``ideal_volume_highprec(d)`` times for d = 2, 12 and 20, on both sides;
@@ -50,8 +53,9 @@ REPEATS = 5
 LONG_CALL_S = 5.0
 
 TRACED_WORKLOADS = ("regular-sweep", "orthocentric-hyperbolic", "verify-oracles")
-TRACED_METRICS = ("rayquad.tail_products", "rayquad.tail_quadratures", "rayquad.tail_s",
-                  "oracles.hp_s", "oracles.hp_calls", "oracles.mc_s")
+TRACED_METRICS = ("cnormal.points", "rayquad.head_s", "rayquad.tail_products",
+                  "rayquad.tail_quadratures", "rayquad.tail_s", "oracles.hp_s",
+                  "oracles.hp_calls", "oracles.mc_s")
 
 #: one child per side: warm up, then the median of REPEATS timings per d
 REGULAR_CHILD = """
@@ -60,7 +64,7 @@ sys.path.insert(0, sys.argv[1])
 from simplexvol import regular_volume
 regular_volume(2, math.inf)
 out = {}
-for d in range(2, 13):
+for d in range(2, 15):
     times = []
     for _ in range(int(sys.argv[2])):
         t0 = time.perf_counter()
@@ -145,7 +149,7 @@ def machine_note():
         pass
     return {"cores": os.cpu_count(), "cpu": cpu, "python": platform.python_version(),
             "numpy": numpy.__version__, "scipy": scipy.__version__,
-            "mpmath": mpmath.__version__}
+            "mpmath": mpmath.__version__, "load_average_start": os.getloadavg()}
 
 
 def summary(values):
@@ -270,6 +274,7 @@ def main(argv=None):
                          **child_times(sides, MC_CHILD)},
         "tier1": tier1(sides),
     }
+    record["machine"]["load_average_end"] = os.getloadavg()
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
