@@ -14,10 +14,8 @@ import argparse
 import inspect
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,17 +35,6 @@ def _file_header(command, parameters, tol):
     return "# " + json.dumps({"command": command, "parameters": parameters,
                               "tool_version": __version__, "tolerances": {"tol": tol}},
                              sort_keys=True)
-
-
-def _thread_count():
-    text = os.environ.get("SIMPLEXVOL_THREADS", "1")
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"SIMPLEXVOL_THREADS must be a positive integer; got {text!r}")
-    return n
 
 
 def _fmt(x):
@@ -104,6 +91,12 @@ def cmd_volume(args):
 # ---------------------------------------------------------------------------
 
 def _sweep_grid(args):
+    """Each grid value with its row's VolumeRequest, all built before any row runs.
+
+    A bad side length, d, kappa or tolerance raises here (exit 2), before a
+    row is computed or a file written; an empty grid still has d and kappa
+    checked, through the ideal simplex.
+    """
     if args.ell_grid is not None:
         grid = [float(t) for t in args.ell_grid.split(",") if t.strip()]
     elif args.ell_log_range is not None:
@@ -111,34 +104,25 @@ def _sweep_grid(args):
         grid = list(np.geomspace(float(lo), float(hi), int(n)))
     else:
         raise GeometryDomainError("sweep requires --ell-grid or --ell-log-range")
-    # every value is checked before the first row is computed; an empty grid
-    # still has d and kappa checked, through the ideal simplex
-    for ell in grid or [math.inf]:
-        regular_parameters(args.d, ell, args.kappa)
-    return grid
+    params = [regular_parameters(args.d, ell, args.kappa) for ell in grid or [math.inf]]
+    return [(ell, VolumeRequest(p, args.kappa, args.tol)) for ell, p in zip(grid, params)]
 
 
 def cmd_sweep(args):
+    """One volume per grid value, in grid order; a row that raises a library
+    error is written as failed:<Name> and makes the exit code 3."""
     t0 = time.perf_counter()
-    nthreads = _thread_count()
-    grid = _sweep_grid(args)
-
-    def one(ell):
+    rows = []
+    for ell, req in _sweep_grid(args):
         try:
-            r = regular_volume(args.d, ell, args.kappa, tolerance=args.tol)
-            return (ell, r.volume, r.abs_error, r.residual_imag, "ok")
+            r = volume(req)
+            rows.append((ell, r.volume, r.abs_error, r.residual_imag, "ok"))
         except SimplexVolError as exc:
-            return (ell, math.nan, math.nan, math.nan, f"failed:{type(exc).__name__}")
-
-    if nthreads > 1 and len(grid) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            rows = list(pool.map(one, grid))
-    else:
-        rows = [one(ell) for ell in grid]
+            rows.append((ell, math.nan, math.nan, math.nan, f"failed:{type(exc).__name__}"))
 
     wall_ms = int(1000 * (time.perf_counter() - t0))
     params = {"d": args.d, "kappa": args.kappa,
-              "grid": [("inf" if math.isinf(g) else g) for g in grid]}
+              "grid": [("inf" if math.isinf(ell) else ell) for ell, *_ in rows]}
     lines = [_file_header("sweep", params, args.tol),
              "param,volume,abs_error,residual_imag,status,monotone"]
     prev = None

@@ -280,7 +280,7 @@ def tail_product_integral(p, X, tol=DEFAULT_TOL):
         return out
 
     vals, errs, neval = adaptive_gk(f, edges, tol / 4, max_panels=1024)
-    return complex(vals[0]), float(errs[0]) + abs(vals[1]), neval
+    return complex(vals[0]), float(errs[0] + abs(vals[1])), neval
 
 
 def ibp_tail(p, A, tol=DEFAULT_TOL):

@@ -12,12 +12,8 @@ from simplexvol.cli import main
 RUN = [sys.executable, "-m", "simplexvol.cli"]
 
 
-def run_cli(*args, env=None):
-    import os
-    e = dict(os.environ)
-    if env:
-        e.update(env)
-    return subprocess.run(RUN + list(args), capture_output=True, text=True, env=e)
+def run_cli(*args):
+    return subprocess.run(RUN + list(args), capture_output=True, text=True)
 
 
 def test_volume_ideal_d2():
@@ -73,7 +69,7 @@ def test_sweep_deterministic_and_monotone(tmp_path):
     a2 = ["sweep", "--d", "3", "--kappa", "-1", "--ell-grid", "0.5,1,2,inf",
           "--out", str(out2)]
     assert run_cli(*a1).returncode == 0
-    assert run_cli(*a2, env={"SIMPLEXVOL_THREADS": "4"}).returncode == 0
+    assert run_cli(*a2).returncode == 0
     b1, b2 = out1.read_bytes(), out2.read_bytes()
     assert b1 == b2
     lines = b1.decode().strip().splitlines()
@@ -87,6 +83,30 @@ def test_sweep_deterministic_and_monotone(tmp_path):
     assert all(r[4] == "ok" for r in rows)
     # last row is the ideal value
     assert abs(float(rows[-1][1]) - 1.0149416064096535) < 1e-8
+
+
+def test_sweep_builds_each_row_once(monkeypatch, capsys):
+    # one regular_parameters call per row, whichever module makes it, and each
+    # row is bit for bit the regular_volume of its side length
+    import simplexvol.cli as cli
+    import simplexvol.engine as engine
+    from simplexvol.geometry import regular_parameters
+
+    grid = (0.5, 1.0, 2.0)
+    expected = [engine.regular_volume(3, ell, -1.0) for ell in grid]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return regular_parameters(*args)
+
+    monkeypatch.setattr(cli, "regular_parameters", counted)
+    monkeypatch.setattr(engine, "regular_parameters", counted)
+    assert main(["sweep", "--d", "3", "--kappa", "-1", "--ell-grid", "0.5,1,2"]) == 0
+    assert len(calls) == len(grid)
+    rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[1:4] for row in rows] == [
+        [repr(r.volume), repr(r.abs_error), repr(r.residual_imag)] for r in expected]
 
 
 def test_sweep_empty_grid():
@@ -125,14 +145,15 @@ def test_sweep_marks_failed_rows_and_exits_3(monkeypatch, capsys):
     import simplexvol.cli as cli
     from simplexvol.errors import ToleranceError
 
-    real = cli.regular_volume
+    real = cli.volume
+    tau_at_2 = cli.regular_parameters(3, 2.0, -1.0).taus[0]
 
-    def flaky(d, ell, kappa, tolerance=1e-10):
-        if ell > 1.5:
+    def flaky(req):
+        if req.geometry.taus[0] == tau_at_2:
             raise ToleranceError("synthetic failure")
-        return real(d, ell, kappa, tolerance=tolerance)
+        return real(req)
 
-    monkeypatch.setattr(cli, "regular_volume", flaky)
+    monkeypatch.setattr(cli, "volume", flaky)
     code = main(["sweep", "--d", "3", "--kappa", "-1", "--ell-grid", "1,2"])
     out = capsys.readouterr().out
     assert code == 3
@@ -290,15 +311,3 @@ def test_verify_rejects_flags_the_suite_does_not_read(capsys, suite, flag):
     assert captured.out == ""
     assert captured.err.startswith("domain error:")
     assert flag in captured.err
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
-def test_sweep_rejects_thread_count_that_is_not_a_positive_integer(
-        tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("SIMPLEXVOL_THREADS", value)
-    out = tmp_path / "s.csv"
-    assert main(["sweep", "--d", "3", "--ell-grid", "1,2", "--out", str(out)]) == 2
-    assert not out.exists()
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "SIMPLEXVOL_THREADS" in captured.err

@@ -17,6 +17,7 @@ from simplexvol.geometry import (
     regular_parameters,
 )
 from simplexvol.oracles import direct_klein_volume
+from simplexvol.rayquad import RayIntegralProblem, ray_integral
 from simplexvol import _hp
 from simplexvol._hp import ideal_volume_highprec
 
@@ -413,3 +414,13 @@ def test_request_validation():
             VolumeRequest(geometry=OrthocentricParams((1.0, 1.0, 1.0)), kappa=bad)
         with pytest.raises(GeometryDomainError, match="kappa"):
             regular_volume(2, 1.0, bad)
+
+
+@pytest.mark.parametrize("error_bar", [
+    lambda: regular_volume(2, 0.1).abs_error,
+    lambda: volume(VolumeRequest(OrthocentricParams((1.0, 1.0, 1.0)), 4.0)).abs_error,
+    lambda: volume(VolumeRequest(OrthocentricParams((1.0, 1.3, 0.8)), 0.0)).abs_error,
+    lambda: ray_integral(RayIntegralProblem((0.3, 0.3, 0.3), -2.0, 1 - 1j)).abs_error_estimate,
+], ids=["hyperbolic", "spherical", "euclidean", "boundary-ray"])
+def test_error_bars_are_python_floats(error_bar):
+    assert type(error_bar()) is float
