@@ -94,8 +94,8 @@ def _sweep_grid(args):
     """Each grid value with its row's VolumeRequest, all built before any row runs.
 
     A bad side length, d, kappa or tolerance raises here (exit 2), before a
-    row is computed or a file written; an empty grid still has d and kappa
-    checked, through the ideal simplex.
+    row is computed or a file written; an empty grid still has d, kappa and
+    the tolerance checked, through the request of the ideal simplex.
     """
     if args.ell_grid is not None:
         grid = [float(t) for t in args.ell_grid.split(",") if t.strip()]
@@ -104,8 +104,9 @@ def _sweep_grid(args):
         grid = list(np.geomspace(float(lo), float(hi), int(n)))
     else:
         raise GeometryDomainError("sweep requires --ell-grid or --ell-log-range")
-    params = [regular_parameters(args.d, ell, args.kappa) for ell in grid or [math.inf]]
-    return [(ell, VolumeRequest(p, args.kappa, args.tol)) for ell, p in zip(grid, params)]
+    requests = [VolumeRequest(regular_parameters(args.d, ell, args.kappa), args.kappa, args.tol)
+                for ell in grid or [math.inf]]
+    return list(zip(grid, requests))
 
 
 def cmd_sweep(args):

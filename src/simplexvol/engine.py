@@ -18,14 +18,25 @@ with mu_j = tau_j/s, taken along the ray 1-i with sqrt(-r) = +i sqrt(r)
 The exact volume is real; the imaginary residual of the assembled expression
 is reported as a numerical health diagnostic.
 
-A regular simplex is the equal-tau case, so it takes the same path:
-regular_volume turns (d, side length, kappa) into OrthocentricParams with
-geometry.regular_parameters, which is where those three inputs are checked.
+A regular simplex is the equal-tau case: regular_volume turns (d, side
+length, kappa) into OrthocentricParams with geometry.regular_parameters,
+which is where those three inputs are checked.  At kappa < 0 a regular
+simplex has a second, cancellation-free path, the curvature power series of
+its Klein-model volume (_series_volume): every term is positive, the terms
+shrink like rho^k with rho = 1 - 1/cosh(side length * sqrt(-kappa)), and the
+sum is taken to rounding.  A request takes the series when kappa < 0, the
+upper branch is asked for, every tau is equal and rho <= _RHO_MAX; its result
+has branch SERIES and residual_imag 0.  Every other request (the ideal
+simplex, where rho = 1, kappa > 0, distinct taus, the lower branch) takes
+the ray.  Whatever the path, volume() refuses a result whose error bar is
+not below its magnitude, or a negative volume, with ToleranceError.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .cnormal import SQRT_2PI
 from .errors import GeometryDomainError, ToleranceError
@@ -37,11 +48,23 @@ from .rayquad import IntegralResult, RayIntegralProblem, ray_integral
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 
+#: the unit roundoff of a double
+_U = 2.0 ** -53
+
+#: a regular simplex at kappa < 0 takes the curvature series while its term
+#: ratio rho is at most this; above it the ray costs less (the crossover
+#: measured at d = 3, 5, 8 and 12 is in CHANGES.md)
+_RHO_MAX = 0.995
+
+#: the most terms one series may build before the volume falls back to the ray
+_K_CAP = 8192
+
 
 class Branch(Enum):
     UPPER_RAY = "upper_ray"
     LOWER_RAY = "lower_ray"
     REAL_AXIS = "real_axis"
+    SERIES = "series"
 
 
 @dataclass(frozen=True)
@@ -52,8 +75,11 @@ class VolumeRequest:
     the equal-tau case; regular_parameters builds it from a side length).
     kappa is any finite curvature >= kappa0; kappa = 0 gives the Euclidean
     volume in closed form, and a non-finite kappa raises GeometryDomainError.
-    tolerance is absolute on the orthant-transform values, which surfaces as
-    roughly 1e2*tolerance relative on volumes.
+    tolerance is absolute on the ray's orthant-transform values, which
+    surfaces as roughly 1e2*tolerance relative on volumes; the curvature
+    series always sums to rounding and does not read it.  use_lower_branch
+    evaluates the transform on the mirrored ray 1 + i; such a request always
+    takes the ray, also where a regular simplex would take the series.
     """
 
     geometry: OrthocentricParams
@@ -106,8 +132,128 @@ def orthant_probability(mus, z, tol=_quad_tol(1e-10), use_lower_branch=False):
                           r.evaluations)
 
 
+def _series_terms(n, rho, K):
+    """term_k = rho^k [t^k]F(t)^n / ((n+1)/2)_k for k = 0..K, F(t) = sum_i (1/2)_i t^i.
+
+    F satisfies F - 1 = t(t d/dt + 1/2)F, so c(m)_k = [t^k]F^m / (m/2)_k obeys
+    the positive recurrence
+
+        c(m)_k = c(m)_{k-1}/m + r(m)_k c(m-1)_k,   r(m)_k = ((m-1)/2)_k / (m/2)_k,
+
+    from c(0) = [k = 0].  Carried as rho^k c(m)_k, each stage m is a
+    first-order filter of ratio rho/m, run as a doubling scan, and the terms
+    are rho^k c(n)_k r(n+1)_k.  Every r is a running product of exact
+    neighbour ratios, and every value is positive and at most 1.  The scan
+    stops at the first shift s with m^-s <= u (1/2)_K/(m/2)_K: what the
+    remaining shifts add to term k is (rho/m)^s rho^(k-s) c(m)_{k-s}, and as
+    c(m) lies between (1/2)_k/(m/2)_k and 1 that is at most u of the term.
+    """
+    k2 = 2.0 * np.arange(1, K + 1)
+    ms = np.arange(1.0, n + 1.0)[:, None]
+    r = np.ones((n, K + 1))  # row m - 1 holds r(m + 1)
+    np.cumprod((k2 + (ms - 2.0)) / (k2 + (ms - 1.0)), axis=1, out=r[:, 1:])
+    t = np.zeros(K + 1)
+    t[0] = 1.0
+    low = 1.0  # (1/2)_K / (m/2)_K, the product of r(2..m) at K: c(m)_k >= low
+    for m in range(1, n + 1):
+        s = 1
+        while s <= K and float(m) ** -s > _U * low:
+            t[s:] += (rho ** s * float(m) ** -s) * t[:-s]  # NumPy buffers the overlap
+            s *= 2
+        t *= r[m - 1]
+        low *= r[m - 1, K]
+    return t
+
+
+def _series_guess(n, rho):
+    """A first table length: where rho^K times the terms' large-k size
+    n Gamma(h + 1/2)/sqrt(pi) K^(-h) falls below eps (1 - rho)."""
+    h = n / 2.0
+    log_rho = math.log(max(rho, 1e-300))
+    target = (math.log(_U * (1.0 - rho)) - math.log(n / math.sqrt(math.pi))
+              - math.lgamma(h + 0.5))
+    # Newton on the convex, decreasing K log(rho) - h log(K + 1) - target,
+    # from K = 0, approaches its root from below
+    K = 0.0
+    for _ in range(6):
+        K -= (K * log_rho - h * math.log1p(K) - target) / (log_rho - h / (K + 1.0))
+    # and past where the tail bound's ratio rho (h + K)/(K + 1) drops below 1
+    return int(max(1.1 * K, 1.25 * (rho * h - 1.0) / (1.0 - rho))) + 8
+
+
+def _series_volume(params, kappa):
+    """The volume of a regular simplex at kappa0 < kappa < 0 by the curvature
+    series, or None when rho > _RHO_MAX or the series needs more than _K_CAP terms.
+
+    With s = (d+1) tau^2, h = (d+1)/2, a = 1 - kappa/s, x = kappa/a and
+    rho = -x/tau^2, the Klein-model volume is
+
+        Vol = Vol_E a^(-h) sum_k term_k,   term_k = rho^k [t^k]F^(d+1) / (h+1/2)_k
+
+    (_series_terms), every term positive.  The sum stops at the first K whose
+    tail bound term_{K+1}/(1 - rho (h+K)/(K+1)) is below eps times the sum: the
+    ratio (h)_k/k! falls to at most (h+K)/(K+1) past K, and the argument
+    -x Q of the Klein density lies in [0, rho].
+    """
+    d, s = params.dimension, params.s
+    n = d + 1
+    h = n / 2.0
+    a = 1.0 - kappa / s
+    rho = -(kappa / a) / (params.taus[0] * params.taus[0])
+    if rho > _RHO_MAX:
+        return None
+    K = _series_guess(n, rho)
+    while True:
+        if K + 1 > _K_CAP:
+            return None
+        t = _series_terms(n, rho, K + 1)
+        ks = np.arange(K + 1.0)
+        q = rho * (h + ks) / (ks + 1.0)
+        tail = np.full(K + 1, math.inf)
+        np.divide(t[1:], 1.0 - q, out=tail, where=q < 1.0)
+        done = tail <= 2.0 * _U * np.cumsum(t[:-1])
+        if done.any():
+            K = int(np.argmax(done))
+            break
+        K *= 2
+    terms = t[:K + 1]
+    total = math.fsum(terms.tolist())
+    # relative rounding of term_k, in units u: per stage, the running ratio
+    # product r (2k), at most `steps` scan shifts of two pows, two products
+    # and one sum (7 each) and the shifts the scan leaves out (1); rho's input
+    # rounding (7u: s to 2u from the squares and fsum, kappa/s, 1 - kappa/s,
+    # kappa/a, tau^2 and the quotient) moves term_k by 7k u; and the fsum
+    # adds u of the total
+    steps = len(t).bit_length()
+    k_weighted = float(np.sum(ks[:K + 1] * terms))
+    sum_err = (_U * ((2 * n + 7) * k_weighted + (n * (7 * steps + 1) + 1) * total)
+               + float(tail[K]))
+    # the prefactor: Vol_E to (d + 5)u, a to 4u raised to -h with 2u of its
+    # own, and two products; 1.01 covers the second-order terms of these
+    # first-order counts and the rounding of the bar itself
+    pre = euclidean_volume(params) * a ** -h
+    vol = pre * total
+    err = 1.01 * (pre * sum_err + (3 * d + 11) * _U * vol)
+    return VolumeResult(vol, err, 0.0, Branch.SERIES, K + 1)
+
+
 def volume(req):
-    """Volume of the requested simplex in the space of curvature kappa."""
+    """Volume of the requested simplex in the space of curvature kappa.
+
+    Raises ToleranceError, with the result attached, when the result's own
+    error bar is not below its magnitude or the volume is negative: on the
+    ray that is cancellation (large d, small simplices, tiny |kappa|).
+    """
+    res = _evaluate(req)
+    if not res.abs_error < abs(res.volume) or res.volume < 0:
+        raise ToleranceError(
+            f"volume {res.volume:.3g} +- {res.abs_error:.3g} ({res.branch.value}) is not "
+            "certified: its error bar is not below its magnitude", result=res)
+    return res
+
+
+def _evaluate(req):
+    """The volume by its path (see the module doc), before the gate in volume()."""
     params = req.geometry
     d, kappa = params.dimension, req.kappa
     if kappa == 0.0:
@@ -123,6 +269,10 @@ def volume(req):
         raise GeometryDomainError(
             f"kappa must be >= kappa0 = {k0:.12g} for this simplex; got {kappa}")
     kappa = max(kappa, k0)  # clamp rounding right at the boundary
+    if kappa < 0 and not req.use_lower_branch and len(set(params.taus)) == 1:
+        res = _series_volume(params, kappa)
+        if res is not None:
+            return res
     z = kappa - params.s
     tr = orthant_probability(params.multipliers(), z, _quad_tol(req.tolerance),
                              req.use_lower_branch)

@@ -244,6 +244,27 @@ def test_sweep_checks_whole_grid_before_any_row(tmp_path, capsys, args):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("tol", ["0", "nan", "-1e-10"])
+def test_sweep_checks_tolerance_on_an_empty_grid(tmp_path, capsys, tol):
+    # the ideal simplex that checks d and kappa on an empty grid checks the
+    # tolerance as well, as a one-row grid does
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--d", "3", "--ell-grid", "", f"--tol={tol}"]
+    assert main([*args, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(args) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_volume_json_names_the_series_path(capsys):
+    assert main(["volume", "--regular", "3", "--ell", "1.5", "--kappa", "-1",
+                 "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["branch"] == "series" and out["residual_imag"] == 0.0
+    assert main(["volume", "--ideal", "3", "--kappa", "-1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["branch"] == "upper_ray"
+
+
 def test_volume_csv_format(capsys):
     from simplexvol.engine import regular_volume
     assert main(["volume", "--ideal", "2", "--kappa", "-1", "--format", "csv"]) == 0

@@ -11,7 +11,7 @@ from simplexvol.engine import (
     Branch, VolumeRequest, orthant_probability, regular_volume,
     sphere_surface_area, volume,
 )
-from simplexvol.errors import GeometryDomainError, NearPoleError
+from simplexvol.errors import GeometryDomainError, NearPoleError, ToleranceError
 from simplexvol.geometry import (
     OrthocentricParams, euclidean_volume, min_curvature, realize_vertices,
     regular_parameters,
@@ -140,7 +140,15 @@ def test_monotone_in_side_length_with_ideal_supremum():
 
 
 def test_branch_agreement():
+    # ell = 1.5 takes the curvature series on the upper request, so the two
+    # agree across paths; ell = 8 lies past the series' range, and there the
+    # upper ray meets the lower ray
     p = regular_parameters(3, 1.5, -1.0)
+    up = volume(VolumeRequest(geometry=p, kappa=-1.0))
+    lo = volume(VolumeRequest(geometry=p, kappa=-1.0, use_lower_branch=True))
+    assert up.branch is Branch.SERIES and lo.branch is Branch.LOWER_RAY
+    assert abs(up.volume - lo.volume) < 1e-10
+    p = regular_parameters(3, 8.0, -1.0)
     up = volume(VolumeRequest(geometry=p, kappa=-1.0))
     lo = volume(VolumeRequest(geometry=p, kappa=-1.0, use_lower_branch=True))
     assert up.branch is Branch.UPPER_RAY and lo.branch is Branch.LOWER_RAY
@@ -399,6 +407,26 @@ def test_twin_series_caps_raise_no_convergence(monkeypatch):
             _hp._upper_gamma_cf(mp.mpf(-10), mp.mpc(0, -55))
         with pytest.raises(mp.mp.NoConvergence):
             _hp._head(3, [mp.mpf(0), mp.sqrt(mp.pi)])
+
+
+def test_gate_refuses_an_ideal_volume_its_bar_swallows():
+    # the ray cancels at d = 16: 4.96e-13 +- 5.6e-12 came back unflagged
+    with pytest.raises(ToleranceError, match="not certified") as info:
+        regular_volume(16, math.inf, -1.0)
+    res = info.value.result
+    assert res.branch is Branch.UPPER_RAY
+    assert not res.abs_error < abs(res.volume)
+
+
+@pytest.mark.parametrize("kappa", [1e-4, -1e-4])
+def test_gate_refuses_a_flat_limit_the_ray_cancels(kappa):
+    # distinct taus take the ray, which returned -8.4e-3 +- 17 (kappa > 0) and
+    # 1.4e-2 +- 17 (kappa < 0) for a Euclidean volume of 3.43e-3
+    rng = np.random.default_rng(3)
+    p = OrthocentricParams(tuple(rng.uniform(0.6, 1.8, 7)))
+    with pytest.raises(ToleranceError) as info:
+        volume(VolumeRequest(geometry=p, kappa=kappa))
+    assert info.value.result.abs_error > 1.0
 
 
 def test_request_validation():

@@ -1,0 +1,197 @@
+"""The curvature-series path for regular simplices at kappa < 0."""
+
+import math
+import warnings
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from simplexvol import engine
+from simplexvol.engine import Branch, VolumeRequest, regular_volume, volume
+from simplexvol.geometry import OrthocentricParams, euclidean_volume, regular_parameters
+from simplexvol.oracles import regular_tetrahedron_volume
+
+
+def _side(rho, kappa=-1.0):
+    """The side length whose series ratio is rho: rho = 1 - 1/cosh(ell sqrt(-kappa))."""
+    return math.acosh(1.0 / (1.0 - rho)) / math.sqrt(-kappa)
+
+
+def mp_terms(n, rho, K):
+    """term_k = rho^k [t^k]F^n / ((n+1)/2)_k, k = 0..K, from F^n by plain
+    convolution of the coefficients (1/2)_i, in the current mp precision."""
+    f = [mp.rf(mp.mpf(1) / 2, i) for i in range(K + 1)]
+    p = [mp.mpf(1)] + [mp.mpf(0)] * K
+    for _ in range(n):
+        p = [mp.fsum(p[i] * f[k - i] for i in range(k + 1)) for k in range(K + 1)]
+    return [mp.mpf(rho) ** k * p[k] / mp.rf(mp.mpf(n + 1) / 2, k) for k in range(K + 1)]
+
+
+def mp_recurrence_terms(n, rho, K):
+    """The same terms from the first-order recurrence in the stage m that
+    engine._series_terms runs (see its docstring), in the current mp precision."""
+    c = [mp.mpf(1)] + [mp.mpf(0)] * K
+    for m in range(1, n + 1):
+        r = mp.mpf(1)
+        new = [c[0]]
+        for k in range(1, K + 1):
+            r *= mp.mpf(m - 3 + 2 * k) / (m - 2 + 2 * k)  # r(m)_k
+            new.append(new[-1] / m + r * c[k])
+        c = new
+    terms, r = [], mp.mpf(1)
+    for k in range(K + 1):
+        if k:
+            r *= mp.mpf(n - 2 + 2 * k) / (n - 1 + 2 * k)  # r(n + 1)_k
+        terms.append(mp.mpf(rho) ** k * c[k] * r)
+    return terms
+
+
+def mp_series_volume(d, tau, kappa, dps=30):
+    """The series volume of the regular simplex with parameter tau at dps
+    digits, summed until the engine's tail bound is below 10^-(dps + 2) of it."""
+    with mp.workdps(dps):
+        n = d + 1
+        h = mp.mpf(n) / 2
+        tau2 = mp.mpf(tau) ** 2
+        s = n * tau2
+        a = 1 - mp.mpf(kappa) / s
+        rho = -(mp.mpf(kappa) / a) / tau2
+        eps = mp.mpf(10) ** -(dps + 2)
+        prefactor = mp.sqrt(s) / (mp.factorial(d) * mp.mpf(tau) ** n) * a ** -h
+        size = 2 * engine._series_guess(n, float(rho))  # twice the digits
+        while True:
+            terms = mp_recurrence_terms(n, rho, size)
+            partial = mp.mpf(0)
+            for K in range(size):
+                partial += terms[K]
+                q = rho * (h + K) / (K + 1)
+                if q < 1 and terms[K + 1] / (1 - q) < eps * partial:
+                    return prefactor * mp.fsum(terms[:K + 1])
+            size *= 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 13])
+def test_terms_match_the_convolution_of_f(n):
+    # the recurrence against F^n multiplied out, 40 digits
+    t = engine._series_terms(n, 0.7, 60)
+    with mp.workdps(40):
+        ref = mp_terms(n, 0.7, 60)
+        worst = max(abs(mp.mpf(float(a)) - b) / b for a, b in zip(t, ref))
+    assert worst < 1e-13
+
+
+@pytest.mark.parametrize("ell", [0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0])
+def test_d3_rows_match_the_tetrahedron_integral(ell):
+    r = regular_volume(3, ell, -1.0)
+    assert r.branch is Branch.SERIES
+    assert r.residual_imag == 0.0 and r.evaluations > 0
+    ref = regular_tetrahedron_volume(ell)
+    assert abs(r.volume - ref) <= r.abs_error + 1e-14 * ref
+    assert abs(r.volume - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_flat_limit_first_order_coefficient(d):
+    # at fixed taus, Vol/Vol_E - 1 = -kappa d/(2 (d + 2) tau^2) + O(kappa^2):
+    # the mean of |y|^2 = Q - 1/s over the simplex is d/((d + 1)(d + 2) tau^2)
+    tau = 0.8
+    p = OrthocentricParams((tau,) * (d + 1))
+    exact = d / (2.0 * (d + 2) * tau * tau)
+    ve = euclidean_volume(p)
+    for kappa in (-1e-5, -1e-6):
+        r = volume(VolumeRequest(p, kappa))
+        assert r.branch is Branch.SERIES
+        coef = (r.volume / ve - 1.0) / -kappa
+        assert abs(coef / exact - 1.0) <= -kappa
+
+
+def _random_cases():
+    rng = np.random.default_rng(20241018)
+    cases = []
+    for _ in range(16):
+        d = int(rng.integers(2, 13))
+        kappa = -float(np.exp(rng.uniform(math.log(0.25), math.log(4.0))))
+        rho = float(rng.uniform(0.0, engine._RHO_MAX))
+        cases.append((d, _side(rho, kappa), kappa))
+    # tiny simplices, where the ray cancels, and the edge of the series' range
+    return cases + [(12, 0.1, -1.0), (8, 0.01, -1.0), (6, 1e-3, -2.0),
+                    (2, _side(0.994), -1.0), (12, _side(0.98, -3.0), -3.0)]
+
+
+@pytest.mark.parametrize("d, ell, kappa", _random_cases())
+def test_bar_covers_a_30_digit_sum(d, ell, kappa):
+    r = regular_volume(d, ell, kappa)
+    assert r.branch is Branch.SERIES
+    ref = mp_series_volume(d, regular_parameters(d, ell, kappa).taus[0], kappa)
+    assert r.volume > 0
+    assert abs(mp.mpf(r.volume) - ref) <= r.abs_error
+    assert r.abs_error <= 1e-12 * r.volume
+
+
+def test_small_simplices_the_ray_cancels():
+    # the ray returned 5.5e-15 +- 3.8e-11 and -1.8e-14 +- 1.4e-10 here
+    r = regular_volume(12, 0.1)
+    assert r.branch is Branch.SERIES
+    assert abs(r.volume / 1.1522445e-22 - 1.0) < 1e-7
+    assert regular_volume(8, 0.01).volume > 0
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_agrees_with_the_ray_where_both_claim_1e_10(d):
+    # a lower-branch request takes the ray; at d = 8 the ray's bar passes
+    # 1e-10 below ell = 2, where its cancellation sets in
+    compared = 0
+    for ell in (0.5, 1.0, 2.0, 3.0, 4.0, 5.0):
+        p = regular_parameters(d, ell, -1.0)
+        ser = volume(VolumeRequest(p, -1.0))
+        ray = volume(VolumeRequest(p, -1.0, 1e-12, use_lower_branch=True))
+        assert ser.branch is Branch.SERIES and ray.branch is Branch.LOWER_RAY
+        if max(ser.abs_error, ray.abs_error) <= 1e-10:
+            compared += 1
+            assert abs(ser.volume - ray.volume) <= ser.abs_error + ray.abs_error
+    assert compared >= 4
+
+
+@pytest.mark.parametrize("d", [3, 7, 12])
+def test_curvature_scaling(d):
+    # Vol_{d,kappa}(ell) = |kappa|^(-d/2) Vol_{d,-1}(ell sqrt|kappa|), within both bars
+    for ell, kappa in ((0.3, -2.0), (1.0, -0.5), (0.7, -9.0), (2.0, -1.7)):
+        r = regular_volume(d, ell, kappa)
+        unit = regular_volume(d, ell * math.sqrt(-kappa), -1.0)
+        assert r.branch is Branch.SERIES and unit.branch is Branch.SERIES
+        f = abs(kappa) ** (-d / 2.0)
+        assert abs(r.volume - f * unit.volume) <= r.abs_error + f * unit.abs_error
+
+
+def test_routing():
+    # the ideal simplex (rho = 1), rho past _RHO_MAX, the lower branch,
+    # distinct taus and kappa > 0 all take the ray
+    assert regular_volume(3, math.inf).branch is Branch.UPPER_RAY
+    assert regular_volume(3, _side(0.998)).branch is Branch.UPPER_RAY
+    assert regular_volume(3, _side(0.99)).branch is Branch.SERIES
+    p = regular_parameters(4, 1.0, -1.0)
+    assert volume(VolumeRequest(p, -1.0, use_lower_branch=True)).branch is Branch.LOWER_RAY
+    q = OrthocentricParams((1.0, 1.0, 1.0, 1.0 + 2.0 ** -52))
+    assert volume(VolumeRequest(q, -1.0)).branch is Branch.UPPER_RAY
+    assert volume(VolumeRequest(p, 0.5 * p.s)).branch is Branch.UPPER_RAY
+
+
+def test_past_the_term_cap_the_ray_takes_over(monkeypatch):
+    monkeypatch.setattr(engine, "_K_CAP", 32)
+    assert regular_volume(3, 0.5).branch is Branch.SERIES
+    assert regular_volume(3, 3.0).branch is Branch.UPPER_RAY
+
+
+@pytest.mark.parametrize("n", [3, 13, 31])
+def test_terms_at_the_cap_stay_finite_and_positive(n):
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        t = engine._series_terms(n, engine._RHO_MAX, engine._K_CAP)
+    assert len(t) == engine._K_CAP + 1
+    assert np.all(np.isfinite(t)) and np.all(t > 0.0) and np.all(t <= 1.0)
+    if n == 3:
+        with mp.workdps(30):
+            ref = mp_recurrence_terms(n, engine._RHO_MAX, engine._K_CAP)
+            for k in (1, 100, engine._K_CAP // 2, engine._K_CAP):
+                assert abs(mp.mpf(float(t[k])) / ref[k] - 1) < 1e-11

@@ -16,9 +16,11 @@ Each checkout is a full tree (``git archive`` or ``git clone``) with its own
   that runs first alternating), and how many pairs the change won;
 * the ``--trace 1`` CDF points, head time, tail counts and time, and the
   ``_hp`` and Monte Carlo oracle times, of every gated workload, on both sides;
-* ``regular_volume(d, inf)`` times for d = 2..14, on both sides;
+* ``regular_volume(d, ell)`` times for d = 2..14 at ell = inf and at the
+  finite side lengths of REGULAR_ROWS, on both sides;
 * orthocentric hyperbolic ``volume()`` times for d = 2..14 (taus ~ U(0.6, 1.8)
-  from ``default_rng(d)``, kappa = kappa0/2), on both sides;
+  from ``default_rng(d)``, kappa = kappa0/2), on both sides, each marked
+  when the accuracy gate refuses it;
 * ``ideal_volume_highprec(d)`` times for d = 2, 12 and 20, on both sides;
 * the ``tracemalloc`` peak and time of a d = 6, 10^6-sample
   ``mc_spherical_volume`` call, on both sides;
@@ -57,22 +59,28 @@ TRACED_METRICS = ("cnormal.points", "rayquad.head_s", "rayquad.tail_products",
                   "rayquad.tail_quadratures", "rayquad.tail_s", "oracles.hp_s",
                   "oracles.hp_calls", "oracles.mc_s")
 
-#: one child per side: warm up, then the median of REPEATS timings per d
+#: one child per side and side length: warm up, then the median of REPEATS
+#: timings per d
 REGULAR_CHILD = """
 import json, math, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 from simplexvol import regular_volume
-regular_volume(2, math.inf)
+ell = float(sys.argv[3])
+regular_volume(2, ell)
 out = {}
 for d in range(2, 15):
     times = []
     for _ in range(int(sys.argv[2])):
         t0 = time.perf_counter()
-        regular_volume(d, math.inf)
+        regular_volume(d, ell)
         times.append(time.perf_counter() - t0)
     out[d] = 1e3 * statistics.median(times)
 print(json.dumps(out))
 """
+
+#: the finite side lengths of the regular rows timed at kappa = -1: the
+#: series ratio rho = 1 - 1/cosh(ell) is 0.35, 0.96 and 0.992
+REGULAR_ROWS = (1.0, 4.0, 5.5)
 
 #: one child per side: warm up, then per d the median of REPEATS timings, or
 #: a single timing where one call takes longer than LONG_CALL_S
@@ -81,6 +89,7 @@ import json, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from simplexvol import engine, geometry
+from simplexvol.errors import ToleranceError
 repeats, long_call = int(sys.argv[2]), float(sys.argv[3])
 
 def request(d):
@@ -90,17 +99,21 @@ def request(d):
 
 def timed(req):
     t0 = time.perf_counter()
-    engine.volume(req)
+    try:
+        engine.volume(req)
+    except ToleranceError:
+        refused.add(req.geometry.dimension)
     return time.perf_counter() - t0
 
 engine.volume(request(2))
-out = {}
+out, refused = {}, set()
 for d in range(2, 15):
     req = request(d)
     times = [timed(req)]
     while times[0] < long_call and len(times) < repeats:
         times.append(timed(req))
-    out[d] = {"ms": 1e3 * statistics.median(times), "calls": len(times)}
+    out[d] = {"ms": 1e3 * statistics.median(times), "calls": len(times),
+              "refused": d in refused}
 print(json.dumps(out))
 """
 
@@ -256,12 +269,17 @@ def main(argv=None):
         "trace": {"seed": 1, "seconds": SECONDS, "workloads": traced(sides, 1)},
         "regular_volume_ms": {"call": "regular_volume(d, inf)",
                               "statistic": f"median of {REPEATS} calls after a warm-up",
-                              **child_times(sides, REGULAR_CHILD, REPEATS)},
+                              **child_times(sides, REGULAR_CHILD, REPEATS, "inf")},
+        "regular_row_ms": {ell: {"call": f"regular_volume(d, {ell})",
+                                 "statistic": f"median of {REPEATS} calls after a warm-up",
+                                 **child_times(sides, REGULAR_CHILD, REPEATS, ell)}
+                           for ell in REGULAR_ROWS},
         "orthocentric_volume_ms": {
             "call": "volume() of OrthocentricParams(taus), taus = "
                     "default_rng(d).uniform(0.6, 1.8, d + 1), kappa = min_curvature / 2",
             "statistic": f"median of {REPEATS} calls after a warm-up, one call where the "
-                         f"first takes over {LONG_CALL_S} s",
+                         f"first takes over {LONG_CALL_S} s; a call the accuracy gate "
+                         "refuses (ToleranceError) is timed to the refusal and marked",
             **child_times(sides, ORTHO_CHILD, REPEATS, LONG_CALL_S)},
         "highprec_ms": {"call": "ideal_volume_highprec(d)",
                         "statistic": f"median of {REPEATS} calls after a warm-up",
