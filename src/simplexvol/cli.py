@@ -14,6 +14,7 @@ import argparse
 import inspect
 import json
 import math
+import re
 import sys
 import time
 
@@ -319,8 +320,17 @@ def _positive_int(text):
     return n
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes -1e-3, like -0.001, as a negative number
+    rather than an option; add_parser builds the subcommands with this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="simplexvol",
         description="Hyperbolic and spherical simplex volumes via contour "
                     "integrals of the complex normal CDF.")
@@ -336,7 +346,7 @@ def build_parser():
                           help="orthocentric parameters, comma separated")
     pv.add_argument("--ell", help="side length ('inf' for ideal)")
     pv.add_argument("--kappa", type=float, required=True, help="curvature")
-    pv.add_argument("--tol", type=float, default=1e-10,
+    pv.add_argument("--tol", type=float, default=VolumeRequest.tolerance,
                     help="absolute tolerance on the transform values")
     pv.add_argument("--format", choices=("json", "csv", "text"), default="text")
     pv.set_defaults(func=cmd_volume)
@@ -347,7 +357,7 @@ def build_parser():
     ps.add_argument("--ell-grid", help="comma-separated side lengths, 'inf' allowed")
     ps.add_argument("--ell-log-range", metavar="LO:HI:N",
                     help="logarithmic grid from LO to HI with N points")
-    ps.add_argument("--tol", type=float, default=1e-10)
+    ps.add_argument("--tol", type=float, default=VolumeRequest.tolerance)
     ps.add_argument("--out", help="output CSV path (stdout if omitted)")
     ps.set_defaults(func=cmd_sweep)
 

@@ -109,7 +109,8 @@ def _quad_tol(tolerance):
     return min(max(tolerance / 8.0, 1e-14), 1e-4)
 
 
-def orthant_probability(mus, z, tol=_quad_tol(1e-10), use_lower_branch=False):
+def orthant_probability(mus, z, tol=_quad_tol(VolumeRequest.tolerance),
+                        use_lower_branch=False):
     """Analytic continuation of the Gaussian orthant probability (see module doc).
 
     For real z > 0 this is the plain real-axis integral.  Elsewhere it is
@@ -295,7 +296,7 @@ def _evaluate(req):
     return VolumeResult(vol, abs_err, residual, branch, tr.evaluations)
 
 
-def regular_volume(d, side_length, kappa=-1.0, tolerance=1e-10):
+def regular_volume(d, side_length, kappa=-1.0, tolerance=VolumeRequest.tolerance):
     """Convenience wrapper: volume of the regular simplex (side inf = ideal)."""
     params = regular_parameters(d, side_length, kappa)
     return volume(VolumeRequest(params, kappa, tolerance))

@@ -110,28 +110,20 @@ def realize_vertices(params):
 
     Returns a (d+1, d) array whose row j is v_j.  Start from e_j/tau_j - H in
     (d+1)-space, where H is the common altitude foot sum(tau_j e_j)/s; these
-    vectors span the hyperplane orthogonal to (tau_0, ..., tau_d), which is
-    mapped isometrically onto R^d.  Raises RankDeficiencyError if the edge
-    vectors' numerical rank falls below d; NumPy's default rank tolerance is
-    relative to the largest singular value, so the scale of the taus alone
-    never triggers it.
+    vectors span the hyperplane orthogonal to (tau_0, ..., tau_d).  The QR
+    factorization of the columns (tau, e_1, ..., e_d), nonsingular since
+    tau_0 > 0, gives Q's first column along tau and its other d columns an
+    orthonormal basis of that hyperplane, which maps it isometrically onto
+    R^d.  Raises RankDeficiencyError if the edge vectors' numerical rank
+    falls below d; NumPy's default rank tolerance is relative to the largest
+    singular value, so the scale of the taus alone never triggers it.
     """
     taus = np.asarray(params.taus)
     s = params.s
     n = len(taus)
     pts = np.diag(1.0 / taus) - np.outer(np.ones(n), taus / s)
-    # orthonormal basis of the hyperplane orthogonal to taus, via Householder
-    w = taus / np.linalg.norm(taus)
-    e = np.zeros(n)
-    e[0] = 1.0
-    u = w - e
-    nu = np.linalg.norm(u)
-    if nu < 1e-15:
-        basis = np.eye(n)[1:]
-    else:
-        u /= nu
-        basis = (np.eye(n) - 2.0 * np.outer(u, u))[1:]
-    verts = pts @ basis.T
+    q = np.linalg.qr(np.column_stack([taus, np.eye(n)[:, 1:]]))[0]
+    verts = pts @ q[:, 1:]
     if np.linalg.matrix_rank(verts[1:] - verts[0]) < n - 1:
         raise RankDeficiencyError("vertex realization is rank deficient")
     return verts

@@ -6,6 +6,7 @@ uses scipy's QUADPACK on the defining density, and the two tetrahedron
 integrals are classical one-dimensional quadratures.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,10 +81,14 @@ def direct_klein_volume(vertices, kappa, rel_tol=1e-6):
     """Volume by direct integration of (1 + kappa |y|^2)^{-(d+1)/2} over the simplex.
 
     vertices is the simplex's (d+1, d) vertex array, as realize_vertices
-    returns it.  Deterministic iterated quadrature after the standard map
-    from the unit cube onto the simplex; limited to d in {2, 3} (the cost
-    grows exponentially with d).  Warns via GeometryDomainError when kappa is
-    numerically at the admissibility boundary, where the integrand blows up.
+    returns it.  One integrand over the unit cube [0, 1]^d, through the
+    standard map onto the simplex, y = v_0 + sum_k u_k (v_k - v_0) with
+    u_k = t_k (1 - t_1) ... (1 - t_(k-1)) and Jacobian
+    prod_k (1 - t_k)^(d-k), goes to one scipy.integrate.nquad call
+    (deterministic iterated QUADPACK); limited to d in {2, 3} (the cost
+    grows exponentially with d).  Raises GeometryDomainError when a vertex
+    is not strictly inside the model ball at this kappa, where the
+    integrand blows up.
     """
     d = vertices.shape[1]
     if d not in (2, 3):
@@ -97,30 +102,28 @@ def direct_klein_volume(vertices, kappa, rel_tol=1e-6):
     v0 = vertices[0]
     B = (vertices[1:] - v0).T  # columns are edge vectors
     jac0 = abs(np.linalg.det(B))
+    powers = range(d - 1, 0, -1)
 
-    if d == 2:
-        def f(t2, t1):
-            u1 = t1
-            u2 = t2 * (1.0 - t1)
-            y = v0 + B[:, 0] * u1 + B[:, 1] * u2
-            w = 1.0 + kappa * float(y @ y)
-            return (1.0 - t1) / w ** ex
+    # nquad passes the innermost variable t_d first; t_1..t_(d-1) stay fixed
+    # while its quad runs, so their part of y and of the Jacobian is built
+    # once per inner integral.  Each u_k is multiplied out left to right.
+    @functools.lru_cache(maxsize=1)
+    def outer(*ts):
+        t = ts[::-1]  # t_1, ..., t_(d-1)
+        c = [1.0 - x for x in t]
+        y = v0
+        for k in range(d - 1):
+            y = y + B[:, k] * math.prod(c[:k], start=t[k])
+        return y, c, math.prod(map(pow, c, powers))
 
-        val, err = integrate.dblquad(f, 0.0, 1.0, 0.0, 1.0,
-                                     epsabs=0.0, epsrel=rel_tol)
-        return jac0 * val
-
-    def f(t3, t2, t1):
-        u1 = t1
-        u2 = t2 * (1.0 - t1)
-        u3 = t3 * (1.0 - t1) * (1.0 - t2)
-        y = v0 + B[:, 0] * u1 + B[:, 1] * u2 + B[:, 2] * u3
+    def f(t_d, *ts):
+        y, c, jac = outer(*ts)
+        y = y + B[:, -1] * math.prod(c, start=t_d)
         w = 1.0 + kappa * float(y @ y)
-        return (1.0 - t1) ** 2 * (1.0 - t2) / w ** ex
+        return jac / w ** ex
 
-    val, err = integrate.tplquad(f, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0,
-                                 epsabs=0.0, epsrel=rel_tol)
-    return jac0 * val
+    val = integrate.nquad(f, [[0.0, 1.0]] * d, opts={"epsabs": 0.0, "epsrel": rel_tol})[0]
+    return float(jac0 * val)
 
 
 def ideal_tetrahedron_volume():

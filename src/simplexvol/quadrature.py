@@ -77,10 +77,9 @@ def adaptive_gk(f, edges, tol, max_panels=512):
                 f"quadrature tolerance not met with {lo.size} panels",
                 result=(total, toterr, neval))
         # split every panel whose worst normalized error share is significant
+        # (a failing component's shares sum to toterr/target > 1: one is > 1/N)
         score = (errs[bad] / target[bad, None]).max(axis=0)
         split = score > 0.5 / lo.size
-        if not np.any(split):
-            split = score >= score.max()
         keep = ~split
         slo, shi = lo[split], hi[split]
         smid = 0.5 * (slo + shi)

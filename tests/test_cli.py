@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from simplexvol import oracles
 from simplexvol.cli import main
 
 RUN = [sys.executable, "-m", "simplexvol.cli"]
@@ -332,3 +333,40 @@ def test_verify_rejects_flags_the_suite_does_not_read(capsys, suite, flag):
     assert captured.out == ""
     assert captured.err.startswith("domain error:")
     assert flag in captured.err
+
+
+def test_volume_regular_requires_ell(capsys):
+    assert main(["volume", "--regular", "3", "--kappa", "-1"]) == 2
+    assert capsys.readouterr().err == "domain error: --regular requires --ell\n"
+
+
+def test_sweep_requires_a_grid(capsys):
+    assert main(["sweep", "--d", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "domain error: sweep requires --ell-grid or --ell-log-range\n"
+
+
+def test_verify_names_the_first_failing_check(monkeypatch, capsys):
+    monkeypatch.setattr(oracles, "ideal_tetrahedron_volume", lambda: 0.0)
+    assert main(["verify", "ideal-values"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL ideal d=3 vs log-sine integral" in captured.out
+    assert captured.err == "first failing check: ideal d=3 vs log-sine integral\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["volume", "--ideal", "3", "--format", "json"],
+    ["sweep", "--d", "2", "--ell-grid", "1,inf"],
+], ids=["volume", "sweep"])
+def test_exponent_form_negative_values_are_values(capsys, args):
+    # argparse's own negative-number pattern has no exponent, so it used to
+    # take -1e-3 for an option and exit 2 with "expected one argument"
+    outputs = []
+    for kappa in ("-1e-3", "-0.001"):
+        assert main(args + ["--kappa", kappa]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    # a negative tolerance now reaches the library's own check
+    assert main(args + ["--kappa", "-1", "--tol", "-1e-10"]) == 2
+    assert capsys.readouterr().err == "domain error: tolerance must be positive\n"

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import simplexvol
 from simplexvol import _hp, oracles
@@ -187,3 +188,45 @@ def test_lazy_package_names_are_the_module_attributes():
     assert set(simplexvol.__all__) <= set(namespace)
     with pytest.raises(AttributeError):
         simplexvol.no_such_name
+
+
+def test_klein_refuses_a_simplex_outside_the_model_ball():
+    p = OrthocentricParams((1.0, 1.1, 0.9, 1.2))
+    verts = realize_vertices(p)
+    assert direct_klein_volume(verts, 0.5 * min_curvature(p)) > 0
+    with pytest.raises(GeometryDomainError):
+        direct_klein_volume(verts, 1.5 * min_curvature(p))
+
+
+def _klein_per_dimension(vertices, kappa, rel_tol):
+    """The Klein integral by dblquad at d = 2 and tplquad at d = 3, with the
+    map written out term by term in the order direct_klein_volume evaluates it."""
+    d = vertices.shape[1]
+    ex = (d + 1) / 2.0
+    v0 = vertices[0]
+    B = (vertices[1:] - v0).T
+    jac0 = abs(np.linalg.det(B))
+    if d == 2:
+        def f(t2, t1):
+            y = v0 + B[:, 0] * t1 + B[:, 1] * (t2 * (1.0 - t1))
+            return (1.0 - t1) / (1.0 + kappa * float(y @ y)) ** ex
+        return jac0 * integrate.dblquad(f, 0.0, 1.0, 0.0, 1.0, epsabs=0.0, epsrel=rel_tol)[0]
+
+    def f(t3, t2, t1):
+        y = (v0 + B[:, 0] * t1 + B[:, 1] * (t2 * (1.0 - t1))
+             + B[:, 2] * (t3 * (1.0 - t1) * (1.0 - t2)))
+        return (1.0 - t1) ** 2 * (1.0 - t2) / (1.0 + kappa * float(y @ y)) ** ex
+    return jac0 * integrate.tplquad(f, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0,
+                                    epsabs=0.0, epsrel=rel_tol)[0]
+
+
+@pytest.mark.parametrize("taus, factor", [
+    ((1.0, 1.3, 0.7), 0.6),
+    ((0.9, 1.6, 0.6, 1.2), 0.4),
+    ((1.0, 1.1, 0.9, 1.2), -0.5),
+], ids=["d2-hyperbolic", "d3-hyperbolic", "d3-spherical"])
+def test_klein_single_integrand_is_bit_identical_to_per_dimension_quadrature(taus, factor):
+    p = OrthocentricParams(taus)
+    verts = realize_vertices(p)
+    kappa = factor * min_curvature(p)
+    assert direct_klein_volume(verts, kappa, 1e-7) == _klein_per_dimension(verts, kappa, 1e-7)

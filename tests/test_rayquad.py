@@ -331,3 +331,13 @@ def test_tail_product_integral_pinned(name, params, kappa):
     for om, pin in zip(BOUNDARY_RAYS, _TAIL_PINS[name]):
         p = RayIntegralProblem(params.multipliers(), kappa - params.s, om)
         assert rayquad.tail_product_integral(p, SPLIT_A ** 2) == pin
+
+
+def test_ibp_tail_refuses_interior_rays_and_non_positive_splits():
+    with pytest.raises(SectorError):
+        ibp_tail(RayIntegralProblem((1.0, 0.8), 1.0, np.exp(-1j * np.pi / 8)), SPLIT_A)
+    p = RayIntegralProblem((1.0, 0.8), -0.5, 1 - 1j)
+    assert ibp_tail(p, SPLIT_A).abs_error_estimate < 1e-10
+    for A in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            ibp_tail(p, A)

@@ -195,3 +195,18 @@ def test_terms_at_the_cap_stay_finite_and_positive(n):
             ref = mp_recurrence_terms(n, engine._RHO_MAX, engine._K_CAP)
             for k in (1, 100, engine._K_CAP // 2, engine._K_CAP):
                 assert abs(mp.mpf(float(t[k])) / ref[k] - 1) < 1e-11
+
+
+def test_a_short_first_table_is_doubled(monkeypatch):
+    # the first table length from _series_guess has sufficed in every case
+    # scanned, so only a shortened guess reaches the doubling retry
+    full = regular_volume(3, 1.0)
+    lengths = []
+    terms = engine._series_terms
+    monkeypatch.setattr(engine, "_series_guess", lambda n, rho: 4)
+    monkeypatch.setattr(engine, "_series_terms",
+                        lambda n, rho, K: lengths.append(K) or terms(n, rho, K))
+    short = regular_volume(3, 1.0)
+    assert lengths[:3] == [5, 9, 17]
+    assert short.branch is Branch.SERIES
+    assert abs(short.volume - full.volume) <= short.abs_error + full.abs_error
