@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 from .cnormal import norm_cdf, norm_cdf_array
 from .engine import (
     Branch, VolumeRequest, VolumeResult, orthant_probability, regular_volume,
-    sphere_surface_area, volume,
+    sphere_surface_area, volume, volumes,
 )
 from .errors import (
     CostLimitError, GeometryDomainError, NearPoleError, OverflowRegionError,
@@ -55,7 +55,7 @@ __all__ = [
     "mc_spherical_volume", "min_curvature", "norm_cdf", "norm_cdf_array",
     "orthant_probability", "ray_integral", "realize_vertices",
     "regular_parameters", "regular_tetrahedron_volume", "regular_volume",
-    "side_length", "sphere_surface_area", "volume",
+    "side_length", "sphere_surface_area", "volume", "volumes",
 ]
 
 

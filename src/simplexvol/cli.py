@@ -11,6 +11,7 @@ are printed to the console, never written to the file).
 """
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -21,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .engine import VolumeRequest, regular_volume, volume
+from .engine import VolumeRequest, regular_volume, volume, volumes
 from .errors import CostLimitError, GeometryDomainError, SimplexVolError, ToleranceError
 from .geometry import OrthocentricParams, min_curvature, regular_parameters
 
@@ -111,16 +112,17 @@ def _sweep_grid(args):
 
 
 def cmd_sweep(args):
-    """One volume per grid value, in grid order; a row that raises a library
-    error is written as failed:<Name> and makes the exit code 3."""
+    """One volume per grid value, in grid order, from one volumes() call; a
+    row whose result is a library error is written as failed:<Name> and
+    makes the exit code 3."""
     t0 = time.perf_counter()
+    grid = _sweep_grid(args)
     rows = []
-    for ell, req in _sweep_grid(args):
-        try:
-            r = volume(req)
+    for (ell, _), r in zip(grid, volumes([req for _, req in grid])):
+        if isinstance(r, SimplexVolError):
+            rows.append((ell, math.nan, math.nan, math.nan, f"failed:{type(r).__name__}"))
+        else:
             rows.append((ell, r.volume, r.abs_error, r.residual_imag, "ok"))
-        except SimplexVolError as exc:
-            rows.append((ell, math.nan, math.nan, math.nan, f"failed:{type(exc).__name__}"))
 
     wall_ms = int(1000 * (time.perf_counter() - t0))
     params = {"d": args.d, "kappa": args.kappa,
@@ -329,7 +331,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built once per process; each command
+    looks up the library functions it calls when it runs."""
     ap = _Parser(
         prog="simplexvol",
         description="Hyperbolic and spherical simplex volumes via contour "

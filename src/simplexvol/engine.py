@@ -24,12 +24,19 @@ which is where those three inputs are checked.  At kappa < 0 a regular
 simplex has a second, cancellation-free path, the curvature power series of
 its Klein-model volume (_series_volume): every term is positive, the terms
 shrink like rho^k with rho = 1 - 1/cosh(side length * sqrt(-kappa)), and the
-sum is taken to rounding.  A request takes the series when kappa < 0, the
-upper branch is asked for, every tau is equal and rho <= _RHO_MAX; its result
-has branch SERIES and residual_imag 0.  Every other request (the ideal
-simplex, where rho = 1, kappa > 0, distinct taus, the lower branch) takes
-the ray.  Whatever the path, volume() refuses a result whose error bar is
-not below its magnitude, or a negative volume, with ToleranceError.
+sum is taken to rounding.  Term k is rho^k T_k, and the table T
+(_series_table) depends on d only.  A request takes the series when
+kappa < 0, the upper branch is asked for, every tau is equal and
+rho <= _RHO_MAX; its result has branch SERIES and residual_imag 0.  Every
+other request (the ideal simplex, where rho = 1, kappa > 0, distinct taus,
+the lower branch) takes the ray.
+
+volumes(requests) is the one entry point: it checks and routes every
+request, builds one table per dimension for all of its series rows, and
+returns each result, or the SimplexVolError its request raised, in order.
+volume(req) is volumes([req]) with the error raised.  Whatever the path, a
+result whose error bar is not below its magnitude, or a negative volume, is
+refused with ToleranceError.
 """
 
 import math
@@ -39,7 +46,7 @@ from enum import Enum
 import numpy as np
 
 from .cnormal import SQRT_2PI
-from .errors import GeometryDomainError, ToleranceError
+from .errors import GeometryDomainError, SimplexVolError, ToleranceError
 from .geometry import (
     OrthocentricParams, euclidean_volume, min_curvature, regular_parameters,
     sphere_surface_area,
@@ -133,37 +140,48 @@ def orthant_probability(mus, z, tol=_quad_tol(VolumeRequest.tolerance),
                           r.evaluations)
 
 
-def _series_terms(n, rho, K):
-    """term_k = rho^k [t^k]F(t)^n / ((n+1)/2)_k for k = 0..K, F(t) = sum_i (1/2)_i t^i.
+def _series_table(n, K):
+    """T_k = [t^k]F(t)^n / ((n+1)/2)_k for k = 0..K, F(t) = sum_i (1/2)_i t^i:
+    the curvature series' terms with rho factored out, term_k = rho^k T_k.
 
     F satisfies F - 1 = t(t d/dt + 1/2)F, so c(m)_k = [t^k]F^m / (m/2)_k obeys
     the positive recurrence
 
         c(m)_k = c(m)_{k-1}/m + r(m)_k c(m-1)_k,   r(m)_k = ((m-1)/2)_k / (m/2)_k,
 
-    from c(0) = [k = 0].  Carried as rho^k c(m)_k, each stage m is a
-    first-order filter of ratio rho/m, run as a doubling scan, and the terms
-    are rho^k c(n)_k r(n+1)_k.  Every r is a running product of exact
-    neighbour ratios, and every value is positive and at most 1.  The scan
-    stops at the first shift s with m^-s <= u (1/2)_K/(m/2)_K: what the
-    remaining shifts add to term k is (rho/m)^s rho^(k-s) c(m)_{k-s}, and as
-    c(m) lies between (1/2)_k/(m/2)_k and 1 that is at most u of the term.
+    from c(0) = [k = 0], and T_k = c(n)_k r(n+1)_k.  Stage 1 is c(1)_k = 1
+    exactly; each later stage m is a first-order filter of ratio 1/m, run as
+    a doubling scan.  Every r is a running product of exact neighbour ratios,
+    and every value is positive and at most 1.  The scan's shifts are
+    s = 1, 2, 4, ... up to the first with m^-s <= u (1/2)_C/(m/2)_C,
+    C = _K_CAP: what the shifts left out add to entry k is m^-s c(m)_{k-s},
+    and as c(m) lies between (1/2)_k/(m/2)_k and 1 that is at most u of the
+    entry for every k <= C.  The shifts do not depend on K, so an entry's
+    bits are the same whatever length the table is built to.
     """
     k2 = 2.0 * np.arange(1, K + 1)
     ms = np.arange(1.0, n + 1.0)[:, None]
     r = np.ones((n, K + 1))  # row m - 1 holds r(m + 1)
     np.cumprod((k2 + (ms - 2.0)) / (k2 + (ms - 1.0)), axis=1, out=r[:, 1:])
-    t = np.zeros(K + 1)
-    t[0] = 1.0
-    low = 1.0  # (1/2)_K / (m/2)_K, the product of r(2..m) at K: c(m)_k >= low
-    for m in range(1, n + 1):
+    t = r[0].copy()  # c(1) r(2)
+    for m in range(2, n + 1):
+        # the log of u (1/2)_C / (m/2)_C, u times the least c(m)_k over k <= C
+        log_stop = (math.log(_U) + math.lgamma(_K_CAP + 0.5) - math.lgamma(0.5)
+                    + math.lgamma(m / 2.0) - math.lgamma(_K_CAP + m / 2.0))
         s = 1
-        while s <= K and float(m) ** -s > _U * low:
-            t[s:] += (rho ** s * float(m) ** -s) * t[:-s]  # NumPy buffers the overlap
+        while s <= K and -s * math.log(m) > log_stop:
+            t[s:] += float(m) ** -s * t[:-s]  # NumPy buffers the overlap
             s *= 2
         t *= r[m - 1]
-        low *= r[m - 1, K]
     return t
+
+
+def _series_terms(n, rho, K, table=None):
+    """term_k = rho^k T_k for k = 0..K, with T from table (a _series_table(n, .)
+    of at least K + 1 entries) or, if none is given, from _series_table(n, K)."""
+    if table is None:
+        table = _series_table(n, K)
+    return np.power(rho, np.arange(K + 1.0)) * table[:K + 1]
 
 
 def _series_guess(n, rho):
@@ -182,32 +200,40 @@ def _series_guess(n, rho):
     return int(max(1.1 * K, 1.25 * (rho * h - 1.0) / (1.0 - rho))) + 8
 
 
-def _series_volume(params, kappa):
-    """The volume of a regular simplex at kappa0 < kappa < 0 by the curvature
-    series, or None when rho > _RHO_MAX or the series needs more than _K_CAP terms.
+def _series_ratio(params, kappa):
+    """a = 1 - kappa/s and the term ratio rho = -(kappa/a)/tau^2 of the regular
+    simplex params at kappa0 <= kappa < 0."""
+    a = 1.0 - kappa / params.s
+    return a, -(kappa / a) / (params.taus[0] * params.taus[0])
 
-    With s = (d+1) tau^2, h = (d+1)/2, a = 1 - kappa/s, x = kappa/a and
-    rho = -x/tau^2, the Klein-model volume is
 
-        Vol = Vol_E a^(-h) sum_k term_k,   term_k = rho^k [t^k]F^(d+1) / (h+1/2)_k
+def _series_volume(params, kappa, K, tables):
+    """The volume of a regular simplex at kappa0 <= kappa < 0 by the curvature
+    series, or None when it needs more than _K_CAP terms.
 
-    (_series_terms), every term positive.  The sum stops at the first K whose
-    tail bound term_{K+1}/(1 - rho (h+K)/(K+1)) is below eps times the sum: the
-    ratio (h)_k/k! falls to at most (h+K)/(K+1) past K, and the argument
-    -x Q of the Klein density lies in [0, rho].
+    With s = (d+1) tau^2, h = (d+1)/2 and a, rho from _series_ratio, the
+    Klein-model volume is
+
+        Vol = Vol_E a^(-h) sum_k term_k,   term_k = rho^k T_k,
+        T_k = [t^k]F^(d+1) / (h+1/2)_k
+
+    (_series_table, _series_terms), every term positive.  The sum stops at
+    the first K whose tail bound term_{K+1}/(1 - rho (h+K)/(K+1)) is below
+    eps times the sum: the ratio (h)_k/k! falls to at most (h+K)/(K+1) past
+    K, and the argument -x Q of the Klein density lies in [0, rho].  K starts
+    at the given first guess and doubles while no K passes.  tables maps n = d + 1 to its shared
+    table T, which is rebuilt longer when this row needs more of it; the row
+    reads only T_0..T_{K+1}, whose bits do not depend on the table's length.
     """
-    d, s = params.dimension, params.s
-    n = d + 1
+    d, n = params.dimension, params.dimension + 1
     h = n / 2.0
-    a = 1.0 - kappa / s
-    rho = -(kappa / a) / (params.taus[0] * params.taus[0])
-    if rho > _RHO_MAX:
-        return None
-    K = _series_guess(n, rho)
+    a, rho = _series_ratio(params, kappa)
     while True:
         if K + 1 > _K_CAP:
             return None
-        t = _series_terms(n, rho, K + 1)
+        if len(tables[n]) < K + 2:
+            tables[n] = _series_table(n, K + 1)
+        t = _series_terms(n, rho, K + 1, tables[n])
         ks = np.arange(K + 1.0)
         q = rho * (h + ks) / (ks + 1.0)
         tail = np.full(K + 1, math.inf)
@@ -219,15 +245,16 @@ def _series_volume(params, kappa):
         K *= 2
     terms = t[:K + 1]
     total = math.fsum(terms.tolist())
-    # relative rounding of term_k, in units u: per stage, the running ratio
-    # product r (2k), at most `steps` scan shifts of two pows, two products
-    # and one sum (7 each) and the shifts the scan leaves out (1); rho's input
-    # rounding (7u: s to 2u from the squares and fsum, kappa/s, 1 - kappa/s,
-    # kappa/a, tau^2 and the quotient) moves term_k by 7k u; and the fsum
-    # adds u of the total
+    # relative rounding of term_k, in units u: T_k takes, per stage, the
+    # running ratio product r (2k) and, from stage 2 on, at most `steps` scan
+    # shifts of one pow, one product and one sum (4 each) and the shifts the
+    # scan leaves out (1); rho^k adds one ulp (2), the product rho^k T_k 1,
+    # and rho's input rounding (7u: s to 2u from the squares and fsum,
+    # kappa/s, 1 - kappa/s, kappa/a, tau^2 and the quotient) moves term_k by
+    # 7k u; the fsum adds u of the total
     steps = len(t).bit_length()
     k_weighted = float(np.sum(ks[:K + 1] * terms))
-    sum_err = (_U * ((2 * n + 7) * k_weighted + (n * (7 * steps + 1) + 1) * total)
+    sum_err = (_U * ((2 * n + 7) * k_weighted + ((n - 1) * (4 * steps + 1) + 4) * total)
                + float(tail[K]))
     # the prefactor: Vol_E to (d + 5)u, a to 4u raised to -h with 2u of its
     # own, and two products; 1.01 covers the second-order terms of these
@@ -238,14 +265,62 @@ def _series_volume(params, kappa):
     return VolumeResult(vol, err, 0.0, Branch.SERIES, K + 1)
 
 
+def volumes(requests):
+    """Each request's VolumeResult, or the SimplexVolError it raises, in order.
+
+    Every request is checked and routed first (see the module doc).  The
+    requests that take the curvature series share one coefficient table per
+    dimension, built once, long enough for the longest first guess among
+    them, and rebuilt twice as long when a row's stopping test needs more
+    terms; a row's result does not depend on the table's length, so it is
+    the same bit for bit whatever else the call holds.  Every other request
+    takes its path one at a time.  A result whose error bar is not below its
+    magnitude, or a negative volume, comes back as a ToleranceError with the
+    result attached.
+    """
+    out = [None] * len(requests)
+    series = {}  # n -> [(position, request, clamped kappa, first guess)]
+    for i, req in enumerate(requests):
+        try:
+            kappa = _checked_kappa(req)
+            params = req.geometry
+            regular = kappa < 0 and not req.use_lower_branch and len(set(params.taus)) == 1
+            rho = _series_ratio(params, kappa)[1] if regular else math.inf
+            if rho <= _RHO_MAX:
+                n = params.dimension + 1
+                series.setdefault(n, []).append((i, req, kappa, _series_guess(n, rho)))
+            else:
+                out[i] = _certified(_evaluate(req, kappa))
+        except SimplexVolError as exc:
+            out[i] = exc
+    tables = {n: _series_table(n, min(max(row[3] for row in rows) + 1, _K_CAP))
+              for n, rows in series.items()}
+    for rows in series.values():
+        for i, req, kappa, K in rows:
+            try:
+                res = _series_volume(req.geometry, kappa, K, tables)
+                out[i] = _certified(res if res is not None else _evaluate(req, kappa))
+            except SimplexVolError as exc:
+                out[i] = exc
+    return out
+
+
 def volume(req):
-    """Volume of the requested simplex in the space of curvature kappa.
+    """Volume of the requested simplex in the space of curvature kappa: volumes()
+    on this one request, whose error is raised.
 
     Raises ToleranceError, with the result attached, when the result's own
     error bar is not below its magnitude or the volume is negative: on the
     ray that is cancellation (large d, small simplices, tiny |kappa|).
     """
-    res = _evaluate(req)
+    res, = volumes([req])
+    if isinstance(res, SimplexVolError):
+        raise res
+    return res
+
+
+def _certified(res):
+    """res, unless its error bar is not below its magnitude or it is negative."""
     if not res.abs_error < abs(res.volume) or res.volume < 0:
         raise ToleranceError(
             f"volume {res.volume:.3g} +- {res.abs_error:.3g} ({res.branch.value}) is not "
@@ -253,10 +328,22 @@ def volume(req):
     return res
 
 
-def _evaluate(req):
-    """The volume by its path (see the module doc), before the gate in volume()."""
+def _checked_kappa(req):
+    """req.kappa, clamped to kappa0 when rounding puts it just below; further
+    below, GeometryDomainError.  kappa = 0 passes as it is."""
+    if req.kappa == 0.0:
+        return 0.0
+    k0 = min_curvature(req.geometry)
+    if req.kappa < k0 * (1.0 + 1e-12):
+        raise GeometryDomainError(
+            f"kappa must be >= kappa0 = {k0:.12g} for this simplex; got {req.kappa}")
+    return max(req.kappa, k0)
+
+
+def _evaluate(req, kappa):
+    """The volume off the series: kappa = 0 in closed form, else the ray."""
     params = req.geometry
-    d, kappa = params.dimension, req.kappa
+    d = params.dimension
     if kappa == 0.0:
         vol = euclidean_volume(params)
         # relative rounding of the closed form, in units u = eps/2: the squares
@@ -265,15 +352,6 @@ def _evaluate(req):
         # d! (and d!'s conversion to a float past d = 22) and the division add
         # (d + 3)u.  The total is at most (d + 5)u, and the bar is twice that.
         return VolumeResult(vol, (d + 5) * math.ulp(1.0) * vol, 0.0, Branch.REAL_AXIS, 0)
-    k0 = min_curvature(params)
-    if kappa < k0 * (1.0 + 1e-12):
-        raise GeometryDomainError(
-            f"kappa must be >= kappa0 = {k0:.12g} for this simplex; got {kappa}")
-    kappa = max(kappa, k0)  # clamp rounding right at the boundary
-    if kappa < 0 and not req.use_lower_branch and len(set(params.taus)) == 1:
-        res = _series_volume(params, kappa)
-        if res is not None:
-            return res
     z = kappa - params.s
     tr = orthant_probability(params.multipliers(), z, _quad_tol(req.tolerance),
                              req.use_lower_branch)

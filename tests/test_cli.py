@@ -146,19 +146,38 @@ def test_sweep_marks_failed_rows_and_exits_3(monkeypatch, capsys):
     import simplexvol.cli as cli
     from simplexvol.errors import ToleranceError
 
-    real = cli.volume
+    real = cli.volumes
     tau_at_2 = cli.regular_parameters(3, 2.0, -1.0).taus[0]
 
-    def flaky(req):
-        if req.geometry.taus[0] == tau_at_2:
-            raise ToleranceError("synthetic failure")
-        return real(req)
+    def flaky(reqs):
+        return [ToleranceError("synthetic failure") if req.geometry.taus[0] == tau_at_2
+                else res for req, res in zip(reqs, real(reqs))]
 
-    monkeypatch.setattr(cli, "volume", flaky)
+    monkeypatch.setattr(cli, "volumes", flaky)
     code = main(["sweep", "--d", "3", "--kappa", "-1", "--ell-grid", "1,2"])
     out = capsys.readouterr().out
     assert code == 3
     assert out.splitlines()[-1] == "2.0,nan,nan,nan,failed:ToleranceError,n/a"
+
+
+def test_sweep_writes_a_refused_row_and_exits_3(capsys):
+    # the ideal 15-simplex's ray value is swallowed by its own bar
+    code = main(["sweep", "--d", "15", "--kappa", "-1", "--ell-grid", "1,inf"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert lines[2].endswith(",ok,first")
+    assert lines[3] == "inf,nan,nan,nan,failed:ToleranceError,n/a"
+
+
+def test_sweep_makes_one_volumes_call(monkeypatch, capsys):
+    import simplexvol.cli as cli
+
+    calls = []
+    real = cli.volumes
+    monkeypatch.setattr(cli, "volumes", lambda reqs: calls.append(len(reqs)) or real(reqs))
+    assert main(["sweep", "--d", "5", "--kappa", "-1", "--ell-grid", "0.1,1,3,6,inf"]) == 0
+    assert calls == [5]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_tolerance_error_maps_to_exit_3(monkeypatch):

@@ -320,12 +320,24 @@ _TAIL_PINS = {
         ((-0.16026700127942065 - 0.15561081665558352j), 4.99606866352136e-15, 255),
         ((-0.16026700127942065 + 0.15561081665558352j), 4.995750601291803e-15, 255),
     ],
+    # six distinct taus: the bars' last digits follow the order of the
+    # composition-by-log-erfcx product, which the two cases above do not see
+    "distinct-d5": [
+        ((-0.05677132055312211 - 0.1905654764218061j), 1.5717448648762755e-14, 255),
+        ((-0.05677132055312211 + 0.1905654764218061j), 1.5716045731430866e-14, 255),
+    ],
 }
+
+#: an orthocentric-hyperbolic case of the benchmark (seed 1, d = 5)
+_DISTINCT_D5 = (OrthocentricParams((1.1502267565475663, 1.9380465443057255, 1.2503735331030115,
+                                    1.2990622094824895, 1.720991295621691, 0.5470554023001624)),
+                -0.19485179548080855)
 
 
 @pytest.mark.parametrize("name, params, kappa", [
     ("ideal-regular-d5", regular_parameters(5, math.inf, -1.0), -1.0),
     ("two-pairs-d4", *_half_kappa0((1.0, 1.0, 1.3, 1.3, 0.8))),
+    ("distinct-d5", *_DISTINCT_D5),
 ])
 def test_tail_product_integral_pinned(name, params, kappa):
     for om, pin in zip(BOUNDARY_RAYS, _TAIL_PINS[name]):

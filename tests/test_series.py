@@ -9,6 +9,7 @@ import pytest
 
 from simplexvol import engine
 from simplexvol.engine import Branch, VolumeRequest, regular_volume, volume
+from simplexvol.errors import GeometryDomainError, ToleranceError
 from simplexvol.geometry import OrthocentricParams, euclidean_volume, regular_parameters
 from simplexvol.oracles import regular_tetrahedron_volume
 
@@ -202,11 +203,62 @@ def test_a_short_first_table_is_doubled(monkeypatch):
     # scanned, so only a shortened guess reaches the doubling retry
     full = regular_volume(3, 1.0)
     lengths = []
-    terms = engine._series_terms
+    table = engine._series_table
     monkeypatch.setattr(engine, "_series_guess", lambda n, rho: 4)
-    monkeypatch.setattr(engine, "_series_terms",
-                        lambda n, rho, K: lengths.append(K) or terms(n, rho, K))
+    monkeypatch.setattr(engine, "_series_table",
+                        lambda n, K: lengths.append(K) or table(n, K))
     short = regular_volume(3, 1.0)
     assert lengths[:3] == [5, 9, 17]
     assert short.branch is Branch.SERIES
     assert abs(short.volume - full.volume) <= short.abs_error + full.abs_error
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 9, 13])
+def test_table_entries_do_not_depend_on_its_length(n):
+    rng = np.random.default_rng(n)
+    for K in [1, 7, 40, *rng.integers(41, engine._K_CAP // 2, 2)]:
+        K = int(K)
+        head = engine._series_table(n, K)
+        assert len(head) == K + 1
+        for longer in (2 * K, engine._K_CAP):
+            assert engine._series_table(n, longer)[:K + 1].tobytes() == head.tobytes()
+
+
+def _grid(d, rng):
+    """25 side lengths at kappa = -1: 21 seeded ones across the series' range,
+    two past _RHO_MAX, a tiny simplex and the ideal one."""
+    rhos = np.concatenate([rng.uniform(0.0, engine._RHO_MAX, 21), [0.997, 0.9999]])
+    return [_side(float(rho)) for rho in rhos] + [1e-3, math.inf]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
+def test_grid_rows_equal_single_volumes(d):
+    # one volumes() call shares a table per dimension; each row is still bit
+    # for bit the volume() of its request alone, branch and term count included
+    reqs = [VolumeRequest(regular_parameters(d, ell, -1.0), -1.0)
+            for ell in _grid(d, np.random.default_rng(100 + d))]
+    got = engine.volumes(reqs)
+    branches = [r.branch for r in got]
+    assert branches.count(Branch.SERIES) == 22
+    assert branches[21:23] == [Branch.UPPER_RAY] * 2 and branches[-1] is Branch.UPPER_RAY
+    for req, r in zip(reqs, got):
+        alone = volume(req)
+        assert (repr(r.volume), repr(r.abs_error), r.residual_imag, r.branch, r.evaluations) \
+            == (repr(alone.volume), repr(alone.abs_error), alone.residual_imag,
+                alone.branch, alone.evaluations)
+
+
+def test_volumes_returns_each_error_in_place():
+    # a domain error, a refused ideal volume and two good rows, in request order
+    good = VolumeRequest(regular_parameters(3, 1.0, -1.0), -1.0)
+    low = VolumeRequest(OrthocentricParams((1.0, 1.0, 1.0)), -1.6)
+    refused = VolumeRequest(regular_parameters(15, math.inf, -1.0), -1.0)
+    ray = VolumeRequest(regular_parameters(3, math.inf, -1.0), -1.0)
+    out = engine.volumes([good, low, refused, ray])
+    assert out[0] == volume(good) and out[3] == volume(ray)
+    assert isinstance(out[1], GeometryDomainError)
+    assert isinstance(out[2], ToleranceError) and out[2].result.branch is Branch.UPPER_RAY
+    for req, err in ((low, GeometryDomainError), (refused, ToleranceError)):
+        with pytest.raises(err):
+            volume(req)
+    assert engine.volumes([]) == []
