@@ -3,13 +3,24 @@
 The double-precision engine computes the contour integral from pieces of
 order ~1; since the ideal volume itself decays super-exponentially in the
 dimension (about e*sqrt(d)/d!), cancellation swallows all double digits once
-d is around 14.  This twin evaluates the same representation with mpmath so
-the large-dimension asymptotics remain testable.  It is deliberately limited
-to the equal-parameter (regular ideal) case, where the binomial collapse
-keeps the tail expansion linear in d.
+d is around 14.  Two mpmath evaluators keep the large-dimension asymptotics
+testable, and each checks the other:
+
+* ideal_volume_highprec, the twin, evaluates the paper's ray representation
+  at 40 digits.  It is deliberately limited to the equal-parameter (regular
+  ideal) case, where the binomial collapse keeps the tail expansion linear
+  in d.  It is the independent check of that representation beyond double
+  precision.
+* ideal_volume_series sums the engine's curvature series at rho = 1 at 60
+  digits, accelerated by a capped Levin u-transform.  Every term is
+  positive, so nothing cancels.  It is the faster of the two (10-30 ms
+  against 250-650 ms at d = 10..20), and from d = 10 on the more accurate.
 """
 
 import functools
+import itertools
+import math
+import operator
 
 import mpmath as mp
 from mpmath.libmp import NoConvergence, from_man_exp, mpf_cos_sin, to_fixed
@@ -20,6 +31,9 @@ _GUARD_BITS = 20  # extra precision of the gamma ladder's fraction and recurrenc
 _HEAD_GUARD_BITS = 40  # fixed-point bits of the head kernel beyond the working precision
 _MAX_TAYLOR_TERMS = 400  # the erf and phase series on a twin panel need under 100
 _MAX_CF_TERMS = 400  # the twin's continued fractions for Gamma(a, w) need 13-55 steps
+_SERIES_DPS = 60  # working precision of ideal_volume_series
+_LEVIN_TERMS = 80  # partial sums the Levin transform takes, its order cap (see ideal_volume_series)
+_LEVIN_RTOL = 1e-5  # the largest relative gap between two Levin orders whose value is returned
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,3 +321,90 @@ def ideal_volume_highprec(d, kappa=-1.0):
         area = 2 * mp.pi ** (mp.mpf(d + 1) / 2) / mp.gamma(mp.mpf(d + 1) / 2)
         vol = area * transform / (1j ** d * abs(mp.mpf(kappa)) ** (mp.mpf(d) / 2))
         return mp.mpf(vol.real)
+
+
+def _ratios(m, K):
+    """r(m)_0..r(m)_K, r(m)_k = ((m-1)/2)_k / (m/2)_k, as running products
+    of the exact neighbour ratios (m - 3 + 2k)/(m - 2 + 2k)."""
+    return list(itertools.accumulate(
+        (mp.mpf(m - 3 + 2 * k) / (m - 2 + 2 * k) for k in range(1, K + 1)),
+        operator.mul, initial=mp.mpf(1)))
+
+
+def _series_table(n, K):
+    """T_0..T_K of engine._series_table(n, K) in the working precision:
+    T_k = c(n)_k r(n+1)_k from the same positive recurrence
+
+        c(m)_k = c(m)_{k-1}/m + r(m)_k c(m-1)_k,
+
+    from c(1)_k = 1, run term by term rather than as a doubling scan."""
+    c = [mp.mpf(1)] * (K + 1)
+    for m in range(2, n + 1):
+        r = _ratios(m, K)
+        for k in range(1, K + 1):
+            c[k] = c[k - 1] / m + r[k] * c[k]
+    return [ck * rk for ck, rk in zip(c, _ratios(n + 1, K))]
+
+
+def _levin_u(partial, N):
+    """The Levin u-transform of the partial sums S_0..S_(N-1) in Levin's
+    closed form, with beta = 1:
+
+        L = sum_j c_j S_j / sum_j c_j,   c_j = (-1)^j C(N-1, j) (j+1)^(N-3) / a_j,
+
+    with a_j = S_j - S_(j-1); the u-variant's remainder estimates
+    (j+1) a_j are folded into the weights.  It is the value that
+    mp.levin(method="levin", variant="u").update_psum(partial[:N]) returns,
+    in O(N) operations with exact integer binomial weights instead of that
+    triangular scheme's O(N^2) factor evaluations."""
+    k = N - 1
+    num = den = mp.mpf(0)
+    prev = mp.mpf(0)
+    for j, s in enumerate(partial[:N]):
+        c = (-1) ** j * math.comb(k, j) * (j + 1) ** (k - 2) / (s - prev)
+        num += c * s
+        den += c
+        prev = s
+    return num / den
+
+
+def ideal_volume_series(d, kappa=-1.0):
+    """Volume of the ideal regular d-simplex at curvature kappa < 0 from the
+    curvature series, via mpmath.
+
+    At rho = 1 the engine's series (engine._series_volume) reads
+    V = sqrt(d)/d! * sum_k T_k * |kappa|^(-d/2), every T_k positive and
+    T_k ~ k^(-(d+1)/2), so the sum converges only algebraically.  Its first
+    _LEVIN_TERMS partial sums, at _SERIES_DPS digits, go through the Levin
+    u-transform (_levin_u, which is mp.levin(method="levin", variant="u") to
+    rounding; Levin 1973; Sidi, Practical Extrapolation Methods, 2003).  The
+    order is capped because the transform cancels: at 60 digits it gains up
+    to 80 partial sums and degrades past about 100 (at d = 2, 2e-8 relative
+    error from 80, 8e-2 from 120).
+
+    Self-check: the transforms of the first 3/4 of the partial sums and of
+    all of them must agree to _LEVIN_RTOL relative, else NoConvergence is
+    raised.  That gap bounded the actual error at every d measured: against
+    pi, the log-sine integral and the d = 4 closed form it is 4e-6, 8e-8 and
+    3e-9 for relative errors of 2.2e-8, 3.8e-10 and 1.1e-11 at d = 2, 3, 4;
+    it falls about tenfold per dimension, to 7e-16 at d = 10, 2e-19 at
+    d = 14 and 1e-23 at d = 20.  Against the twin recomputed with its split
+    at |c| A = 16 and 60 digits, the relative errors are 4e-13 at d = 5,
+    1e-15 at d = 7, 6e-18 at d = 9, 5e-19 at d = 10, 4e-21 at d = 12 and
+    5e-23 at d = 14; ideal_volume_highprec itself is off by 3e-18 at
+    d = 10, 2e-16 at d = 12 and 2.2e-14 at d = 13 and 14 (see its
+    docstring for d = 16 and 20).  Returns an mpmath mpf.
+    """
+    if d < 2:
+        raise ValueError("dimension must be >= 2")
+    if not kappa < 0:
+        raise ValueError("ideal simplices require kappa < 0")
+    with mp.workdps(_SERIES_DPS):
+        partial = list(itertools.accumulate(_series_table(d + 1, _LEVIN_TERMS - 1)))
+        total = _levin_u(partial, _LEVIN_TERMS)
+        gap = abs(total - _levin_u(partial, _LEVIN_TERMS * 3 // 4))
+        if not gap <= _LEVIN_RTOL * total:
+            raise NoConvergence(
+                f"Levin transforms of orders {_LEVIN_TERMS * 3 // 4} and {_LEVIN_TERMS} "
+                f"differ by {mp.nstr(gap / abs(total), 3)} relative at d = {d}")
+        return mp.sqrt(d) / mp.factorial(d) * total / abs(mp.mpf(kappa)) ** (mp.mpf(d) / 2)

@@ -223,11 +223,15 @@ def _suite_ideal_values():
 
 
 def _suite_abrosimov():
+    """The five d = 3 rows from one volumes() call, which shares one series table."""
     from .oracles import regular_tetrahedron_volume
+    ells = (0.25, 0.5, 1.0, 2.0, 4.0)
+    results = volumes([VolumeRequest(regular_parameters(3, ell, -1.0), -1.0) for ell in ells])
     checks = []
-    for ell in (0.25, 0.5, 1.0, 2.0, 4.0):
-        v = regular_volume(3, ell, -1.0).volume
-        checks.append(_check(f"regular d=3 ell={ell:g}", v,
+    for ell, res in zip(ells, results):
+        if isinstance(res, SimplexVolError):
+            raise res
+        checks.append(_check(f"regular d=3 ell={ell:g}", res.volume,
                              regular_tetrahedron_volume(ell), 1e-7))
     return checks
 
@@ -265,12 +269,12 @@ def _suite_klein_direct(*, seed=DEFAULT_SEED):
 
 
 def _suite_asymptotic(*, dmax=14):
-    from ._hp import ideal_volume_highprec
+    from ._hp import ideal_volume_series
     import mpmath as mp
     checks = []
     prev = None
     for d in range(10, dmax + 1):
-        v = ideal_volume_highprec(d)
+        v = ideal_volume_series(d)
         ratio = float(v * mp.factorial(d) / (mp.e * mp.sqrt(d)))
         ok = 0.5 <= ratio <= 1.5 and (prev is None or abs(ratio - 1) < prev)
         print(f"{'PASS' if ok else 'FAIL'} asymptotic d={d}: ratio={ratio!r} "

@@ -180,6 +180,25 @@ def test_sweep_makes_one_volumes_call(monkeypatch, capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_abrosimov_makes_one_volumes_call(monkeypatch, capsys):
+    import simplexvol.cli as cli
+
+    calls = []
+    real = cli.volumes
+    monkeypatch.setattr(cli, "volumes", lambda reqs: calls.append(len(reqs)) or real(reqs))
+    assert main(["verify", "abrosimov"]) == 0
+    assert calls == [5]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(ln.startswith("PASS regular d=3 ") for ln in lines)
+
+
+def test_verify_asymptotic_to_d20(capsys):
+    assert main(["verify", "asymptotic", "--dmax", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        f"PASS asymptotic d={d}" for d in range(10, 21)]
+
+
 def test_tolerance_error_maps_to_exit_3(monkeypatch):
     import simplexvol.cli as cli
     from simplexvol.errors import ToleranceError

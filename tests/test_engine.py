@@ -1,5 +1,6 @@
 """Volume engine: orthant transform properties and assembled volumes."""
 
+import itertools
 import math
 import time
 
@@ -16,9 +17,9 @@ from simplexvol.geometry import (
     OrthocentricParams, euclidean_volume, min_curvature, realize_vertices,
     regular_parameters,
 )
-from simplexvol.oracles import direct_klein_volume
+from simplexvol.oracles import direct_klein_volume, ideal_tetrahedron_volume
 from simplexvol.rayquad import RayIntegralProblem, ray_integral
-from simplexvol import _hp
+from simplexvol import _hp, engine
 from simplexvol._hp import ideal_volume_highprec
 
 IDEAL_D3 = 1.0149416064096535          # -3 int_0^{pi/3} log(2 sin t) dt
@@ -407,6 +408,77 @@ def test_twin_series_caps_raise_no_convergence(monkeypatch):
             _hp._upper_gamma_cf(mp.mpf(-10), mp.mpc(0, -55))
         with pytest.raises(mp.mp.NoConvergence):
             _hp._head(3, [mp.mpf(0), mp.sqrt(mp.pi)])
+
+
+#: the twin's own relative error at each d (its docstring; d = 13 and 14 from
+#: ideal_volume_series's), which bounds how far the two references may differ
+TWIN_ERROR = {10: 1e-15, 11: 1e-15, 12: 1e-15, 13: 5e-14, 14: 5e-14, 16: 5e-12, 20: 1e-7}
+
+
+@pytest.mark.parametrize("d", sorted(TWIN_ERROR))
+def test_series_reference_matches_the_twin(d):
+    # two independent 40- and 60-digit evaluators: the ray representation and
+    # the Levin-accelerated curvature series
+    with mp.workdps(40):
+        twin = ideal_volume_highprec(d)
+        assert abs(_hp.ideal_volume_series(d) - twin) <= TWIN_ERROR[d] * twin
+
+
+@pytest.mark.parametrize("d, ref, rtol", [
+    (2, lambda: mp.pi, 3e-8), (3, ideal_tetrahedron_volume, 4e-10), (4, lambda: IDEAL_D4, 2e-11),
+], ids=["pi", "log-sine", "closed-form"])
+def test_series_reference_matches_closed_forms(d, ref, rtol):
+    # the accuracy ideal_volume_series's docstring states at d = 2, 3, 4
+    assert abs(_hp.ideal_volume_series(d) - ref()) <= rtol * ref()
+
+
+@pytest.mark.parametrize("n", range(3, 22))
+def test_series_reference_table_matches_the_engine_table(n):
+    # two implementations of one recurrence: the engine's float doubling scan
+    # and the reference's term-by-term mpf loop
+    K = _hp._LEVIN_TERMS - 1
+    fast = engine._series_table(n, K)
+    with mp.workdps(_hp._SERIES_DPS):
+        ref = _hp._series_table(n, K)
+    assert len(fast) == len(ref) == K + 1
+    for k, (a, b) in enumerate(zip(fast, ref)):
+        assert abs(a - b) <= 1e-13 * b, (k, a, b)
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 20])
+def test_levin_closed_form_is_mp_levin(d):
+    # the O(N) closed form against mpmath's triangular scheme, at both of the
+    # orders ideal_volume_series compares; they differ by rounding only,
+    # 1.2e-18 relative at d = 2, where the transform cancels most
+    with mp.workdps(_hp._SERIES_DPS):
+        partial = list(itertools.accumulate(_hp._series_table(d + 1, _hp._LEVIN_TERMS - 1)))
+        levin = mp.levin(method="levin", variant="u")
+        for N in (_hp._LEVIN_TERMS * 3 // 4, _hp._LEVIN_TERMS):
+            ref, _ = levin.update_psum(partial[:N])
+            assert abs(_hp._levin_u(partial, N) - ref) <= 1e-15 * ref, N
+
+
+@pytest.mark.parametrize("d", [3, 12])
+def test_series_reference_kappa_scaling(d):
+    # |kappa|^(-d/2) = 2^-d exactly at kappa = -4
+    v1 = _hp.ideal_volume_series(d, kappa=-4.0)
+    v2 = _hp.ideal_volume_series(d, kappa=-1.0)
+    with mp.workdps(_hp._SERIES_DPS):
+        assert abs(v1 * 2 ** d - v2) <= 1e-55 * v2
+
+
+def test_series_reference_rejects_bad_input():
+    with pytest.raises(ValueError):
+        _hp.ideal_volume_series(1)
+    with pytest.raises(ValueError):
+        _hp.ideal_volume_series(3, kappa=0.0)
+
+
+def test_series_reference_raises_when_its_orders_disagree(monkeypatch):
+    # eight partial sums: the transforms of orders 6 and 8 differ by ~1e-3
+    monkeypatch.setattr(_hp, "_LEVIN_TERMS", 8)
+    with pytest.raises(mp.mp.NoConvergence, match="orders 6 and 8"):
+        _hp.ideal_volume_series(10)
 
 
 def test_gate_refuses_an_ideal_volume_its_bar_swallows():
