@@ -42,6 +42,7 @@ _LAZY = {
     "direct_klein_volume": ".oracles",
     "ideal_tetrahedron_volume": ".oracles",
     "mc_spherical_volume": ".oracles",
+    "mc_spherical_volumes": ".oracles",
     "regular_tetrahedron_volume": ".oracles",
 }
 
@@ -52,8 +53,8 @@ __all__ = [
     "SectorError", "SimplexVolError", "ToleranceError", "VolumeRequest",
     "VolumeResult", "direct_klein_volume", "euclidean_volume", "head_integral",
     "ibp_tail", "ideal_tetrahedron_volume", "ideal_volume_highprec",
-    "mc_spherical_volume", "min_curvature", "norm_cdf", "norm_cdf_array",
-    "orthant_probability", "ray_integral", "realize_vertices",
+    "mc_spherical_volume", "mc_spherical_volumes", "min_curvature", "norm_cdf",
+    "norm_cdf_array", "orthant_probability", "ray_integral", "realize_vertices",
     "regular_parameters", "regular_tetrahedron_volume", "regular_volume",
     "side_length", "sphere_surface_area", "volume", "volumes",
 ]

@@ -237,17 +237,19 @@ def _suite_abrosimov():
 
 
 def _suite_mc_spherical(*, samples=1_000_000, seed=DEFAULT_SEED):
-    from .oracles import mc_spherical_volume
+    """The three trials' Monte Carlo runs as one mc_spherical_volumes batch."""
+    from .oracles import mc_spherical_volumes
     rng = np.random.default_rng(seed)
-    checks = []
-    for trial in range(3):
+    jobs = []
+    for _ in range(3):
         d = int(rng.integers(2, 7))
-        taus = tuple(rng.uniform(0.5, 2.0, d + 1))
-        p = OrthocentricParams(taus)
+        p = OrthocentricParams(tuple(rng.uniform(0.5, 2.0, d + 1)))
         kappa = p.s * float(rng.uniform(1.0, 3.0))
-        rep = mc_spherical_volume(p, kappa, samples=samples, seed=int(rng.integers(2**31)))
+        jobs.append((p, kappa, samples, int(rng.integers(2**31))))
+    checks = []
+    for trial, ((p, kappa, _, _), rep) in enumerate(zip(jobs, mc_spherical_volumes(jobs))):
         eng = volume(VolumeRequest(geometry=p, kappa=kappa)).volume
-        checks.append(_check(f"mc-spherical trial {trial} (d={d})",
+        checks.append(_check(f"mc-spherical trial {trial} (d={p.dimension})",
                              eng, rep.estimate, 3.0 * rep.std_error))
     return checks
 

@@ -375,6 +375,10 @@ def _evaluate(req, kappa):
 
 
 def regular_volume(d, side_length, kappa=-1.0, tolerance=VolumeRequest.tolerance):
-    """Convenience wrapper: volume of the regular simplex (side inf = ideal)."""
+    """Convenience wrapper: volume of the regular simplex (side inf = ideal).
+
+    Each call builds its own series table; for many rows, pass their
+    requests to volumes(), which shares one table per dimension.
+    """
     params = regular_parameters(d, side_length, kappa)
     return volume(VolumeRequest(params, kappa, tolerance))

@@ -8,6 +8,8 @@ integrals are classical one-dimensional quadratures.
 
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +18,10 @@ from scipy import integrate
 from .errors import CostLimitError, GeometryDomainError
 from .geometry import sphere_surface_area
 
+#: samples per seeded substream
 _CHUNK = 1_000_000
+#: normals drawn and compared at a time within one row of a chunk
+_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -37,44 +42,97 @@ def mc_spherical_volume(params, kappa, samples=1_000_000, seed=0):
     chunked over seed-derived substreams in a fixed order, so a fixed seed
     gives a bit-identical report regardless of the execution environment.
     Within a chunk of n samples, xi comes first and then xi_0..xi_d, n
-    values each, drawn and compared one row at a time into preallocated
-    buffers; memory stays at a few chunk-length arrays whatever d is.
-    samples must be at least 2, so that the standard error is defined.
+    values each; each row is drawn and compared in blocks of at most 65,536
+    values, so a chunk holds xi, an n-length mask and two block buffers
+    (about 10 MB at n = 10^6) whatever d is.  kappa must be finite and
+    samples at least 2, so that the standard error is defined.  This is
+    mc_spherical_volumes([(params, kappa, samples, seed)])[0].
     """
+    return mc_spherical_volumes([(params, kappa, samples, seed)])[0]
+
+
+def mc_spherical_volumes(jobs):
+    """One MonteCarloReport per (params, kappa, samples, seed) job, in order.
+
+    The batch entry point of mc_spherical_volume, as engine.volumes is of
+    engine.volume.  Every job is checked before any sampling starts.  The
+    chunks of all jobs are sampled on one thread pool, with one worker per
+    CPU this process may run on and no more workers than chunks.  Each
+    chunk draws from its own substream and returns an integer hit count,
+    and the counts are summed per job, so every report is bit for bit what
+    mc_spherical_volume gives for that job alone, whatever the worker count.
+    """
+    jobs = [(params, kappa, samples, seed) for params, kappa, samples, seed in jobs]
+    coefs = [_cone_coefficients(params, kappa, samples) for params, kappa, samples, _ in jobs]
+    tasks = []  # (job, substream, chunk length), job by job and chunk by chunk
+    for j, (_, _, samples, seed) in enumerate(jobs):
+        n_chunks = (samples + _CHUNK - 1) // _CHUNK
+        for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+            tasks.append((j, stream, min(_CHUNK, samples - i * _CHUNK)))
+    hits = [0] * len(jobs)
+    if tasks:
+        with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(tasks))) as pool:
+            counts = pool.map(lambda task: _chunk_hits(task[1], task[2], coefs[task[0]]), tasks)
+            for (j, _, _), h in zip(tasks, counts):
+                hits[j] += h
+    reports = []
+    for (params, kappa, samples, seed), h in zip(jobs, hits):
+        d = params.dimension
+        p_hat = h / samples
+        var = p_hat * (1.0 - p_hat) * samples / (samples - 1)
+        scale = sphere_surface_area(d) * kappa ** (-d / 2.0)
+        reports.append(MonteCarloReport(estimate=scale * p_hat,
+                                         std_error=scale * math.sqrt(var / samples),
+                                         samples=samples, seed=seed))
+    return reports
+
+
+def _cone_coefficients(params, kappa, samples):
+    """Check one Monte Carlo job and return its (tau_j/s) sqrt(kappa - s)."""
     s = params.s
+    _require_finite(kappa)
     if kappa < s:
         raise GeometryDomainError(
             f"the Gaussian cone representation requires kappa >= s = {s:.6g}")
     if samples < 2:
         raise ValueError(f"Monte Carlo needs at least 2 samples, got {samples}")
-    d = params.dimension
-    coef = np.asarray(params.taus) / s * math.sqrt(kappa - s)
-    n_chunks = (samples + _CHUNK - 1) // _CHUNK
-    streams = np.random.SeedSequence(seed).spawn(n_chunks)
-    size = min(_CHUNK, samples)
-    xi_buf, row_buf, bound_buf = (np.empty(size) for _ in range(3))
-    inside_buf = np.empty(size, dtype=bool)
-    hits = 0
-    for i in range(n_chunks):
-        n = min(_CHUNK, samples - i * _CHUNK)
-        xi, row, bound, inside = xi_buf[:n], row_buf[:n], bound_buf[:n], inside_buf[:n]
-        rng = np.random.default_rng(streams[i])
-        rng.standard_normal(out=xi)
-        inside.fill(True)
-        for c in coef:
+    return np.asarray(params.taus) / s * math.sqrt(kappa - s)
+
+
+def _require_finite(kappa):
+    if not math.isfinite(kappa):
+        raise GeometryDomainError(f"kappa must be finite; got {kappa}")
+
+
+def _cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_hits(stream, n, coef):
+    """Samples of one chunk that fall inside the cone.
+
+    Runs on a pool worker and calls only NumPy, so every public function
+    of the package runs on the caller's thread.  Consecutive
+    standard_normal(out=...) calls consume the stream exactly as one call
+    of their total length does, so drawing a row block by block gives the
+    values a whole-row draw would.
+    """
+    rng = np.random.default_rng(stream)
+    xi = rng.standard_normal(n)
+    inside = np.ones(n, dtype=bool)
+    size = min(_BLOCK, n)
+    row_buf, bound_buf = np.empty(size), np.empty(size)
+    for c in coef:
+        for a in range(0, n, _BLOCK):
+            b = min(a + _BLOCK, n)
+            row, bound = row_buf[:b - a], bound_buf[:b - a]
             rng.standard_normal(out=row)
-            np.multiply(c, xi, out=bound)
-            inside &= row <= bound
-        hits += int(np.count_nonzero(inside))
-    p_hat = hits / samples
-    var = p_hat * (1.0 - p_hat) * samples / (samples - 1)
-    scale = sphere_surface_area(d) * kappa ** (-d / 2.0)
-    return MonteCarloReport(
-        estimate=scale * p_hat,
-        std_error=scale * math.sqrt(var / samples),
-        samples=samples,
-        seed=seed,
-    )
+            np.multiply(c, xi[a:b], out=bound)
+            inside[a:b] &= row <= bound
+    return int(np.count_nonzero(inside))
 
 
 def direct_klein_volume(vertices, kappa, rel_tol=1e-6):
@@ -86,23 +144,28 @@ def direct_klein_volume(vertices, kappa, rel_tol=1e-6):
     u_k = t_k (1 - t_1) ... (1 - t_(k-1)) and Jacobian
     prod_k (1 - t_k)^(d-k), goes to one scipy.integrate.nquad call
     (deterministic iterated QUADPACK); limited to d in {2, 3} (the cost
-    grows exponentially with d).  Raises GeometryDomainError when a vertex
-    is not strictly inside the model ball at this kappa, where the
-    integrand blows up.
+    grows exponentially with d).  Raises GeometryDomainError when kappa is
+    not finite, or when a vertex is not strictly inside the model ball at
+    this kappa, where the integrand blows up.
     """
     d = vertices.shape[1]
     if d not in (2, 3):
         raise CostLimitError("direct Klein integration is limited to d in {2, 3}")
+    _require_finite(kappa)
     if kappa < 0:
         rmax2 = float(np.max(np.sum(vertices * vertices, axis=1)))
         if 1.0 + kappa * rmax2 <= 0.0:
             raise GeometryDomainError(
                 "simplex does not fit strictly inside the model ball at this kappa")
     ex = (d + 1) / 2.0
-    v0 = vertices[0]
-    B = (vertices[1:] - v0).T  # columns are edge vectors
+    B = (vertices[1:] - vertices[0]).T  # columns are edge vectors
     jac0 = abs(np.linalg.det(B))
     powers = range(d - 1, 0, -1)
+    # the map runs on Python floats, each coordinate in the order NumPy's
+    # elementwise arithmetic on these vectors takes, and |y|^2 is summed
+    # coordinate by coordinate
+    v0 = vertices[0].tolist()
+    edges = B.T.tolist()
 
     # nquad passes the innermost variable t_d first; t_1..t_(d-1) stay fixed
     # while its quad runs, so their part of y and of the Jacobian is built
@@ -113,13 +176,18 @@ def direct_klein_volume(vertices, kappa, rel_tol=1e-6):
         c = [1.0 - x for x in t]
         y = v0
         for k in range(d - 1):
-            y = y + B[:, k] * math.prod(c[:k], start=t[k])
+            u = math.prod(c[:k], start=t[k])
+            y = [a + b * u for a, b in zip(y, edges[k])]
         return y, c, math.prod(map(pow, c, powers))
 
     def f(t_d, *ts):
         y, c, jac = outer(*ts)
-        y = y + B[:, -1] * math.prod(c, start=t_d)
-        w = 1.0 + kappa * float(y @ y)
+        u = math.prod(c, start=t_d)
+        q = 0.0
+        for a, b in zip(y, edges[-1]):
+            z = a + b * u
+            q += z * z
+        w = 1.0 + kappa * q
         return jac / w ** ex
 
     val = integrate.nquad(f, [[0.0, 1.0]] * d, opts={"epsabs": 0.0, "epsrel": rel_tol})[0]

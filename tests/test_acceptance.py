@@ -17,7 +17,7 @@ from simplexvol.geometry import (
     OrthocentricParams, euclidean_volume, min_curvature, realize_vertices,
 )
 from simplexvol.oracles import (
-    direct_klein_volume, ideal_tetrahedron_volume, mc_spherical_volume,
+    direct_klein_volume, ideal_tetrahedron_volume, mc_spherical_volumes,
     regular_tetrahedron_volume,
 )
 from simplexvol.rayquad import RayIntegralProblem, ray_integral
@@ -75,13 +75,14 @@ def test_criterion_04_regular_d3_vs_tetrahedron_integral():
 def test_criterion_05_spherical_monte_carlo():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20250810)
-    zscores = []
+    jobs = []
     for _ in range(20):
         d = int(rng.integers(2, 7))
         p = OrthocentricParams(tuple(rng.uniform(0.5, 2.0, d + 1)))
         kappa = p.s * float(rng.uniform(1.0, 3.0))
-        rep = mc_spherical_volume(p, kappa, samples=10_000_000,
-                                  seed=int(rng.integers(2 ** 31)))
+        jobs.append((p, kappa, 10_000_000, int(rng.integers(2 ** 31))))
+    zscores = []
+    for (p, kappa, _, _), rep in zip(jobs, mc_spherical_volumes(jobs)):
         eng = volume(VolumeRequest(geometry=p, kappa=kappa)).volume
         zscores.append(abs(eng - rep.estimate) / rep.std_error)
     within3 = sum(z <= 3.0 for z in zscores)

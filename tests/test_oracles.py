@@ -20,7 +20,7 @@ from simplexvol.geometry import (
 )
 from simplexvol.oracles import (
     direct_klein_volume, ideal_tetrahedron_volume, mc_spherical_volume,
-    regular_tetrahedron_volume,
+    mc_spherical_volumes, regular_tetrahedron_volume,
 )
 
 LOG_SINE_VALUE = 1.0149416064096535
@@ -81,11 +81,8 @@ def test_mc_zscores_over_many_seeds():
     # closed-form orthant probability 2^-(d+1); 99th-percentile z-score <= 4
     p = OrthocentricParams((1.3, 1.3, 1.3, 1.3))
     exact = volume(VolumeRequest(geometry=p, kappa=p.s)).volume
-    bad = 0
-    for seed in range(100):
-        rep = mc_spherical_volume(p, kappa=p.s, samples=100_000, seed=seed)
-        if abs(rep.estimate - exact) > 4.0 * rep.std_error:
-            bad += 1
+    reports = mc_spherical_volumes([(p, p.s, 100_000, seed) for seed in range(100)])
+    bad = sum(abs(rep.estimate - exact) > 4.0 * rep.std_error for rep in reports)
     assert bad <= 1
 
 
@@ -97,15 +94,104 @@ def test_mc_rejects_small_kappa():
 
 def test_mc_engine_cross_check():
     rng = np.random.default_rng(31)
+    jobs = []
     for _ in range(3):
         d = int(rng.integers(2, 7))
         p = OrthocentricParams(tuple(rng.uniform(0.5, 2.0, d + 1)))
         kappa = p.s * float(rng.uniform(1.0, 2.5))
-        rep = mc_spherical_volume(p, kappa, samples=1_000_000,
-                                  seed=int(rng.integers(2 ** 31)))
+        jobs.append((p, kappa, 1_000_000, int(rng.integers(2 ** 31))))
+    for (p, kappa, _, _), rep in zip(jobs, mc_spherical_volumes(jobs)):
         eng = volume(VolumeRequest(geometry=p, kappa=kappa)).volume
         assert abs(eng - rep.estimate) <= 3.5 * rep.std_error
 
+
+#: d = 2..5 jobs: 1,000 samples (below oracles._BLOCK), 131,072 (two whole
+#: blocks), 2,100,000 (three chunks) and 65,537 (one block and one value);
+#: each with its report's estimate and standard error as drawn one call at a
+#: time before chunks were sampled on a thread pool
+MIXED_JOBS = [
+    ((1.0, 1.2, 0.9), 1.5, 1_000, 11, "0x1.ddc3aefb23395p-2", "0x1.013b3166af844p-5"),
+    ((0.7, 1.3, 1.0, 1.6, 0.9), 2.2, 131_072, 12,
+     "0x1.2502607c91f92p-7", "0x1.7803fc4be04cdp-14"),
+    ((1.1, 0.8, 1.4, 1.0), 1.3, 2_100_000, 13, "0x1.95b66efbc6420p-4", "0x1.eb40a14291593p-13"),
+    ((0.9, 1.5, 0.6, 1.2, 1.0, 1.3), 1.8, 65_537, 14,
+     "0x1.9cf53e0f4248bp-10", "0x1.10b3d368bdc9cp-15"),
+]
+
+
+def _mixed_batch():
+    jobs, pinned = [], []
+    for taus, factor, samples, seed, estimate, std_error in MIXED_JOBS:
+        p = OrthocentricParams(taus)
+        jobs.append((p, factor * p.s, samples, seed))
+        pinned.append(oracles.MonteCarloReport(float.fromhex(estimate),
+                                               float.fromhex(std_error), samples, seed))
+    return jobs, pinned
+
+
+def test_mc_batch_is_one_call_per_job_bit_for_bit():
+    assert oracles._BLOCK == 65_536 and oracles._CHUNK == 1_000_000
+    jobs, pinned = _mixed_batch()
+    assert mc_spherical_volumes(jobs) == pinned
+    assert [mc_spherical_volume(*job) for job in jobs] == pinned
+    assert mc_spherical_volumes([]) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_mc_batch_reports_do_not_depend_on_the_worker_count(monkeypatch, cpus):
+    pools = []
+
+    class RecordingPool(oracles.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(oracles, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(oracles.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    jobs, pinned = _mixed_batch()
+    assert mc_spherical_volumes(jobs) == pinned
+    assert pools == [cpus]  # six chunks, so the CPU count sets the pool size
+
+
+def test_mc_batch_memory_stays_bounded():
+    # a 1.5-million-sample job (two chunks) at d = 6 beside a small one: at
+    # most three chunks are in flight, whatever the CPU count
+    import tracemalloc
+    p = OrthocentricParams((1.0, 1.1, 0.9, 1.2, 0.8, 1.3, 1.05))
+    q = OrthocentricParams((1.0, 1.2, 0.9))
+    tracemalloc.start()
+    try:
+        mc_spherical_volumes([(p, 2.0 * p.s, 1_500_000, 3), (q, 1.5 * q.s, 1_000, 4)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+
+
+@pytest.mark.parametrize("factor, samples, error", [
+    (math.nan, 1_000, GeometryDomainError),
+    (0.5, 1_000, GeometryDomainError),
+    (2.0, 1, ValueError),
+], ids=["nan-kappa", "kappa-below-s", "one-sample"])
+def test_mc_batch_checks_every_job_before_sampling(monkeypatch, factor, samples, error):
+    def no_sampling(*args):
+        raise AssertionError("a chunk was sampled")
+
+    monkeypatch.setattr(oracles, "_chunk_hits", no_sampling)
+    p = OrthocentricParams((1.0, 1.1, 0.9))
+    jobs = [(p, 2.0 * p.s, 2_000_000, 5), (p, factor * p.s, samples, 6)]
+    with pytest.raises(error):
+        mc_spherical_volumes(jobs)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+def test_oracles_reject_a_non_finite_kappa(kappa):
+    p = OrthocentricParams((1.0, 1.1, 0.9))
+    with pytest.raises(GeometryDomainError, match="finite"):
+        mc_spherical_volume(p, kappa, samples=1_000)
+    with pytest.raises(GeometryDomainError, match="finite"):
+        direct_klein_volume(realize_vertices(p), kappa)
 
 def test_klein_near_zero_curvature_matches_euclidean():
     p = OrthocentricParams((1.0, 1.2, 0.9))
@@ -179,7 +265,7 @@ def test_package_import_leaves_oracles_and_twin_unloaded():
 
 def test_lazy_package_names_are_the_module_attributes():
     for name in ("MonteCarloReport", "direct_klein_volume", "ideal_tetrahedron_volume",
-                 "mc_spherical_volume", "regular_tetrahedron_volume"):
+                 "mc_spherical_volume", "mc_spherical_volumes", "regular_tetrahedron_volume"):
         assert getattr(simplexvol, name) is getattr(oracles, name)
     assert simplexvol.ideal_volume_highprec is _hp.ideal_volume_highprec
     assert simplexvol.oracles is oracles and simplexvol._hp is _hp
