@@ -62,7 +62,7 @@ def mc_spherical_volumes(jobs):
     and the counts are summed per job, so every report is bit for bit what
     mc_spherical_volume gives for that job alone, whatever the worker count.
     """
-    jobs = [(params, kappa, samples, seed) for params, kappa, samples, seed in jobs]
+    jobs = list(jobs)
     coefs = [_cone_coefficients(params, kappa, samples) for params, kappa, samples, _ in jobs]
     tasks = []  # (job, substream, chunk length), job by job and chunk by chunk
     for j, (_, _, samples, seed) in enumerate(jobs):
