@@ -8,7 +8,8 @@ The function evaluated here is
 an entire function of z.  Evaluation strategy:
 
 * first-quadrant core: SciPy's complex erfc (S. G. Johnson's Faddeeva
-  package), one expression for every modulus;
+  package), one expression for every modulus, imported on the first call so
+  that importing this module does not load SciPy;
 * the rest of the plane is reached through the exact symmetries
   N(conj(z)) = conj(N(z)) and N(-z) = 1 - N(z), applied by construction so
   that both identities hold to the last rounding.
@@ -27,7 +28,6 @@ concurrently.
 import math
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import OverflowRegionError
 
@@ -39,6 +39,9 @@ _EXP_LIMIT = 705.0
 
 def _core_q1(z):
     """N(z) for z in the closed first quadrant."""
+    # SciPy is imported by the first call, not by the package
+    from scipy.special import erfc
+
     if np.any(np.real(-0.5 * z * z) > _EXP_LIMIT):
         raise OverflowRegionError(
             "argument outside supported region: exp(-z**2/2) overflows in a growth sector")

@@ -27,9 +27,14 @@ shrink like rho^k with rho = 1 - 1/cosh(side length * sqrt(-kappa)), and the
 sum is taken to rounding.  Term k is rho^k T_k, and the table T
 (_series_table) depends on d only.  A request takes the series when
 kappa < 0, the upper branch is asked for, every tau is equal and
-rho <= _RHO_MAX; its result has branch SERIES and residual_imag 0.  Every
-other request (the ideal simplex, where rho = 1, kappa > 0, distinct taus,
-the lower branch) takes the ray.
+rho <= _RHO_MAX; its result has branch SERIES and residual_imag 0.  The
+ideal simplex, such a request at kappa0 (as _checked_kappa decides, not by
+rho, which rounding puts a few ulp either side of 1 there), takes it too up
+to d = _IDEAL_DMAX, with rho = 1 exactly: the sum converges only
+algebraically there, and _ideal_volume adds a fitted tail to its first
+_IDEAL_K + 1 terms.  Every other request (the near-ideal simplex
+with rho past _RHO_MAX, the ideal one past _IDEAL_DMAX, kappa > 0, distinct
+taus, the lower branch) takes the ray, the only path that loads SciPy.
 
 volumes(requests) is the one entry point: it checks and routes every
 request, builds one table per dimension for all of its series rows, and
@@ -46,7 +51,9 @@ from enum import Enum
 import numpy as np
 
 from .cnormal import SQRT_2PI
-from .errors import GeometryDomainError, SimplexVolError, ToleranceError
+from .errors import (
+    GeometryDomainError, OverflowRegionError, SimplexVolError, ToleranceError,
+)
 from .geometry import (
     OrthocentricParams, euclidean_volume, min_curvature, regular_parameters,
     sphere_surface_area,
@@ -66,6 +73,22 @@ _RHO_MAX = 0.995
 #: the most terms one series may build before the volume falls back to the ray
 _K_CAP = 8192
 
+#: the ideal simplex's series (_ideal_volume) sums _IDEAL_K + 1 terms and fits
+#: the rest with _IDEAL_J powers of 1/k, up to d = _IDEAL_DMAX: the dimensions
+#: where its bar was checked against closed forms and 60-digit references;
+#: past that the ideal simplex takes the ray
+_IDEAL_K = 1024
+_IDEAL_J = 5
+_IDEAL_DMAX = 30
+
+#: a request whose kappa is at most this far above kappa0, relative, is taken
+#: at kappa0: ideal taus built for a kappa (geometry.regular_parameters) put
+#: the kappa0 computed from them up to 4 ulp on either side of it
+_AT_KAPPA0_RTOL = 2.0 ** -48
+
+#: B_2j/(2j)! for j = 1..5, the Euler-Maclaurin corrections of _hurwitz_zeta
+_EM_COEFFS = (1.0 / 12, -1.0 / 720, 1.0 / 30240, -1.0 / 1209600, 1.0 / 47900160)
+
 
 class Branch(Enum):
     UPPER_RAY = "upper_ray"
@@ -84,7 +107,7 @@ class VolumeRequest:
     volume in closed form, and a non-finite kappa raises GeometryDomainError.
     tolerance is absolute on the ray's orthant-transform values, which
     surfaces as roughly 1e2*tolerance relative on volumes; the curvature
-    series always sums to rounding and does not read it.  use_lower_branch
+    series does not read it.  use_lower_branch
     evaluates the transform on the mirrored ray 1 + i; such a request always
     takes the ray, also where a regular simplex would take the series.
     """
@@ -265,6 +288,80 @@ def _series_volume(params, kappa, K, tables):
     return VolumeResult(vol, err, 0.0, Branch.SERIES, K + 1)
 
 
+def _hurwitz_zeta(s, q):
+    """zeta(s, q) = sum_(k >= 0) (q + k)^(-s) for s > 1 and q >= 256, by
+    Euler-Maclaurin from k = 0:
+
+        zeta(s, q) = q^(1-s)/(s-1) + q^(-s)/2
+                     + sum_(j=1..5) B_2j/(2j)! (s)_(2j-1) q^(-s-2j+1) + R.
+
+    The terms alternate and fall by about ((s + 2j)/(2 pi q))^2 each, and |R|
+    is below the first omitted one, under 1e-20 of the sum for s <= 25 and
+    q >= 256."""
+    t = q ** -s
+    acc = q * t / (s - 1.0) + 0.5 * t
+    g = s * t / q  # (s)_(2j-1) q^(-s-2j+1) at j = 1
+    for j, c in enumerate(_EM_COEFFS, 1):
+        acc += c * g
+        g *= (s + 2 * j - 1) * (s + 2 * j) / (q * q)
+    return acc
+
+
+def _fitted_tail(T, K, J, h):
+    """sum_(k > K) T_k from the fit T_k = sum_(j < J) b_j k^(-h-j) through T at
+    J indices spread evenly over [K/2, K]: in y = K/k the fit is a polynomial
+    on [1, 2], and the tail is sum_j b_j zeta(h + j, K + 1)."""
+    ks = np.linspace(K // 2, K, J).round().astype(np.int64)
+    y = K / ks
+    # (k/K)^h T_k = sum_j c_j y^j, so b_j = c_j K^(h+j)
+    c = np.linalg.solve(np.vander(y, J, increasing=True), (ks / K) ** h * T[ks])
+    return math.fsum(float(c[j]) * K ** (h + j) * _hurwitz_zeta(h + j, K + 1.0)
+                     for j in range(J))
+
+
+def _ideal_volume(d, kappa, table):
+    """The volume of the ideal regular d-simplex at kappa < 0 by the curvature
+    series at rho = 1 (_series_volume with a = (d + 1)/d):
+
+        Vol = sqrt(d)/d! |kappa|^(-d/2) sum_k T_k,   T = _series_table(d + 1, .),
+
+    every T_k positive and T_k ~ k^(-h) sum_j b_j k^(-j), h = (d + 1)/2, from
+    the algebraic singularity of sum_k T_k rho^k at rho = 1 (Flajolet and
+    Odlyzko, SIAM J. Discrete Math. 3, 1990).  The sum is
+    math.fsum(T_0..T_K) plus _fitted_tail at K = _IDEAL_K and J = _IDEAL_J;
+    table holds at least T_0..T_K.
+
+    The bar adds three parts.  The rounding of the terms and the fsum, counted
+    as in _series_volume without rho: 2k u per running ratio product at each
+    of the d + 1 stages, and 4 steps + 1 per scan stage.  The fit's error,
+    estimated as the larger gap to the fits at (K/2, J) and (K, J + 2): the
+    first is about 2^J times the truncation at K, and the second moves with
+    the rounding the fit amplifies.  At d = 2, where the tail is 2% of the sum,
+    these gaps are 5e-13 and 1e-13 for an actual error of 1.2e-14; past d = 4
+    the tail is below the rounding.  And the prefactor: sqrt(d), d! as a
+    float, the quotient, the power (2u) and the two products, 7u in all.
+    """
+    n, K = d + 1, _IDEAL_K
+    h = n / 2.0
+    T = table[:K + 1]
+    terms = T.tolist()
+    tail = _fitted_tail(T, K, _IDEAL_J, h)
+    total = math.fsum(terms) + tail
+    half = math.fsum(terms[:K // 2 + 1]) + _fitted_tail(T, K // 2, _IDEAL_J, h)
+    spread = max(abs(total - half), abs(tail - _fitted_tail(T, K, _IDEAL_J + 2, h)))
+    steps = (K + 1).bit_length()
+    k_weighted = float(np.sum(np.arange(K + 1.0) * T))
+    sum_err = _U * (2 * n * k_weighted + ((n - 1) * (4 * steps + 1) + 1) * total)
+    try:
+        pre = math.sqrt(d) / math.factorial(d) * (-kappa) ** (-d / 2.0)
+    except OverflowError:
+        raise OverflowRegionError(
+            f"the ideal {d}-simplex at kappa = {kappa} has a volume past the double range") from None
+    vol = pre * total
+    err = 1.01 * (pre * (sum_err + spread) + 7 * _U * vol)
+    return VolumeResult(vol, err, 0.0, Branch.SERIES, K + 1)
+
+
 def volumes(requests):
     """Each request's VolumeResult, or the SimplexVolError it raises, in order.
 
@@ -279,27 +376,38 @@ def volumes(requests):
     result attached.
     """
     out = [None] * len(requests)
-    series = {}  # n -> [(position, request, clamped kappa, first guess)]
+    series = {}  # n -> [(position, request, clamped kappa, first guess; None if ideal)]
     for i, req in enumerate(requests):
         try:
-            kappa = _checked_kappa(req)
+            kappa, at_kappa0 = _checked_kappa(req)
             params = req.geometry
+            n = params.dimension + 1
             regular = kappa < 0 and not req.use_lower_branch and len(set(params.taus)) == 1
+            if regular and at_kappa0 and params.dimension <= _IDEAL_DMAX:
+                series.setdefault(n, []).append((i, req, kappa, None))
+                continue
             rho = _series_ratio(params, kappa)[1] if regular else math.inf
             if rho <= _RHO_MAX:
-                n = params.dimension + 1
                 series.setdefault(n, []).append((i, req, kappa, _series_guess(n, rho)))
             else:
                 out[i] = _certified(_evaluate(req, kappa))
         except SimplexVolError as exc:
             out[i] = exc
-    tables = {n: _series_table(n, min(max(row[3] for row in rows) + 1, _K_CAP))
+    tables = {n: _series_table(n, max(_IDEAL_K if K is None else min(K + 1, _K_CAP)
+                                      for _, _, _, K in rows))
               for n, rows in series.items()}
-    for rows in series.values():
+    for n, rows in series.items():
         for i, req, kappa, K in rows:
             try:
-                res = _series_volume(req.geometry, kappa, K, tables)
-                out[i] = _certified(res if res is not None else _evaluate(req, kappa))
+                if K is None:
+                    # the ideal simplex's volume depends on d and kappa only,
+                    # so it is taken at the requested kappa, not kappa0
+                    res = _ideal_volume(n - 1, req.kappa, tables[n])
+                else:
+                    res = _series_volume(req.geometry, kappa, K, tables)
+                    if res is None:
+                        res = _evaluate(req, kappa)
+                out[i] = _certified(res)
             except SimplexVolError as exc:
                 out[i] = exc
     return out
@@ -329,15 +437,16 @@ def _certified(res):
 
 
 def _checked_kappa(req):
-    """req.kappa, clamped to kappa0 when rounding puts it just below; further
-    below, GeometryDomainError.  kappa = 0 passes as it is."""
+    """req.kappa, clamped to kappa0 when rounding puts it just below (further
+    below, GeometryDomainError), and whether the request is at kappa0: below
+    it or at most _AT_KAPPA0_RTOL above, relative.  kappa = 0 passes as it is."""
     if req.kappa == 0.0:
-        return 0.0
+        return 0.0, False
     k0 = min_curvature(req.geometry)
     if req.kappa < k0 * (1.0 + 1e-12):
         raise GeometryDomainError(
             f"kappa must be >= kappa0 = {k0:.12g} for this simplex; got {req.kappa}")
-    return max(req.kappa, k0)
+    return max(req.kappa, k0), req.kappa <= k0 * (1.0 - _AT_KAPPA0_RTOL)
 
 
 def _evaluate(req, kappa):
@@ -377,8 +486,12 @@ def _evaluate(req, kappa):
 def regular_volume(d, side_length, kappa=-1.0, tolerance=VolumeRequest.tolerance):
     """Convenience wrapper: volume of the regular simplex (side inf = ideal).
 
-    Each call builds its own series table; for many rows, pass their
-    requests to volumes(), which shares one table per dimension.
+    At kappa < 0 it takes the curvature series while rho <= _RHO_MAX, and
+    the ideal simplex (rho = 1) takes it up to d = _IDEAL_DMAX; the
+    near-ideal simplex in between, and the ideal one past that d, take the
+    ray (see the module doc).  Each call builds its own series table; for
+    many rows, pass their requests to volumes(), which shares one table per
+    dimension.
     """
     params = regular_parameters(d, side_length, kappa)
     return volume(VolumeRequest(params, kappa, tolerance))

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcx
 
 from .cnormal import norm_cdf_array
 from .errors import NearPoleError, SectorError
@@ -208,6 +207,9 @@ def tail_product_integral(p, X, tol=DEFAULT_TOL):
     sum_n |term_n|, as a second component.  Returns (value, error_bound,
     evaluations), the last being the pass's quadrature node count.
     """
+    # SciPy is imported by the first ray, not by the package
+    from scipy.special import erfcx
+
     omega = p.omega
     gc = np.array(p.distinct) * p.branch_sqrt_z() * omega
     sgn = np.where(gc.real > 0, 1.0, -1.0)

@@ -161,12 +161,13 @@ def test_sweep_marks_failed_rows_and_exits_3(monkeypatch, capsys):
 
 
 def test_sweep_writes_a_refused_row_and_exits_3(capsys):
-    # the ideal 15-simplex's ray value is swallowed by its own bar
-    code = main(["sweep", "--d", "15", "--kappa", "-1", "--ell-grid", "1,inf"])
+    # a near-ideal 16-simplex (ell = 8, rho = 0.9993) takes the ray, whose
+    # value its own bar swallows
+    code = main(["sweep", "--d", "16", "--kappa", "-1", "--ell-grid", "1,8"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 3
     assert lines[2].endswith(",ok,first")
-    assert lines[3] == "inf,nan,nan,nan,failed:ToleranceError,n/a"
+    assert lines[3] == "8.0,nan,nan,nan,failed:ToleranceError,n/a"
 
 
 def test_sweep_makes_one_volumes_call(monkeypatch, capsys):
@@ -301,6 +302,10 @@ def test_volume_json_names_the_series_path(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["branch"] == "series" and out["residual_imag"] == 0.0
     assert main(["volume", "--ideal", "3", "--kappa", "-1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["branch"] == "series"
+    # a near-ideal tetrahedron (rho = 0.9993) takes the ray
+    assert main(["volume", "--regular", "3", "--ell", "8", "--kappa", "-1",
+                 "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["branch"] == "upper_ray"
 
 

@@ -29,6 +29,10 @@ IDEAL_D4 = 0.2688956601693112          # (10 pi/3) asin(1/3) - pi^2/3
 HP_PINNED = {
     3: "1.01494160640965362502112223363",
     5: "0.0575647376851779272462273249443",
+    6: "0.0102392754201766402586577152401",
+    7: "0.00155286593651748395182962677811",
+    8: "0.00020497686689883607910952226273",
+    9: "2.39362772736196783402640136966e-5",
     10: "2.50524779083904730211784044675e-6",
     11: "2.37517016038058723579683319592e-7",
     12: "2.05778857928775985627737024734e-8",  # includes the n = d frequency
@@ -103,13 +107,29 @@ def test_ideal_d4_value():
     assert r.volume == pytest.approx(IDEAL_D4, abs=1e-8)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 10, 11, 12])
+#: the ideal volume at kappa = -1 to 30 digits for d = 2, 3, 4
+IDEAL_CLOSED_FORMS = {
+    2: lambda: mp.pi,
+    3: lambda: 3 * mp.clsin(2, 2 * mp.pi / 3) / 2,
+    4: lambda: 10 * mp.pi / 3 * mp.asin(mp.mpf(1) / 3) - mp.pi ** 2 / 3,
+}
+
+
+@pytest.mark.parametrize("d", range(2, engine._IDEAL_DMAX + 1))
 def test_ideal_regular_bar_covers_error(d):
-    # closed forms for d <= 4, the twin's pinned values (good to about 2e-16
-    # relative at d = 12) above
-    ref = float(HP_PINNED[d]) if d >= 5 else {2: math.pi, 3: IDEAL_D3, 4: IDEAL_D4}[d]
-    r = regular_volume(d, math.inf, -1.0)
-    assert abs(r.volume - ref) <= r.abs_error
+    # the ideal simplex takes the series at every d of its verified range;
+    # the references are closed forms for d <= 4, the twin's pinned values
+    # (good to about 2e-16 relative at d = 12) up to d = 12, and the 60-digit
+    # Levin-accelerated series (5e-23 relative at d = 14, better above) past it
+    with mp.workdps(40):
+        ref = (IDEAL_CLOSED_FORMS[d]() if d <= 4 else mp.mpf(HP_PINNED[d]) if d <= 12
+               else +_hp.ideal_volume_series(d))
+        for kappa in (-1.0, -4.0, -0.3):
+            r = regular_volume(d, math.inf, kappa)
+            exact = ref * mp.mpf(-kappa) ** (-mp.mpf(d) / 2)
+            assert r.branch is Branch.SERIES and r.residual_imag == 0.0
+            assert abs(mp.mpf(r.volume) - exact) <= r.abs_error, kappa
+            assert r.abs_error <= 1e-12 * r.volume, kappa
 
 
 def test_degenerate_side_length_gives_zero():
@@ -273,12 +293,20 @@ def test_curvature_scaling():
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_ideal_curvature_scaling_within_bars(d):
-    # at ideal vertices some tail rates vanish exactly, and rounding leaves
-    # them +-eps off 0 by an amount that depends on kappa; the scaled volumes
-    # must still agree with kappa = -1 inside both claimed bars
-    ref = regular_volume(d, math.inf, -1.0)
+    # at ideal vertices some of the ray's tail rates vanish exactly, and
+    # rounding leaves them +-eps off 0 by an amount that depends on kappa; the
+    # scaled volumes must still agree with kappa = -1 inside both claimed bars.
+    # The ideal simplex takes the series on the upper branch, so this is the
+    # lower-branch ray
+    def ray(kappa):
+        p = regular_parameters(d, math.inf, kappa)
+        r = volume(VolumeRequest(p, kappa, use_lower_branch=True))
+        assert r.branch is Branch.LOWER_RAY
+        return r
+
+    ref = ray(-1.0)
     for kappa in (-0.3, -0.7, -2.0, -3.0, -5.0, -6.0, -7.0, -10.0, -11.0, -13.0):
-        r = regular_volume(d, math.inf, kappa)
+        r = ray(kappa)
         scale = abs(kappa) ** (d / 2.0)
         assert abs(scale * r.volume - ref.volume) <= scale * r.abs_error + ref.abs_error
         if d == 2:
@@ -482,11 +510,14 @@ def test_series_reference_raises_when_its_orders_disagree(monkeypatch):
 
 
 def test_gate_refuses_an_ideal_volume_its_bar_swallows():
-    # the ray cancels at d = 16: 4.96e-13 +- 5.6e-12 came back unflagged
+    # the ray cancels at d = 16: 4.96e-13 +- 5.6e-12 came back unflagged on the
+    # upper branch, which now takes the series; the lower branch still takes
+    # the ray, and returns 5.39e-13 +- 6.1e-12
+    p = regular_parameters(16, math.inf, -1.0)
     with pytest.raises(ToleranceError, match="not certified") as info:
-        regular_volume(16, math.inf, -1.0)
+        volume(VolumeRequest(p, -1.0, use_lower_branch=True))
     res = info.value.result
-    assert res.branch is Branch.UPPER_RAY
+    assert res.branch is Branch.LOWER_RAY
     assert not res.abs_error < abs(res.volume)
 
 

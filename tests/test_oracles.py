@@ -253,14 +253,25 @@ def test_regular_tetrahedron_vs_engine():
 
 
 def test_package_import_leaves_oracles_and_twin_unloaded():
-    # then the submodules are package attributes on first use, as before
+    # an ideal and a series volume load no SciPy either, and the first ray
+    # loads scipy.special; then the submodules are package attributes on
+    # first use, as before
     code = ("import sys, simplexvol; "
-            "print(sorted(m for m in ('scipy.integrate', 'mpmath') if m in sys.modules)); "
+            "loaded = lambda: sorted(m for m in ('scipy.integrate', 'scipy.special', 'mpmath') "
+            "if m in sys.modules); "
+            "print(loaded()); "
+            "ideal = simplexvol.regular_volume(2, float('inf'), -1.0); "
+            "series = simplexvol.regular_volume(5, 1.0, -1.0); "
+            "print(ideal.branch.value, series.branch.value, loaded()); "
+            "ray = simplexvol.regular_volume(3, 8.0, -1.0); "
+            "print(ray.branch.value, loaded()); "
             "print(simplexvol.oracles.__name__, simplexvol._hp.__name__)")
     src = str(Path(simplexvol.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.split("\n")[:2] == ["[]", "simplexvol.oracles simplexvol._hp"]
+    assert out.stdout.split("\n")[:4] == [
+        "[]", "series series []", "upper_ray ['scipy.special']",
+        "simplexvol.oracles simplexvol._hp"]
 
 
 def test_lazy_package_names_are_the_module_attributes():
@@ -284,6 +295,15 @@ def test_klein_refuses_a_simplex_outside_the_model_ball():
         direct_klein_volume(verts, 1.5 * min_curvature(p))
 
 
+def _norm2(y):
+    """|y|^2 summed coordinate by coordinate from 0.0, as direct_klein_volume
+    sums it, whatever kernel a BLAS dot product would use."""
+    q = 0.0
+    for z in y.tolist():
+        q += z * z
+    return q
+
+
 def _klein_per_dimension(vertices, kappa, rel_tol):
     """The Klein integral by dblquad at d = 2 and tplquad at d = 3, with the
     map written out term by term in the order direct_klein_volume evaluates it."""
@@ -295,13 +315,13 @@ def _klein_per_dimension(vertices, kappa, rel_tol):
     if d == 2:
         def f(t2, t1):
             y = v0 + B[:, 0] * t1 + B[:, 1] * (t2 * (1.0 - t1))
-            return (1.0 - t1) / (1.0 + kappa * float(y @ y)) ** ex
+            return (1.0 - t1) / (1.0 + kappa * _norm2(y)) ** ex
         return jac0 * integrate.dblquad(f, 0.0, 1.0, 0.0, 1.0, epsabs=0.0, epsrel=rel_tol)[0]
 
     def f(t3, t2, t1):
         y = (v0 + B[:, 0] * t1 + B[:, 1] * (t2 * (1.0 - t1))
              + B[:, 2] * (t3 * (1.0 - t1) * (1.0 - t2)))
-        return (1.0 - t1) ** 2 * (1.0 - t2) / (1.0 + kappa * float(y @ y)) ** ex
+        return (1.0 - t1) ** 2 * (1.0 - t2) / (1.0 + kappa * _norm2(y)) ** ex
     return jac0 * integrate.tplquad(f, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0,
                                     epsabs=0.0, epsrel=rel_tol)[0]
 

@@ -9,8 +9,10 @@ import pytest
 
 from simplexvol import engine
 from simplexvol.engine import Branch, VolumeRequest, regular_volume, volume
-from simplexvol.errors import GeometryDomainError, ToleranceError
-from simplexvol.geometry import OrthocentricParams, euclidean_volume, regular_parameters
+from simplexvol.errors import GeometryDomainError, OverflowRegionError, ToleranceError
+from simplexvol.geometry import (
+    OrthocentricParams, euclidean_volume, min_curvature, regular_parameters,
+)
 from simplexvol.oracles import regular_tetrahedron_volume
 
 
@@ -166,9 +168,9 @@ def test_curvature_scaling(d):
 
 
 def test_routing():
-    # the ideal simplex (rho = 1), rho past _RHO_MAX, the lower branch,
-    # distinct taus and kappa > 0 all take the ray
-    assert regular_volume(3, math.inf).branch is Branch.UPPER_RAY
+    # the ideal simplex (rho = 1) takes the series; rho past _RHO_MAX, the
+    # lower branch, distinct taus and kappa > 0 all take the ray
+    assert regular_volume(3, math.inf).branch is Branch.SERIES
     assert regular_volume(3, _side(0.998)).branch is Branch.UPPER_RAY
     assert regular_volume(3, _side(0.99)).branch is Branch.SERIES
     p = regular_parameters(4, 1.0, -1.0)
@@ -239,8 +241,8 @@ def test_grid_rows_equal_single_volumes(d):
             for ell in _grid(d, np.random.default_rng(100 + d))]
     got = engine.volumes(reqs)
     branches = [r.branch for r in got]
-    assert branches.count(Branch.SERIES) == 22
-    assert branches[21:23] == [Branch.UPPER_RAY] * 2 and branches[-1] is Branch.UPPER_RAY
+    assert branches.count(Branch.SERIES) == 23
+    assert branches[21:23] == [Branch.UPPER_RAY] * 2 and branches[-1] is Branch.SERIES
     for req, r in zip(reqs, got):
         alone = volume(req)
         assert (repr(r.volume), repr(r.abs_error), r.residual_imag, r.branch, r.evaluations) \
@@ -249,16 +251,78 @@ def test_grid_rows_equal_single_volumes(d):
 
 
 def test_volumes_returns_each_error_in_place():
-    # a domain error, a refused ideal volume and two good rows, in request order
+    # a domain error, an ideal volume the lower-branch ray refuses (8.3e-12 +-
+    # 1.1e-11) and two good rows, in request order
     good = VolumeRequest(regular_parameters(3, 1.0, -1.0), -1.0)
     low = VolumeRequest(OrthocentricParams((1.0, 1.0, 1.0)), -1.6)
-    refused = VolumeRequest(regular_parameters(15, math.inf, -1.0), -1.0)
-    ray = VolumeRequest(regular_parameters(3, math.inf, -1.0), -1.0)
-    out = engine.volumes([good, low, refused, ray])
-    assert out[0] == volume(good) and out[3] == volume(ray)
+    refused = VolumeRequest(regular_parameters(15, math.inf, -1.0), -1.0, use_lower_branch=True)
+    ideal = VolumeRequest(regular_parameters(3, math.inf, -1.0), -1.0)
+    out = engine.volumes([good, low, refused, ideal])
+    assert out[0] == volume(good) and out[3] == volume(ideal)
     assert isinstance(out[1], GeometryDomainError)
-    assert isinstance(out[2], ToleranceError) and out[2].result.branch is Branch.UPPER_RAY
+    assert isinstance(out[2], ToleranceError) and out[2].result.branch is Branch.LOWER_RAY
     for req, err in ((low, GeometryDomainError), (refused, ToleranceError)):
         with pytest.raises(err):
             volume(req)
     assert engine.volumes([]) == []
+
+
+def test_ideal_past_the_verified_range_takes_the_ray(monkeypatch):
+    monkeypatch.setattr(engine, "_IDEAL_DMAX", 3)
+    assert regular_volume(3, math.inf).branch is Branch.SERIES
+    assert regular_volume(4, math.inf).branch is Branch.UPPER_RAY
+
+
+def test_every_ideal_request_is_at_kappa0():
+    # kappa0 computed from ideal taus lands up to 4 ulp on either side of the
+    # kappa they were built for, and rho from it up to 2 ulp either side of 1;
+    # each request is still the ideal simplex, and none is summed from rho
+    rng = np.random.default_rng(22)
+    kappas = [-1.0, -4.0, -0.3, *(-np.exp(rng.uniform(-5.0, 5.0, 12)))]
+    above = 0
+    for d in range(2, engine._IDEAL_DMAX + 1):
+        for kappa in kappas:
+            p = regular_parameters(d, math.inf, float(kappa))
+            above += kappa > min_curvature(p)
+            assert volume(VolumeRequest(p, float(kappa))).branch is Branch.SERIES, (d, kappa)
+    assert above > 0
+
+
+def test_a_request_just_past_kappa0_is_not_ideal():
+    # 1e-13 relative above kappa0 is outside the window: rho = 1 - 1e-13
+    p = regular_parameters(3, math.inf, -1.0)
+    kappa = min_curvature(p) * (1.0 - 1e-13)
+    assert volume(VolumeRequest(p, kappa)).branch is Branch.UPPER_RAY
+    assert volume(VolumeRequest(p, min_curvature(p) * (1.0 + 1e-13))).branch is Branch.SERIES
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 12, 20, 30])
+def test_ideal_row_curvature_scaling(d):
+    # Vol_d(kappa) = |kappa|^(-d/2) Vol_d(-1): bit for bit when |kappa| is a
+    # power of 4, where the power is exact, and within both bars otherwise
+    unit = regular_volume(d, math.inf, -1.0)
+    for kappa in (-4.0, -0.25, -16.0):
+        r = regular_volume(d, math.inf, kappa)
+        f = abs(kappa) ** (-d / 2.0)
+        assert (r.volume, r.abs_error) == (f * unit.volume, f * unit.abs_error)
+    rng = np.random.default_rng(d)
+    for kappa in -np.exp(rng.uniform(math.log(0.05), math.log(20.0), 6)):
+        r = regular_volume(d, math.inf, float(kappa))
+        f = abs(kappa) ** (-d / 2.0)
+        assert r.branch is Branch.SERIES
+        assert abs(r.volume - f * unit.volume) <= r.abs_error + f * unit.abs_error
+
+
+def test_hurwitz_zeta_matches_scipy():
+    from scipy.special import zeta
+
+    for q in (257.0, 513.0, 1025.0, 4097.0):
+        for s in np.linspace(1.5, 25.0, 48):
+            ref = zeta(s, q)
+            assert abs(engine._hurwitz_zeta(float(s), q) - ref) <= 1.5e-15 * ref, (s, q)
+
+
+def test_an_ideal_volume_past_the_double_range_is_refused():
+    # the volume is about 6e418, and |kappa|^(-d/2) = 1e450 alone overflows
+    with pytest.raises(OverflowRegionError):
+        regular_volume(30, math.inf, -1e-30)
