@@ -28,8 +28,10 @@ sum is taken to rounding.  Term k is rho^k T_k, and the table T
 (_series_table) depends on d only.  A request takes the series when
 kappa < 0, the upper branch is asked for, every tau is equal and
 rho <= _RHO_MAX; its result has branch SERIES and residual_imag 0.  The
-ideal simplex, such a request at kappa0 (as _checked_kappa decides, not by
-rho, which rounding puts a few ulp either side of 1 there), takes it too up
+ideal simplex, such a request with kappa at or below kappa0 (as
+_checked_kappa decides, not by rho, which rounding puts a few ulp either
+side of 1 there; regular_parameters rounds the taus so that this holds for
+side length inf and for no finite one), takes it too up
 to d = _IDEAL_DMAX, with rho = 1 exactly: the sum converges only
 algebraically there, and _ideal_volume adds a fitted tail to its first
 _IDEAL_K + 1 terms.  Every other request (the near-ideal simplex
@@ -80,11 +82,6 @@ _K_CAP = 8192
 _IDEAL_K = 1024
 _IDEAL_J = 5
 _IDEAL_DMAX = 30
-
-#: a request whose kappa is at most this far above kappa0, relative, is taken
-#: at kappa0: ideal taus built for a kappa (geometry.regular_parameters) put
-#: the kappa0 computed from them up to 4 ulp on either side of it
-_AT_KAPPA0_RTOL = 2.0 ** -48
 
 #: B_2j/(2j)! for j = 1..5, the Euler-Maclaurin corrections of _hurwitz_zeta
 _EM_COEFFS = (1.0 / 12, -1.0 / 720, 1.0 / 30240, -1.0 / 1209600, 1.0 / 47900160)
@@ -438,15 +435,15 @@ def _certified(res):
 
 def _checked_kappa(req):
     """req.kappa, clamped to kappa0 when rounding puts it just below (further
-    below, GeometryDomainError), and whether the request is at kappa0: below
-    it or at most _AT_KAPPA0_RTOL above, relative.  kappa = 0 passes as it is."""
+    below, GeometryDomainError), and whether the request is at kappa0, that is
+    not above it.  kappa = 0 passes as it is."""
     if req.kappa == 0.0:
         return 0.0, False
     k0 = min_curvature(req.geometry)
     if req.kappa < k0 * (1.0 + 1e-12):
         raise GeometryDomainError(
             f"kappa must be >= kappa0 = {k0:.12g} for this simplex; got {req.kappa}")
-    return max(req.kappa, k0), req.kappa <= k0 * (1.0 - _AT_KAPPA0_RTOL)
+    return max(req.kappa, k0), req.kappa <= k0
 
 
 def _evaluate(req, kappa):

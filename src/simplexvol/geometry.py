@@ -86,6 +86,12 @@ def regular_parameters(d, side_length, kappa=-1.0):
     side_length > 0 (inf = ideal; NaN fails the comparison) and kappa finite
     and negative.  For ell = inf (or cosh overflow) the ideal limit
     tau^2 = -kappa*d/(d+1) is used directly.
+
+    tau is then moved by whole ulps, if rounding needs it, until the kappa0
+    that min_curvature computes from the result is at least kappa for the
+    ideal simplex and below kappa for every finite side: the engine reads a
+    request at or below kappa0 as ideal, and past ell ~ 36 the finite taus
+    round to the ideal ones, whose kappa0 rounds to either side of kappa.
     """
     if not isinstance(d, numbers.Integral) or d < 2:
         raise GeometryDomainError(f"dimension must be an integer >= 2; got {d!r}")
@@ -101,8 +107,13 @@ def regular_parameters(d, side_length, kappa=-1.0):
         ch = math.cosh(u)
         # cosh(u) - 1 = 2 sinh(u/2)^2, stable for small u
         tau2 = -kappa * (1.0 + d * ch) / ((d + 1.0) * 2.0 * math.sinh(u / 2.0) ** 2)
-    tau = math.sqrt(tau2)
-    return OrthocentricParams(taus=(tau,) * (d + 1))
+    ideal = u > _COSH_LIMIT
+    params = OrthocentricParams(taus=(math.sqrt(tau2),) * (d + 1))
+    # a smaller tau raises kappa0, a larger one lowers it
+    while (min_curvature(params) >= kappa) != ideal:
+        tau = math.nextafter(params.taus[0], 0.0 if ideal else math.inf)
+        params = OrthocentricParams(taus=(tau,) * (d + 1))
+    return params
 
 
 def realize_vertices(params):

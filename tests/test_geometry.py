@@ -81,6 +81,23 @@ def test_regular_parameters_ideal_limit():
     assert p.taus[0] ** 2 == pytest.approx(2.0 * 4 / 5, rel=1e-14)
 
 
+def test_regular_parameters_put_only_the_ideal_simplex_at_kappa0():
+    # the engine reads a request at or below the computed kappa0 as ideal:
+    # regular_parameters moves tau by at most 2 ulp so that ideal taus are
+    # there and finite ones, even those that round to the ideal taus, are not
+    rng = np.random.default_rng(5)
+    for kappa in (-1.0, -4.0, -0.3, *(-np.exp(rng.uniform(-8.0, 8.0, 12)))):
+        kappa = float(kappa)
+        for d in range(2, 41):
+            p = regular_parameters(d, math.inf, kappa)
+            assert kappa <= min_curvature(p), (d, kappa)
+            tau = math.sqrt(-kappa * d / (d + 1.0))
+            assert abs(p.taus[0] - tau) <= 2 * math.ulp(tau)
+            for ell in (20.0, 34.5, 36.3, 37.0, 40.0, 100.0, 600.0):
+                q = regular_parameters(d, ell / math.sqrt(-kappa), kappa)
+                assert min_curvature(q) < kappa, (d, kappa, ell)
+
+
 def test_regular_parameters_small_side_blows_up():
     assert regular_parameters(3, 1e-8, -1.0).taus[0] > 1e7
 

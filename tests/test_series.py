@@ -168,9 +168,14 @@ def test_curvature_scaling(d):
 
 
 def test_routing():
-    # the ideal simplex (rho = 1) takes the series; rho past _RHO_MAX, the
-    # lower branch, distinct taus and kappa > 0 all take the ray
+    # the ideal simplex (rho = 1) takes the series up to d = _IDEAL_DMAX, and
+    # past it the ray, which refuses d = 31; rho past _RHO_MAX, the lower
+    # branch, distinct taus and kappa > 0 all take the ray
     assert regular_volume(3, math.inf).branch is Branch.SERIES
+    assert regular_volume(engine._IDEAL_DMAX, math.inf).branch is Branch.SERIES
+    with pytest.raises(ToleranceError) as info:
+        regular_volume(engine._IDEAL_DMAX + 1, math.inf)
+    assert info.value.result.branch is Branch.UPPER_RAY
     assert regular_volume(3, _side(0.998)).branch is Branch.UPPER_RAY
     assert regular_volume(3, _side(0.99)).branch is Branch.SERIES
     p = regular_parameters(4, 1.0, -1.0)
@@ -267,25 +272,24 @@ def test_volumes_returns_each_error_in_place():
     assert engine.volumes([]) == []
 
 
-def test_ideal_past_the_verified_range_takes_the_ray(monkeypatch):
-    monkeypatch.setattr(engine, "_IDEAL_DMAX", 3)
-    assert regular_volume(3, math.inf).branch is Branch.SERIES
-    assert regular_volume(4, math.inf).branch is Branch.UPPER_RAY
-
-
 def test_every_ideal_request_is_at_kappa0():
-    # kappa0 computed from ideal taus lands up to 4 ulp on either side of the
-    # kappa they were built for, and rho from it up to 2 ulp either side of 1;
-    # each request is still the ideal simplex, and none is summed from rho
+    # regular_parameters rounds ideal taus so that their computed kappa0 is at
+    # least kappa: each request is clamped, and none is summed from rho
     rng = np.random.default_rng(22)
     kappas = [-1.0, -4.0, -0.3, *(-np.exp(rng.uniform(-5.0, 5.0, 12)))]
-    above = 0
     for d in range(2, engine._IDEAL_DMAX + 1):
         for kappa in kappas:
             p = regular_parameters(d, math.inf, float(kappa))
-            above += kappa > min_curvature(p)
+            assert kappa <= min_curvature(p), (d, kappa)
             assert volume(VolumeRequest(p, float(kappa))).branch is Branch.SERIES, (d, kappa)
-    assert above > 0
+
+
+@pytest.mark.parametrize("d, ell", [(2, 34.5), (3, 35.0), (2, 37.0), (5, 40.0)])
+def test_a_large_finite_side_is_not_ideal(d, ell):
+    # kappa0/kappa - 1 = (d + 1)/(d (cosh ell - 1)) is a few ulp here, and
+    # past ell ~ 36 the taus round to the ideal ones; the ideal series would
+    # return pi at d = 2, where the area is pi - 3 alpha, alpha ~ 2 e^(-ell/2)
+    assert regular_volume(d, ell).branch is Branch.UPPER_RAY
 
 
 def test_a_request_just_past_kappa0_is_not_ideal():
