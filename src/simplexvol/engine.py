@@ -21,22 +21,23 @@ is reported as a numerical health diagnostic.
 A regular simplex is the equal-tau case: regular_volume turns (d, side
 length, kappa) into OrthocentricParams with geometry.regular_parameters,
 which is where those three inputs are checked.  At kappa < 0 a regular
-simplex has a second, cancellation-free path, the curvature power series of
-its Klein-model volume (_series_volume): every term is positive, the terms
-shrink like rho^k with rho = 1 - 1/cosh(side length * sqrt(-kappa)), and the
-sum is taken to rounding.  Term k is rho^k T_k, and the table T
-(_series_table) depends on d only.  A request takes the series when
-kappa < 0, the upper branch is asked for, every tau is equal and
-rho <= _RHO_MAX; its result has branch SERIES and residual_imag 0.  The
-ideal simplex, such a request with kappa at or below kappa0 (as
-_checked_kappa decides, not by rho, which rounding puts a few ulp either
-side of 1 there; regular_parameters rounds the taus so that this holds for
-side length inf and for no finite one), takes it too up
-to d = _IDEAL_DMAX, with rho = 1 exactly: the sum converges only
-algebraically there, and _ideal_volume adds a fitted tail to its first
-_IDEAL_K + 1 terms.  Every other request (the near-ideal simplex
-with rho past _RHO_MAX, the ideal one past _IDEAL_DMAX, kappa > 0, distinct
-taus, the lower branch) takes the ray, the only path that loads SciPy.
+simplex on the upper branch takes a second, cancellation-free path, the
+curvature power series of its Klein-model volume: every term is positive,
+and the terms shrink like rho^k with rho = 1 - 1/cosh(side length *
+sqrt(-kappa)).  Term k is rho^k T_k, and the table T (_series_table)
+depends on d only.  While rho <= _RHO_MAX the sum is taken term by term to
+rounding (_series_volume).  Past it, up to d = _IDEAL_DMAX, the first
+_IDEAL_K + 1 terms are summed and the rest fitted (_fitted_volume): T_k
+follows k^(-h) times a power series in 1/k, h = (d + 1)/2, so the tail is a
+sum of Lerch transcendents (_lerch_tails), Hurwitz zetas (_hurwitz_zeta)
+at rho = 1 exactly.  rho = 1 is the ideal simplex, a request with kappa at
+or below kappa0 (as _checked_kappa decides, not by rho, which rounding puts
+a few ulp either side of 1 there; regular_parameters rounds the taus so that
+this holds for side length inf and for no finite one); a finite side whose
+rho rounds to 1 or past it is held just below.  Either result has branch SERIES
+and residual_imag 0.  Every other request (the near-ideal and the ideal
+simplex past _IDEAL_DMAX, kappa > 0, distinct taus, the lower branch)
+takes the ray, the only path that loads SciPy.
 
 volumes(requests) is the one entry point: it checks and routes every
 request, builds one table per dimension for all of its series rows, and
@@ -67,24 +68,33 @@ _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 #: the unit roundoff of a double
 _U = 2.0 ** -53
 
-#: a regular simplex at kappa < 0 takes the curvature series while its term
-#: ratio rho is at most this; above it the ray costs less (the crossover
-#: measured at d = 3, 5, 8 and 12 is in CHANGES.md)
+#: a regular simplex at kappa < 0 sums its curvature series term by term
+#: (_series_volume) while its term ratio rho is at most this, and past it,
+#: up to the ideal rho = 1, fits the terms beyond _IDEAL_K (_fitted_volume),
+#: which costs less there (the crossover measured at d = 3, 5, 8 and 12 is
+#: in CHANGES.md)
 _RHO_MAX = 0.995
 
 #: the most terms one series may build before the volume falls back to the ray
 _K_CAP = 8192
 
-#: the ideal simplex's series (_ideal_volume) sums _IDEAL_K + 1 terms and fits
-#: the rest with _IDEAL_J powers of 1/k, up to d = _IDEAL_DMAX: the dimensions
-#: where its bar was checked against closed forms and 60-digit references;
-#: past that the ideal simplex takes the ray
+#: the fitted series (_fitted_sum) sums _IDEAL_K + 1 terms and fits the rest
+#: with _IDEAL_J powers of 1/k, up to d = _IDEAL_DMAX: the dimensions where
+#: its bar was checked against closed forms and 60-digit references; past
+#: that the near-ideal and the ideal simplex take the ray
 _IDEAL_K = 1024
 _IDEAL_J = 5
 _IDEAL_DMAX = 30
 
 #: B_2j/(2j)! for j = 1..5, the Euler-Maclaurin corrections of _hurwitz_zeta
+#: and _lerch_tails
 _EM_COEFFS = (1.0 / 12, -1.0 / 720, 1.0 / 30240, -1.0 / 1209600, 1.0 / 47900160)
+
+#: Euler's constant, the continued fraction's cap on steps and the start
+#: value Lentz's method needs, for _expint
+_EULER_GAMMA = 0.5772156649015329
+_CF_STEPS = 100
+_TINY = 1e-300
 
 
 class Branch(Enum):
@@ -276,13 +286,24 @@ def _series_volume(params, kappa, K, tables):
     k_weighted = float(np.sum(ks[:K + 1] * terms))
     sum_err = (_U * ((2 * n + 7) * k_weighted + ((n - 1) * (4 * steps + 1) + 4) * total)
                + float(tail[K]))
-    # the prefactor: Vol_E to (d + 5)u, a to 4u raised to -h with 2u of its
-    # own, and two products; 1.01 covers the second-order terms of these
-    # first-order counts and the rounding of the bar itself
-    pre = euclidean_volume(params) * a ** -h
+    # 1.01 covers the second-order terms of these first-order counts and the
+    # rounding of the bar itself
+    pre = _series_prefactor(params, a)
     vol = pre * total
     err = 1.01 * (pre * sum_err + (3 * d + 11) * _U * vol)
     return VolumeResult(vol, err, 0.0, Branch.SERIES, K + 1)
+
+
+def _series_prefactor(params, a):
+    """Vol_E a^(-h), h = (d + 1)/2, the series' prefactor at a = 1 - kappa/s,
+    to (3d + 11)u: Vol_E to (d + 5)u, a to 4u raised to -h with 2u of its
+    own, and two products.  Raises OverflowRegionError past the double range."""
+    try:
+        return euclidean_volume(params) * a ** (-(params.dimension + 1) / 2.0)
+    except OverflowError:
+        raise OverflowRegionError(
+            f"the {params.dimension}-simplex with tau = {params.taus[0]} has a volume "
+            "past the double range") from None
 
 
 def _hurwitz_zeta(s, q):
@@ -304,59 +325,178 @@ def _hurwitz_zeta(s, q):
     return acc
 
 
-def _fitted_tail(T, K, J, h):
-    """sum_(k > K) T_k from the fit T_k = sum_(j < J) b_j k^(-h-j) through T at
-    J indices spread evenly over [K/2, K]: in y = K/k the fit is a polynomial
-    on [1, 2], and the tail is sum_j b_j zeta(h + j, K + 1)."""
+def _expint(s0, count, z):
+    """E_s(z) = int_1^inf e^(-z t) t^(-s) dt at s = s0, s0 + 1, ..,
+    s0 + count - 1, for z > 0 and s0 a positive integer or half-integer.
+
+    The recurrence E_(s+1) = (e^(-z) - z E_s)/s gives every order from one
+    of them.  A step up multiplies the error it inherits by about z/s, and a
+    step down by s/z.  At z <= 2 the recurrence runs up from E_(1/2) =
+    sqrt(pi/z) erfc(sqrt z) for half-integer s, and for integer s from E_1 by
+    its power series, whose terms stay below e^z times the sum.  Past z = 2
+    it starts from the order nearest z, by its continued fraction (modified
+    Lentz: 55 steps at most, at z just past 2), and runs down below it and
+    up above it, so no step amplifies.  Against mpmath.expint at s <= 25.5
+    and z <= 5.3 the worst error is 52u, at z = 2 from E_(1/2).
+    """
+    ez = math.exp(-z)
+    out = [0.0] * count
+    if z > 2.0:
+        m = min(max(round(z - s0), 0), count - 1)
+        # E_s(z) = e^(-z)/(z + s - 1 s/(z + s + 2 - 2 (s + 1)/(z + s + 4 - ...)))
+        s = s0 + m
+        b = z + s
+        c, dd = 1.0 / _TINY, 1.0 / b
+        e = dd
+        for i in range(1, _CF_STEPS):
+            a = -i * (s - 1.0 + i)
+            b += 2.0
+            dd = 1.0 / (a * dd + b)
+            c = b + a / c
+            e *= c * dd
+            if abs(c * dd - 1.0) <= _U:
+                break
+        out[m] = e * ez
+        for i in range(m, 0, -1):
+            out[i - 1] = (ez - (s0 + i - 1) * out[i]) / z
+    else:
+        if s0 % 1.0:
+            s, e = 0.5, math.sqrt(math.pi / z) * math.erfc(math.sqrt(z))
+        else:
+            s, e, term, k = 1.0, -_EULER_GAMMA - math.log(z), 1.0, 1
+            while abs(term) > _U * abs(e):
+                term *= -z / k
+                e -= term / k
+                k += 1
+        while s < s0:
+            e = (ez - z * e) / s
+            s += 1.0
+        out[0], m = e, 0
+    for i in range(m, count - 1):
+        out[i + 1] = (ez - z * out[i]) / (s0 + i)
+    return out
+
+
+def _lerch_tails(s0, count, lam, q):
+    """Phi_s = sum_(k >= 0) e^(-lam (q + k)) (q + k)^(-s) at s = s0, s0 + 1, ..,
+    s0 + count - 1, for lam > 0 and q >= 256: the Lerch transcendent's tail
+    that _fitted_volume needs, by Euler-Maclaurin from k = 0 as
+    _hurwitz_zeta (its lam = 0 case) takes it.  With z = lam q, the m-th
+    derivative of e^(-lam x) x^(-s) at q is (-1)^m e^(-z) q^(-s-m) P_m,
+    P_m = sum_(i <= m) C(m, i) z^(m-i) (s)_i, so
+
+        Phi_s = q^(1-s) E_s(z)
+                + e^(-z) q^(-s) (1/2 + sum_(j=1..5) B_2j/(2j)! q^(1-2j) P_(2j-1))
+
+    with E_s from _expint.  The corrections fall by about
+    ((z + s + 2j)/(2 pi q))^2 each, as the zeta's do at z = 0."""
+    z = lam * q
+    # w_i = sum_j B_2j/(2j)! C(2j-1, i) z^(2j-1-i) q^(1-2j), the weight of (s)_i
+    w = [0.0] * (2 * len(_EM_COEFFS))
+    for j, c in enumerate(_EM_COEFFS, 1):
+        m = 2 * j - 1
+        for i in range(m + 1):
+            w[i] += c * math.comb(m, i) * z ** (m - i) / q ** m
+    ez = math.exp(-z)
+    out = []
+    for i, e in enumerate(_expint(s0, count, z)):
+        s = s0 + i
+        acc, rf = 0.5, 1.0
+        for k, wk in enumerate(w):
+            acc += wk * rf
+            rf *= s + k
+        out.append(q ** (1.0 - s) * e + ez * q ** -s * acc)
+    return out
+
+
+def _fit(T, K, J, h):
+    """b_0..b_(J-1) of the fit T_k = sum_j b_j k^(-h-j) through T at J
+    indices spread evenly over [K/2, K]: in y = K/k the fit is a polynomial
+    on [1, 2]."""
     ks = np.linspace(K // 2, K, J).round().astype(np.int64)
     y = K / ks
     # (k/K)^h T_k = sum_j c_j y^j, so b_j = c_j K^(h+j)
     c = np.linalg.solve(np.vander(y, J, increasing=True), (ks / K) ** h * T[ks])
-    return math.fsum(float(c[j]) * K ** (h + j) * _hurwitz_zeta(h + j, K + 1.0)
-                     for j in range(J))
+    return [float(c[j]) * K ** (h + j) for j in range(J)]
 
 
-def _ideal_volume(d, kappa, table):
-    """The volume of the ideal regular d-simplex at kappa < 0 by the curvature
-    series at rho = 1 (_series_volume with a = (d + 1)/d):
+def _fitted_sum(n, rho, table):
+    """sum_k rho^k T_k for 0.995 < rho <= 1 and its error bar, T =
+    _series_table(n, .) holding at least T_0.._IDEAL_K.
 
-        Vol = sqrt(d)/d! |kappa|^(-d/2) sum_k T_k,   T = _series_table(d + 1, .),
+    T_k ~ k^(-h) sum_j b_j k^(-j), h = n/2, from the algebraic singularity
+    of sum_k T_k rho^k at rho = 1 (Flajolet and Odlyzko, SIAM J. Discrete
+    Math. 3, 1990), and T does not depend on rho.  So the sum is
+    math.fsum(rho^k T_k, k <= K) plus sum_j b_j Phi_(h+j), K = _IDEAL_K,
+    with b_0..b_(J-1) from _fit at J = _IDEAL_J and
+    Phi_s = sum_(k > K) rho^k k^(-s): the Hurwitz zeta (_hurwitz_zeta) at
+    rho = 1, the Lerch tail (_lerch_tails) below.
 
-    every T_k positive and T_k ~ k^(-h) sum_j b_j k^(-j), h = (d + 1)/2, from
-    the algebraic singularity of sum_k T_k rho^k at rho = 1 (Flajolet and
-    Odlyzko, SIAM J. Discrete Math. 3, 1990).  The sum is
-    math.fsum(T_0..T_K) plus _fitted_tail at K = _IDEAL_K and J = _IDEAL_J;
-    table holds at least T_0..T_K.
-
-    The bar adds three parts.  The rounding of the terms and the fsum, counted
-    as in _series_volume without rho: 2k u per running ratio product at each
-    of the d + 1 stages, and 4 steps + 1 per scan stage.  The fit's error,
-    estimated as the larger gap to the fits at (K/2, J) and (K, J + 2): the
-    first is about 2^J times the truncation at K, and the second moves with
-    the rounding the fit amplifies.  At d = 2, where the tail is 2% of the sum,
-    these gaps are 5e-13 and 1e-13 for an actual error of 1.2e-14; past d = 4
-    the tail is below the rounding.  And the prefactor: sqrt(d), d! as a
-    float, the quotient, the power (2u) and the two products, 7u in all.
+    The bar adds three parts.  The rounding of the terms and the fsum,
+    counted as in _series_volume: 2k u per running ratio product at each of
+    the n stages, and 4 steps + 1 per scan stage.  Below rho = 1 also rho's
+    input rounding, 7k u per term (8 with the log that gives lam), the tail
+    included: sum_(k > K) k rho^k T_k is the same fit's
+    sum_j b_j Phi_(h+j-1), which at n <= 4 grows without bound as rho -> 1,
+    the true conditioning of a request given by its taus; then rho^k and the
+    product with T_k (3u), and 128u of the tail for its own rounding
+    (_expint's error is up to 52u, and the corrections and the sum over j
+    add a few).  And the fit's error, estimated as the larger gap to the
+    fits at (K/2, J) and (K, J + 2) with the same rho weights: the first is
+    about 2^J times the truncation at K, and the second moves with the
+    rounding the fit amplifies.  At the ideal triangle, where the tail is 2%
+    of the sum, these gaps are 5e-13 and 1e-13 for an actual error of
+    1.2e-14; past n = 5 the tail is below the rounding.
     """
-    n, K = d + 1, _IDEAL_K
+    K, J = _IDEAL_K, _IDEAL_J
     h = n / 2.0
     T = table[:K + 1]
-    terms = T.tolist()
-    tail = _fitted_tail(T, K, _IDEAL_J, h)
-    total = math.fsum(terms) + tail
-    half = math.fsum(terms[:K // 2 + 1]) + _fitted_tail(T, K // 2, _IDEAL_J, h)
-    spread = max(abs(total - half), abs(tail - _fitted_tail(T, K, _IDEAL_J + 2, h)))
+    lam = -math.log(rho)
+    terms = _series_terms(n, rho, K, table) if lam else T
+    t = terms.tolist()
+    b, b_half, b_more = _fit(T, K, J, h), _fit(T, K // 2, J, h), _fit(T, K, J + 2, h)
+    if lam:
+        phi = _lerch_tails(h - 1.0, J + 3, lam, K + 1.0)  # from Phi_(h-1)
+        k_tail = math.fsum(bj * p for bj, p in zip(b, phi))
+        phi = phi[1:]
+        phi_half = _lerch_tails(h, J, lam, K // 2 + 1.0)
+    else:
+        phi = [_hurwitz_zeta(h + j, K + 1.0) for j in range(J + 2)]
+        phi_half = [_hurwitz_zeta(h + j, K // 2 + 1.0) for j in range(J)]
+    tail = math.fsum(bj * p for bj, p in zip(b, phi))
+    total = math.fsum(t) + tail
+    half = math.fsum(t[:K // 2 + 1]) + math.fsum(bj * p for bj, p in zip(b_half, phi_half))
+    spread = max(abs(total - half),
+                 abs(tail - math.fsum(bj * p for bj, p in zip(b_more, phi))))
     steps = (K + 1).bit_length()
-    k_weighted = float(np.sum(np.arange(K + 1.0) * T))
+    k_weighted = float(np.sum(np.arange(K + 1.0) * terms))
     sum_err = _U * (2 * n * k_weighted + ((n - 1) * (4 * steps + 1) + 1) * total)
-    try:
-        pre = math.sqrt(d) / math.factorial(d) * (-kappa) ** (-d / 2.0)
-    except OverflowError:
-        raise OverflowRegionError(
-            f"the ideal {d}-simplex at kappa = {kappa} has a volume past the double range") from None
+    if lam:
+        sum_err += _U * (8 * (k_weighted + k_tail) + 3 * total + 128 * tail)
+    return total, sum_err + spread
+
+
+def _fitted_volume(params, kappa, rho, table):
+    """The volume of a regular simplex at kappa < 0 whose series ratio is
+    0.995 < rho <= 1, by _fitted_sum.  Below rho = 1 the prefactor is
+    _series_prefactor's.  rho = 1 is the ideal simplex at kappa0, whose
+    volume depends on d and kappa only, so kappa is the requested one:
+    sqrt(d)/d! |kappa|^(-d/2) sum_k T_k, the prefactor to 7u (sqrt(d), d! as
+    a float, the quotient, the power (2u) and the two products)."""
+    d = params.dimension
+    if rho < 1.0:
+        pre, pre_u = _series_prefactor(params, 1.0 - kappa / params.s), 3 * d + 11
+    else:
+        try:
+            pre, pre_u = math.sqrt(d) / math.factorial(d) * (-kappa) ** (-d / 2.0), 7
+        except OverflowError:
+            raise OverflowRegionError(
+                f"the ideal {d}-simplex at kappa = {kappa} has a volume past the double "
+                "range") from None
+    total, sum_err = _fitted_sum(d + 1, rho, table)
     vol = pre * total
-    err = 1.01 * (pre * (sum_err + spread) + 7 * _U * vol)
-    return VolumeResult(vol, err, 0.0, Branch.SERIES, K + 1)
+    err = 1.01 * (pre * sum_err + pre_u * _U * vol)
+    return VolumeResult(vol, err, 0.0, Branch.SERIES, _IDEAL_K + 1)
 
 
 def volumes(requests):
@@ -373,33 +513,37 @@ def volumes(requests):
     result attached.
     """
     out = [None] * len(requests)
-    series = {}  # n -> [(position, request, clamped kappa, first guess; None if ideal)]
+    series = {}  # n -> [(position, request, kappa, rho, first guess; None if fitted)]
     for i, req in enumerate(requests):
         try:
             kappa, at_kappa0 = _checked_kappa(req)
             params = req.geometry
             n = params.dimension + 1
             regular = kappa < 0 and not req.use_lower_branch and len(set(params.taus)) == 1
-            if regular and at_kappa0 and params.dimension <= _IDEAL_DMAX:
-                series.setdefault(n, []).append((i, req, kappa, None))
-                continue
-            rho = _series_ratio(params, kappa)[1] if regular else math.inf
+            rho = math.inf
+            if regular:
+                # a finite side's rho can round to 1 or past it: it is held below
+                rho = (1.0 if at_kappa0 else
+                       min(_series_ratio(params, kappa)[1], math.nextafter(1.0, 0.0)))
             if rho <= _RHO_MAX:
-                series.setdefault(n, []).append((i, req, kappa, _series_guess(n, rho)))
+                series.setdefault(n, []).append((i, req, kappa, rho, _series_guess(n, rho)))
+            elif regular and params.dimension <= _IDEAL_DMAX:
+                # the ideal simplex's volume depends on d and kappa only, so it
+                # is taken at the requested kappa, not kappa0
+                series.setdefault(n, []).append(
+                    (i, req, req.kappa if at_kappa0 else kappa, rho, None))
             else:
                 out[i] = _certified(_evaluate(req, kappa))
         except SimplexVolError as exc:
             out[i] = exc
     tables = {n: _series_table(n, max(_IDEAL_K if K is None else min(K + 1, _K_CAP)
-                                      for _, _, _, K in rows))
+                                      for *_, K in rows))
               for n, rows in series.items()}
     for n, rows in series.items():
-        for i, req, kappa, K in rows:
+        for i, req, kappa, rho, K in rows:
             try:
                 if K is None:
-                    # the ideal simplex's volume depends on d and kappa only,
-                    # so it is taken at the requested kappa, not kappa0
-                    res = _ideal_volume(n - 1, req.kappa, tables[n])
+                    res = _fitted_volume(req.geometry, kappa, rho, tables[n])
                 else:
                     res = _series_volume(req.geometry, kappa, K, tables)
                     if res is None:
@@ -458,15 +602,19 @@ def _evaluate(req, kappa):
         # d! (and d!'s conversion to a float past d = 22) and the division add
         # (d + 3)u.  The total is at most (d + 5)u, and the bar is twice that.
         return VolumeResult(vol, (d + 5) * math.ulp(1.0) * vol, 0.0, Branch.REAL_AXIS, 0)
+    area = sphere_surface_area(d)
+    norm = abs(kappa) ** (d / 2.0)
+    # |kappa|^(d/2) underflows to 0 at tiny |kappa| and large d
+    scale = area / norm if norm else math.inf
+    if scale == math.inf:
+        raise OverflowRegionError(
+            f"the {d}-simplex at kappa = {kappa} has a volume scale past the double range")
     z = kappa - params.s
     tr = orthant_probability(params.multipliers(), z, _quad_tol(req.tolerance),
                              req.use_lower_branch)
-    area = sphere_surface_area(d)
-    norm = abs(kappa) ** (d / 2.0)
     # i^d on the upper branch and (-i)^d on the lower one, for kappa < 0 only
     ipow = 1 if kappa > 0 else _I_POW[(-d if req.use_lower_branch else d) % 4]
     c = area * tr.value / (ipow * norm)
-    scale = area / norm
     branch = (Branch.REAL_AXIS if z >= 0 else
               Branch.LOWER_RAY if req.use_lower_branch else Branch.UPPER_RAY)
     vol = c.real
@@ -483,12 +631,12 @@ def _evaluate(req, kappa):
 def regular_volume(d, side_length, kappa=-1.0, tolerance=VolumeRequest.tolerance):
     """Convenience wrapper: volume of the regular simplex (side inf = ideal).
 
-    At kappa < 0 it takes the curvature series while rho <= _RHO_MAX, and
-    the ideal simplex (rho = 1) takes it up to d = _IDEAL_DMAX; the
-    near-ideal simplex in between, and the ideal one past that d, take the
-    ray (see the module doc).  Each call builds its own series table; for
-    many rows, pass their requests to volumes(), which shares one table per
-    dimension.
+    At kappa < 0 it takes the curvature series: summed term by term while
+    rho <= _RHO_MAX, and past it, up to the ideal simplex (rho = 1), with a
+    fitted tail up to d = _IDEAL_DMAX; the near-ideal and the ideal simplex
+    past that d take the ray (see the module doc).  Each call builds its own
+    series table; for many rows, pass their requests to volumes(), which
+    shares one table per dimension.
     """
     params = regular_parameters(d, side_length, kappa)
     return volume(VolumeRequest(params, kappa, tolerance))

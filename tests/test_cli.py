@@ -161,13 +161,13 @@ def test_sweep_marks_failed_rows_and_exits_3(monkeypatch, capsys):
 
 
 def test_sweep_writes_a_refused_row_and_exits_3(capsys):
-    # a near-ideal 16-simplex (ell = 8, rho = 0.9993) takes the ray, whose
-    # value its own bar swallows
-    code = main(["sweep", "--d", "16", "--kappa", "-1", "--ell-grid", "1,8"])
+    # the ideal 31-simplex is past the curvature series' dimensions and takes
+    # the ray, whose value its own bar swallows
+    code = main(["sweep", "--d", "31", "--kappa", "-1", "--ell-grid", "1,inf"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 3
     assert lines[2].endswith(",ok,first")
-    assert lines[3] == "8.0,nan,nan,nan,failed:ToleranceError,n/a"
+    assert lines[3] == "inf,nan,nan,nan,failed:ToleranceError,n/a"
 
 
 def test_sweep_makes_one_volumes_call(monkeypatch, capsys):
@@ -303,8 +303,12 @@ def test_volume_json_names_the_series_path(capsys):
     assert out["branch"] == "series" and out["residual_imag"] == 0.0
     assert main(["volume", "--ideal", "3", "--kappa", "-1", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["branch"] == "series"
-    # a near-ideal tetrahedron (rho = 0.9993) takes the ray
+    # a near-ideal tetrahedron (rho = 0.9993) takes the fitted series, and an
+    # orthocentric one the ray
     assert main(["volume", "--regular", "3", "--ell", "8", "--kappa", "-1",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["branch"] == "series"
+    assert main(["volume", "--orthocentric", "1,1.2,0.9,1.1", "--kappa", "-0.5",
                  "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["branch"] == "upper_ray"
 

@@ -161,17 +161,19 @@ def test_monotone_in_side_length_with_ideal_supremum():
 
 
 def test_branch_agreement():
-    # ell = 1.5 takes the curvature series on the upper request, so the two
-    # agree across paths; ell = 8 lies past the series' range, and there the
-    # upper ray meets the lower ray
-    p = regular_parameters(3, 1.5, -1.0)
-    up = volume(VolumeRequest(geometry=p, kappa=-1.0))
-    lo = volume(VolumeRequest(geometry=p, kappa=-1.0, use_lower_branch=True))
-    assert up.branch is Branch.SERIES and lo.branch is Branch.LOWER_RAY
-    assert abs(up.volume - lo.volume) < 1e-10
-    p = regular_parameters(3, 8.0, -1.0)
-    up = volume(VolumeRequest(geometry=p, kappa=-1.0))
-    lo = volume(VolumeRequest(geometry=p, kappa=-1.0, use_lower_branch=True))
+    # a regular upper request takes the curvature series, summed at ell = 1.5
+    # and fitted at the near-ideal ell = 8, so the two agree across paths; an
+    # orthocentric simplex near kappa0 takes the ray, and there the upper ray
+    # meets the lower one
+    for ell in (1.5, 8.0):
+        p = regular_parameters(3, ell, -1.0)
+        up = volume(VolumeRequest(geometry=p, kappa=-1.0))
+        lo = volume(VolumeRequest(geometry=p, kappa=-1.0, use_lower_branch=True))
+        assert up.branch is Branch.SERIES and lo.branch is Branch.LOWER_RAY
+        assert abs(up.volume - lo.volume) < 1e-10
+    p = OrthocentricParams((0.9, 1.2, 1.0, 1.1))
+    up = volume(VolumeRequest(geometry=p, kappa=0.9 * min_curvature(p)))
+    lo = volume(VolumeRequest(geometry=p, kappa=0.9 * min_curvature(p), use_lower_branch=True))
     assert up.branch is Branch.UPPER_RAY and lo.branch is Branch.LOWER_RAY
     assert abs(up.volume - lo.volume) < 1e-10
 

@@ -253,24 +253,26 @@ def test_regular_tetrahedron_vs_engine():
 
 
 def test_package_import_leaves_oracles_and_twin_unloaded():
-    # an ideal and a series volume load no SciPy either, and the first ray
-    # loads scipy.special; then the submodules are package attributes on
-    # first use, as before
+    # an ideal, a near-ideal and a series volume load no SciPy either, and
+    # the first ray loads scipy.special; then the submodules are package
+    # attributes on first use, as before
     code = ("import sys, simplexvol; "
             "loaded = lambda: sorted(m for m in ('scipy.integrate', 'scipy.special', 'mpmath') "
             "if m in sys.modules); "
             "print(loaded()); "
             "ideal = simplexvol.regular_volume(2, float('inf'), -1.0); "
+            "near = simplexvol.regular_volume(3, 8.0, -1.0); "
             "series = simplexvol.regular_volume(5, 1.0, -1.0); "
-            "print(ideal.branch.value, series.branch.value, loaded()); "
-            "ray = simplexvol.regular_volume(3, 8.0, -1.0); "
+            "print(ideal.branch.value, near.branch.value, series.branch.value, loaded()); "
+            "ray = simplexvol.volume(simplexvol.VolumeRequest("
+            "simplexvol.OrthocentricParams((1.0, 1.2, 0.9, 1.1)), -0.5)); "
             "print(ray.branch.value, loaded()); "
             "print(simplexvol.oracles.__name__, simplexvol._hp.__name__)")
     src = str(Path(simplexvol.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.split("\n")[:4] == [
-        "[]", "series series []", "upper_ray ['scipy.special']",
+        "[]", "series series series []", "upper_ray ['scipy.special']",
         "simplexvol.oracles simplexvol._hp"]
 
 

@@ -168,15 +168,18 @@ def test_curvature_scaling(d):
 
 
 def test_routing():
-    # the ideal simplex (rho = 1) takes the series up to d = _IDEAL_DMAX, and
-    # past it the ray, which refuses d = 31; rho past _RHO_MAX, the lower
-    # branch, distinct taus and kappa > 0 all take the ray
+    # the ideal (rho = 1) and near-ideal (rho past _RHO_MAX) simplices take
+    # the fitted series up to d = _IDEAL_DMAX, and past it the ray, which
+    # refuses d = 31; the lower branch, distinct taus and kappa > 0 all take
+    # the ray
     assert regular_volume(3, math.inf).branch is Branch.SERIES
     assert regular_volume(engine._IDEAL_DMAX, math.inf).branch is Branch.SERIES
-    with pytest.raises(ToleranceError) as info:
-        regular_volume(engine._IDEAL_DMAX + 1, math.inf)
-    assert info.value.result.branch is Branch.UPPER_RAY
-    assert regular_volume(3, _side(0.998)).branch is Branch.UPPER_RAY
+    for ell in (math.inf, _side(0.998)):
+        with pytest.raises(ToleranceError) as info:
+            regular_volume(engine._IDEAL_DMAX + 1, ell)
+        assert info.value.result.branch is Branch.UPPER_RAY
+    assert regular_volume(3, _side(0.998)).branch is Branch.SERIES
+    assert regular_volume(engine._IDEAL_DMAX, _side(0.998)).branch is Branch.SERIES
     assert regular_volume(3, _side(0.99)).branch is Branch.SERIES
     p = regular_parameters(4, 1.0, -1.0)
     assert volume(VolumeRequest(p, -1.0, use_lower_branch=True)).branch is Branch.LOWER_RAY
@@ -232,8 +235,9 @@ def test_table_entries_do_not_depend_on_its_length(n):
 
 
 def _grid(d, rng):
-    """25 side lengths at kappa = -1: 21 seeded ones across the series' range,
-    two past _RHO_MAX, a tiny simplex and the ideal one."""
+    """25 side lengths at kappa = -1: 21 seeded ones across the summed
+    series' range, two near-ideal ones past _RHO_MAX, a tiny simplex and the
+    ideal one."""
     rhos = np.concatenate([rng.uniform(0.0, engine._RHO_MAX, 21), [0.997, 0.9999]])
     return [_side(float(rho)) for rho in rhos] + [1e-3, math.inf]
 
@@ -245,9 +249,9 @@ def test_grid_rows_equal_single_volumes(d):
     reqs = [VolumeRequest(regular_parameters(d, ell, -1.0), -1.0)
             for ell in _grid(d, np.random.default_rng(100 + d))]
     got = engine.volumes(reqs)
-    branches = [r.branch for r in got]
-    assert branches.count(Branch.SERIES) == 23
-    assert branches[21:23] == [Branch.UPPER_RAY] * 2 and branches[-1] is Branch.SERIES
+    assert [r.branch for r in got] == [Branch.SERIES] * 25
+    # the near-ideal and ideal rows sum _IDEAL_K + 1 terms and fit the rest
+    assert [r.evaluations for r in got[21:23]] == [engine._IDEAL_K + 1] * 2
     for req, r in zip(reqs, got):
         alone = volume(req)
         assert (repr(r.volume), repr(r.abs_error), r.residual_imag, r.branch, r.evaluations) \
@@ -288,15 +292,23 @@ def test_every_ideal_request_is_at_kappa0():
 def test_a_large_finite_side_is_not_ideal(d, ell):
     # kappa0/kappa - 1 = (d + 1)/(d (cosh ell - 1)) is a few ulp here, and
     # past ell ~ 36 the taus round to the ideal ones; the ideal series would
-    # return pi at d = 2, where the area is pi - 3 alpha, alpha ~ 2 e^(-ell/2)
-    assert regular_volume(d, ell).branch is Branch.UPPER_RAY
+    # return pi at d = 2, where the area is pi - 3 alpha, alpha ~ 2 e^(-ell/2).
+    # The request takes the fitted series at its rho < 1, below the ideal value
+    r = regular_volume(d, ell)
+    assert r.branch is Branch.SERIES
+    assert r.volume < regular_volume(d, math.inf).volume
 
 
 def test_a_request_just_past_kappa0_is_not_ideal():
-    # 1e-13 relative above kappa0 is outside the window: rho = 1 - 1e-13
+    # 1e-13 relative above kappa0 is outside the window: rho = 1 - 1e-13,
+    # whose volume is below the ideal one at kappa0 by more than both bars
+    # (the deficit is 1.9e-12 relative, the larger scale |kappa|^(-3/2)
+    # 1.5e-13)
     p = regular_parameters(3, math.inf, -1.0)
-    kappa = min_curvature(p) * (1.0 - 1e-13)
-    assert volume(VolumeRequest(p, kappa)).branch is Branch.UPPER_RAY
+    near = volume(VolumeRequest(p, min_curvature(p) * (1.0 - 1e-13)))
+    ideal = volume(VolumeRequest(p, min_curvature(p)))
+    assert near.branch is Branch.SERIES and ideal.branch is Branch.SERIES
+    assert near.volume + near.abs_error < ideal.volume - ideal.abs_error
     assert volume(VolumeRequest(p, min_curvature(p) * (1.0 + 1e-13))).branch is Branch.SERIES
 
 
@@ -330,3 +342,19 @@ def test_an_ideal_volume_past_the_double_range_is_refused():
     # the volume is about 6e418, and |kappa|^(-d/2) = 1e450 alone overflows
     with pytest.raises(OverflowRegionError):
         regular_volume(30, math.inf, -1e-30)
+
+
+def test_a_volume_scale_past_the_double_range_is_refused():
+    # at kappa = -1e-30 the ideal 31-simplex takes the ray, whose
+    # |kappa|^(d/2) = 1e-465 underflows to 0; the 30-simplex of side 1e15
+    # (rho = 0.35) takes the summed series and that of side 8e15 (rho near 1)
+    # the fitted one, whose Vol_E passes 1e400.  They raised a bare
+    # ZeroDivisionError, OverflowError and (on the ray) ZeroDivisionError
+    for d, ell in ((31, math.inf), (30, 1e15), (30, 8e15)):
+        with pytest.raises(OverflowRegionError):
+            regular_volume(d, ell, -1e-30)
+    good = VolumeRequest(regular_parameters(3, 1.0, -1.0), -1.0)
+    big = VolumeRequest(regular_parameters(31, math.inf, -1e-30), -1e-30)
+    out = engine.volumes([good, big, good])
+    assert isinstance(out[1], OverflowRegionError)
+    assert out[0] == out[2] == volume(good)
