@@ -78,7 +78,7 @@ _RHO_MAX = 0.995
 #: the most terms one series may build before the volume falls back to the ray
 _K_CAP = 8192
 
-#: the fitted series (_fitted_sum) sums _IDEAL_K + 1 terms and fits the rest
+#: the fitted series (_fitted_volume) sums _IDEAL_K + 1 terms and fits the rest
 #: with _IDEAL_J powers of 1/k, up to d = _IDEAL_DMAX: the dimensions where
 #: its bar was checked against closed forms and 60-digit references; past
 #: that the near-ideal and the ideal simplex take the ray
@@ -420,24 +420,29 @@ def _fit(T, K, J, h):
     return [float(c[j]) * K ** (h + j) for j in range(J)]
 
 
-def _fitted_sum(n, rho, table):
-    """sum_k rho^k T_k for 0.995 < rho <= 1 and its error bar, T =
-    _series_table(n, .) holding at least T_0.._IDEAL_K.
+def _fitted_volume(params, kappa, rho, table):
+    """The volume of a regular simplex at kappa < 0 whose series ratio is
+    0.995 < rho <= 1, with T = table holding at least T_0.._IDEAL_K.
 
-    T_k ~ k^(-h) sum_j b_j k^(-j), h = n/2, from the algebraic singularity
-    of sum_k T_k rho^k at rho = 1 (Flajolet and Odlyzko, SIAM J. Discrete
-    Math. 3, 1990), and T does not depend on rho.  So the sum is
+    T_k ~ k^(-h) sum_j b_j k^(-j), h = (d + 1)/2, from the algebraic
+    singularity of sum_k T_k rho^k at rho = 1 (Flajolet and Odlyzko, SIAM J.
+    Discrete Math. 3, 1990), and T does not depend on rho.  So the sum is
     math.fsum(rho^k T_k, k <= K) plus sum_j b_j Phi_(h+j), K = _IDEAL_K,
     with b_0..b_(J-1) from _fit at J = _IDEAL_J and
     Phi_s = sum_(k > K) rho^k k^(-s): the Hurwitz zeta (_hurwitz_zeta) at
-    rho = 1, the Lerch tail (_lerch_tails) below.
+    rho = 1, the Lerch tail (_lerch_tails) below.  Below rho = 1 the
+    prefactor is _series_prefactor's.  rho = 1 is the ideal simplex at
+    kappa0, whose volume depends on d and kappa only, so kappa is the
+    requested one: sqrt(d)/d! |kappa|^(-d/2) sum_k T_k, the prefactor to 7u
+    (sqrt(d), d! as a float, the quotient, the power (2u) and the two
+    products).
 
     The bar adds three parts.  The rounding of the terms and the fsum,
     counted as in _series_volume: 2k u per running ratio product at each of
-    the n stages, and 4 steps + 1 per scan stage.  Below rho = 1 also rho's
-    input rounding, 7k u per term (8 with the log that gives lam), the tail
-    included: sum_(k > K) k rho^k T_k is the same fit's
-    sum_j b_j Phi_(h+j-1), which at n <= 4 grows without bound as rho -> 1,
+    the d + 1 stages, and 4 steps + 1 per scan stage.  Below rho = 1 also
+    rho's input rounding, 7k u per term (8 with the log that gives lam), the
+    tail included: sum_(k > K) k rho^k T_k is the same fit's
+    sum_j b_j Phi_(h+j-1), which at d <= 3 grows without bound as rho -> 1,
     the true conditioning of a request given by its taus; then rho^k and the
     product with T_k (3u), and 128u of the tail for its own rounding
     (_expint's error is up to 52u, and the corrections and the sum over j
@@ -446,10 +451,19 @@ def _fitted_sum(n, rho, table):
     about 2^J times the truncation at K, and the second moves with the
     rounding the fit amplifies.  At the ideal triangle, where the tail is 2%
     of the sum, these gaps are 5e-13 and 1e-13 for an actual error of
-    1.2e-14; past n = 5 the tail is below the rounding.
+    1.2e-14; past d = 4 the tail is below the rounding.
     """
-    K, J = _IDEAL_K, _IDEAL_J
+    d, n, K, J = params.dimension, params.dimension + 1, _IDEAL_K, _IDEAL_J
     h = n / 2.0
+    if rho < 1.0:
+        pre, pre_u = _series_prefactor(params, 1.0 - kappa / params.s), 3 * d + 11
+    else:
+        try:
+            pre, pre_u = math.sqrt(d) / math.factorial(d) * (-kappa) ** (-d / 2.0), 7
+        except OverflowError:
+            raise OverflowRegionError(
+                f"the ideal {d}-simplex at kappa = {kappa} has a volume past the double "
+                "range") from None
     T = table[:K + 1]
     lam = -math.log(rho)
     terms = _series_terms(n, rho, K, table) if lam else T
@@ -473,30 +487,9 @@ def _fitted_sum(n, rho, table):
     sum_err = _U * (2 * n * k_weighted + ((n - 1) * (4 * steps + 1) + 1) * total)
     if lam:
         sum_err += _U * (8 * (k_weighted + k_tail) + 3 * total + 128 * tail)
-    return total, sum_err + spread
-
-
-def _fitted_volume(params, kappa, rho, table):
-    """The volume of a regular simplex at kappa < 0 whose series ratio is
-    0.995 < rho <= 1, by _fitted_sum.  Below rho = 1 the prefactor is
-    _series_prefactor's.  rho = 1 is the ideal simplex at kappa0, whose
-    volume depends on d and kappa only, so kappa is the requested one:
-    sqrt(d)/d! |kappa|^(-d/2) sum_k T_k, the prefactor to 7u (sqrt(d), d! as
-    a float, the quotient, the power (2u) and the two products)."""
-    d = params.dimension
-    if rho < 1.0:
-        pre, pre_u = _series_prefactor(params, 1.0 - kappa / params.s), 3 * d + 11
-    else:
-        try:
-            pre, pre_u = math.sqrt(d) / math.factorial(d) * (-kappa) ** (-d / 2.0), 7
-        except OverflowError:
-            raise OverflowRegionError(
-                f"the ideal {d}-simplex at kappa = {kappa} has a volume past the double "
-                "range") from None
-    total, sum_err = _fitted_sum(d + 1, rho, table)
     vol = pre * total
-    err = 1.01 * (pre * sum_err + pre_u * _U * vol)
-    return VolumeResult(vol, err, 0.0, Branch.SERIES, _IDEAL_K + 1)
+    err = 1.01 * (pre * (sum_err + spread) + pre_u * _U * vol)
+    return VolumeResult(vol, err, 0.0, Branch.SERIES, K + 1)
 
 
 def volumes(requests):

@@ -4,14 +4,12 @@
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from simplexvol import _hp, engine
 from simplexvol.engine import Branch, regular_volume
 from simplexvol.geometry import regular_parameters
-from simplexvol.oracles import regular_tetrahedron_volume
 
 #: bounded and reproducible: the same examples on every run
 PROPERTY = settings(max_examples=8, derandomize=True, database=None, deadline=None)
@@ -71,15 +69,6 @@ def test_regular_triangle_against_its_area(ell):
         area = mp.pi - 3 * mp.acos(ch / (1 + ch))
         assert abs(mp.mpf(r.volume) - area) <= r.abs_error
     assert r.abs_error < 1e-7 * r.volume
-
-
-@pytest.mark.parametrize("ell", np.linspace(6.0, 30.0, 9).tolist())
-def test_regular_tetrahedron_against_its_integral(ell):
-    r = regular_volume(3, ell)
-    ref = regular_tetrahedron_volume(ell)
-    assert r.branch is Branch.SERIES
-    assert abs(r.volume - ref) <= 1e-13 * ref
-    assert r.abs_error <= 1e-13 * ref
 
 
 @pytest.mark.parametrize("s0, lam, q", [

@@ -84,7 +84,9 @@ def test_terms_match_the_convolution_of_f(n):
     assert worst < 1e-13
 
 
-@pytest.mark.parametrize("ell", [0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("ell", [0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0,
+                                 # near-ideal, on the fitted series
+                                 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0, 27.0, 30.0])
 def test_d3_rows_match_the_tetrahedron_integral(ell):
     r = regular_volume(3, ell, -1.0)
     assert r.branch is Branch.SERIES

@@ -81,8 +81,9 @@ print(json.dumps(out))
 """
 
 #: the finite side lengths of the regular rows timed at kappa = -1: the
-#: series ratio rho = 1 - 1/cosh(ell) is 0.35, 0.96 and 0.992
-REGULAR_ROWS = (1.0, 4.0, 5.5)
+#: series ratio rho = 1 - 1/cosh(ell) is 0.35, 0.96, 0.992 and the
+#: near-ideal 0.9993
+REGULAR_ROWS = (1.0, 4.0, 5.5, 8.0)
 
 #: one child per side: warm up, then per d the median of REPEATS timings, or
 #: a single timing where one call takes longer than LONG_CALL_S
