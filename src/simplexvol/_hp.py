@@ -372,11 +372,12 @@ def ideal_volume_series(d, kappa=-1.0):
     """Volume of the ideal regular d-simplex at curvature kappa < 0 from the
     curvature series, via mpmath.
 
-    At rho = 1 the engine's series (engine._series_volume) reads
-    V = sqrt(d)/d! * sum_k T_k * |kappa|^(-d/2), every T_k positive and
-    T_k ~ k^(-(d+1)/2), so the sum converges only algebraically.  Its first
-    _LEVIN_TERMS partial sums, at _SERIES_DPS digits, go through the Levin
-    u-transform (_levin_u, which is mp.levin(method="levin", variant="u") to
+    At rho = 1 the engine's series reads V = sqrt(d)/d! * sum_k T_k *
+    |kappa|^(-d/2), every T_k positive and T_k ~ k^(-(d+1)/2), so the sum
+    converges only algebraically; engine._series_volume sums T_0..T_1024 in
+    doubles and fits the rest, at every d.  This reference is independent of
+    that fit: its first _LEVIN_TERMS partial sums, at _SERIES_DPS digits, go
+    through the Levin u-transform (_levin_u, which is mp.levin(method="levin", variant="u") to
     rounding; Levin 1973; Sidi, Practical Extrapolation Methods, 2003).  The
     order is capped because the transform cancels: at 60 digits it gains up
     to 80 partial sums and degrades past about 100 (at d = 2, 2e-8 relative

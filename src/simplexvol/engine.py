@@ -22,32 +22,34 @@ A regular simplex is the equal-tau case: regular_volume turns (d, side
 length, kappa) into OrthocentricParams with geometry.regular_parameters,
 which is where those three inputs are checked.  At kappa < 0 a regular
 simplex on the upper branch takes a second, cancellation-free path, the
-curvature power series of its Klein-model volume: every term is positive,
-and the terms shrink like rho^k with rho = 1 - 1/cosh(side length *
-sqrt(-kappa)).  Term k is rho^k T_k, and the table T (_series_table)
-depends on d only.  While rho <= _RHO_MAX the sum is taken term by term to
-rounding (_series_volume).  Past it, up to d = _IDEAL_DMAX, the first
-_IDEAL_K + 1 terms are summed and the rest fitted (_fitted_volume): T_k
-follows k^(-h) times a power series in 1/k, h = (d + 1)/2, so the tail is a
-sum of Lerch transcendents (_lerch_tails), Hurwitz zetas (_hurwitz_zeta)
-at rho = 1 exactly.  rho = 1 is the ideal simplex, a request with kappa at
-or below kappa0 (as _checked_kappa decides, not by rho, which rounding puts
-a few ulp either side of 1 there; regular_parameters rounds the taus so that
-this holds for side length inf and for no finite one); a finite side whose
-rho rounds to 1 or past it is held just below.  Either result has branch SERIES
-and residual_imag 0.  Every other request (the near-ideal and the ideal
-simplex past _IDEAL_DMAX, kappa > 0, distinct taus, the lower branch)
-takes the ray, the only path that loads SciPy.
+curvature power series of its Klein-model volume, at every d: every term
+is positive, and the terms shrink like rho^k with rho = 1 - 1/cosh(side
+length * sqrt(-kappa)).  Term k is rho^k T_k, and the table T
+(_series_table) depends on d only.  One evaluator, _series_volume, takes
+every such row.  Where a proven tail bound falls below rounding within
+T_0.._IDEAL_K, the sum stops there.  Elsewhere the first _IDEAL_K + 1 terms
+are summed and the rest fitted: T_k follows k^(-h) times a power series in
+1/k, h = (d + 1)/2, so the tail is a sum of Lerch transcendents
+(_lerch_tails), Hurwitz zetas (_hurwitz_zeta) at rho = 1 exactly.  rho = 1
+is the ideal simplex, a request with kappa at or below kappa0 (as
+_checked_kappa decides, not by rho, which rounding puts a few ulp either
+side of 1 there; regular_parameters rounds the taus so that this holds for
+side length inf and for no finite one); a finite side whose rho rounds to 1
+or past it is held just below.  Either result has branch SERIES and
+residual_imag 0.  Every other request (kappa > 0, distinct taus, the lower
+branch) takes the ray, the only path that loads SciPy.
 
 volumes(requests) is the one entry point: it checks and routes every
 request, builds one table per dimension for all of its series rows, and
 returns each result, or the SimplexVolError its request raised, in order.
 volume(req) is volumes([req]) with the error raised.  Whatever the path, a
 result whose error bar is not below its magnitude, or a negative volume, is
-refused with ToleranceError.
+refused with ToleranceError, and one whose magnitude is below the least
+normal double with OverflowRegionError (_certified).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -68,23 +70,10 @@ _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 #: the unit roundoff of a double
 _U = 2.0 ** -53
 
-#: a regular simplex at kappa < 0 sums its curvature series term by term
-#: (_series_volume) while its term ratio rho is at most this, and past it,
-#: up to the ideal rho = 1, fits the terms beyond _IDEAL_K (_fitted_volume),
-#: which costs less there (the crossover measured at d = 3, 5, 8 and 12 is
-#: in CHANGES.md)
-_RHO_MAX = 0.995
-
-#: the most terms one series may build before the volume falls back to the ray
-_K_CAP = 8192
-
-#: the fitted series (_fitted_volume) sums _IDEAL_K + 1 terms and fits the rest
-#: with _IDEAL_J powers of 1/k, up to d = _IDEAL_DMAX: the dimensions where
-#: its bar was checked against closed forms and 60-digit references; past
-#: that the near-ideal and the ideal simplex take the ray
+#: the series sums at most T_0.._IDEAL_K; where its tail bound does not fall
+#: below rounding within them, it fits the rest with _IDEAL_J powers of 1/k
 _IDEAL_K = 1024
 _IDEAL_J = 5
-_IDEAL_DMAX = 30
 
 #: B_2j/(2j)! for j = 1..5, the Euler-Maclaurin corrections of _hurwitz_zeta
 #: and _lerch_tails
@@ -184,20 +173,22 @@ def _series_table(n, K):
     a doubling scan.  Every r is a running product of exact neighbour ratios,
     and every value is positive and at most 1.  The scan's shifts are
     s = 1, 2, 4, ... up to the first with m^-s <= u (1/2)_C/(m/2)_C,
-    C = _K_CAP: what the shifts left out add to entry k is m^-s c(m)_{k-s},
-    and as c(m) lies between (1/2)_k/(m/2)_k and 1 that is at most u of the
-    entry for every k <= C.  The shifts do not depend on K, so an entry's
-    bits are the same whatever length the table is built to.
+    C = 8 _IDEAL_K: what the shifts left out add to entry k is
+    m^-s c(m)_{k-s}, and as c(m) lies between (1/2)_k/(m/2)_k and 1 that is
+    at most u of the entry for every k <= C, eight times the longest table
+    the engine reads.  The shifts do not depend on K, so an entry's bits are
+    the same whatever length the table is built to.
     """
     k2 = 2.0 * np.arange(1, K + 1)
     ms = np.arange(1.0, n + 1.0)[:, None]
     r = np.ones((n, K + 1))  # row m - 1 holds r(m + 1)
     np.cumprod((k2 + (ms - 2.0)) / (k2 + (ms - 1.0)), axis=1, out=r[:, 1:])
     t = r[0].copy()  # c(1) r(2)
+    C = 8 * _IDEAL_K
     for m in range(2, n + 1):
         # the log of u (1/2)_C / (m/2)_C, u times the least c(m)_k over k <= C
-        log_stop = (math.log(_U) + math.lgamma(_K_CAP + 0.5) - math.lgamma(0.5)
-                    + math.lgamma(m / 2.0) - math.lgamma(_K_CAP + m / 2.0))
+        log_stop = (math.log(_U) + math.lgamma(C + 0.5) - math.lgamma(0.5)
+                    + math.lgamma(m / 2.0) - math.lgamma(C + m / 2.0))
         s = 1
         while s <= K and -s * math.log(m) > log_stop:
             t[s:] += float(m) ** -s * t[:-s]  # NumPy buffers the overlap
@@ -206,11 +197,9 @@ def _series_table(n, K):
     return t
 
 
-def _series_terms(n, rho, K, table=None):
-    """term_k = rho^k T_k for k = 0..K, with T from table (a _series_table(n, .)
-    of at least K + 1 entries) or, if none is given, from _series_table(n, K)."""
-    if table is None:
-        table = _series_table(n, K)
+def _series_terms(rho, K, table):
+    """term_k = rho^k T_k for k = 0..K, with T from table, a _series_table of
+    at least K + 1 entries."""
     return np.power(rho, np.arange(K + 1.0)) * table[:K + 1]
 
 
@@ -231,67 +220,10 @@ def _series_guess(n, rho):
 
 
 def _series_ratio(params, kappa):
-    """a = 1 - kappa/s and the term ratio rho = -(kappa/a)/tau^2 of the regular
+    """The term ratio rho = -(kappa/a)/tau^2, a = 1 - kappa/s, of the regular
     simplex params at kappa0 <= kappa < 0."""
     a = 1.0 - kappa / params.s
-    return a, -(kappa / a) / (params.taus[0] * params.taus[0])
-
-
-def _series_volume(params, kappa, K, tables):
-    """The volume of a regular simplex at kappa0 <= kappa < 0 by the curvature
-    series, or None when it needs more than _K_CAP terms.
-
-    With s = (d+1) tau^2, h = (d+1)/2 and a, rho from _series_ratio, the
-    Klein-model volume is
-
-        Vol = Vol_E a^(-h) sum_k term_k,   term_k = rho^k T_k,
-        T_k = [t^k]F^(d+1) / (h+1/2)_k
-
-    (_series_table, _series_terms), every term positive.  The sum stops at
-    the first K whose tail bound term_{K+1}/(1 - rho (h+K)/(K+1)) is below
-    eps times the sum: the ratio (h)_k/k! falls to at most (h+K)/(K+1) past
-    K, and the argument -x Q of the Klein density lies in [0, rho].  K starts
-    at the given first guess and doubles while no K passes.  tables maps n = d + 1 to its shared
-    table T, which is rebuilt longer when this row needs more of it; the row
-    reads only T_0..T_{K+1}, whose bits do not depend on the table's length.
-    """
-    d, n = params.dimension, params.dimension + 1
-    h = n / 2.0
-    a, rho = _series_ratio(params, kappa)
-    while True:
-        if K + 1 > _K_CAP:
-            return None
-        if len(tables[n]) < K + 2:
-            tables[n] = _series_table(n, K + 1)
-        t = _series_terms(n, rho, K + 1, tables[n])
-        ks = np.arange(K + 1.0)
-        q = rho * (h + ks) / (ks + 1.0)
-        tail = np.full(K + 1, math.inf)
-        np.divide(t[1:], 1.0 - q, out=tail, where=q < 1.0)
-        done = tail <= 2.0 * _U * np.cumsum(t[:-1])
-        if done.any():
-            K = int(np.argmax(done))
-            break
-        K *= 2
-    terms = t[:K + 1]
-    total = math.fsum(terms.tolist())
-    # relative rounding of term_k, in units u: T_k takes, per stage, the
-    # running ratio product r (2k) and, from stage 2 on, at most `steps` scan
-    # shifts of one pow, one product and one sum (4 each) and the shifts the
-    # scan leaves out (1); rho^k adds one ulp (2), the product rho^k T_k 1,
-    # and rho's input rounding (7u: s to 2u from the squares and fsum,
-    # kappa/s, 1 - kappa/s, kappa/a, tau^2 and the quotient) moves term_k by
-    # 7k u; the fsum adds u of the total
-    steps = len(t).bit_length()
-    k_weighted = float(np.sum(ks[:K + 1] * terms))
-    sum_err = (_U * ((2 * n + 7) * k_weighted + ((n - 1) * (4 * steps + 1) + 4) * total)
-               + float(tail[K]))
-    # 1.01 covers the second-order terms of these first-order counts and the
-    # rounding of the bar itself
-    pre = _series_prefactor(params, a)
-    vol = pre * total
-    err = 1.01 * (pre * sum_err + (3 * d + 11) * _U * vol)
-    return VolumeResult(vol, err, 0.0, Branch.SERIES, K + 1)
+    return -(kappa / a) / (params.taus[0] * params.taus[0])
 
 
 def _series_prefactor(params, a):
@@ -315,7 +247,8 @@ def _hurwitz_zeta(s, q):
 
     The terms alternate and fall by about ((s + 2j)/(2 pi q))^2 each, and |R|
     is below the first omitted one, under 1e-20 of the sum for s <= 25 and
-    q >= 256."""
+    q >= 256, and under 1e-17 up to s = 92, the largest the series reads
+    (d = 170)."""
     t = q ** -s
     acc = q * t / (s - 1.0) + 0.5 * t
     g = s * t / q  # (s)_(2j-1) q^(-s-2j+1) at j = 1
@@ -380,7 +313,7 @@ def _expint(s0, count, z):
 def _lerch_tails(s0, count, lam, q):
     """Phi_s = sum_(k >= 0) e^(-lam (q + k)) (q + k)^(-s) at s = s0, s0 + 1, ..,
     s0 + count - 1, for lam > 0 and q >= 256: the Lerch transcendent's tail
-    that _fitted_volume needs, by Euler-Maclaurin from k = 0 as
+    that _series_volume's fitted tail needs, by Euler-Maclaurin from k = 0 as
     _hurwitz_zeta (its lam = 0 case) takes it.  With z = lam q, the m-th
     derivative of e^(-lam x) x^(-s) at q is (-1)^m e^(-z) q^(-s-m) P_m,
     P_m = sum_(i <= m) C(m, i) z^(m-i) (s)_i, so
@@ -420,41 +353,76 @@ def _fit(T, K, J, h):
     return [float(c[j]) * K ** (h + j) for j in range(J)]
 
 
-def _fitted_volume(params, kappa, rho, table):
-    """The volume of a regular simplex at kappa < 0 whose series ratio is
-    0.995 < rho <= 1, with T = table holding at least T_0.._IDEAL_K.
+def _fits(T, h):
+    """The fits of T that _series_volume's fitted tail reads, at (K, J),
+    (K/2, J) and (K, J + 2), K = _IDEAL_K, J = _IDEAL_J: they depend on T
+    only, so volumes() takes them once per dimension."""
+    K, J = _IDEAL_K, _IDEAL_J
+    return _fit(T, K, J, h), _fit(T, K // 2, J, h), _fit(T, K, J + 2, h)
 
-    T_k ~ k^(-h) sum_j b_j k^(-j), h = (d + 1)/2, from the algebraic
+
+def _series_volume(params, kappa, rho, K, table, fits):
+    """The volume of a regular simplex at kappa < 0 by its curvature series.
+
+    With s = (d+1) tau^2, h = (d+1)/2 and a = 1 - kappa/s, the Klein-model
+    volume is
+
+        Vol = Vol_E a^(-h) sum_k term_k,   term_k = rho^k T_k,
+        T_k = [t^k]F^(d+1) / (h+1/2)_k
+
+    (_series_table, _series_terms), every term positive, rho as volumes()
+    gives it (_series_ratio, held below 1, or 1 for the ideal simplex).
+    table holds T_0..T_(K+1) at least, and fits maps n = d + 1 to
+    _fits(table, h), which the first row of the dimension that needs it
+    adds.
+
+    The stopping test looks for the first K' <= K whose tail bound
+    term_(K'+1)/(1 - rho (h+K')/(K'+1)) is below eps times the sum: the
+    ratio (h)_k/k! falls to at most (h+K')/(K'+1) past K', and the argument
+    -x Q of the Klein density lies in [0, rho].  If one passes, the sum stops
+    there with the bound in the bar.  If none does and K + 1 < _IDEAL_K (a
+    first guess that fell short, which no scanned case has), the sum stops at
+    K, past which the guess put the ratio below 1, with that bound.
+    Otherwise, and always at rho = 1, where no bound is finite, the sum is
+    math.fsum(term_k, k <= K), K = _IDEAL_K, plus the fitted tail.
+
+    The fitted tail.  T_k ~ k^(-h) sum_j b_j k^(-j), from the algebraic
     singularity of sum_k T_k rho^k at rho = 1 (Flajolet and Odlyzko, SIAM J.
-    Discrete Math. 3, 1990), and T does not depend on rho.  So the sum is
-    math.fsum(rho^k T_k, k <= K) plus sum_j b_j Phi_(h+j), K = _IDEAL_K,
-    with b_0..b_(J-1) from _fit at J = _IDEAL_J and
+    Discrete Math. 3, 1990), and T does not depend on rho.  So the tail is
+    sum_j b_j Phi_(h+j), with b_0..b_(J-1) from _fit at J = _IDEAL_J and
     Phi_s = sum_(k > K) rho^k k^(-s): the Hurwitz zeta (_hurwitz_zeta) at
-    rho = 1, the Lerch tail (_lerch_tails) below.  Below rho = 1 the
-    prefactor is _series_prefactor's.  rho = 1 is the ideal simplex at
-    kappa0, whose volume depends on d and kappa only, so kappa is the
-    requested one: sqrt(d)/d! |kappa|^(-d/2) sum_k T_k, the prefactor to 7u
-    (sqrt(d), d! as a float, the quotient, the power (2u) and the two
-    products).
+    rho = 1, the Lerch tail (_lerch_tails) below.  rho = 1 is the ideal
+    simplex at kappa0, whose volume depends on d and kappa only, so kappa is
+    the requested one: sqrt(d)/d! |kappa|^(-d/2) sum_k T_k, the prefactor to
+    7u (sqrt(d), d! as a float, the quotient, the power (2u) and the two
+    products).  Below rho = 1 the prefactor is _series_prefactor's.
 
-    The bar adds three parts.  The rounding of the terms and the fsum,
-    counted as in _series_volume: 2k u per running ratio product at each of
-    the d + 1 stages, and 4 steps + 1 per scan stage.  Below rho = 1 also
-    rho's input rounding, 7k u per term (8 with the log that gives lam), the
-    tail included: sum_(k > K) k rho^k T_k is the same fit's
+    The bar counts the rounding of the terms and the fsum, in units u: T_k
+    takes, per stage, the running ratio product r (2k) and, from stage 2
+    on, at most `steps` scan shifts of one pow, one product and one sum (4
+    each) and the shifts the scan leaves out (1); rho^k adds one ulp (2),
+    the product rho^k T_k 1, and rho's input rounding (7u: s to 2u from the
+    squares and fsum, kappa/s, 1 - kappa/s, kappa/a, tau^2 and the quotient)
+    moves term_k by 7k u; the fsum adds u of the total.  The fitted tail's
+    count is the same but for rho's, 8k u per term with the log that gives
+    lam, the tail included: sum_(k > K) k rho^k T_k is the same fit's
     sum_j b_j Phi_(h+j-1), which at d <= 3 grows without bound as rho -> 1,
     the true conditioning of a request given by its taus; then rho^k and the
     product with T_k (3u), and 128u of the tail for its own rounding
     (_expint's error is up to 52u, and the corrections and the sum over j
-    add a few).  And the fit's error, estimated as the larger gap to the
-    fits at (K/2, J) and (K, J + 2) with the same rho weights: the first is
-    about 2^J times the truncation at K, and the second moves with the
-    rounding the fit amplifies.  At the ideal triangle, where the tail is 2%
-    of the sum, these gaps are 5e-13 and 1e-13 for an actual error of
-    1.2e-14; past d = 4 the tail is below the rounding.
+    add a few).  At rho = 1 none of rho's terms is there.  It adds the fit's
+    error, estimated as the larger gap to the fits at (K/2, J) and
+    (K, J + 2) with the same rho weights: the first is about 2^J times the
+    truncation at K, and the second moves with the rounding the fit
+    amplifies.  At the ideal triangle, where the tail is 2% of the sum,
+    these gaps are 5e-13 and 1e-13 for an actual error of 1.2e-14; past d = 4
+    the tail is below the rounding.
     """
-    d, n, K, J = params.dimension, params.dimension + 1, _IDEAL_K, _IDEAL_J
+    d, n = params.dimension, params.dimension + 1
     h = n / 2.0
+    # the prefactor first: from d = 171 on, where d! passes the double range,
+    # it raises OverflowRegionError before _fits, whose b_j = c_j K^(h+j)
+    # would raise a bare OverflowError from d = 192 on
     if rho < 1.0:
         pre, pre_u = _series_prefactor(params, 1.0 - kappa / params.s), 3 * d + 11
     else:
@@ -464,31 +432,56 @@ def _fitted_volume(params, kappa, rho, table):
             raise OverflowRegionError(
                 f"the ideal {d}-simplex at kappa = {kappa} has a volume past the double "
                 "range") from None
-    T = table[:K + 1]
-    lam = -math.log(rho)
-    terms = _series_terms(n, rho, K, table) if lam else T
-    t = terms.tolist()
-    b, b_half, b_more = _fit(T, K, J, h), _fit(T, K // 2, J, h), _fit(T, K, J + 2, h)
-    if lam:
-        phi = _lerch_tails(h - 1.0, J + 3, lam, K + 1.0)  # from Phi_(h-1)
-        k_tail = math.fsum(bj * p for bj, p in zip(b, phi))
-        phi = phi[1:]
-        phi_half = _lerch_tails(h, J, lam, K // 2 + 1.0)
+    t = _series_terms(rho, K + 1, table)
+    ks = np.arange(K + 1.0)
+    steps = len(t).bit_length()
+    bound, fitted = math.inf, K + 1 == _IDEAL_K
+    # the ratio bound q falls with K', and the tail bound is finite only
+    # where q < 1: if q_K >= 1 (always at rho = 1), no K' passes
+    if rho * (h + K) / (K + 1.0) < 1.0:
+        q = rho * (h + ks) / (ks + 1.0)
+        tail = np.full(K + 1, math.inf)
+        np.divide(t[1:], 1.0 - q, out=tail, where=q < 1.0)
+        done = tail <= 2.0 * _U * np.cumsum(t[:-1])
+        first = int(np.argmax(done))  # the first K' that passes, or 0 if none does
+        if done[first] or not fitted:
+            K = first if done[first] else K
+            bound, fitted = float(tail[K]), False
+    if not fitted:
+        terms = t[:K + 1]
+        total = math.fsum(terms.tolist())
+        k_weighted = float(np.sum(ks[:K + 1] * terms))
+        sum_err = (_U * ((2 * n + 7) * k_weighted + ((n - 1) * (4 * steps + 1) + 4) * total)
+                   + bound)
     else:
-        phi = [_hurwitz_zeta(h + j, K + 1.0) for j in range(J + 2)]
-        phi_half = [_hurwitz_zeta(h + j, K // 2 + 1.0) for j in range(J)]
-    tail = math.fsum(bj * p for bj, p in zip(b, phi))
-    total = math.fsum(t) + tail
-    half = math.fsum(t[:K // 2 + 1]) + math.fsum(bj * p for bj, p in zip(b_half, phi_half))
-    spread = max(abs(total - half),
-                 abs(tail - math.fsum(bj * p for bj, p in zip(b_more, phi))))
-    steps = (K + 1).bit_length()
-    k_weighted = float(np.sum(np.arange(K + 1.0) * terms))
-    sum_err = _U * (2 * n * k_weighted + ((n - 1) * (4 * steps + 1) + 1) * total)
-    if lam:
-        sum_err += _U * (8 * (k_weighted + k_tail) + 3 * total + 128 * tail)
+        K, J = _IDEAL_K, _IDEAL_J
+        if n not in fits:
+            fits[n] = _fits(table, h)
+        b, b_half, b_more = fits[n]
+        lam = -math.log(rho)
+        if lam:
+            phi = _lerch_tails(h - 1.0, J + 3, lam, K + 1.0)  # from Phi_(h-1)
+            k_tail = math.fsum(bj * p for bj, p in zip(b, phi))
+            phi = phi[1:]
+            phi_half = _lerch_tails(h, J, lam, K // 2 + 1.0)
+        else:
+            phi = [_hurwitz_zeta(h + j, K + 1.0) for j in range(J + 2)]
+            phi_half = [_hurwitz_zeta(h + j, K // 2 + 1.0) for j in range(J)]
+        tl = t.tolist()
+        fit_tail = math.fsum(bj * p for bj, p in zip(b, phi))
+        total = math.fsum(tl) + fit_tail
+        half = math.fsum(tl[:K // 2 + 1]) + math.fsum(bj * p for bj, p in zip(b_half, phi_half))
+        spread = max(abs(total - half),
+                     abs(fit_tail - math.fsum(bj * p for bj, p in zip(b_more, phi))))
+        k_weighted = float(np.sum(np.arange(K + 1.0) * t))
+        sum_err = _U * (2 * n * k_weighted + ((n - 1) * (4 * steps + 1) + 1) * total)
+        if lam:
+            sum_err += _U * (8 * (k_weighted + k_tail) + 3 * total + 128 * fit_tail)
+        sum_err += spread
+    # 1.01 covers the second-order terms of these first-order counts and the
+    # rounding of the bar itself
     vol = pre * total
-    err = 1.01 * (pre * (sum_err + spread) + pre_u * _U * vol)
+    err = 1.01 * (pre * sum_err + pre_u * _U * vol)
     return VolumeResult(vol, err, 0.0, Branch.SERIES, K + 1)
 
 
@@ -497,51 +490,42 @@ def volumes(requests):
 
     Every request is checked and routed first (see the module doc).  The
     requests that take the curvature series share one coefficient table per
-    dimension, built once, long enough for the longest first guess among
-    them, and rebuilt twice as long when a row's stopping test needs more
-    terms; a row's result does not depend on the table's length, so it is
-    the same bit for bit whatever else the call holds.  Every other request
-    takes its path one at a time.  A result whose error bar is not below its
-    magnitude, or a negative volume, comes back as a ToleranceError with the
-    result attached.
+    dimension, built once to the longest window their stopping tests read
+    (at most _IDEAL_K + 1 entries), and the fits of that table, taken once
+    if some row needs them; a row's result does not depend on the table's
+    length, so it is the same bit for bit whatever else the call holds.
+    Every other request takes its path one at a time.  A result whose error
+    bar is not below its magnitude, or a negative volume, comes back as a
+    ToleranceError with the result attached, and one below the double range
+    as an OverflowRegionError.
     """
     out = [None] * len(requests)
-    series = {}  # n -> [(position, request, kappa, rho, first guess; None if fitted)]
+    series = {}  # n -> [(position, params, kappa, rho, end of the test's window)]
     for i, req in enumerate(requests):
         try:
             kappa, at_kappa0 = _checked_kappa(req)
             params = req.geometry
             n = params.dimension + 1
-            regular = kappa < 0 and not req.use_lower_branch and len(set(params.taus)) == 1
-            rho = math.inf
-            if regular:
-                # a finite side's rho can round to 1 or past it: it is held below
-                rho = (1.0 if at_kappa0 else
-                       min(_series_ratio(params, kappa)[1], math.nextafter(1.0, 0.0)))
-            if rho <= _RHO_MAX:
-                series.setdefault(n, []).append((i, req, kappa, rho, _series_guess(n, rho)))
-            elif regular and params.dimension <= _IDEAL_DMAX:
-                # the ideal simplex's volume depends on d and kappa only, so it
-                # is taken at the requested kappa, not kappa0
-                series.setdefault(n, []).append(
-                    (i, req, req.kappa if at_kappa0 else kappa, rho, None))
+            if kappa < 0 and not req.use_lower_branch and len(set(params.taus)) == 1:
+                if at_kappa0:
+                    # the ideal simplex's volume depends on d and kappa only,
+                    # so it is taken at the requested kappa, not kappa0
+                    kappa, rho, K = req.kappa, 1.0, _IDEAL_K - 1
+                else:
+                    # a finite side's rho can round to 1 or past it: it is held below
+                    rho = min(_series_ratio(params, kappa), math.nextafter(1.0, 0.0))
+                    K = min(_series_guess(n, rho), _IDEAL_K - 1)
+                series.setdefault(n, []).append((i, params, kappa, rho, K))
             else:
                 out[i] = _certified(_evaluate(req, kappa))
         except SimplexVolError as exc:
             out[i] = exc
-    tables = {n: _series_table(n, max(_IDEAL_K if K is None else min(K + 1, _K_CAP)
-                                      for *_, K in rows))
-              for n, rows in series.items()}
+    fits = {}  # n -> _fits of the table, once a row of that dimension needs them
     for n, rows in series.items():
-        for i, req, kappa, rho, K in rows:
+        table = _series_table(n, max(K for *_, K in rows) + 1)
+        for i, params, kappa, rho, K in rows:
             try:
-                if K is None:
-                    res = _fitted_volume(req.geometry, kappa, rho, tables[n])
-                else:
-                    res = _series_volume(req.geometry, kappa, K, tables)
-                    if res is None:
-                        res = _evaluate(req, kappa)
-                out[i] = _certified(res)
+                out[i] = _certified(_series_volume(params, kappa, rho, K, table, fits))
             except SimplexVolError as exc:
                 out[i] = exc
     return out
@@ -553,7 +537,8 @@ def volume(req):
 
     Raises ToleranceError, with the result attached, when the result's own
     error bar is not below its magnitude or the volume is negative: on the
-    ray that is cancellation (large d, small simplices, tiny |kappa|).
+    ray that is cancellation (large d, small simplices, tiny |kappa|); and
+    OverflowRegionError when the volume is past the double range.
     """
     res, = volumes([req])
     if isinstance(res, SimplexVolError):
@@ -562,7 +547,13 @@ def volume(req):
 
 
 def _certified(res):
-    """res, unless its error bar is not below its magnitude or it is negative."""
+    """res, unless its magnitude is below the least normal double (where
+    neither it nor its bar holds its digits), its error bar is not below its
+    magnitude, or it is negative."""
+    if abs(res.volume) < sys.float_info.min:
+        raise OverflowRegionError(
+            f"volume {res.volume:.3g} ({res.branch.value}) is past the double range: "
+            "below the least normal double")
     if not res.abs_error < abs(res.volume) or res.volume < 0:
         raise ToleranceError(
             f"volume {res.volume:.3g} +- {res.abs_error:.3g} ({res.branch.value}) is not "
@@ -624,12 +615,11 @@ def _evaluate(req, kappa):
 def regular_volume(d, side_length, kappa=-1.0, tolerance=VolumeRequest.tolerance):
     """Convenience wrapper: volume of the regular simplex (side inf = ideal).
 
-    At kappa < 0 it takes the curvature series: summed term by term while
-    rho <= _RHO_MAX, and past it, up to the ideal simplex (rho = 1), with a
-    fitted tail up to d = _IDEAL_DMAX; the near-ideal and the ideal simplex
-    past that d take the ray (see the module doc).  Each call builds its own
-    series table; for many rows, pass their requests to volumes(), which
-    shares one table per dimension.
+    At kappa < 0 it takes the curvature series at every d, summed to
+    rounding or, near the ideal simplex (rho = 1), with a fitted tail (see
+    the module doc).  Each call builds its own series table; for many rows,
+    pass their requests to volumes(), which shares one table and its fits
+    per dimension.
     """
     params = regular_parameters(d, side_length, kappa)
     return volume(VolumeRequest(params, kappa, tolerance))

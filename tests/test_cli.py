@@ -161,13 +161,13 @@ def test_sweep_marks_failed_rows_and_exits_3(monkeypatch, capsys):
 
 
 def test_sweep_writes_a_refused_row_and_exits_3(capsys):
-    # the ideal 31-simplex is past the curvature series' dimensions and takes
-    # the ray, whose value its own bar swallows
-    code = main(["sweep", "--d", "31", "--kappa", "-1", "--ell-grid", "1,inf"])
+    # the 30-simplex of side 1e-12 has a volume of about 1e-360, which
+    # rounds to 0, below the double range
+    code = main(["sweep", "--d", "30", "--kappa", "-1", "--ell-grid", "1,1e-12"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 3
     assert lines[2].endswith(",ok,first")
-    assert lines[3] == "inf,nan,nan,nan,failed:ToleranceError,n/a"
+    assert lines[3] == "1e-12,nan,nan,nan,failed:OverflowRegionError,n/a"
 
 
 def test_sweep_makes_one_volumes_call(monkeypatch, capsys):

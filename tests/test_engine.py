@@ -115,9 +115,9 @@ IDEAL_CLOSED_FORMS = {
 }
 
 
-@pytest.mark.parametrize("d", range(2, engine._IDEAL_DMAX + 1))
+@pytest.mark.parametrize("d", range(2, 61))
 def test_ideal_regular_bar_covers_error(d):
-    # the ideal simplex takes the series at every d of its verified range;
+    # the ideal simplex takes the series at every d;
     # the references are closed forms for d <= 4, the twin's pinned values
     # (good to about 2e-16 relative at d = 12) up to d = 12, and the 60-digit
     # Levin-accelerated series (5e-23 relative at d = 14, better above) past it

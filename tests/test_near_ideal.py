@@ -1,14 +1,15 @@
-"""The fitted curvature series of the near-ideal and ideal regular simplex
-(0.995 < rho <= 1 at kappa < 0) against independent references."""
+"""The curvature series of the near-ideal and ideal regular simplex at
+kappa < 0, summed or with its fitted tail, against independent references."""
 
 import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from simplexvol import _hp, engine
 from simplexvol.engine import Branch, regular_volume
+from simplexvol.errors import OverflowRegionError
 from simplexvol.geometry import regular_parameters
 
 #: bounded and reproducible: the same examples on every run
@@ -94,29 +95,23 @@ def test_expint_matches_mpmath():
                     assert abs(e - ref) <= 1e-14 * ref, (s0 + i, z)
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 30])
-def test_summed_and_fitted_series_agree_below_the_crossover(d):
-    # the series' two evaluators on the same request, at rho where both
-    # apply: they agreed to 4e-16 relative, under 0.01 of their bars
-    for rho0 in (0.99, 0.995):
-        p = regular_parameters(d, _side(rho0), -1.0)
-        n = d + 1
-        rho = engine._series_ratio(p, -1.0)[1]
-        K = engine._series_guess(n, rho)
-        tables = {n: engine._series_table(n, max(K + 1, engine._IDEAL_K))}
-        summed = engine._series_volume(p, -1.0, K, tables)
-        fitted = engine._fitted_volume(p, -1.0, rho, tables[n])
-        assert abs(summed.volume - fitted.volume) <= summed.abs_error + fitted.abs_error
-
-
-#: 1 - rho on a log scale across (1e-12, 1 - _RHO_MAX)
-_GAP = st.floats(math.log(1e-12), math.log(1.0 - engine._RHO_MAX) - 1e-9)
+#: 1 - rho on a log scale across (1e-12, 0.1): rows whose sum stops within
+#: T_0..T_1024 and rows that fit the tail past it
+_GAP = st.floats(math.log(1e-12), math.log(0.1))
+#: d up to twice the range first checked against these references
+_D = st.integers(2, 60)
 _KAPPA = st.sampled_from([-1.0, -4.0, -0.3, -1e-3, -25.0])
 
 
-@settings(PROPERTY, max_examples=5)
+@settings(PROPERTY, max_examples=6)
 @seed(23)
-@given(d=st.integers(2, engine._IDEAL_DMAX), gap=_GAP, kappa=_KAPPA)
+@given(d=_D, gap=_GAP, kappa=_KAPPA)
+# near rho = 0.99, where the generated examples are few: rows that fit the
+# tail (d = 2 and 30) and rows whose sum stops within T_0..T_1024 (16 and 60)
+@example(d=2, gap=math.log(0.02), kappa=-1.0)
+@example(d=16, gap=math.log(0.01), kappa=-1.0)
+@example(d=30, gap=math.log(0.01), kappa=-1.0)
+@example(d=60, gap=math.log(0.05), kappa=-1.0)
 def test_bar_covers_a_30_digit_reference(d, gap, kappa):
     # about a second per example, most of it in lerchphi
     ell = _side(1.0 - math.exp(gap), kappa)
@@ -129,8 +124,7 @@ def test_bar_covers_a_30_digit_reference(d, gap, kappa):
 
 @PROPERTY
 @seed(23)
-@given(d=st.integers(2, engine._IDEAL_DMAX),
-       gap=st.floats(math.log(1e-9) + 0.3, math.log(1.0 - engine._RHO_MAX)),
+@given(d=_D, gap=st.floats(math.log(1e-9) + 0.3, math.log(0.1)),
        shrink=st.floats(0.3, 6.0), kappa=_KAPPA)
 def test_volume_increases_in_ell_to_the_ideal_one(d, gap, shrink, kappa):
     # 1 - rho shrinks at least e^0.3-fold and stays above 1e-9, so the
@@ -145,7 +139,7 @@ def test_volume_increases_in_ell_to_the_ideal_one(d, gap, shrink, kappa):
 
 @PROPERTY
 @seed(23)
-@given(d=st.integers(2, engine._IDEAL_DMAX), gap=_GAP, kappa=_KAPPA)
+@given(d=_D, gap=_GAP, kappa=_KAPPA)
 def test_curvature_scaling_within_both_bars(d, gap, kappa):
     # Vol_(d,kappa)(ell) = |kappa|^(-d/2) Vol_(d,-1)(ell sqrt|kappa|)
     ell = _side(1.0 - math.exp(gap))
@@ -154,3 +148,37 @@ def test_curvature_scaling_within_both_bars(d, gap, kappa):
     f = abs(kappa) ** (-d / 2.0)
     assert r.branch is Branch.SERIES and unit.branch is Branch.SERIES
     assert abs(r.volume - f * unit.volume) <= r.abs_error + f * unit.abs_error
+
+
+def mp_summed_volume(d, tau, kappa, K=400, dps=30):
+    """sum_(k <= K) rho^k T_k times the prefactor, as mp_fitted_volume takes
+    it but with no tail: from d = 31 on the terms past K = 400 are below
+    1e-38 of the sum at any rho <= 1."""
+    with mp.workdps(dps):
+        n = d + 1
+        if (n, K) not in _TABLES:
+            _TABLES[n, K] = _hp._series_table(n, K)
+        tau2 = mp.mpf(tau) ** 2
+        s = n * tau2
+        a = 1 - mp.mpf(kappa) / s
+        rho = -(mp.mpf(kappa) / a) / tau2
+        head = mp.fsum(rho ** k * t for k, t in enumerate(_TABLES[n, K]))
+        return mp.sqrt(s) / (mp.factorial(d) * mp.mpf(tau) ** n) * a ** (-mp.mpf(n) / 2) * head
+
+
+@pytest.mark.parametrize("d", [31, 60, 100, 150, 171, 172, 200, 400])
+def test_large_dimensions_give_the_series_or_an_overflow(d):
+    # every regular row at kappa = -1 is a series result within its bar, up
+    # to d = 150 (bars 9e-14 to 8e-13 relative), or, from d = 171 on, where
+    # d! passes the double range, an OverflowRegionError
+    for ell in (1.0, 8.0, math.inf):
+        if d > 170:
+            with pytest.raises(OverflowRegionError):
+                regular_volume(d, ell)
+            continue
+        r = regular_volume(d, ell)
+        assert r.branch is Branch.SERIES and r.volume > 0, ell
+        ref = (_hp.ideal_volume_series(d) if ell == math.inf else
+               mp_summed_volume(d, regular_parameters(d, ell, -1.0).taus[0], -1.0))
+        assert abs(mp.mpf(r.volume) - ref) <= r.abs_error, ell
+        assert r.abs_error <= 1e-12 * r.volume, ell

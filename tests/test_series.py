@@ -77,7 +77,7 @@ def mp_series_volume(d, tau, kappa, dps=30):
 @pytest.mark.parametrize("n", [3, 4, 7, 13])
 def test_terms_match_the_convolution_of_f(n):
     # the recurrence against F^n multiplied out, 40 digits
-    t = engine._series_terms(n, 0.7, 60)
+    t = engine._series_terms(0.7, 60, engine._series_table(n, 60))
     with mp.workdps(40):
         ref = mp_terms(n, 0.7, 60)
         worst = max(abs(mp.mpf(float(a)) - b) / b for a, b in zip(t, ref))
@@ -117,9 +117,10 @@ def _random_cases():
     for _ in range(16):
         d = int(rng.integers(2, 13))
         kappa = -float(np.exp(rng.uniform(math.log(0.25), math.log(4.0))))
-        rho = float(rng.uniform(0.0, engine._RHO_MAX))
+        rho = float(rng.uniform(0.0, 0.995))
         cases.append((d, _side(rho, kappa), kappa))
-    # tiny simplices, where the ray cancels, and the edge of the series' range
+    # tiny simplices, where the ray cancels, and rows near rho = 0.995, which
+    # sum more terms than the fit's table holds and so take its fitted tail
     return cases + [(12, 0.1, -1.0), (8, 0.01, -1.0), (6, 1e-3, -2.0),
                     (2, _side(0.994), -1.0), (12, _side(0.98, -3.0), -3.0)]
 
@@ -170,19 +171,12 @@ def test_curvature_scaling(d):
 
 
 def test_routing():
-    # the ideal (rho = 1) and near-ideal (rho past _RHO_MAX) simplices take
-    # the fitted series up to d = _IDEAL_DMAX, and past it the ray, which
-    # refuses d = 31; the lower branch, distinct taus and kappa > 0 all take
-    # the ray
-    assert regular_volume(3, math.inf).branch is Branch.SERIES
-    assert regular_volume(engine._IDEAL_DMAX, math.inf).branch is Branch.SERIES
-    for ell in (math.inf, _side(0.998)):
-        with pytest.raises(ToleranceError) as info:
-            regular_volume(engine._IDEAL_DMAX + 1, ell)
-        assert info.value.result.branch is Branch.UPPER_RAY
-    assert regular_volume(3, _side(0.998)).branch is Branch.SERIES
-    assert regular_volume(engine._IDEAL_DMAX, _side(0.998)).branch is Branch.SERIES
-    assert regular_volume(3, _side(0.99)).branch is Branch.SERIES
+    # every regular upper-branch request at kappa < 0 takes the series, at
+    # any d, up to the ideal simplex; the lower branch, distinct taus and
+    # kappa > 0 all take the ray
+    for d in (3, 30, 31):
+        for ell in (math.inf, _side(0.998), _side(0.99)):
+            assert regular_volume(d, ell).branch is Branch.SERIES, (d, ell)
     p = regular_parameters(4, 1.0, -1.0)
     assert volume(VolumeRequest(p, -1.0, use_lower_branch=True)).branch is Branch.LOWER_RAY
     q = OrthocentricParams((1.0, 1.0, 1.0, 1.0 + 2.0 ** -52))
@@ -190,57 +184,40 @@ def test_routing():
     assert volume(VolumeRequest(p, 0.5 * p.s)).branch is Branch.UPPER_RAY
 
 
-def test_past_the_term_cap_the_ray_takes_over(monkeypatch):
-    monkeypatch.setattr(engine, "_K_CAP", 32)
-    assert regular_volume(3, 0.5).branch is Branch.SERIES
-    assert regular_volume(3, 3.0).branch is Branch.UPPER_RAY
-
-
 @pytest.mark.parametrize("n", [3, 13, 31])
 def test_terms_at_the_cap_stay_finite_and_positive(n):
+    # the longest table the series reads, at the largest rho below 1
+    rho = math.nextafter(1.0, 0.0)
+    K = engine._IDEAL_K
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        t = engine._series_terms(n, engine._RHO_MAX, engine._K_CAP)
-    assert len(t) == engine._K_CAP + 1
+        t = engine._series_terms(rho, K, engine._series_table(n, K))
+    assert len(t) == K + 1
     assert np.all(np.isfinite(t)) and np.all(t > 0.0) and np.all(t <= 1.0)
     if n == 3:
         with mp.workdps(30):
-            ref = mp_recurrence_terms(n, engine._RHO_MAX, engine._K_CAP)
-            for k in (1, 100, engine._K_CAP // 2, engine._K_CAP):
+            ref = mp_recurrence_terms(n, rho, K)
+            for k in (1, 100, K // 2, K):
                 assert abs(mp.mpf(float(t[k])) / ref[k] - 1) < 1e-11
-
-
-def test_a_short_first_table_is_doubled(monkeypatch):
-    # the first table length from _series_guess has sufficed in every case
-    # scanned, so only a shortened guess reaches the doubling retry
-    full = regular_volume(3, 1.0)
-    lengths = []
-    table = engine._series_table
-    monkeypatch.setattr(engine, "_series_guess", lambda n, rho: 4)
-    monkeypatch.setattr(engine, "_series_table",
-                        lambda n, K: lengths.append(K) or table(n, K))
-    short = regular_volume(3, 1.0)
-    assert lengths[:3] == [5, 9, 17]
-    assert short.branch is Branch.SERIES
-    assert abs(short.volume - full.volume) <= short.abs_error + full.abs_error
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 9, 13])
 def test_table_entries_do_not_depend_on_its_length(n):
     rng = np.random.default_rng(n)
-    for K in [1, 7, 40, *rng.integers(41, engine._K_CAP // 2, 2)]:
+    # the scan's shifts hold entries to u up to 8 _IDEAL_K (_series_table)
+    cap = 8 * engine._IDEAL_K
+    for K in [1, 7, 40, *rng.integers(41, cap // 2, 2)]:
         K = int(K)
         head = engine._series_table(n, K)
         assert len(head) == K + 1
-        for longer in (2 * K, engine._K_CAP):
+        for longer in (2 * K, cap):
             assert engine._series_table(n, longer)[:K + 1].tobytes() == head.tobytes()
 
 
 def _grid(d, rng):
-    """25 side lengths at kappa = -1: 21 seeded ones across the summed
-    series' range, two near-ideal ones past _RHO_MAX, a tiny simplex and the
-    ideal one."""
-    rhos = np.concatenate([rng.uniform(0.0, engine._RHO_MAX, 21), [0.997, 0.9999]])
+    """25 side lengths at kappa = -1: 21 seeded ones at rho up to 0.995, two
+    near-ideal ones, a tiny simplex and the ideal one."""
+    rhos = np.concatenate([rng.uniform(0.0, 0.995, 21), [0.997, 0.9999]])
     return [_side(float(rho)) for rho in rhos] + [1e-3, math.inf]
 
 
@@ -283,7 +260,7 @@ def test_every_ideal_request_is_at_kappa0():
     # least kappa: each request is clamped, and none is summed from rho
     rng = np.random.default_rng(22)
     kappas = [-1.0, -4.0, -0.3, *(-np.exp(rng.uniform(-5.0, 5.0, 12)))]
-    for d in range(2, engine._IDEAL_DMAX + 1):
+    for d in range(2, 61):
         for kappa in kappas:
             p = regular_parameters(d, math.inf, float(kappa))
             assert kappa <= min_curvature(p), (d, kappa)
@@ -347,16 +324,35 @@ def test_an_ideal_volume_past_the_double_range_is_refused():
 
 
 def test_a_volume_scale_past_the_double_range_is_refused():
-    # at kappa = -1e-30 the ideal 31-simplex takes the ray, whose
-    # |kappa|^(d/2) = 1e-465 underflows to 0; the 30-simplex of side 1e15
-    # (rho = 0.35) takes the summed series and that of side 8e15 (rho near 1)
-    # the fitted one, whose Vol_E passes 1e400.  They raised a bare
-    # ZeroDivisionError, OverflowError and (on the ray) ZeroDivisionError
+    # at kappa = -1e-30 the ideal 31-simplex on the lower branch takes the
+    # ray, whose |kappa|^(d/2) = 1e-465 underflows to 0; on the upper branch
+    # it takes the series, whose |kappa|^(-d/2) overflows; the 30-simplex of
+    # side 1e15 (rho = 0.35) sums the series and that of side 8e15 (rho near
+    # 1) fits its tail, and their Vol_E passes 1e400.  They raised a bare
+    # ZeroDivisionError, OverflowError, OverflowError and ZeroDivisionError
+    ideal = regular_parameters(31, math.inf, -1e-30)
+    with pytest.raises(OverflowRegionError):
+        volume(VolumeRequest(ideal, -1e-30, use_lower_branch=True))
     for d, ell in ((31, math.inf), (30, 1e15), (30, 8e15)):
         with pytest.raises(OverflowRegionError):
             regular_volume(d, ell, -1e-30)
     good = VolumeRequest(regular_parameters(3, 1.0, -1.0), -1.0)
-    big = VolumeRequest(regular_parameters(31, math.inf, -1e-30), -1e-30)
+    big = VolumeRequest(ideal, -1e-30, use_lower_branch=True)
     out = engine.volumes([good, big, good])
     assert isinstance(out[1], OverflowRegionError)
     assert out[0] == out[2] == volume(good)
+
+
+@pytest.mark.parametrize("d, ell, kappa", [
+    (168, 1.5, -1.0), (30, 1e-12, -1.0), (170, 1.0, -1.0), (12, 1e26, 0.0), (12, 3.3e26, 0.0)])
+def test_a_volume_below_the_double_range_is_refused(d, ell, kappa):
+    # 5.9e-322 +- 0 at d = 168 and 7.5e-321 +- 0 at kappa = 0 (taus 1e26)
+    # came back, their last digits gone (3.1e-3 and 3.1e-4 relative); the
+    # other three were 0 +- 0, refused as a ToleranceError
+    if kappa == 0.0:
+        req = VolumeRequest(OrthocentricParams((ell,) * (d + 1)), 0.0)
+    else:
+        req = VolumeRequest(regular_parameters(d, ell, kappa), kappa)
+    with pytest.raises(OverflowRegionError, match="past the double range"):
+        volume(req)
+    assert isinstance(engine.volumes([req])[0], OverflowRegionError)
