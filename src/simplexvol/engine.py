@@ -361,7 +361,7 @@ def _fits(T, h):
     return _fit(T, K, J, h), _fit(T, K // 2, J, h), _fit(T, K, J + 2, h)
 
 
-def _series_volume(params, kappa, rho, K, table, fits):
+def _series_volume(params, kappa, rho, K, table, fits, fit=False):
     """The volume of a regular simplex at kappa < 0 by its curvature series.
 
     With s = (d+1) tau^2, h = (d+1)/2 and a = 1 - kappa/s, the Klein-model
@@ -384,7 +384,9 @@ def _series_volume(params, kappa, rho, K, table, fits):
     first guess that fell short, which no scanned case has), the sum stops at
     K, past which the guess put the ratio below 1, with that bound.
     Otherwise, and always at rho = 1, where no bound is finite, the sum is
-    math.fsum(term_k, k <= K), K = _IDEAL_K, plus the fitted tail.
+    math.fsum(term_k, k <= K), K = _IDEAL_K, plus the fitted tail.  fit=True
+    skips the stopping test and takes the fitted tail at K = _IDEAL_K - 1,
+    so the tests can set it against the summed value of the same row.
 
     The fitted tail.  T_k ~ k^(-h) sum_j b_j k^(-j), from the algebraic
     singularity of sum_k T_k rho^k at rho = 1 (Flajolet and Odlyzko, SIAM J.
@@ -438,7 +440,7 @@ def _series_volume(params, kappa, rho, K, table, fits):
     bound, fitted = math.inf, K + 1 == _IDEAL_K
     # the ratio bound q falls with K', and the tail bound is finite only
     # where q < 1: if q_K >= 1 (always at rho = 1), no K' passes
-    if rho * (h + K) / (K + 1.0) < 1.0:
+    if not fit and rho * (h + K) / (K + 1.0) < 1.0:
         q = rho * (h + ks) / (ks + 1.0)
         tail = np.full(K + 1, math.inf)
         np.divide(t[1:], 1.0 - q, out=tail, where=q < 1.0)
