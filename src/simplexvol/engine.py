@@ -44,8 +44,8 @@ request, builds one table per dimension for all of its series rows, and
 returns each result, or the SimplexVolError its request raised, in order.
 volume(req) is volumes([req]) with the error raised.  Whatever the path, a
 result whose error bar is not below its magnitude, or a negative volume, is
-refused with ToleranceError, and one whose magnitude is below the least
-normal double with OverflowRegionError (_certified).
+refused with ToleranceError, and one whose magnitude and bar are both
+below the least normal double with OverflowRegionError (_certified).
 """
 
 import math
@@ -361,7 +361,7 @@ def _fits(T, h):
     return _fit(T, K, J, h), _fit(T, K // 2, J, h), _fit(T, K, J + 2, h)
 
 
-def _series_volume(params, kappa, rho, K, table, fits, fit=False):
+def _series_volume(params, kappa, rho, K, table, fits):
     """The volume of a regular simplex at kappa < 0 by its curvature series.
 
     With s = (d+1) tau^2, h = (d+1)/2 and a = 1 - kappa/s, the Klein-model
@@ -384,9 +384,7 @@ def _series_volume(params, kappa, rho, K, table, fits, fit=False):
     first guess that fell short, which no scanned case has), the sum stops at
     K, past which the guess put the ratio below 1, with that bound.
     Otherwise, and always at rho = 1, where no bound is finite, the sum is
-    math.fsum(term_k, k <= K), K = _IDEAL_K, plus the fitted tail.  fit=True
-    skips the stopping test and takes the fitted tail at K = _IDEAL_K - 1,
-    so the tests can set it against the summed value of the same row.
+    math.fsum(term_k, k <= K), K = _IDEAL_K, plus the fitted tail.
 
     The fitted tail.  T_k ~ k^(-h) sum_j b_j k^(-j), from the algebraic
     singularity of sum_k T_k rho^k at rho = 1 (Flajolet and Odlyzko, SIAM J.
@@ -440,7 +438,7 @@ def _series_volume(params, kappa, rho, K, table, fits, fit=False):
     bound, fitted = math.inf, K + 1 == _IDEAL_K
     # the ratio bound q falls with K', and the tail bound is finite only
     # where q < 1: if q_K >= 1 (always at rho = 1), no K' passes
-    if not fit and rho * (h + K) / (K + 1.0) < 1.0:
+    if rho * (h + K) / (K + 1.0) < 1.0:
         q = rho * (h + ks) / (ks + 1.0)
         tail = np.full(K + 1, math.inf)
         np.divide(t[1:], 1.0 - q, out=tail, where=q < 1.0)
@@ -498,8 +496,8 @@ def volumes(requests):
     length, so it is the same bit for bit whatever else the call holds.
     Every other request takes its path one at a time.  A result whose error
     bar is not below its magnitude, or a negative volume, comes back as a
-    ToleranceError with the result attached, and one below the double range
-    as an OverflowRegionError.
+    ToleranceError with the result attached, and one whose magnitude and
+    bar are below the double range as an OverflowRegionError.
     """
     out = [None] * len(requests)
     series = {}  # n -> [(position, params, kappa, rho, end of the test's window)]
@@ -540,7 +538,8 @@ def volume(req):
     Raises ToleranceError, with the result attached, when the result's own
     error bar is not below its magnitude or the volume is negative: on the
     ray that is cancellation (large d, small simplices, tiny |kappa|); and
-    OverflowRegionError when the volume is past the double range.
+    OverflowRegionError when the volume and its bar are past the double
+    range.
     """
     res, = volumes([req])
     if isinstance(res, SimplexVolError):
@@ -549,10 +548,11 @@ def volume(req):
 
 
 def _certified(res):
-    """res, unless its magnitude is below the least normal double (where
-    neither it nor its bar holds its digits), its error bar is not below its
-    magnitude, or it is negative."""
-    if abs(res.volume) < sys.float_info.min:
+    """res, unless it and its bar are both below the least normal double
+    (OverflowRegionError: neither holds its digits), its error bar is not
+    below its magnitude, or it is negative (ToleranceError, with res
+    attached: a cancelled value with a large bar lands here)."""
+    if abs(res.volume) < sys.float_info.min and res.abs_error < sys.float_info.min:
         raise OverflowRegionError(
             f"volume {res.volume:.3g} ({res.branch.value}) is past the double range: "
             "below the least normal double")

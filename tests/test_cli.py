@@ -211,6 +211,14 @@ def test_tolerance_error_maps_to_exit_3(monkeypatch):
     assert main(["volume", "--ideal", "2", "--kappa", "-1"]) == 3
 
 
+
+def test_a_volume_below_the_double_range_exits_2(capsys):
+    # the 30-simplex of side 1e-12 rounds to 0 +- 0: an OverflowRegionError,
+    # which the CLI reports as a domain error
+    assert main(["volume", "--regular", "30", "--ell", "1e-12", "--kappa", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and "past the double range" in err
+
 def test_cost_limit_maps_to_exit_3(monkeypatch, capsys):
     import simplexvol.cli as cli
     from simplexvol.errors import CostLimitError

@@ -98,17 +98,22 @@ def test_expint_matches_mpmath():
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 30])
 def test_summed_and_fitted_series_agree_below_the_crossover(d):
     # the series' two tails on the same request, at rho where both apply:
-    # summed over the first guess's window (743 to 5,501 terms), and fitted
-    # past T_1024; they agree to 4e-16 relative, under 0.01 of their bars
+    # regular_volume fits the tail past T_1024 (at rho = 0.99 and d = 16 it
+    # stops within T_0..T_1023), and the test sums the same terms over the
+    # first guess's window (934 to 6,490 terms); they agree to 3e-16
+    # relative, under 0.006 of the bar
     for rho0 in (0.99, 0.995):
+        r = regular_volume(d, _side(rho0))
         p = regular_parameters(d, _side(rho0), -1.0)
         n = d + 1
         rho = engine._series_ratio(p, -1.0)
         K = engine._series_guess(n, rho)
-        table = engine._series_table(n, max(K, engine._IDEAL_K - 1) + 1)
-        summed = engine._series_volume(p, -1.0, rho, K, table, {})
-        fitted = engine._series_volume(p, -1.0, rho, engine._IDEAL_K - 1, table, {}, fit=True)
-        assert abs(summed.volume - fitted.volume) <= summed.abs_error + fitted.abs_error
+        terms = engine._series_terms(rho, K, engine._series_table(n, K))
+        summed = engine._series_prefactor(p, 1.0 + 1.0 / p.s) * math.fsum(terms.tolist())
+        if rho0 == 0.995:
+            assert r.evaluations == engine._IDEAL_K + 1  # the fitted tail
+        assert r.branch is Branch.SERIES
+        assert abs(r.volume - summed) <= r.abs_error, rho0
 
 
 #: 1 - rho on a log scale across (1e-12, 0.1): rows whose sum stops within

@@ -201,6 +201,19 @@ def test_terms_at_the_cap_stay_finite_and_positive(n):
                 assert abs(mp.mpf(float(t[k])) / ref[k] - 1) < 1e-11
 
 
+
+def test_a_short_window_is_summed_with_its_bound(monkeypatch):
+    # the first guess from _series_guess has sufficed in every case scanned,
+    # so only a shortened guess reaches a window below T_1024 where no index
+    # passes the stopping test: the row is summed to the window's end with
+    # the finite tail bound in its bar
+    full = regular_volume(3, 1.0)
+    monkeypatch.setattr(engine, "_series_guess", lambda n, rho: 4)
+    short = regular_volume(3, 1.0)
+    assert short.branch is Branch.SERIES and short.evaluations == 5
+    assert short.abs_error > full.abs_error
+    assert abs(short.volume - full.volume) <= short.abs_error + full.abs_error
+
 @pytest.mark.parametrize("n", [3, 4, 6, 9, 13])
 def test_table_entries_do_not_depend_on_its_length(n):
     rng = np.random.default_rng(n)
@@ -356,3 +369,14 @@ def test_a_volume_below_the_double_range_is_refused(d, ell, kappa):
     with pytest.raises(OverflowRegionError, match="past the double range"):
         volume(req)
     assert isinstance(engine.volumes([req])[0], OverflowRegionError)
+
+
+def test_a_cancelled_value_with_a_large_bar_is_a_tolerance_error():
+    # a ray value that cancels to 0 or below the double range keeps its bar,
+    # so it is refused as uncertified with the result attached, not as an
+    # overflow
+    for vol in (0.0, 5e-324, -1e-310):
+        res = engine.VolumeResult(vol, 1e-3, 0.0, Branch.UPPER_RAY, 100)
+        with pytest.raises(ToleranceError) as info:
+            engine._certified(res)
+        assert info.value.result is res
