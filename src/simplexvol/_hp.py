@@ -13,14 +13,15 @@ testable, and each checks the other:
   precision.
 * ideal_volume_series sums the engine's curvature series at rho = 1 at 60
   digits, accelerated by a capped Levin u-transform.  Every term is
-  positive, so nothing cancels.  It is the faster of the two (10-30 ms
-  against 250-650 ms at d = 10..20), and from d = 10 on the more accurate.
+  positive, so nothing cancels, and its coefficient table is built in
+  fixed-point integers and rounded to mpf once per entry.  It is the faster
+  of the two (about 2 ms against 250-650 ms at d = 10..20), and from d = 10
+  on the more accurate.
 """
 
 import functools
 import itertools
 import math
-import operator
 
 import mpmath as mp
 from mpmath.libmp import NoConvergence, from_man_exp, mpf_cos_sin, to_fixed
@@ -323,27 +324,41 @@ def ideal_volume_highprec(d, kappa=-1.0):
         return mp.mpf(vol.real)
 
 
-def _ratios(m, K):
-    """r(m)_0..r(m)_K, r(m)_k = ((m-1)/2)_k / (m/2)_k, as running products
-    of the exact neighbour ratios (m - 3 + 2k)/(m - 2 + 2k)."""
-    return list(itertools.accumulate(
-        (mp.mpf(m - 3 + 2 * k) / (m - 2 + 2 * k) for k in range(1, K + 1)),
-        operator.mul, initial=mp.mpf(1)))
-
-
 def _series_table(n, K):
     """T_0..T_K of engine._series_table(n, K) in the working precision:
     T_k = c(n)_k r(n+1)_k from the same positive recurrence
 
         c(m)_k = c(m)_{k-1}/m + r(m)_k c(m-1)_k,
 
-    from c(1)_k = 1, run term by term rather than as a doubling scan."""
-    c = [mp.mpf(1)] * (K + 1)
+    from c(1)_k = 1, with r(m)_k = ((m-1)/2)_k/(m/2)_k the running product
+    of the exact neighbour ratios (m - 3 + 2k)/(m - 2 + 2k).  It runs term
+    by term rather than as a doubling scan, in integers scaled by 2^P, and
+    rounds each entry to an mpf once, at the end.  Each integer step
+    truncates by at most one unit of 2^-P, so an entry's absolute error
+    stays within a few n K units.  P is the working precision, plus log2 of
+    1/F for the floor F = (1/2)_K/((n+1)/2)_K = (1/2)_K/(n/2)_K r(n+1)_K
+    that no entry falls below, plus 2 bitlen(n + K) + 16 guard bits; so
+    even the smallest entry keeps the working precision relative.  At
+    n = 151, K = 400 the entries reach 1e-88, where a scale of
+    2^-(prec + guard) would keep no digit of them.  At 60 digits and K = 79
+    it takes 0.25-0.84 ms at n = 4..21, 9-17 times less than the same loop
+    in mpf arithmetic on mpmath's python backend."""
+    floor_bits = (math.lgamma(K + (n + 1) / 2) + math.lgamma(0.5)
+                  - math.lgamma(K + 0.5) - math.lgamma((n + 1) / 2)) / math.log(2)
+    P = mp.mp.prec + math.ceil(floor_bits) + 2 * (n + K).bit_length() + 16
+    one = 1 << P
+    c = [one] * (K + 1)
     for m in range(2, n + 1):
-        r = _ratios(m, K)
+        r = one
         for k in range(1, K + 1):
-            c[k] = c[k - 1] / m + r[k] * c[k]
-    return [ck * rk for ck, rk in zip(c, _ratios(n + 1, K))]
+            r = r * (m - 3 + 2 * k) // (m - 2 + 2 * k)
+            c[k] = c[k - 1] // m + (r * c[k] >> P)
+    table = [mp.mpf(1)]
+    r = one
+    for k in range(1, K + 1):
+        r = r * (n - 2 + 2 * k) // (n - 1 + 2 * k)
+        table.append(mp.mpf((c[k] * r, -2 * P)))
+    return table
 
 
 def _levin_u(partial, N):
@@ -376,9 +391,11 @@ def ideal_volume_series(d, kappa=-1.0):
     |kappa|^(-d/2), every T_k positive and T_k ~ k^(-(d+1)/2), so the sum
     converges only algebraically; engine._series_volume sums T_0..T_1024 in
     doubles and fits the rest, at every d.  This reference is independent of
-    that fit: its first _LEVIN_TERMS partial sums, at _SERIES_DPS digits, go
-    through the Levin u-transform (_levin_u, which is mp.levin(method="levin", variant="u") to
-    rounding; Levin 1973; Sidi, Practical Extrapolation Methods, 2003).  The
+    that fit: T comes from _series_table, in fixed-point integers rounded to
+    mpf once per entry, and the first _LEVIN_TERMS partial sums, at
+    _SERIES_DPS digits, go through the Levin u-transform (_levin_u, which
+    is mp.levin(method="levin", variant="u") to rounding; Levin 1973; Sidi,
+    Practical Extrapolation Methods, 2003).  The
     order is capped because the transform cancels: at 60 digits it gains up
     to 80 partial sums and degrades past about 100 (at d = 2, 2e-8 relative
     error from 80, 8e-2 from 120).

@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .engine import VolumeRequest, regular_volume, volume, volumes
+from .engine import VolumeRequest, volume, volumes
 from .errors import CostLimitError, GeometryDomainError, SimplexVolError, ToleranceError
 from .geometry import OrthocentricParams, min_curvature, regular_parameters
 
@@ -209,31 +209,35 @@ def _suite_rotation():
 
 
 def _suite_ideal_values():
+    """The ideal d = 2, 3, 4 rows from one volumes() call, against closed forms."""
     from .oracles import ideal_tetrahedron_volume
-    checks = []
-    v2 = regular_volume(2, math.inf, -1.0).volume
-    checks.append(_check("ideal d=2 vs pi", v2, math.pi, 1e-8))
-    v3 = regular_volume(3, math.inf, -1.0).volume
-    checks.append(_check("ideal d=3 vs log-sine integral", v3,
-                         ideal_tetrahedron_volume(), 1e-8))
-    v4 = regular_volume(4, math.inf, -1.0).volume
-    ref4 = 10 * math.pi / 3 * math.asin(1.0 / 3.0) - math.pi ** 2 / 3
-    checks.append(_check("ideal d=4 vs closed form", v4, ref4, 1e-8))
-    return checks
+    refs = {2: ("ideal d=2 vs pi", math.pi),
+            3: ("ideal d=3 vs log-sine integral", ideal_tetrahedron_volume()),
+            4: ("ideal d=4 vs closed form",
+                10 * math.pi / 3 * math.asin(1.0 / 3.0) - math.pi ** 2 / 3)}
+    results = _checked_volumes([VolumeRequest(regular_parameters(d, math.inf, -1.0), -1.0)
+                                for d in refs])
+    return [_check(name, res.volume, ref, 1e-8)
+            for (name, ref), res in zip(refs.values(), results)]
 
 
 def _suite_abrosimov():
     """The five d = 3 rows from one volumes() call, which shares one series table."""
     from .oracles import regular_tetrahedron_volume
     ells = (0.25, 0.5, 1.0, 2.0, 4.0)
-    results = volumes([VolumeRequest(regular_parameters(3, ell, -1.0), -1.0) for ell in ells])
-    checks = []
-    for ell, res in zip(ells, results):
+    results = _checked_volumes([VolumeRequest(regular_parameters(3, ell, -1.0), -1.0)
+                                for ell in ells])
+    return [_check(f"regular d=3 ell={ell:g}", res.volume, regular_tetrahedron_volume(ell), 1e-7)
+            for ell, res in zip(ells, results)]
+
+
+def _checked_volumes(requests):
+    """volumes(requests), raising the first row's library error, if any."""
+    results = volumes(requests)
+    for res in results:
         if isinstance(res, SimplexVolError):
             raise res
-        checks.append(_check(f"regular d=3 ell={ell:g}", res.volume,
-                             regular_tetrahedron_volume(ell), 1e-7))
-    return checks
+    return results
 
 
 def _suite_mc_spherical(*, samples=1_000_000, seed=DEFAULT_SEED):

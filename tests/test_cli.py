@@ -193,6 +193,20 @@ def test_abrosimov_makes_one_volumes_call(monkeypatch, capsys):
     assert len(lines) == 5 and all(ln.startswith("PASS regular d=3 ") for ln in lines)
 
 
+def test_ideal_values_makes_one_volumes_call(monkeypatch, capsys):
+    import simplexvol.cli as cli
+
+    calls = []
+    real = cli.volumes
+    monkeypatch.setattr(cli, "volumes", lambda reqs: calls.append(len(reqs)) or real(reqs))
+    assert main(["verify", "ideal-values"]) == 0
+    assert calls == [3]
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        "PASS ideal d=2 vs pi", "PASS ideal d=3 vs log-sine integral",
+        "PASS ideal d=4 vs closed form"]
+
+
 def test_verify_asymptotic_to_d20(capsys):
     assert main(["verify", "asymptotic", "--dmax", "20"]) == 0
     lines = capsys.readouterr().out.splitlines()

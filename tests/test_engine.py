@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import time
 
 import mpmath as mp
@@ -473,6 +474,37 @@ def test_series_reference_table_matches_the_engine_table(n):
     assert len(fast) == len(ref) == K + 1
     for k, (a, b) in enumerate(zip(fast, ref)):
         assert abs(a - b) <= 1e-13 * b, (k, a, b)
+
+
+def _mpf_series_table(n, K):
+    """_hp._series_table's recurrence term by term in mpf, every step
+    rounded to the working precision."""
+    def ratios(m):
+        return list(itertools.accumulate(
+            (mp.mpf(m - 3 + 2 * k) / (m - 2 + 2 * k) for k in range(1, K + 1)),
+            operator.mul, initial=mp.mpf(1)))
+
+    c = [mp.mpf(1)] * (K + 1)
+    for m in range(2, n + 1):
+        r = ratios(m)
+        for k in range(1, K + 1):
+            c[k] = c[k - 1] / m + r[k] * c[k]
+    return [ck * rk for ck, rk in zip(c, ratios(n + 1))]
+
+
+@pytest.mark.parametrize("dps", [30, 60])
+@pytest.mark.parametrize("n, K", [(3, 79), (13, 79), (31, 400), (151, 400)])
+def test_fixed_point_series_table_matches_the_mpf_loop(n, K, dps):
+    # the mpf loop rounds at every step, up to about (n + K) units of 2^-prec
+    # in all; the fixed-point table rounds each entry once, even where it
+    # falls to 1e-88 (n = 151, K = 400)
+    with mp.workdps(dps):
+        fixed = _hp._series_table(n, K)
+        ref = _mpf_series_table(n, K)
+        tol = 4 * (n + K) * mp.mpf(2) ** -mp.mp.prec
+        assert len(fixed) == len(ref) == K + 1
+        for k, (a, b) in enumerate(zip(fixed, ref)):
+            assert abs(a - b) <= tol * b, (k, a, b)
 
 
 @pytest.mark.parametrize("d", [2, 3, 10, 20])

@@ -44,13 +44,13 @@ def test_mc_seed_determinism():
 
 
 @pytest.mark.parametrize("taus, factor, samples, seed, estimate, std_error", [
-    ((0.8, 1.1, 1.4), 2.0, 250_000, 123, "0x1.3002177e10dd1p-2", "0x1.4c319963d2e18p-10"),
-    # two chunks, the second of 234,567 samples
+    ((0.8, 1.1, 1.4), 2.0, 250_000, 123, "0x1.3294ee76b8686p-2", "0x1.4d49670ba961ep-10"),
+    # 19 chunks, the last of 54,919 samples
     ((1.3, 0.7, 1.9, 1.1, 0.6), 1.7, 1_234_567, 4242,
-     "0x1.1eaf0c8f3d5d7p-7", "0x1.19e92ef750d49p-15"),
+     "0x1.1eb279ddc36c2p-7", "0x1.19eac6a18a033p-15"),
 ])
 def test_mc_reports_are_pinned_bits(taus, factor, samples, seed, estimate, std_error):
-    # reports of the (d+1) x n block sampler that row-at-a-time sampling replaced
+    # reports of the survivor-only sampler on 65,536-sample substreams
     p = OrthocentricParams(taus)
     rep = mc_spherical_volume(p, factor * p.s, samples=samples, seed=seed)
     assert rep == oracles.MonteCarloReport(float.fromhex(estimate),
@@ -105,17 +105,17 @@ def test_mc_engine_cross_check():
         assert abs(eng - rep.estimate) <= 3.5 * rep.std_error
 
 
-#: d = 2..5 jobs: 1,000 samples (below oracles._BLOCK), 131,072 (two whole
-#: blocks), 2,100,000 (three chunks) and 65,537 (one block and one value);
-#: each with its report's estimate and standard error as drawn one call at a
-#: time before chunks were sampled on a thread pool
+#: d = 2..5 jobs: 1,000 samples (one short chunk), 131,072 (two whole
+#: chunks), 2,100,000 (33 chunks, the last of 2,848 samples) and 65,537 (one
+#: whole chunk and one of a single sample); each with its report's estimate
+#: and standard error as mc_spherical_volume gives it for the job alone
 MIXED_JOBS = [
-    ((1.0, 1.2, 0.9), 1.5, 1_000, 11, "0x1.ddc3aefb23395p-2", "0x1.013b3166af844p-5"),
+    ((1.0, 1.2, 0.9), 1.5, 1_000, 11, "0x1.d334c054599b1p-2", "0x1.fdfca31fce8ffp-6"),
     ((0.7, 1.3, 1.0, 1.6, 0.9), 2.2, 131_072, 12,
-     "0x1.2502607c91f92p-7", "0x1.7803fc4be04cdp-14"),
-    ((1.1, 0.8, 1.4, 1.0), 1.3, 2_100_000, 13, "0x1.95b66efbc6420p-4", "0x1.eb40a14291593p-13"),
+     "0x1.27dc71c277e01p-7", "0x1.79b38f1b99799p-14"),
+    ((1.1, 0.8, 1.4, 1.0), 1.3, 2_100_000, 13, "0x1.965547be8e0cap-4", "0x1.eb9891426d0acp-13"),
     ((0.9, 1.5, 0.6, 1.2, 1.0, 1.3), 1.8, 65_537, 14,
-     "0x1.9cf53e0f4248bp-10", "0x1.10b3d368bdc9cp-15"),
+     "0x1.9cc69bfc47e6ap-10", "0x1.10a4fa712abe0p-15"),
 ]
 
 
@@ -130,7 +130,7 @@ def _mixed_batch():
 
 
 def test_mc_batch_is_one_call_per_job_bit_for_bit():
-    assert oracles._BLOCK == 65_536 and oracles._CHUNK == 1_000_000
+    assert oracles._CHUNK == 65_536
     jobs, pinned = _mixed_batch()
     assert mc_spherical_volumes(jobs) == pinned
     assert [mc_spherical_volume(*job) for job in jobs] == pinned
@@ -151,12 +151,13 @@ def test_mc_batch_reports_do_not_depend_on_the_worker_count(monkeypatch, cpus):
                         raising=False)
     jobs, pinned = _mixed_batch()
     assert mc_spherical_volumes(jobs) == pinned
-    assert pools == [cpus]  # six chunks, so the CPU count sets the pool size
+    assert pools == [cpus]  # 38 chunks, so the CPU count sets the pool size
 
 
 def test_mc_batch_memory_stays_bounded():
-    # a 1.5-million-sample job (two chunks) at d = 6 beside a small one: at
-    # most three chunks are in flight, whatever the CPU count
+    # a 1.5-million-sample job (23 chunks) at d = 6 beside a small one: at
+    # most one chunk per worker is in flight, about 1.6 MB each, so even 24
+    # workers stay below the bound
     import tracemalloc
     p = OrthocentricParams((1.0, 1.1, 0.9, 1.2, 0.8, 1.3, 1.05))
     q = OrthocentricParams((1.0, 1.2, 0.9))
@@ -167,6 +168,33 @@ def test_mc_batch_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
+
+
+def _reference_chunk_hits(stream, m, coef):
+    """The layout mc_spherical_volume's docstring states, as a plain loop:
+    m values of xi, then for each row in tau order one standard normal per
+    sample still inside, in sample order."""
+    rng = np.random.default_rng(stream)
+    xi = rng.standard_normal(m).tolist()
+    survivors = list(range(m))
+    for c in coef.tolist():
+        row = rng.standard_normal(len(survivors)).tolist()
+        survivors = [i for i, x in zip(survivors, row) if x <= c * xi[i]]
+    return len(survivors)
+
+
+@pytest.mark.parametrize("job", [0, 3], ids=["1000-samples", "65537-samples"])
+def test_chunk_hits_follow_the_documented_layout(job):
+    # the pinned MIXED_JOBS reports come from these per-chunk counts: one
+    # short chunk, and a whole chunk followed by one of a single sample
+    jobs, _ = _mixed_batch()
+    p, kappa, samples, seed = jobs[job]
+    coef = oracles._cone_coefficients(p, kappa, samples)
+    streams = np.random.SeedSequence(seed).spawn(-(-samples // oracles._CHUNK))
+    sizes = [min(oracles._CHUNK, samples - i * oracles._CHUNK) for i in range(len(streams))]
+    assert sum(sizes) == samples
+    for stream, m in zip(streams, sizes):
+        assert oracles._chunk_hits(stream, m, coef) == _reference_chunk_hits(stream, m, coef)
 
 
 @pytest.mark.parametrize("factor, samples, error", [
@@ -274,6 +302,18 @@ def test_package_import_leaves_oracles_and_twin_unloaded():
     assert out.stdout.split("\n")[:4] == [
         "[]", "series series series []", "upper_ray ['scipy.special']",
         "simplexvol.oracles simplexvol._hp"]
+
+
+def test_monte_carlo_loads_no_scipy():
+    code = ("import sys; from simplexvol import OrthocentricParams; "
+            "from simplexvol.oracles import mc_spherical_volume; "
+            "p = OrthocentricParams((1.0, 1.2, 0.9)); "
+            "rep = mc_spherical_volume(p, 2.0 * p.s, samples=1_000, seed=1); "
+            "print(rep.estimate > 0, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(simplexvol.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout == "True []\n"
 
 
 def test_lazy_package_names_are_the_module_attributes():
