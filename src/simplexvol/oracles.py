@@ -1,9 +1,11 @@
 """Independent reference computations used to validate the volume engine.
 
 None of these share a code path with the contour-integral engine: the Monte
-Carlo estimator samples Gaussian vectors directly, the Klein-model integrator
-uses scipy's QUADPACK on the defining density, and the two tetrahedron
-integrals are classical one-dimensional quadratures.
+Carlo estimator samples the Gaussian cone test directly, row by row, drawing
+the first row's survivors from its exact probability 1/2 and their xi from
+its conditional law; the Klein-model integrator uses scipy's QUADPACK on the
+defining density; and the two tetrahedron integrals are classical
+one-dimensional quadratures.
 """
 
 import functools
@@ -38,17 +40,21 @@ def mc_spherical_volume(params, kappa, samples=1_000_000, seed=0):
     all j] with independent standard normals xi, xi_0..xi_d.  Sampling is
     chunked over seed-derived substreams of at most 65,536 samples, in a
     fixed order, so a fixed seed gives a bit-identical report regardless of
-    the execution environment.  Within a chunk of m samples, xi comes first,
-    m values; then, for j = 0..d in tau order, one xi_j is drawn for each
-    sample still inside the cone, and the samples whose xi_j exceeds the
-    bound are dropped.  A sample's later normals are never drawn once it is
-    out, so a sample costs 2.8 to 3.2 normals rather than d + 2 on the
-    verify suites' jobs (d = 2..6, taus in [0.5, 2], kappa between s and
-    3s), and the hit count is Binomial(samples, p).  A chunk holds xi, one
-    row, its bound and a mask, at most about 1.6 MB whatever d is.  kappa
-    must be finite and samples at least 2, so that the standard error is
-    defined.  This is mc_spherical_volumes([(params, kappa, samples,
-    seed)])[0].
+    the execution environment.  Within a chunk of m samples the first row,
+    j = 0, is a half-plane through the origin of the (xi, xi_0) plane and
+    keeps each sample with probability exactly 1/2: the chunk draws the
+    number n of its survivors, Binomial(m, 1/2), then n values a and n
+    values b, and sets xi = (c_0 |a| + b) / sqrt(1 + c_0^2), the law of xi
+    given xi_0 <= c_0 xi, where c_j = (tau_j/s) sqrt(kappa-s).  Then, for
+    j = 1..d in tau order, one xi_j is drawn for each sample still inside
+    the cone, and the samples whose xi_j exceeds the bound are dropped.  A
+    sample's later normals are never drawn once it is out, so a sample
+    costs 1.8 to 2.2 normals rather than d + 2 on the verify suites' jobs
+    (d = 2..6, taus in [0.5, 2], kappa between s and 3s), and the hit count
+    is Binomial(samples, p).  A chunk holds at most about 1.35 MB whatever
+    d is.  kappa must be finite and samples at least 2, so that the
+    standard error is defined.  This is mc_spherical_volumes([(params,
+    kappa, samples, seed)])[0].
     """
     return mc_spherical_volumes([(params, kappa, samples, seed)])[0]
 
@@ -117,13 +123,19 @@ def _chunk_hits(stream, m, coef):
     """Samples of one chunk of m that fall inside the cone.
 
     Runs on a pool worker and calls only NumPy, so every public function
-    of the package runs on the caller's thread.  Draws xi, then one row
-    value per survivor for each cone coefficient in turn, and keeps the
+    of the package runs on the caller's thread.  Draws the number of the
+    first row's survivors and their xi from its exact law, as
+    mc_spherical_volume's docstring states, then one row value per
+    survivor for each later cone coefficient in turn, and keeps the
     survivors' xi only.
     """
     rng = np.random.default_rng(stream)
-    xi = rng.standard_normal(m)
-    for c in coef:
+    c0 = coef[0]
+    n = rng.binomial(m, 0.5)
+    a = np.abs(rng.standard_normal(n))
+    b = rng.standard_normal(n)
+    xi = (c0 * a + b) / math.hypot(1.0, c0)
+    for c in coef[1:]:
         xi = xi[rng.standard_normal(len(xi)) <= c * xi]
     return len(xi)
 

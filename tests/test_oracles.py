@@ -44,11 +44,11 @@ def test_mc_seed_determinism():
 
 
 @pytest.mark.parametrize("taus, factor, samples, seed, estimate, std_error", [
-    ((0.8, 1.1, 1.4), 2.0, 250_000, 123, "0x1.3294ee76b8686p-2", "0x1.4d49670ba961ep-10"),
+    ((0.8, 1.1, 1.4), 2.0, 250_000, 123, "0x1.3207224bf46ebp-2", "0x1.4d0d5f64eb683p-10"),
     # 19 chunks, the last of 54,919 samples
     ((1.3, 0.7, 1.9, 1.1, 0.6), 1.7, 1_234_567, 4242,
-     "0x1.1eb279ddc36c2p-7", "0x1.19eac6a18a033p-15"),
-])
+     "0x1.1df5fdfef6429p-7", "0x1.19932065d14aap-15"),
+], ids=["250000-samples", "1234567-samples"])
 def test_mc_reports_are_pinned_bits(taus, factor, samples, seed, estimate, std_error):
     # reports of the survivor-only sampler on 65,536-sample substreams
     p = OrthocentricParams(taus)
@@ -110,12 +110,12 @@ def test_mc_engine_cross_check():
 #: whole chunk and one of a single sample); each with its report's estimate
 #: and standard error as mc_spherical_volume gives it for the job alone
 MIXED_JOBS = [
-    ((1.0, 1.2, 0.9), 1.5, 1_000, 11, "0x1.d334c054599b1p-2", "0x1.fdfca31fce8ffp-6"),
+    ((1.0, 1.2, 0.9), 1.5, 1_000, 11, "0x1.f58547f268dd7p-2", "0x1.0618c9434ea5bp-5"),
     ((0.7, 1.3, 1.0, 1.6, 0.9), 2.2, 131_072, 12,
-     "0x1.27dc71c277e01p-7", "0x1.79b38f1b99799p-14"),
-    ((1.1, 0.8, 1.4, 1.0), 1.3, 2_100_000, 13, "0x1.965547be8e0cap-4", "0x1.eb9891426d0acp-13"),
+     "0x1.235472c25762ep-7", "0x1.77049ab9eac01p-14"),
+    ((1.1, 0.8, 1.4, 1.0), 1.3, 2_100_000, 13, "0x1.96b65a6e79ec0p-4", "0x1.ebce43b2fa0c1p-13"),
     ((0.9, 1.5, 0.6, 1.2, 1.0, 1.3), 1.8, 65_537, 14,
-     "0x1.9cc69bfc47e6ap-10", "0x1.10a4fa712abe0p-15"),
+     "0x1.a610e5c4296f4p-10", "0x1.13959aaed57d1p-15"),
 ]
 
 
@@ -156,7 +156,7 @@ def test_mc_batch_reports_do_not_depend_on_the_worker_count(monkeypatch, cpus):
 
 def test_mc_batch_memory_stays_bounded():
     # a 1.5-million-sample job (23 chunks) at d = 6 beside a small one: at
-    # most one chunk per worker is in flight, about 1.6 MB each, so even 24
+    # most one chunk per worker is in flight, about 1.35 MB each, so even 24
     # workers stay below the bound
     import tracemalloc
     p = OrthocentricParams((1.0, 1.1, 0.9, 1.2, 0.8, 1.3, 1.05))
@@ -172,15 +172,20 @@ def test_mc_batch_memory_stays_bounded():
 
 def _reference_chunk_hits(stream, m, coef):
     """The layout mc_spherical_volume's docstring states, as a plain loop:
-    m values of xi, then for each row in tau order one standard normal per
-    sample still inside, in sample order."""
+    one binomial draw for the number n of row 0's survivors, n values a, n
+    values b and xi = (c_0 |a| + b) / hypot(1, c_0) for each; then for each
+    later row in tau order one standard normal per sample still inside, in
+    sample order."""
     rng = np.random.default_rng(stream)
-    xi = rng.standard_normal(m).tolist()
-    survivors = list(range(m))
-    for c in coef.tolist():
-        row = rng.standard_normal(len(survivors)).tolist()
-        survivors = [i for i, x in zip(survivors, row) if x <= c * xi[i]]
-    return len(survivors)
+    c0, *rest = coef.tolist()
+    n = int(rng.binomial(m, 0.5))
+    a = rng.standard_normal(n).tolist()
+    b = rng.standard_normal(n).tolist()
+    xi = [(c0 * abs(x) + y) / math.hypot(1.0, c0) for x, y in zip(a, b)]
+    for c in rest:
+        row = rng.standard_normal(len(xi)).tolist()
+        xi = [x for x, r in zip(xi, row) if r <= c * x]
+    return len(xi)
 
 
 @pytest.mark.parametrize("job", [0, 3], ids=["1000-samples", "65537-samples"])
@@ -195,6 +200,38 @@ def test_chunk_hits_follow_the_documented_layout(job):
     assert sum(sizes) == samples
     for stream, m in zip(streams, sizes):
         assert oracles._chunk_hits(stream, m, coef) == _reference_chunk_hits(stream, m, coef)
+
+
+def _orthant_probability(coef):
+    """Exact Prob[xi_j <= c_j xi for every row] for one, two or three rows.
+
+    The rows' (xi_j - c_j xi) / sqrt(1 + c_j^2) are standard normals with
+    correlations r_ij = c_i c_j / sqrt((1 + c_i^2)(1 + c_j^2)), and the
+    orthant probabilities of one to three of them have closed forms."""
+    r = [[ci * cj / math.sqrt((1 + ci * ci) * (1 + cj * cj)) for cj in coef] for ci in coef]
+    if len(coef) == 1:
+        return 0.5
+    if len(coef) == 2:
+        return 0.25 + math.asin(r[0][1]) / (2 * math.pi)
+    return 0.125 + (math.asin(r[0][1]) + math.asin(r[0][2])
+                    + math.asin(r[1][2])) / (4 * math.pi)
+
+
+_CONE_ROWS = ([(c,) for c in (0.0, 0.3, 1.0, 5.0)]
+              + [(a, b) for a in (0.0, 0.3, 1.0, 5.0) for b in (0.0, 0.3, 1.0, 5.0)]
+              + [(0.0, 0.0, 0.0), (0.3, 1.0, 5.0), (5.0, 1.0, 0.3), (1.0, 5.0, 0.3),
+                 (5.0, 5.0, 5.0), (0.0, 5.0, 1.0), (5.0, 0.0, 0.3)])
+
+
+@pytest.mark.parametrize("coef", _CONE_ROWS, ids=lambda c: "-".join(map(str, c)))
+def test_chunk_hits_have_the_exact_cone_probability(coef):
+    # the first row is drawn from its probability 1/2 and the law of xi
+    # given it, not sampled, so this checks that law against the closed
+    # forms: eight seeded substreams of a whole chunk each, within 4 se
+    m, streams = oracles._CHUNK, np.random.SeedSequence(2026).spawn(8)
+    hits = sum(oracles._chunk_hits(s, m, np.array(coef)) for s in streams)
+    n, p = m * len(streams), _orthant_probability(coef)
+    assert abs(hits / n - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
 
 
 @pytest.mark.parametrize("factor, samples, error", [

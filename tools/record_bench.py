@@ -26,7 +26,8 @@ Each checkout is a full tree (``git archive`` or ``git clone``) with its own
   side that has it (null on a side without it);
 * the ``tracemalloc`` peak and time of a d = 6, 10^6-sample
   ``mc_spherical_volume`` call, on both sides;
-* the Tier-1 suite's wall time and summary line, on both sides.
+* the Tier-1 suite's wall time, summary line and slowest-test lines (the
+  ``--durations`` that pyproject.toml asks pytest for), on both sides.
 
 Runs are sequential, one process at a time, so the two sides never compete
 for the machine.  Once ``benchmarks/`` writes the record itself, this script
@@ -37,6 +38,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -251,6 +253,10 @@ def child_times(sides, child, *args):
     return out
 
 
+#: a line of pytest's slowest-durations report, "4.34s call     tests/..."
+DURATION = re.compile(r"\d+\.\d+s (setup|call|teardown) ")
+
+
 def tier1(sides):
     env = dict(os.environ, **PINNED_ENV, PYTHONPATH="src")
     out = {}
@@ -260,8 +266,9 @@ def tier1(sides):
                                "--continue-on-collection-errors"], cwd=root,
                               capture_output=True, text=True, env=env, timeout=3600)
         wall = time.perf_counter() - t0
-        last = proc.stdout.strip().splitlines()[-1]
-        out[side] = {"wall_s": wall, "summary": last.strip("= ")}
+        lines = proc.stdout.strip().splitlines()
+        out[side] = {"wall_s": wall, "summary": lines[-1].strip("= "),
+                     "durations": [ln for ln in lines if DURATION.match(ln)]}
     return out
 
 
