@@ -7,8 +7,9 @@ stabilized head-plus-tail scheme.  Independent oracles (Monte Carlo cone
 sampling, direct Klein-model integration, classical tetrahedron integrals)
 validate the engine.
 
-The oracles (which need ``scipy.integrate``) and the mpmath twin are loaded
-only when one of their names is first used.
+The oracles (which need ``scipy.integrate``) and the mpmath reference of
+the regular simplex (``_hp``) are loaded only when one of their names is
+first used.
 """
 
 import importlib

@@ -1,5 +1,6 @@
 """CLI: exit codes, output formats, deterministic data files."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -212,6 +213,56 @@ def test_verify_asymptotic_to_d20(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [ln.split(":")[0] for ln in lines] == [
         f"PASS asymptotic d={d}" for d in range(10, 21)]
+
+
+def test_verify_asymptotic_checks_the_engine(monkeypatch, capsys):
+    # one volumes() call for the ideal d = 10..dmax rows, up to the engine's
+    # certified d = 150
+    import simplexvol.cli as cli
+
+    calls = []
+    real = cli.volumes
+    monkeypatch.setattr(cli, "volumes", lambda reqs: calls.append(len(reqs)) or real(reqs))
+    assert main(["verify", "asymptotic", "--dmax", "150"]) == 0
+    assert calls == [141]
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        f"PASS asymptotic d={d}" for d in range(10, 151)]
+
+
+def test_mc_spherical_quantile_is_chi2_3_at_1e4():
+    from scipy import stats
+
+    import simplexvol.cli as cli
+    assert cli._CHI2_3_AT_1E4 == pytest.approx(stats.chi2.isf(1e-4, 3), rel=1e-5)
+
+
+@pytest.mark.parametrize("seed", [59, 226, 344, 395, 397])
+def test_verify_mc_spherical_judges_the_trials_jointly(capsys, seed):
+    # at these seeds one trial of three lies 3.05 to 3.41 standard errors
+    # from the engine, which failed a 3-SE test per trial; their sums of
+    # squared z-scores, 10.6 to 12.4, are within the chi-squared(3) quantile
+    assert main(["verify", "mc-spherical", "--samples", "20000", "--seed", str(seed)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(ln.startswith("PASS ") for ln in lines)
+
+
+def test_verify_mc_spherical_fails_an_engine_value_ten_errors_off(monkeypatch, capsys):
+    import simplexvol.cli as cli
+
+    reports = []
+    real_mc, real_volumes = oracles.mc_spherical_volumes, cli.volumes
+
+    def shifted(reqs):
+        out = real_volumes(reqs)
+        out[1] = dataclasses.replace(out[1], volume=out[1].volume + 10 * reports[1].std_error)
+        return out
+
+    monkeypatch.setattr(oracles, "mc_spherical_volumes",
+                        lambda jobs: reports.extend(real_mc(jobs)) or reports)
+    monkeypatch.setattr(cli, "volumes", shifted)
+    assert main(["verify", "mc-spherical"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL mc-spherical")
 
 
 def test_tolerance_error_maps_to_exit_3(monkeypatch):

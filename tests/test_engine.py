@@ -1,9 +1,11 @@
 """Volume engine: orthant transform properties and assembled volumes."""
 
 import itertools
+import json
 import math
 import operator
 import time
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +20,7 @@ from simplexvol.geometry import (
     OrthocentricParams, euclidean_volume, min_curvature, realize_vertices,
     regular_parameters,
 )
-from simplexvol.oracles import direct_klein_volume, ideal_tetrahedron_volume
+from simplexvol.oracles import direct_klein_volume
 from simplexvol.rayquad import RayIntegralProblem, ray_integral
 from simplexvol import _hp, engine
 from simplexvol._hp import ideal_volume_highprec
@@ -26,7 +28,8 @@ from simplexvol._hp import ideal_volume_highprec
 IDEAL_D3 = 1.0149416064096535          # -3 int_0^{pi/3} log(2 sin t) dt
 IDEAL_D4 = 0.2688956601693112          # (10 pi/3) asin(1/3) - pi^2/3
 
-#: ideal regular volumes (kappa = -1) from the mpmath twin at 40 digits
+#: ideal regular volumes (kappa = -1) from the retired mpmath twin of the
+#: ray representation, at 40 digits
 HP_PINNED = {
     3: "1.01494160640965362502112223363",
     5: "0.0575647376851779272462273249443",
@@ -38,6 +41,14 @@ HP_PINNED = {
     11: "2.37517016038058723579683319592e-7",
     12: "2.05778857928775985627737024734e-8",  # includes the n = d frequency
 }
+
+#: how far the fitted reference and the twin's pinned values may differ,
+#: relative: the twin's own error (its docstring gave 3e-21 at d = 5, 3e-18
+#: at d = 10, 2e-16 at d = 12 and 5e-8 at d = 20, about tenfold per
+#: dimension), except at d = 3, where the reference's fitted tail (2.5e-18
+#: against the closed form) dominates
+TWIN_ERROR = {3: 1e-17, 5: 1e-20, 6: 1e-19, 7: 1e-18, 8: 1e-17, 9: 1e-16,
+              10: 1e-15, 11: 1e-15, 12: 1e-15, 20: 1e-7}
 
 
 def test_sphere_surface_area_values():
@@ -118,13 +129,10 @@ IDEAL_CLOSED_FORMS = {
 
 @pytest.mark.parametrize("d", range(2, 61))
 def test_ideal_regular_bar_covers_error(d):
-    # the ideal simplex takes the series at every d;
-    # the references are closed forms for d <= 4, the twin's pinned values
-    # (good to about 2e-16 relative at d = 12) up to d = 12, and the 60-digit
-    # Levin-accelerated series (5e-23 relative at d = 14, better above) past it
+    # the ideal simplex takes the series at every d; the references are
+    # closed forms for d <= 4 and the 30-digit fitted series past them
     with mp.workdps(40):
-        ref = (IDEAL_CLOSED_FORMS[d]() if d <= 4 else mp.mpf(HP_PINNED[d]) if d <= 12
-               else +_hp.ideal_volume_series(d))
+        ref = IDEAL_CLOSED_FORMS[d]() if d <= 4 else ideal_volume_highprec(d)
         for kappa in (-1.0, -4.0, -0.3):
             r = regular_volume(d, math.inf, kappa)
             exact = ref * mp.mpf(-kappa) ** (-mp.mpf(d) / 2)
@@ -319,7 +327,7 @@ def test_ideal_curvature_scaling_within_bars(d):
 def test_highprec_ideal_matches_known_values():
     assert abs(float(ideal_volume_highprec(3)) - IDEAL_D3) < 1e-13
     assert abs(float(ideal_volume_highprec(4)) - IDEAL_D4) < 1e-13
-    # double engine agrees with the arbitrary-precision twin
+    # the double engine agrees with the arbitrary-precision reference
     assert float(ideal_volume_highprec(6)) == pytest.approx(
         regular_volume(6, math.inf, -1.0).volume, abs=1e-9)
 
@@ -332,57 +340,26 @@ def test_highprec_kappa_scaling():
 
 @pytest.mark.parametrize("d, expected", sorted(HP_PINNED.items()))
 def test_highprec_pinned_values(d, expected):
+    # the curvature series against the ray representation beyond double
+    # precision: the twin's values were computed from the ray
     with mp.workdps(40):
         ref = mp.mpf(expected)
-        assert abs(ideal_volume_highprec(d) - ref) <= 1e-28 * ref
+        assert abs(ideal_volume_highprec(d) - ref) <= TWIN_ERROR[d] * ref
 
 
 def test_highprec_pinned_value_d20():
-    # 40-digit rounding alone can move d = 20 by about 1e-22 relative
+    # the twin's least accurate pin
     with mp.workdps(40):
         ref = mp.mpf("5.13024082044692292411725455970e-18")
-        assert abs(ideal_volume_highprec(20) - ref) <= 1e-21 * ref
+        assert abs(ideal_volume_highprec(20) - ref) <= TWIN_ERROR[20] * ref
 
 
-def _head_by_nodes(d, a, b):
-    """One panel of the twin's head with one mp.erf call per node."""
-    sqrt2d = mp.sqrt(2 * d)
-    mid, half = (a + b) / 2, (b - a) / 2
-    acc = mp.mpc(0)
-    for x, w in _hp._gl_nodes(mp.mp.prec):
-        y = mid + half * x
-        p = (1 + mp.erf(mp.mpc(y, y) / sqrt2d)) / 2
-        acc += w * (p ** (d + 1) + (1 - p) ** (d + 1)) * mp.expj(y * y)
-    return acc * half
-
-
-@pytest.mark.parametrize("d", [3, 12])
-def test_head_kernel_matches_per_node_erf(d):
-    # the twin's panels have edges sqrt(pi k), k < kmax; the first is the
-    # widest and needs the longest Taylor series, the last is furthest out
-    kmax = int(math.ceil(10.5 ** 2 * d / (2 * math.pi)))
-    rng = np.random.default_rng(5)
-    ks = [0, 1, kmax - 1] + [int(k) for k in rng.integers(2, kmax - 1, 4)]
-    for k in ks:
-        with mp.workdps(_hp._DPS):
-            a, b = mp.sqrt(mp.pi * k), mp.sqrt(mp.pi * (k + 1))
-            fast = _hp._head(d, [a, b])
-        with mp.workdps(60):
-            ref = _head_by_nodes(d, a, b)
-        # a twin's head sums up to 350 panels and must stay within about 1e-37
-        assert abs(fast - ref) <= 1e-40, (k, abs(fast - ref))
-
-
-@pytest.mark.parametrize("d", [3, 12])
-def test_head_kernel_matches_per_node_erf_off_the_twin_edges(d):
-    # edges not of the form sqrt(pi k): the phase series' delta = 2 m h - pi/2
-    # is nonzero (about -1.0 on [0.3, 1.1] and 2.6 on [2, 3.5])
-    with mp.workdps(_hp._DPS):
-        edges = [mp.mpf("0.3"), mp.mpf("1.1"), mp.mpf(2), mp.mpf("3.5")]
-        fast = _hp._head(d, edges)
-    with mp.workdps(60):
-        ref = sum(_head_by_nodes(d, a, b) for a, b in zip(edges[:-1], edges[1:]))
-    assert abs(fast - ref) <= 1e-40, abs(fast - ref)
+def test_highprec_matches_the_stored_benchmark_reference():
+    # benchmarks/references.json's d = 5 value, 25 digits of the twin
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "references.json"
+    with mp.workdps(40):
+        ref = mp.mpf(json.loads(path.read_text())["ideal_volume_highprec"]["5"])
+        assert abs(ideal_volume_highprec(5) - ref) <= 1e-20 * ref
 
 
 def test_highprec_rejects_bad_input():
@@ -392,84 +369,22 @@ def test_highprec_rejects_bad_input():
         ideal_volume_highprec(3, kappa=0.0)
 
 
-@pytest.mark.parametrize("d, n", [(12, 0), (12, 1), (12, 11), (12, 13), (20, 0), (20, 21)])
-def test_gamma_ladder_matches_direct_gammainc(d, n):
-    # (12, 0) and (12, 1) start at the orders a = 1/2 and a = 0, n = d + 1 is
-    # the reflected term, and d = 20 reaches the most negative orders
-    with mp.workdps(_hp._DPS):
-        # the twin's split point: |c| A = 10.5 with |c| = sqrt(2/d), rounded
-        # up to a whole number of half-oscillation panels
-        A = mp.mpf("10.5") / mp.sqrt(mp.mpf(2) / d)
-        A = mp.sqrt(mp.pi * mp.ceil(A * A / mp.pi))
-        Q = mp.mpc(0, -2) * (d - n) / d
-        w = Q * A * A / 2
-        ladder = _hp._gamma_ladder(Q, A, n, _hp._NSER)
-        for K, g in enumerate(ladder):
-            a = (1 - mp.mpf(n + 2 * K)) / 2
-            direct = mp.mpf(1) / 2 * (2 / Q) ** a * mp.gammainc(a, w)
-            assert abs(g - direct) <= 1e-35 * abs(direct), (K, a)
-
-
-@pytest.mark.parametrize("d", [2, 7, 12, 20])
-def test_gamma_ladder_matches_60_digit_gammainc(d):
-    # every n of the twin's tail but n = d, where Q = 0 has the closed form;
-    # per ladder the seed (the continued fraction alone, K = _NSER - 1), the
-    # middle and the end of the upward recurrence (K = 0)
-    for n in range(d + 2):
-        if n == d:
-            continue
-        with mp.workdps(_hp._DPS):
-            A = mp.mpf("10.5") / mp.sqrt(mp.mpf(2) / d)
-            A = mp.sqrt(mp.pi * mp.ceil(A * A / mp.pi))
-            Q = mp.mpc(0, -2) * (d - n) / d
-            ladder = _hp._gamma_ladder(Q, A, n, _hp._NSER)
-        with mp.workdps(60):
-            w = Q * A * A / 2
-            for K in (0, _hp._NSER // 2, _hp._NSER - 1):
-                a = (1 - mp.mpf(n + 2 * K)) / 2
-                direct = mp.mpf(1) / 2 * (2 / Q) ** a * mp.gammainc(a, w)
-                assert abs(ladder[K] - direct) <= 1e-35 * abs(direct), (n, K)
-
-
-def test_twin_series_caps_raise_no_convergence(monkeypatch):
-    monkeypatch.setattr(_hp, "_MAX_CF_TERMS", 5)
-    monkeypatch.setattr(_hp, "_MAX_TAYLOR_TERMS", 5)
-    with mp.workdps(_hp._DPS):
-        with pytest.raises(mp.mp.NoConvergence):
-            _hp._upper_gamma_cf(mp.mpf(-10), mp.mpc(0, -55))
-        with pytest.raises(mp.mp.NoConvergence):
-            _hp._head(3, [mp.mpf(0), mp.sqrt(mp.pi)])
-
-
-#: the twin's own relative error at each d (its docstring; d = 13 and 14 from
-#: ideal_volume_series's), which bounds how far the two references may differ
-TWIN_ERROR = {10: 1e-15, 11: 1e-15, 12: 1e-15, 13: 5e-14, 14: 5e-14, 16: 5e-12, 20: 1e-7}
-
-
-@pytest.mark.parametrize("d", sorted(TWIN_ERROR))
-def test_series_reference_matches_the_twin(d):
-    # two independent 40- and 60-digit evaluators: the ray representation and
-    # the Levin-accelerated curvature series
+@pytest.mark.parametrize("d", [2, 3, 4], ids=["pi", "log-sine", "closed-form"])
+def test_series_reference_matches_closed_forms(d):
+    # the fitted tail truncates most at the smallest d: 6.6e-17, 2.5e-18 and
+    # 1.1e-19 relative at d = 2, 3, 4
     with mp.workdps(40):
-        twin = ideal_volume_highprec(d)
-        assert abs(_hp.ideal_volume_series(d) - twin) <= TWIN_ERROR[d] * twin
-
-
-@pytest.mark.parametrize("d, ref, rtol", [
-    (2, lambda: mp.pi, 3e-8), (3, ideal_tetrahedron_volume, 4e-10), (4, lambda: IDEAL_D4, 2e-11),
-], ids=["pi", "log-sine", "closed-form"])
-def test_series_reference_matches_closed_forms(d, ref, rtol):
-    # the accuracy ideal_volume_series's docstring states at d = 2, 3, 4
-    assert abs(_hp.ideal_volume_series(d) - ref()) <= rtol * ref()
+        ref = IDEAL_CLOSED_FORMS[d]()
+        assert abs(ideal_volume_highprec(d) - ref) <= 1e-16 * ref
 
 
 @pytest.mark.parametrize("n", range(3, 22))
 def test_series_reference_table_matches_the_engine_table(n):
     # two implementations of one recurrence: the engine's float doubling scan
-    # and the reference's term-by-term mpf loop
-    K = _hp._LEVIN_TERMS - 1
+    # and the reference's term-by-term fixed-point loop
+    K = 79
     fast = engine._series_table(n, K)
-    with mp.workdps(_hp._SERIES_DPS):
+    with mp.workdps(60):
         ref = _hp._series_table(n, K)
     assert len(fast) == len(ref) == K + 1
     for k, (a, b) in enumerate(zip(fast, ref)):
@@ -507,40 +422,15 @@ def test_fixed_point_series_table_matches_the_mpf_loop(n, K, dps):
             assert abs(a - b) <= tol * b, (k, a, b)
 
 
-@pytest.mark.parametrize("d", [2, 3, 10, 20])
-def test_levin_closed_form_is_mp_levin(d):
-    # the O(N) closed form against mpmath's triangular scheme, at both of the
-    # orders ideal_volume_series compares; they differ by rounding only,
-    # 1.2e-18 relative at d = 2, where the transform cancels most
-    with mp.workdps(_hp._SERIES_DPS):
-        partial = list(itertools.accumulate(_hp._series_table(d + 1, _hp._LEVIN_TERMS - 1)))
-        levin = mp.levin(method="levin", variant="u")
-        for N in (_hp._LEVIN_TERMS * 3 // 4, _hp._LEVIN_TERMS):
-            ref, _ = levin.update_psum(partial[:N])
-            assert abs(_hp._levin_u(partial, N) - ref) <= 1e-15 * ref, N
-
-
 @pytest.mark.parametrize("d", [3, 12])
 def test_series_reference_kappa_scaling(d):
-    # |kappa|^(-d/2) = 2^-d exactly at kappa = -4
-    v1 = _hp.ideal_volume_series(d, kappa=-4.0)
-    v2 = _hp.ideal_volume_series(d, kappa=-1.0)
-    with mp.workdps(_hp._SERIES_DPS):
-        assert abs(v1 * 2 ** d - v2) <= 1e-55 * v2
-
-
-def test_series_reference_rejects_bad_input():
-    with pytest.raises(ValueError):
-        _hp.ideal_volume_series(1)
-    with pytest.raises(ValueError):
-        _hp.ideal_volume_series(3, kappa=0.0)
-
-
-def test_series_reference_raises_when_its_orders_disagree(monkeypatch):
-    # eight partial sums: the transforms of orders 6 and 8 differ by ~1e-3
-    monkeypatch.setattr(_hp, "_LEVIN_TERMS", 8)
-    with pytest.raises(mp.mp.NoConvergence, match="orders 6 and 8"):
-        _hp.ideal_volume_series(10)
+    # the finite-side reference: doubling tau at kappa = -4 keeps rho and
+    # scales the volume by |kappa|^(-d/2) = 2^-d, exact in binary
+    tau = regular_parameters(d, 2.0, -1.0).taus[0]
+    v1 = _hp._regular_volume(d, 2 * tau, -4.0)
+    v2 = _hp._regular_volume(d, tau, -1.0)
+    with mp.workdps(30):
+        assert abs(v1 * 2 ** d - v2) <= 1e-28 * v2
 
 
 def test_gate_refuses_an_ideal_volume_its_bar_swallows():

@@ -28,62 +28,6 @@ def _lerch(rho, s, q):
         return rho ** q * mp.lerchphi(rho, s, q)
 
 
-def _mp_lerch(rho, s, q):
-    """sum_(k >= q) rho^k k^(-s) for 0 < rho <= 1 and an integer q well
-    above s, by Euler-Maclaurin in mpf, each term to the working precision:
-    the Hurwitz zeta at rho = 1; otherwise, with lam = -ln rho and z = lam q,
-    the m-th derivative of rho^x x^(-s) at q is (-1)^m rho^q q^(-s-m) P_m,
-    P_m = sum_(i <= m) C(m, i) z^(m-i) (s)_i, and
-
-        sum = q^(1-s) E_s(z) + rho^q q^(-s) (1/2 + sum_j B_2j/(2j)! q^(1-2j) P_(2j-1))
-
-    summed until a correction falls below the working precision.  At
-    q = 401 and s <= 37.5 each correction is about ((z + s + 2j)/(2 pi q))^2
-    of the one before."""
-    q = mp.mpf(q)
-    if rho == 1:
-        return mp.zeta(s, q)
-    z = -mp.log(rho) * q
-    acc, j = mp.mpf(0.5), 1
-    while True:
-        m = 2 * j - 1
-        p = mp.fsum(mp.binomial(m, i) * z ** (m - i) * mp.rf(s, i) for i in range(m + 1))
-        term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * q ** (1 - 2 * j) * p
-        acc += term
-        if abs(term) < mp.eps * acc:
-            return q ** (1 - s) * mp.expint(s, z) + rho ** q * q ** -s * acc
-        j += 1
-
-
-_TABLES = {}
-
-
-def mp_fitted_volume(d, tau, kappa, K=400, J=8, dps=30):
-    """The volume of the regular simplex with parameter tau at kappa < 0 in
-    dps digits: sum_(k <= K) rho^k T_k with T from _hp._series_table, plus
-    the fit T_k = sum_(j < J) b_j k^(-h-j) through J indices in [K/2, K]
-    summed against rho^k by _mp_lerch.  It is within 7e-17 relative of
-    the same sum at K = 800, J = 20 and 60 digits at d = 2, 3, 4, 7 and 16,
-    ell = 6.2 to 30 (at d = 2, J = 6 would leave 5e-14)."""
-    with mp.workdps(dps):
-        n = d + 1
-        if (n, K) not in _TABLES:
-            _TABLES[n, K] = _hp._series_table(n, K)
-        T = _TABLES[n, K]
-        h = mp.mpf(n) / 2
-        tau2 = mp.mpf(tau) ** 2
-        s = n * tau2
-        a = 1 - mp.mpf(kappa) / s
-        rho = -(mp.mpf(kappa) / a) / tau2
-        ks = [K // 2 + (K - K // 2) * i // (J - 1) for i in range(J)]
-        c = mp.lu_solve(mp.matrix([[(mp.mpf(K) / k) ** j for j in range(J)] for k in ks]),
-                        mp.matrix([(mp.mpf(k) / K) ** h * T[k] for k in ks]))
-        tail = mp.fsum(c[j] * mp.mpf(K) ** (h + j) * _mp_lerch(rho, h + j, K + 1)
-                       for j in range(J))
-        head = mp.fsum(rho ** k * T[k] for k in range(K + 1))
-        return mp.sqrt(s) / (mp.factorial(d) * mp.mpf(tau) ** n) * a ** -h * (head + tail)
-
-
 @pytest.mark.parametrize("ell", [8.0, 12.0, 20.0, 28.0, 32.0, 34.5])
 def test_regular_triangle_against_its_area(ell):
     # the area pi - 3 alpha, cos alpha = cosh ell/(1 + cosh ell); the ray
@@ -115,12 +59,12 @@ def test_lerch_tails_match_mpmath(s0, lam, q):
 
 @pytest.mark.parametrize("gap, s", [(0.1, 1.5), (1e-4, 11.0), (1e-12, 37.5)])
 def test_mp_lerch_reference_matches_lerchphi(gap, s):
-    # mp_fitted_volume's tails at q = K + 1 = 401, across the range of 1 - rho
-    # and of s = h + j that its callers reach (d <= 60, j < 8)
+    # the reference's tails at q = K + 1 = 401, across the range of 1 - rho
+    # and of s = h + j that its callers here reach (d <= 60, j < 8)
     with mp.workdps(30):
         rho = 1 - mp.mpf(gap)
         ref = _lerch(rho, s, 401)
-        assert abs(_mp_lerch(rho, s, 401) - ref) <= 1e-25 * ref
+        assert abs(_hp._lerch(rho, s, 401) - ref) <= 1e-25 * ref
 
 
 def test_expint_matches_mpmath():
@@ -174,7 +118,7 @@ def test_bar_covers_a_30_digit_reference(d, gap, kappa):
     ell = _side(1.0 - math.exp(gap), kappa)
     r = regular_volume(d, ell, kappa)
     assert r.branch is Branch.SERIES and r.volume > 0
-    ref = mp_fitted_volume(d, regular_parameters(d, ell, kappa).taus[0], kappa)
+    ref = _hp._regular_volume(d, regular_parameters(d, ell, kappa).taus[0], kappa)
     assert abs(mp.mpf(r.volume) - ref) <= r.abs_error
     assert r.abs_error <= 1e-6 * r.volume
 
@@ -207,22 +151,6 @@ def test_curvature_scaling_within_both_bars(d, gap, kappa):
     assert abs(r.volume - f * unit.volume) <= r.abs_error + f * unit.abs_error
 
 
-def mp_summed_volume(d, tau, kappa, K=400, dps=30):
-    """sum_(k <= K) rho^k T_k times the prefactor, as mp_fitted_volume takes
-    it but with no tail: from d = 31 on the terms past K = 400 are below
-    1e-38 of the sum at any rho <= 1."""
-    with mp.workdps(dps):
-        n = d + 1
-        if (n, K) not in _TABLES:
-            _TABLES[n, K] = _hp._series_table(n, K)
-        tau2 = mp.mpf(tau) ** 2
-        s = n * tau2
-        a = 1 - mp.mpf(kappa) / s
-        rho = -(mp.mpf(kappa) / a) / tau2
-        head = mp.fsum(rho ** k * t for k, t in enumerate(_TABLES[n, K]))
-        return mp.sqrt(s) / (mp.factorial(d) * mp.mpf(tau) ** n) * a ** (-mp.mpf(n) / 2) * head
-
-
 @pytest.mark.parametrize("d", [31, 60, 100, 150, 171, 172, 200, 400])
 def test_large_dimensions_give_the_series_or_an_overflow(d):
     # every regular row at kappa = -1 is a series result within its bar, up
@@ -235,7 +163,7 @@ def test_large_dimensions_give_the_series_or_an_overflow(d):
             continue
         r = regular_volume(d, ell)
         assert r.branch is Branch.SERIES and r.volume > 0, ell
-        ref = (_hp.ideal_volume_series(d) if ell == math.inf else
-               mp_summed_volume(d, regular_parameters(d, ell, -1.0).taus[0], -1.0))
+        ref = (_hp.ideal_volume_highprec(d) if ell == math.inf else
+               _hp._regular_volume(d, regular_parameters(d, ell, -1.0).taus[0], -1.0))
         assert abs(mp.mpf(r.volume) - ref) <= r.abs_error, ell
         assert r.abs_error <= 1e-12 * r.volume, ell

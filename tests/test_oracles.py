@@ -318,13 +318,19 @@ def test_regular_tetrahedron_vs_engine():
 
 
 def test_package_import_leaves_oracles_and_twin_unloaded():
-    # an ideal, a near-ideal and a series volume load no SciPy either, and
-    # the first ray loads scipy.special; then the submodules are package
-    # attributes on first use, as before
-    code = ("import sys, simplexvol; "
-            "loaded = lambda: sorted(m for m in ('scipy.integrate', 'scipy.special', 'mpmath') "
-            "if m in sys.modules); "
+    # an ideal, a near-ideal and a series volume load no SciPy either, nor
+    # does the asymptotic suite, which loads no mpmath reference; the first
+    # ray loads scipy.special; then the submodules are package attributes on
+    # first use, as before
+    code = ("import io, sys, simplexvol; "
+            "loaded = lambda: sorted(m for m in ('scipy.integrate', 'scipy.special', 'mpmath', "
+            "'simplexvol._hp') if m in sys.modules); "
             "print(loaded()); "
+            "from simplexvol import cli; "
+            "stdout, sys.stdout = sys.stdout, io.StringIO(); "
+            "code = cli.main(['verify', 'asymptotic', '--dmax', '12']); "
+            "text, sys.stdout = sys.stdout.getvalue(), stdout; "
+            "print(code, text.count('PASS '), loaded()); "
             "ideal = simplexvol.regular_volume(2, float('inf'), -1.0); "
             "near = simplexvol.regular_volume(3, 8.0, -1.0); "
             "series = simplexvol.regular_volume(5, 1.0, -1.0); "
@@ -336,8 +342,8 @@ def test_package_import_leaves_oracles_and_twin_unloaded():
     src = str(Path(simplexvol.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.split("\n")[:4] == [
-        "[]", "series series series []", "upper_ray ['scipy.special']",
+    assert out.stdout.split("\n")[:5] == [
+        "[]", "0 3 []", "series series series []", "upper_ray ['scipy.special']",
         "simplexvol.oracles simplexvol._hp"]
 
 

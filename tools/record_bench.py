@@ -22,8 +22,6 @@ Each checkout is a full tree (``git archive`` or ``git clone``) with its own
   from ``default_rng(d)``, kappa = kappa0/2), on both sides, each marked
   when the accuracy gate refuses it;
 * ``ideal_volume_highprec(d)`` times for d = 2, 12 and 20, on both sides;
-* ``_hp.ideal_volume_series(d)`` times for d = 10, 12, 14 and 20, on each
-  side that has it (null on a side without it);
 * the ``tracemalloc`` peak and time of a d = 6, 10^6-sample
   ``mc_spherical_volume`` call, on both sides;
 * the Tier-1 suite's wall time, summary line and slowest-test lines (the
@@ -137,27 +135,6 @@ for d in (2, 12, 20):
         ideal_volume_highprec(d)
         times.append(time.perf_counter() - t0)
     out[d] = 1e3 * statistics.median(times)
-print(json.dumps(out))
-"""
-
-#: one child per side: warm up, then the median of REPEATS timings per d of
-#: the curvature-series reference; null where the checkout has none
-SERIES_CHILD = """
-import json, statistics, sys, time
-sys.path.insert(0, sys.argv[1])
-from simplexvol import _hp
-series = getattr(_hp, "ideal_volume_series", None)
-out = None
-if series is not None:
-    series(2)
-    out = {}
-    for d in (10, 12, 14, 20):
-        times = []
-        for _ in range(int(sys.argv[2])):
-            t0 = time.perf_counter()
-            series(d)
-            times.append(time.perf_counter() - t0)
-        out[d] = 1e3 * statistics.median(times)
 print(json.dumps(out))
 """
 
@@ -315,10 +292,6 @@ def main(argv=None):
         "highprec_ms": {"call": "ideal_volume_highprec(d)",
                         "statistic": f"median of {REPEATS} calls after a warm-up",
                         **child_times(sides, HP_CHILD, REPEATS)},
-        "series_ms": {"call": "_hp.ideal_volume_series(d)",
-                      "statistic": f"median of {REPEATS} calls after a warm-up; null on a "
-                                   "side without it",
-                      **child_times(sides, SERIES_CHILD, REPEATS)},
         "mc_spherical": {"call": "mc_spherical_volume(OrthocentricParams((1.0, 1.1, 0.9, "
                                  "1.2, 0.8, 1.3, 1.05)), 2 s, samples=10**6, seed=3), "
                                  "d = 6",
