@@ -2,8 +2,9 @@
 
 None of these share a code path with the contour-integral engine: the Monte
 Carlo estimator samples the Gaussian cone test directly, row by row, drawing
-the first row's survivors from its exact probability 1/2 and their xi from
-its conditional law; the Klein-model integrator uses scipy's QUADPACK on the
+the number of samples that pass the first two rows from its exact
+probability, 1/4 + arcsin(r) / (2 pi), and their xi from its conditional
+law in closed form; the Klein-model integrator uses scipy's QUADPACK on the
 defining density; and the two tetrahedron integrals are classical
 one-dimensional quadratures.
 """
@@ -40,21 +41,34 @@ def mc_spherical_volume(params, kappa, samples=1_000_000, seed=0):
     all j] with independent standard normals xi, xi_0..xi_d.  Sampling is
     chunked over seed-derived substreams of at most 65,536 samples, in a
     fixed order, so a fixed seed gives a bit-identical report regardless of
-    the execution environment.  Within a chunk of m samples the first row,
-    j = 0, is a half-plane through the origin of the (xi, xi_0) plane and
-    keeps each sample with probability exactly 1/2: the chunk draws the
-    number n of its survivors, Binomial(m, 1/2), then n values a and n
-    values b, and sets xi = (c_0 |a| + b) / sqrt(1 + c_0^2), the law of xi
-    given xi_0 <= c_0 xi, where c_j = (tau_j/s) sqrt(kappa-s).  Then, for
-    j = 1..d in tau order, one xi_j is drawn for each sample still inside
-    the cone, and the samples whose xi_j exceeds the bound are dropped.  A
-    sample's later normals are never drawn once it is out, so a sample
-    costs 1.8 to 2.2 normals rather than d + 2 on the verify suites' jobs
-    (d = 2..6, taus in [0.5, 2], kappa between s and 3s), and the hit count
-    is Binomial(samples, p).  A chunk holds at most about 1.35 MB whatever
-    d is.  kappa must be finite and samples at least 2, so that the
-    standard error is defined.  This is mc_spherical_volumes([(params,
-    kappa, samples, seed)])[0].
+    the execution environment.  Write c_j = (tau_j/s) sqrt(kappa-s).
+    Within a chunk of m samples the first two rows, j = 0 and 1, cut a
+    dihedral wedge out of the (xi, xi_0, xi_1) space, and they are drawn
+    from their exact joint law.  The rows' outward normals meet at the
+    angle arccos r, r = c_0 c_1 / sqrt((1 + c_0^2)(1 + c_1^2)), so the wedge
+    has the opening alpha = pi - arccos r and keeps a sample with
+    probability alpha / (2 pi), Sheppard's 1/4 + arcsin(r) / (2 pi); the
+    chunk draws the number n of its survivors from Binomial(m, alpha /
+    (2 pi)).  Inside the wedge the
+    component along its edge (1, c_0, c_1) / q, q = sqrt(1 + c_0^2 + c_1^2),
+    is a free N(0, 1), and the component in the orthogonal plane is a
+    standard planar normal on a wedge of opening alpha: a uniform angle and
+    a Rayleigh radius sqrt(2E).  Projected on xi that is xi = Z / q + rho
+    sqrt(2E) cos(alpha U - beta), rho = sqrt(c_0^2 + c_1^2) / q the length
+    of xi's projection on the plane and beta = atan2(c_0 q, c_1) its angle
+    from the wedge face xi_0 = c_0 xi; the chunk draws n values U, then n
+    values E, then n values Z.  Then, for j = 2..d in tau order, one xi_j
+    is drawn for each sample still inside the cone, and the samples whose
+    xi_j exceeds the bound are dropped.  A sample's later normals are never
+    drawn once it is out, so on the verify suites' jobs (d = 2..6, taus in
+    [0.5, 2], kappa between s and 3s) the 25% to 32% of samples that pass
+    rows 0 and 1 cost one uniform, one exponential, one cosine and one
+    normal each, and a sample costs 0.5 to 1.05 normals in all rather than
+    d + 2; the hit count is Binomial(samples, p).  As alpha <= pi, n is
+    about m/2 at most, and a chunk holds at most about 0.82 MB whatever d
+    is.  kappa must be finite and samples at least 2, so that the standard
+    error is defined.  This is mc_spherical_volumes([(params, kappa,
+    samples, seed)])[0].
     """
     return mc_spherical_volumes([(params, kappa, samples, seed)])[0]
 
@@ -124,18 +138,40 @@ def _chunk_hits(stream, m, coef):
 
     Runs on a pool worker and calls only NumPy, so every public function
     of the package runs on the caller's thread.  Draws the number of the
-    first row's survivors and their xi from its exact law, as
-    mc_spherical_volume's docstring states, then one row value per
-    survivor for each later cone coefficient in turn, and keeps the
-    survivors' xi only.
+    first two rows' survivors from Binomial(m, alpha / (2 pi)) and their xi
+    from the law of xi on the rows' wedge, as mc_spherical_volume's
+    docstring states: one uniform, one exponential, one cosine and one
+    normal per survivor.  Then one row value per survivor for each later
+    cone coefficient in turn, keeping the survivors' xi only.  A one-row
+    coef is just Binomial(m, 1/2).  At most three arrays of about m/2
+    floats and one mask are alive at a time.
     """
     rng = np.random.default_rng(stream)
-    c0 = coef[0]
-    n = rng.binomial(m, 0.5)
-    a = np.abs(rng.standard_normal(n))
-    b = rng.standard_normal(n)
-    xi = (c0 * a + b) / math.hypot(1.0, c0)
-    for c in coef[1:]:
+    if len(coef) == 1:
+        return rng.binomial(m, 0.5)
+    c0, c1 = float(coef[0]), float(coef[1])
+    q = math.sqrt(1.0 + c0 * c0 + c1 * c1)
+    alpha = math.pi - math.atan2(q, c0 * c1)  # the wedge's opening, pi - arccos r
+    beta = math.atan2(c0 * q, c1)
+    rho = math.hypot(c0, c1) / q
+    n = rng.binomial(m, alpha / (2.0 * math.pi))
+    # in place, one array at a time: the planar part rho sqrt(2E) cos(alpha U
+    # - beta), then xi = Z / q + that part
+    plane = rng.random(n)
+    plane *= alpha
+    plane -= beta
+    np.cos(plane, out=plane)
+    radius = rng.standard_exponential(n)
+    radius *= 2.0
+    np.sqrt(radius, out=radius)
+    radius *= rho
+    plane *= radius
+    del radius
+    xi = rng.standard_normal(n)
+    xi /= q
+    xi += plane
+    del plane
+    for c in coef[2:]:
         xi = xi[rng.standard_normal(len(xi)) <= c * xi]
     return len(xi)
 

@@ -70,6 +70,22 @@ def test_criterion_04_regular_d3_vs_tetrahedron_integral():
             t0, 5.0)
 
 
+#: the chi-squared(20) quantile at 1 - 1e-4 and the two-sided 1e-4 normal
+#: quantile (scipy.stats.chi2.isf(1e-4, 20), scipy.stats.norm.isf(5e-5)):
+#: criterion 5 fails correct code with probability at most 2e-4
+_CHI2_20_AT_1E4 = 52.386
+_NORMAL_AT_1E4 = 3.891
+
+
+def _mc_rule(zs):
+    """Criterion 5's joint rule on 20 signed z-scores: the sum of squares
+    within the chi-squared(20) quantile, and the mean scaled to N(0, 1)
+    within the normal quantile, both at 1e-4."""
+    chi2 = sum(z * z for z in zs)
+    mean = abs(sum(zs)) / math.sqrt(len(zs))
+    return chi2 <= _CHI2_20_AT_1E4 and mean <= _NORMAL_AT_1E4, chi2, mean
+
+
 def test_criterion_05_spherical_monte_carlo():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20250810)
@@ -82,13 +98,24 @@ def test_criterion_05_spherical_monte_carlo():
     zscores = []
     for (p, kappa, _, _), rep in zip(jobs, mc_spherical_volumes(jobs)):
         eng = volume(VolumeRequest(geometry=p, kappa=kappa)).volume
-        zscores.append(abs(eng - rep.estimate) / rep.std_error)
-    within3 = sum(z <= 3.0 for z in zscores)
-    within2 = sum(z <= 2.0 for z in zscores)
-    ok = within3 == 20 and within2 >= 18
+        zscores.append((eng - rep.estimate) / rep.std_error)
+    ok, chi2, mean = _mc_rule(zscores)
     _report(5, "spherical Monte Carlo cross-check", ok,
-            f"max z = {max(zscores):.2f}, {within3}/20 within 3 se, "
-            f"{within2}/20 within 2 se (need 20 and >= 18)", t0, 120.0)
+            f"max |z| = {max(map(abs, zscores)):.2f}, sum z^2 = {chi2:.2f} "
+            f"(tol {_CHI2_20_AT_1E4}), |sum z|/sqrt(20) = {mean:.2f} "
+            f"(tol {_NORMAL_AT_1E4})", t0, 120.0)
+
+
+def test_criterion_05_rule_has_scipys_quantiles_and_rejects_a_shifted_engine():
+    from scipy import stats
+    assert _CHI2_20_AT_1E4 == round(stats.chi2.isf(1e-4, 20), 3)
+    assert _NORMAL_AT_1E4 == round(stats.norm.isf(5e-5), 3)
+    # 20 z-scores at the normal quantiles pass; shifting every engine value
+    # by +1 se, or one of them by 10 se, fails
+    zs = stats.norm.ppf((np.arange(20) + 0.5) / 20).tolist()
+    assert _mc_rule(zs)[0]
+    assert not _mc_rule([z + 1.0 for z in zs])[0]
+    assert not _mc_rule(zs[:10] + [zs[10] + 10.0] + zs[11:])[0]
 
 
 def test_criterion_06_hyperbolic_direct_integration():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtr
 
 import simplexvol
 from simplexvol import _hp, oracles
@@ -44,13 +45,14 @@ def test_mc_seed_determinism():
 
 
 @pytest.mark.parametrize("taus, factor, samples, seed, estimate, std_error", [
-    ((0.8, 1.1, 1.4), 2.0, 250_000, 123, "0x1.3207224bf46ebp-2", "0x1.4d0d5f64eb683p-10"),
+    ((0.8, 1.1, 1.4), 2.0, 250_000, 123, "0x1.2e45ad74e9163p-2", "0x1.4b7394fc0d707p-10"),
     # 19 chunks, the last of 54,919 samples
     ((1.3, 0.7, 1.9, 1.1, 0.6), 1.7, 1_234_567, 4242,
-     "0x1.1df5fdfef6429p-7", "0x1.19932065d14aap-15"),
+     "0x1.1ef27242347efp-7", "0x1.1a087e51ff2eap-15"),
 ], ids=["250000-samples", "1234567-samples"])
 def test_mc_reports_are_pinned_bits(taus, factor, samples, seed, estimate, std_error):
-    # reports of the survivor-only sampler on 65,536-sample substreams
+    # reports of the sampler that draws rows 0 and 1 from their joint law,
+    # on 65,536-sample substreams
     p = OrthocentricParams(taus)
     rep = mc_spherical_volume(p, factor * p.s, samples=samples, seed=seed)
     assert rep == oracles.MonteCarloReport(float.fromhex(estimate),
@@ -110,12 +112,12 @@ def test_mc_engine_cross_check():
 #: whole chunk and one of a single sample); each with its report's estimate
 #: and standard error as mc_spherical_volume gives it for the job alone
 MIXED_JOBS = [
-    ((1.0, 1.2, 0.9), 1.5, 1_000, 11, "0x1.f58547f268dd7p-2", "0x1.0618c9434ea5bp-5"),
+    ((1.0, 1.2, 0.9), 1.5, 1_000, 11, "0x1.377880383bbcbp-2", "0x1.af11e75981204p-6"),
     ((0.7, 1.3, 1.0, 1.6, 0.9), 2.2, 131_072, 12,
-     "0x1.235472c25762ep-7", "0x1.77049ab9eac01p-14"),
-    ((1.1, 0.8, 1.4, 1.0), 1.3, 2_100_000, 13, "0x1.96b65a6e79ec0p-4", "0x1.ebce43b2fa0c1p-13"),
+     "0x1.2323c6f0e1a8dp-7", "0x1.76e7a2a596afep-14"),
+    ((1.1, 0.8, 1.4, 1.0), 1.3, 2_100_000, 13, "0x1.96480b03a8111p-4", "0x1.eb913e1ae834bp-13"),
     ((0.9, 1.5, 0.6, 1.2, 1.0, 1.3), 1.8, 65_537, 14,
-     "0x1.a610e5c4296f4p-10", "0x1.13959aaed57d1p-15"),
+     "0x1.840081e743cfcp-10", "0x1.089ebc0bcd142p-15"),
 ]
 
 
@@ -156,8 +158,9 @@ def test_mc_batch_reports_do_not_depend_on_the_worker_count(monkeypatch, cpus):
 
 def test_mc_batch_memory_stays_bounded():
     # a 1.5-million-sample job (23 chunks) at d = 6 beside a small one: at
-    # most one chunk per worker is in flight, about 1.35 MB each, so even 24
-    # workers stay below the bound
+    # most one chunk per worker is in flight, and the tracemalloc peak of one
+    # chunk is 0.44 MB for this job and about 0.82 MB at most (rows of
+    # c = 50), so even 40 workers stay below the bound
     import tracemalloc
     p = OrthocentricParams((1.0, 1.1, 0.9, 1.2, 0.8, 1.3, 1.05))
     q = OrthocentricParams((1.0, 1.2, 0.9))
@@ -172,16 +175,27 @@ def test_mc_batch_memory_stays_bounded():
 
 def _reference_chunk_hits(stream, m, coef):
     """The layout mc_spherical_volume's docstring states, as a plain loop:
-    one binomial draw for the number n of row 0's survivors, n values a, n
-    values b and xi = (c_0 |a| + b) / hypot(1, c_0) for each; then for each
-    later row in tau order one standard normal per sample still inside, in
-    sample order."""
+    one binomial draw, at the wedge's share alpha / (2 pi) of the plane, for
+    the number n of the survivors of rows 0 and 1; n uniforms U, n
+    exponentials E and n normals Z, and xi = Z / q + rho sqrt(2E) cos(alpha U
+    - beta) for each; then for each later row in tau order one standard
+    normal per sample still inside, in sample order.  A single row is one
+    binomial draw at 1/2."""
     rng = np.random.default_rng(stream)
-    c0, *rest = coef.tolist()
-    n = int(rng.binomial(m, 0.5))
-    a = rng.standard_normal(n).tolist()
-    b = rng.standard_normal(n).tolist()
-    xi = [(c0 * abs(x) + y) / math.hypot(1.0, c0) for x, y in zip(a, b)]
+    if len(coef) == 1:
+        return int(rng.binomial(m, 0.5))
+    c0, c1, *rest = coef.tolist()
+    q = math.sqrt(1.0 + c0 * c0 + c1 * c1)
+    r = c0 * c1 / math.sqrt((1.0 + c0 * c0) * (1.0 + c1 * c1))
+    alpha = math.pi - math.acos(r)
+    rho = math.hypot(c0, c1) / q
+    beta = math.atan2(c0 * q, c1)
+    n = int(rng.binomial(m, alpha / (2.0 * math.pi)))
+    u = rng.random(n).tolist()
+    e = rng.standard_exponential(n).tolist()
+    z = rng.standard_normal(n).tolist()
+    xi = [zi / q + math.cos(alpha * ui - beta) * (math.sqrt(2.0 * ei) * rho)
+          for ui, ei, zi in zip(u, e, z)]
     for c in rest:
         row = rng.standard_normal(len(xi)).tolist()
         xi = [x for x, r in zip(xi, row) if r <= c * x]
@@ -202,19 +216,35 @@ def test_chunk_hits_follow_the_documented_layout(job):
         assert oracles._chunk_hits(stream, m, coef) == _reference_chunk_hits(stream, m, coef)
 
 
+def _orthant_integral(coef):
+    """Prob[xi_j <= c_j xi for every row] as the one-dimensional integral of
+    phi(x) prod_j Phi(c_j x), by QUADPACK, split at 0 where the product
+    turns."""
+    c = np.array(coef)
+
+    def f(x):
+        return math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi) * float(np.prod(ndtr(c * x)))
+
+    return sum(integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+               for a, b in ((-math.inf, 0.0), (0.0, math.inf)))
+
+
 def _orthant_probability(coef):
-    """Exact Prob[xi_j <= c_j xi for every row] for one, two or three rows.
+    """Exact Prob[xi_j <= c_j xi for every row].
 
     The rows' (xi_j - c_j xi) / sqrt(1 + c_j^2) are standard normals with
     correlations r_ij = c_i c_j / sqrt((1 + c_i^2)(1 + c_j^2)), and the
-    orthant probabilities of one to three of them have closed forms."""
+    orthant probabilities of one to three of them have closed forms; past
+    three rows it is _orthant_integral."""
     r = [[ci * cj / math.sqrt((1 + ci * ci) * (1 + cj * cj)) for cj in coef] for ci in coef]
     if len(coef) == 1:
         return 0.5
     if len(coef) == 2:
         return 0.25 + math.asin(r[0][1]) / (2 * math.pi)
-    return 0.125 + (math.asin(r[0][1]) + math.asin(r[0][2])
-                    + math.asin(r[1][2])) / (4 * math.pi)
+    if len(coef) == 3:
+        return 0.125 + (math.asin(r[0][1]) + math.asin(r[0][2])
+                        + math.asin(r[1][2])) / (4 * math.pi)
+    return _orthant_integral(coef)
 
 
 _CONE_ROWS = ([(c,) for c in (0.0, 0.3, 1.0, 5.0)]
@@ -222,16 +252,34 @@ _CONE_ROWS = ([(c,) for c in (0.0, 0.3, 1.0, 5.0)]
               + [(0.0, 0.0, 0.0), (0.3, 1.0, 5.0), (5.0, 1.0, 0.3), (1.0, 5.0, 0.3),
                  (5.0, 5.0, 5.0), (0.0, 5.0, 1.0), (5.0, 0.0, 0.3)])
 
+#: rows 0 and 1 with c = 50 (r up to 0.9996: a wedge of opening near pi,
+#: and xi almost all in its plane part), and four to seven rows, checked
+#: against _orthant_integral
+_WIDE_ROWS = [(50.0, 50.0), (50.0, 0.3), (0.0, 50.0),
+              (50.0, 50.0, 1.0), (50.0, 0.3, 5.0), (0.3, 50.0, 1.0), (50.0, 0.0, 50.0),
+              (0.3, 1.0, 5.0, 0.0), (50.0, 50.0, 0.3, 1.0), (1.0, 1.0, 1.0, 1.0, 1.0),
+              (5.0, 0.3, 1.0, 50.0, 0.0), (1.3, 0.7, 1.9, 1.1, 0.6, 5.0, 0.3),
+              (50.0, 1.0, 0.3, 0.3, 5.0, 1.0, 50.0)]
 
-@pytest.mark.parametrize("coef", _CONE_ROWS, ids=lambda c: "-".join(map(str, c)))
+
+@pytest.mark.parametrize("coef", _CONE_ROWS + _WIDE_ROWS, ids=lambda c: "-".join(map(str, c)))
 def test_chunk_hits_have_the_exact_cone_probability(coef):
-    # the first row is drawn from its probability 1/2 and the law of xi
-    # given it, not sampled, so this checks that law against the closed
-    # forms: eight seeded substreams of a whole chunk each, within 4 se
+    # the first two rows are drawn from their probability and the law of xi
+    # given them, not sampled, so this checks that law against the exact
+    # probabilities: eight seeded substreams of a whole chunk each, within
+    # 4 se
     m, streams = oracles._CHUNK, np.random.SeedSequence(2026).spawn(8)
     hits = sum(oracles._chunk_hits(s, m, np.array(coef)) for s in streams)
     n, p = m * len(streams), _orthant_probability(coef)
     assert abs(hits / n - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+@pytest.mark.parametrize("coef", [(0.3,), (50.0, 0.3), (0.3, 1.0, 5.0), (50.0, 50.0, 1.0)],
+                         ids=lambda c: "-".join(map(str, c)))
+def test_orthant_integral_agrees_with_the_closed_forms(coef):
+    # the integral that checks four to seven rows gives the closed forms of
+    # one to three rows
+    assert _orthant_integral(coef) == pytest.approx(_orthant_probability(coef), abs=1e-11)
 
 
 @pytest.mark.parametrize("factor, samples, error", [
