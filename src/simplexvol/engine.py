@@ -20,27 +20,34 @@ is reported as a numerical health diagnostic.
 
 A regular simplex is the equal-tau case: regular_volume turns (d, side
 length, kappa) into OrthocentricParams with geometry.regular_parameters,
-which is where those three inputs are checked.  At kappa < 0 a regular
-simplex on the upper branch takes a second, cancellation-free path, the
-curvature power series of its Klein-model volume, at every d: every term
-is positive, and the terms shrink like rho^k with rho = 1 - 1/cosh(side
-length * sqrt(-kappa)).  Term k is rho^k T_k, and the table T
-(_series_table) depends on d only.  One evaluator, _series_volume, takes
+which is where those three inputs are checked.  At kappa < 0 an
+upper-branch request takes a second, cancellation-free path wherever that
+path certifies it, the curvature power series of its Klein-model volume:
+every term is positive, and the terms shrink like rho^k with rho =
+(-kappa/a)/tau_min^2, a = 1 - kappa/s (for a regular simplex, rho = 1 -
+1/cosh(side length * sqrt(-kappa))).  Term k is rho^k T_k, and the table T
+(_series_table) depends on the request's groups of equal taus only, on d
+alone for a regular simplex: each group runs one recurrence, and the
+groups merge with positive weights.  One evaluator, _series_volume, takes
 every such row.  Where a proven tail bound falls below rounding within
-T_0.._IDEAL_K, the sum stops there.  Elsewhere the first _IDEAL_K + 1 terms
-are summed and the rest fitted: T_k follows k^(-h) times a power series in
-1/k, h = (d + 1)/2, so the tail is a sum of Lerch transcendents
-(_lerch_tails), Hurwitz zetas (_hurwitz_zeta) at rho = 1 exactly.  rho = 1
-is the ideal simplex, a request with kappa at or below kappa0 (as
-_checked_kappa decides, not by rho, which rounding puts a few ulp either
-side of 1 there; regular_parameters rounds the taus so that this holds for
-side length inf and for no finite one); a finite side whose rho rounds to 1
-or past it is held just below.  Either result has branch SERIES and
-residual_imag 0.  Every other request (kappa > 0, distinct taus, the lower
-branch) takes the ray, the only path that loads SciPy.
+T_0.._IDEAL_K, the sum stops there.  Elsewhere a regular simplex sums the
+first _IDEAL_K + 1 terms and fits the rest: T_k follows k^(-h) times a
+power series in 1/k, h = (d + 1)/2, so the tail is a sum of Lerch
+transcendents (_lerch_tails), Hurwitz zetas (_hurwitz_zeta) at rho = 1
+exactly.  rho = 1 is the ideal simplex, a request with kappa at or below
+kappa0 (as _checked_kappa decides, not by rho, which rounding puts a few
+ulp either side of 1 there; regular_parameters rounds the taus so that
+this holds for side length inf and for no finite one); a finite side whose
+rho rounds to 1 or past it is held just below.  A request of more than one
+group has no fitted tail: where its sum does not stop within T_0.._IDEAL_K
+(near kappa0, where its tau_min vertex goes ideal), it takes the ray.  A
+series result has branch SERIES and residual_imag 0.  Every other request
+(kappa > 0, the lower branch, and those) takes the ray, the only path that
+loads SciPy.
 
 volumes(requests) is the one entry point: it checks and routes every
-request, builds one table per dimension for all of its series rows, and
+request, builds one table per set of groups of equal taus for all of its
+series rows, and
 returns each result, or the SimplexVolError its request raised, in order.
 volume(req) is volumes([req]) with the error raised.  Whatever the path, a
 result whose error bar is not below its magnitude, or a negative volume, is
@@ -52,6 +59,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 
 import numpy as np
 
@@ -74,6 +82,10 @@ _U = 2.0 ** -53
 #: below rounding within them, it fits the rest with _IDEAL_J powers of 1/k
 _IDEAL_K = 1024
 _IDEAL_J = 5
+
+#: _merge_groups builds this many columns of its weights at a time, which
+#: bounds its arrays to about 1 MB each at any table length
+_MERGE_COLUMNS = 128
 
 #: B_2j/(2j)! for j = 1..5, the Euler-Maclaurin corrections of _hurwitz_zeta
 #: and _lerch_tails
@@ -103,9 +115,9 @@ class VolumeRequest:
     volume in closed form, and a non-finite kappa raises GeometryDomainError.
     tolerance is absolute on the ray's orthant-transform values, which
     surfaces as roughly 1e2*tolerance relative on volumes; the curvature
-    series does not read it.  use_lower_branch
-    evaluates the transform on the mirrored ray 1 + i; such a request always
-    takes the ray, also where a regular simplex would take the series.
+    series does not read it.  use_lower_branch evaluates the transform on
+    the mirrored ray 1 + i; such a request always takes the ray, also where
+    the series would take it.
     """
 
     geometry: OrthocentricParams
@@ -159,42 +171,106 @@ def orthant_probability(mus, z, tol=_quad_tol(VolumeRequest.tolerance),
                           r.evaluations)
 
 
-def _series_table(n, K):
-    """T_k = [t^k]F(t)^n / ((n+1)/2)_k for k = 0..K, F(t) = sum_i (1/2)_i t^i:
-    the curvature series' terms with rho factored out, term_k = rho^k T_k.
+def _series_table(n, K, groups=None):
+    """T_k = [t^k]prod_j F(sigma_j t) / ((n+1)/2)_k for k = 0..K, F(t) =
+    sum_i (1/2)_i t^i, over the n factors of groups, whose pairs (sigma_g,
+    m_g) give m_g factors F(sigma_g t) each (_series_groups; the default is
+    the one group (1, n) of a regular simplex): the curvature series' terms
+    with rho factored out, term_k = rho^k T_k.
 
     F satisfies F - 1 = t(t d/dt + 1/2)F, so c(m)_k = [t^k]F^m / (m/2)_k obeys
     the positive recurrence
 
         c(m)_k = c(m)_{k-1}/m + r(m)_k c(m-1)_k,   r(m)_k = ((m-1)/2)_k / (m/2)_k,
 
-    from c(0) = [k = 0], and T_k = c(n)_k r(n+1)_k.  Stage 1 is c(1)_k = 1
-    exactly; each later stage m is a first-order filter of ratio 1/m, run as
-    a doubling scan.  Every r is a running product of exact neighbour ratios,
-    and every value is positive and at most 1.  The scan's shifts are
-    s = 1, 2, 4, ... up to the first with m^-s <= u (1/2)_C/(m/2)_C,
-    C = 8 _IDEAL_K: what the shifts left out add to entry k is
-    m^-s c(m)_{k-s}, and as c(m) lies between (1/2)_k/(m/2)_k and 1 that is
-    at most u of the entry for every k <= C, eight times the longest table
-    the engine reads.  The shifts do not depend on K, so an entry's bits are
-    the same whatever length the table is built to.
+    from c(0) = [k = 0].  Stage 1 is c(1)_k = 1 exactly; each later stage m
+    is a first-order filter of ratio 1/m, run as a doubling scan.  Every r
+    is a running product of exact neighbour ratios, and every value is
+    positive and at most 1.  The scan's shifts are s = 1, 2, 4, ... up to the
+    first with m^-s <= u (1/2)_C/(m/2)_C, C = 8 _IDEAL_K: what the shifts left
+    out add to entry k is m^-s c(m)_{k-s}, and as c(m) lies between
+    (1/2)_k/(m/2)_k and 1 that is at most u of the entry for every k <= C,
+    eight times the longest table the engine reads.
+
+    Each group runs the stages up to c(m_g) and takes the factor sigma_g^k;
+    the groups then merge pairwise (_merge_groups) into
+    [t^k]prod_j F(sigma_j t) / (n/2)_k, and T_k is that times r(n+1)_k; with
+    one group, T_k = c(n)_k r(n+1)_k.  No step reads an entry past k to make
+    entry k, so an entry's bits are the same whatever length the table is
+    built to.
     """
+    groups = groups or ((1.0, n),)
     k2 = 2.0 * np.arange(1, K + 1)
     ms = np.arange(1.0, n + 1.0)[:, None]
     r = np.ones((n, K + 1))  # row m - 1 holds r(m + 1)
     np.cumprod((k2 + (ms - 2.0)) / (k2 + (ms - 1.0)), axis=1, out=r[:, 1:])
-    t = r[0].copy()  # c(1) r(2)
     C = 8 * _IDEAL_K
-    for m in range(2, n + 1):
-        # the log of u (1/2)_C / (m/2)_C, u times the least c(m)_k over k <= C
-        log_stop = (math.log(_U) + math.lgamma(C + 0.5) - math.lgamma(0.5)
-                    + math.lgamma(m / 2.0) - math.lgamma(C + m / 2.0))
-        s = 1
-        while s <= K and -s * math.log(m) > log_stop:
-            t[s:] += float(m) ** -s * t[:-s]  # NumPy buffers the overlap
-            s *= 2
-        t *= r[m - 1]
+    parts = []
+    for sigma, m_g in groups:
+        t = np.ones(K + 1)  # c(1)
+        for m in range(2, m_g + 1):
+            t *= r[m - 2]  # c(m - 1) r(m)
+            # the log of u (1/2)_C / (m/2)_C, u times the least c(m)_k over k <= C
+            log_stop = (math.log(_U) + math.lgamma(C + 0.5) - math.lgamma(0.5)
+                        + math.lgamma(m / 2.0) - math.lgamma(C + m / 2.0))
+            s = 1
+            while s <= K and -s * math.log(m) > log_stop:
+                t[s:] += float(m) ** -s * t[:-s]  # NumPy buffers the overlap
+                s *= 2
+        if sigma != 1.0:
+            t *= np.power(sigma, np.arange(K + 1.0))
+        parts.append((t, m_g / 2.0))
+    while len(parts) > 1:
+        parts = [_merge_groups(*parts[i], *parts[i + 1]) if i + 1 < len(parts)
+                 else parts[i] for i in range(0, len(parts), 2)]
+    t = parts[0][0]
+    t *= r[n - 1]
     return t
+
+
+def _merge_groups(a, alpha, b, beta):
+    """The normalised coefficients of a product of two groups, and its alpha.
+
+    a_k = [t^k]A / (alpha)_k and b_k = [t^k]B / (beta)_k, alpha and beta half
+    the two groups' factor counts, give p_k = [t^k]AB / (alpha + beta)_k =
+    sum_(i <= k) W_ki a_i b_(k-i) with the weights
+
+        W_ki = (alpha)_i (beta)_(k-i) / (alpha + beta)_k,
+
+    each positive and at most 1 (by Vandermonde, sum_i C(k, i) W_ki = 1).
+    W_k0 = (beta)_k/(alpha + beta)_k is a running product over k, and W_ki
+    one down i from it with the ratios (alpha + i - 1)/(beta + k - i).  The
+    columns k go in blocks of _MERGE_COLUMNS, each an (i, k) array over
+    i < the block's end whose ratios are 0 below the diagonal (the +inf
+    that pads the denominators), so memory stays O(K _MERGE_COLUMNS), and
+    the sum over i runs row by row: p_k reads nothing past k, whatever the
+    blocks.  A product below the least normal double loses at most 2^-1074
+    absolute, and T_k is at least (1/2)_k/(h+1/2)_k (the tau_min group's
+    factor alone), above 1e-131 for k <= _IDEAL_K + 1 and d <= 170, so such
+    losses stay far below u T_k.
+    """
+    ks = np.arange(len(a), dtype=float)
+    first = np.ones(len(a))  # W_k0
+    np.cumprod((beta + ks[:-1]) / (alpha + beta + ks[:-1]), out=first[1:])
+    p = np.empty(len(a))
+    for k0 in range(0, len(a), _MERGE_COLUMNS):
+        k1 = min(k0 + _MERGE_COLUMNS, len(a))
+        lag = ks[k0:k1] - ks[:k1, None]  # k - i at (i, k)
+        w = (alpha - 1.0 + ks[:k1, None]) / np.where(lag < 0.0, np.inf, beta + lag)
+        w[0] = first[k0:k1]
+        np.cumprod(w, axis=0, out=w)
+        w *= a[:k1, None]
+        w *= b[np.maximum(lag, 0.0).astype(np.intp)]  # b_(k-i)
+        p[k0:k1] = w.sum(axis=0)
+    return p, alpha + beta
+
+
+def _series_groups(taus):
+    """(sigma_g, m_g) for each group of m_g equal taus, in increasing tau, with
+    sigma_g = tau_min^2/tau_g^2, exactly 1 for the first group."""
+    ts = sorted(taus)
+    t2 = ts[0] * ts[0]
+    return tuple((t2 / (t * t), len(list(run))) for t, run in groupby(ts))
 
 
 def _series_terms(rho, K, table):
@@ -220,10 +296,11 @@ def _series_guess(n, rho):
 
 
 def _series_ratio(params, kappa):
-    """The term ratio rho = -(kappa/a)/tau^2, a = 1 - kappa/s, of the regular
+    """The term ratio rho = -(kappa/a)/tau_min^2, a = 1 - kappa/s, of the
     simplex params at kappa0 <= kappa < 0."""
     a = 1.0 - kappa / params.s
-    return -(kappa / a) / (params.taus[0] * params.taus[0])
+    t = min(params.taus)
+    return -(kappa / a) / (t * t)
 
 
 def _series_prefactor(params, a):
@@ -361,30 +438,43 @@ def _fits(T, h):
     return _fit(T, K, J, h), _fit(T, K // 2, J, h), _fit(T, K, J + 2, h)
 
 
-def _series_volume(params, kappa, rho, K, table, fits):
-    """The volume of a regular simplex at kappa < 0 by its curvature series.
+def _series_volume(params, kappa, rho, K, table, fits, groups):
+    """The volume of an orthocentric simplex at kappa < 0 by its curvature
+    series, or None for a request of more than one group of equal taus
+    whose sum would need the fitted tail (the caller takes the ray).
 
-    With s = (d+1) tau^2, h = (d+1)/2 and a = 1 - kappa/s, the Klein-model
-    volume is
+    With s = sum tau_j^2, h = (d+1)/2, a = 1 - kappa/s and sigma_j =
+    tau_min^2/tau_j^2, the Klein-model volume is
 
         Vol = Vol_E a^(-h) sum_k term_k,   term_k = rho^k T_k,
-        T_k = [t^k]F^(d+1) / (h+1/2)_k
+        T_k = [t^k]prod_j F(sigma_j t) / (h+1/2)_k
 
-    (_series_table, _series_terms), every term positive, rho as volumes()
-    gives it (_series_ratio, held below 1, or 1 for the ideal simplex).
-    table holds T_0..T_(K+1) at least, and fits maps n = d + 1 to
-    _fits(table, h), which the first row of the dimension that needs it
-    adds.
+    (_series_table over groups, _series_terms), every term positive, rho as
+    volumes() gives it (_series_ratio, held below 1, or 1 for the ideal
+    regular simplex).  table holds T_0..T_(K+1) at least, and fits maps
+    n = d + 1 to _fits(table, h), which the first one-group row of the
+    dimension that needs it adds.
 
-    The stopping test looks for the first K' <= K whose tail bound
-    term_(K'+1)/(1 - rho (h+K')/(K'+1)) is below eps times the sum: the
-    ratio (h)_k/k! falls to at most (h+K')/(K'+1) past K', and the argument
-    -x Q of the Klein density lies in [0, rho].  If one passes, the sum stops
-    there with the bound in the bar.  If none does and K + 1 < _IDEAL_K (a
-    first guess that fell short, which no scanned case has), the sum stops at
-    K, past which the guess put the ratio below 1, with that bound.
-    Otherwise, and always at rho = 1, where no bound is finite, the sum is
-    math.fsum(term_k, k <= K), K = _IDEAL_K, plus the fitted tail.
+    The ratio bound.  With (1/2)_i = E[G^i], G ~ Gamma(1/2), and the G_j
+    independent, [t^k]prod_j F(sigma_j t) = E[h_k(sigma_1 G_1, .., sigma_n
+    G_n)], h_k the complete homogeneous symmetric polynomial of degree k.
+    S = sum_j G_j ~ Gamma(h) is independent of D = G/S, so this is (h)_k e_k,
+    e_k = E[h_k(sigma_1 D_1, .., sigma_n D_n)].  For y >= 0, (sum_j y_j)
+    h_k(y) is h_(k+1)(y) with each monomial counted once per variable it
+    holds, so h_(k+1)(y) <= (sum_j y_j) h_k(y), and as sum_j sigma_j D_j <= 1,
+    e_(k+1) <= e_k.  Hence
+
+        term_(k+1)/term_k <= rho (h+k)/(h+k+1/2) <= q_k = rho (h+k)/(k+1),
+
+    and q_k falls with k (h >= 1), so the terms past K' sum to at most
+    term_(K'+1)/(1 - q_K') where q_K' < 1.  The stopping test looks for the
+    first K' <= K where that bound is below eps times the sum.  If one
+    passes, the sum stops there with the bound in the bar.  If none does
+    and K + 1 < _IDEAL_K (a first guess that fell short, which no scanned
+    case has), the sum stops at K, past which the guess put the ratio below
+    1, with that bound.  Otherwise, and always at rho = 1, where no bound is
+    finite, one group sums math.fsum(term_k, k <= K), K = _IDEAL_K, plus the
+    fitted tail, and more than one group returns None.
 
     The fitted tail.  T_k ~ k^(-h) sum_j b_j k^(-j), from the algebraic
     singularity of sum_k T_k rho^k at rho = 1 (Flajolet and Odlyzko, SIAM J.
@@ -397,14 +487,27 @@ def _series_volume(params, kappa, rho, K, table, fits):
     7u (sqrt(d), d! as a float, the quotient, the power (2u) and the two
     products).  Below rho = 1 the prefactor is _series_prefactor's.
 
-    The bar counts the rounding of the terms and the fsum, in units u: T_k
-    takes, per stage, the running ratio product r (2k) and, from stage 2
-    on, at most `steps` scan shifts of one pow, one product and one sum (4
-    each) and the shifts the scan leaves out (1); rho^k adds one ulp (2),
-    the product rho^k T_k 1, and rho's input rounding (7u: s to 2u from the
-    squares and fsum, kappa/s, 1 - kappa/s, kappa/a, tau^2 and the quotient)
-    moves term_k by 7k u; the fsum adds u of the total.  The fitted tail's
-    count is the same but for rho's, 8k u per term with the log that gives
+    The bar counts the rounding of the terms and the fsum, in units u, as a
+    slope times sum_k k term_k plus a constant times the sum.  T_k takes, per
+    stage of a group of m_g factors (stages 2..m_g) and once for r(n+1), the
+    running ratio product r (2k) and, from stage 2 on, at most `steps` scan
+    shifts of one pow, one product and one sum (4 each) and the shifts the
+    scan leaves out (1).  Each group past the first (whose sigma is exactly
+    1) adds sigma_g's input rounding (3u: two squares and the quotient),
+    which moves entry k by 3k u, and the pow and product of sigma_g^k (3).  A
+    merge (_merge_groups) adds 2k for W_k0, 2i <= 2k down the column, two
+    products and k for the sum over i: 5k + 2.  As the indices of a merged
+    product sum to k, a merge takes the larger slope of its two groups and
+    the sum of their constants; the pairwise merges are ceil(log2 G) levels
+    deep, G the number of groups, so they add 5 to the slope per level and 2
+    to the constant per merge.  rho^k adds one ulp (2), the product
+    rho^k T_k 1, and rho's input rounding (7u: s to 2u from the squares and
+    fsum, kappa/s, 1 - kappa/s, kappa/a, tau_min^2 and the quotient) moves
+    term_k by 7k u; the fsum adds u of the total.  With M the largest group,
+    the slope is at most 2(M - 1) + 3 [G > 1] + 5 ceil(log2 G) + 9 and the
+    constant (n - G)(4 steps + 1) + 5(G - 1) + 4: for one group, 2n + 7 and
+    (n - 1)(4 steps + 1) + 4.  The fitted tail's count is the same but for
+    rho's, 8k u per term with the log that gives
     lam, the tail included: sum_(k > K) k rho^k T_k is the same fit's
     sum_j b_j Phi_(h+j-1), which at d <= 3 grows without bound as rho -> 1,
     the true conditioning of a request given by its taus; then rho^k and the
@@ -420,18 +523,6 @@ def _series_volume(params, kappa, rho, K, table, fits):
     """
     d, n = params.dimension, params.dimension + 1
     h = n / 2.0
-    # the prefactor first: from d = 171 on, where d! passes the double range,
-    # it raises OverflowRegionError before _fits, whose b_j = c_j K^(h+j)
-    # would raise a bare OverflowError from d = 192 on
-    if rho < 1.0:
-        pre, pre_u = _series_prefactor(params, 1.0 - kappa / params.s), 3 * d + 11
-    else:
-        try:
-            pre, pre_u = math.sqrt(d) / math.factorial(d) * (-kappa) ** (-d / 2.0), 7
-        except OverflowError:
-            raise OverflowRegionError(
-                f"the ideal {d}-simplex at kappa = {kappa} has a volume past the double "
-                "range") from None
     t = _series_terms(rho, K + 1, table)
     ks = np.arange(K + 1.0)
     steps = len(t).bit_length()
@@ -447,12 +538,28 @@ def _series_volume(params, kappa, rho, K, table, fits):
         if done[first] or not fitted:
             K = first if done[first] else K
             bound, fitted = float(tail[K]), False
+    if fitted and len(groups) > 1:
+        return None
+    # the prefactor before _fits: from d = 171 on, where d! passes the double
+    # range, it raises OverflowRegionError, and _fits' b_j = c_j K^(h+j) would
+    # raise a bare OverflowError from d = 192 on
+    if rho < 1.0:
+        pre, pre_u = _series_prefactor(params, 1.0 - kappa / params.s), 3 * d + 11
+    else:
+        try:
+            pre, pre_u = math.sqrt(d) / math.factorial(d) * (-kappa) ** (-d / 2.0), 7
+        except OverflowError:
+            raise OverflowRegionError(
+                f"the ideal {d}-simplex at kappa = {kappa} has a volume past the double "
+                "range") from None
     if not fitted:
         terms = t[:K + 1]
         total = math.fsum(terms.tolist())
         k_weighted = float(np.sum(ks[:K + 1] * terms))
-        sum_err = (_U * ((2 * n + 7) * k_weighted + ((n - 1) * (4 * steps + 1) + 4) * total)
-                   + bound)
+        G, M = len(groups), max(m for _, m in groups)
+        slope = 9 + 5 * (G - 1).bit_length() + 2 * (M - 1) + 3 * (G > 1)
+        const = 4 + 5 * (G - 1) + (n - G) * (4 * steps + 1)
+        sum_err = _U * (slope * k_weighted + const * total) + bound
     else:
         K, J = _IDEAL_K, _IDEAL_J
         if n not in fits:
@@ -490,42 +597,47 @@ def volumes(requests):
 
     Every request is checked and routed first (see the module doc).  The
     requests that take the curvature series share one coefficient table per
-    dimension, built once to the longest window their stopping tests read
-    (at most _IDEAL_K + 1 entries), and the fits of that table, taken once
-    if some row needs them; a row's result does not depend on the table's
-    length, so it is the same bit for bit whatever else the call holds.
-    Every other request takes its path one at a time.  A result whose error
+    set of groups of equal taus (_series_groups; per dimension for regular
+    simplices), built once to the longest window their stopping tests read
+    (at most _IDEAL_K + 1 entries), and the fits of a one-group table, taken
+    once if some row needs them; a row's result does not depend on the
+    table's length, so it is the same bit for bit whatever else the call
+    holds.  A row of more than one group that the series cannot certify
+    without a fitted tail takes the ray after its table is read.  Every
+    other request takes its path one at a time.  A result whose error
     bar is not below its magnitude, or a negative volume, comes back as a
     ToleranceError with the result attached, and one whose magnitude and
     bar are below the double range as an OverflowRegionError.
     """
     out = [None] * len(requests)
-    series = {}  # n -> [(position, params, kappa, rho, end of the test's window)]
+    series = {}  # groups -> [(position, request, kappa, rho, end of the test's window)]
     for i, req in enumerate(requests):
         try:
             kappa, at_kappa0 = _checked_kappa(req)
             params = req.geometry
-            n = params.dimension + 1
-            if kappa < 0 and not req.use_lower_branch and len(set(params.taus)) == 1:
-                if at_kappa0:
+            if kappa < 0 and not req.use_lower_branch:
+                groups = _series_groups(params.taus)
+                if at_kappa0 and len(groups) == 1:
                     # the ideal simplex's volume depends on d and kappa only,
                     # so it is taken at the requested kappa, not kappa0
                     kappa, rho, K = req.kappa, 1.0, _IDEAL_K - 1
                 else:
                     # a finite side's rho can round to 1 or past it: it is held below
                     rho = min(_series_ratio(params, kappa), math.nextafter(1.0, 0.0))
-                    K = min(_series_guess(n, rho), _IDEAL_K - 1)
-                series.setdefault(n, []).append((i, params, kappa, rho, K))
+                    K = min(_series_guess(params.dimension + 1, rho), _IDEAL_K - 1)
+                series.setdefault(groups, []).append((i, req, kappa, rho, K))
             else:
                 out[i] = _certified(_evaluate(req, kappa))
         except SimplexVolError as exc:
             out[i] = exc
-    fits = {}  # n -> _fits of the table, once a row of that dimension needs them
-    for n, rows in series.items():
-        table = _series_table(n, max(K for *_, K in rows) + 1)
-        for i, params, kappa, rho, K in rows:
+    fits = {}  # n -> _fits of the one-group table, once a row of that dimension needs them
+    for groups, rows in series.items():
+        n = sum(m for _, m in groups)
+        table = _series_table(n, max(K for *_, K in rows) + 1, groups)
+        for i, req, kappa, rho, K in rows:
             try:
-                out[i] = _certified(_series_volume(params, kappa, rho, K, table, fits))
+                res = _series_volume(req.geometry, kappa, rho, K, table, fits, groups)
+                out[i] = _certified(_evaluate(req, kappa) if res is None else res)
             except SimplexVolError as exc:
                 out[i] = exc
     return out

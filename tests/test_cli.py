@@ -377,11 +377,15 @@ def test_volume_json_names_the_series_path(capsys):
     assert main(["volume", "--ideal", "3", "--kappa", "-1", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["branch"] == "series"
     # a near-ideal tetrahedron (rho = 0.9993) takes the fitted series, and an
-    # orthocentric one the ray
+    # orthocentric one the series over its taus at kappa < 0 and the ray at
+    # kappa > 0
     assert main(["volume", "--regular", "3", "--ell", "8", "--kappa", "-1",
                  "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["branch"] == "series"
     assert main(["volume", "--orthocentric", "1,1.2,0.9,1.1", "--kappa", "-0.5",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["branch"] == "series"
+    assert main(["volume", "--orthocentric", "1,1.2,0.9,1.1", "--kappa", "0.5",
                  "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["branch"] == "upper_ray"
 

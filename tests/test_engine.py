@@ -171,9 +171,9 @@ def test_monotone_in_side_length_with_ideal_supremum():
 
 def test_branch_agreement():
     # a regular upper request takes the curvature series, summed at ell = 1.5
-    # and fitted at the near-ideal ell = 8, so the two agree across paths; an
-    # orthocentric simplex near kappa0 takes the ray, and there the upper ray
-    # meets the lower one
+    # and fitted at the near-ideal ell = 8, and so does an orthocentric one at
+    # 0.9 kappa0, summed over its groups of equal taus; each agrees with the
+    # lower ray across paths
     for ell in (1.5, 8.0):
         p = regular_parameters(3, ell, -1.0)
         up = volume(VolumeRequest(geometry=p, kappa=-1.0))
@@ -183,8 +183,25 @@ def test_branch_agreement():
     p = OrthocentricParams((0.9, 1.2, 1.0, 1.1))
     up = volume(VolumeRequest(geometry=p, kappa=0.9 * min_curvature(p)))
     lo = volume(VolumeRequest(geometry=p, kappa=0.9 * min_curvature(p), use_lower_branch=True))
-    assert up.branch is Branch.UPPER_RAY and lo.branch is Branch.LOWER_RAY
+    assert up.branch is Branch.SERIES and lo.branch is Branch.LOWER_RAY
     assert abs(up.volume - lo.volume) < 1e-10
+
+
+def _ray_cases():
+    rng = np.random.default_rng(2902)
+    return [(d, tuple(float(t) for t in rng.uniform(0.6, 1.8, d + 1)),
+             float(rng.uniform(0.2, 0.9))) for d in range(2, 9) for _ in range(2)]
+
+
+@pytest.mark.parametrize("d, taus, frac", _ray_cases())
+def test_upper_ray_agrees_with_the_series(d, taus, frac):
+    # volume() sends these requests to the series, so the upper ray is
+    # called directly: the two paths share nothing past the taus
+    req = VolumeRequest(OrthocentricParams(taus), frac * min_curvature(OrthocentricParams(taus)))
+    ser = volume(req)
+    ray = engine._evaluate(req, req.kappa)
+    assert ser.branch is Branch.SERIES and ray.branch is Branch.UPPER_RAY
+    assert abs(ser.volume - ray.volume) <= ser.abs_error + ray.abs_error
 
 
 def test_orthocentric_spherical_general_kappa():
@@ -445,15 +462,31 @@ def test_gate_refuses_an_ideal_volume_its_bar_swallows():
     assert not res.abs_error < abs(res.volume)
 
 
-@pytest.mark.parametrize("kappa", [1e-4, -1e-4])
+@pytest.mark.parametrize("kappa", [1e-4])
 def test_gate_refuses_a_flat_limit_the_ray_cancels(kappa):
-    # distinct taus take the ray, which returned -8.4e-3 +- 17 (kappa > 0) and
-    # 1.4e-2 +- 17 (kappa < 0) for a Euclidean volume of 3.43e-3
+    # at kappa > 0 distinct taus take the ray, which returned -8.4e-3 +- 17
+    # for a Euclidean volume of 3.43e-3
     rng = np.random.default_rng(3)
     p = OrthocentricParams(tuple(rng.uniform(0.6, 1.8, 7)))
     with pytest.raises(ToleranceError) as info:
         volume(VolumeRequest(geometry=p, kappa=kappa))
     assert info.value.result.abs_error > 1.0
+
+
+def test_series_certifies_the_flat_limit_the_ray_cancels():
+    # the same simplex at kappa = -1e-4 came back from the ray as 1.4e-2 +- 17
+    # and was refused; the series sums 4 terms.  To first order,
+    # Vol/Vol_E - 1 = -kappa (sum_j tau_j^-2/(n + 1) - n/(2 s)), n = d + 1,
+    # from a^(-h) and term_1
+    rng = np.random.default_rng(3)
+    p = OrthocentricParams(tuple(rng.uniform(0.6, 1.8, 7)))
+    ve = euclidean_volume(p)
+    n = len(p.taus)
+    exact = sum(t ** -2 for t in p.taus) / (n + 1) - n / (2.0 * p.s)
+    for kappa in (-1e-4, -1e-6):
+        r = volume(VolumeRequest(geometry=p, kappa=kappa))
+        assert r.branch is Branch.SERIES and r.abs_error <= 1e-14 * r.volume
+        assert abs(((r.volume / ve - 1.0) / -kappa) / exact - 1.0) <= -10.0 * kappa
 
 
 def test_request_validation():

@@ -267,8 +267,10 @@ def test_chunk_hits_have_the_exact_cone_probability(coef):
     # the first two rows are drawn from their probability and the law of xi
     # given them, not sampled, so this checks that law against the exact
     # probabilities: eight seeded substreams of a whole chunk each, within
-    # 4 se
-    m, streams = oracles._CHUNK, np.random.SeedSequence(2026).spawn(8)
+    # 4 se.  Each case has its own SeedSequence (spawn key = its index), so
+    # the cases' counts are independent draws
+    case = (_CONE_ROWS + _WIDE_ROWS).index(coef)
+    m, streams = oracles._CHUNK, np.random.SeedSequence(2026, spawn_key=(case,)).spawn(8)
     hits = sum(oracles._chunk_hits(s, m, np.array(coef)) for s in streams)
     n, p = m * len(streams), _orthant_probability(coef)
     assert abs(hits / n - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
@@ -367,8 +369,9 @@ def test_regular_tetrahedron_vs_engine():
 
 def test_package_import_leaves_oracles_and_twin_unloaded():
     # an ideal, a near-ideal and a series volume load no SciPy either, nor
-    # does the asymptotic suite, which loads no mpmath reference; the first
-    # ray loads scipy.special; then the submodules are package attributes on
+    # does an orthocentric volume at kappa < 0, nor the asymptotic suite,
+    # which loads no mpmath reference; the first ray, here at kappa > 0,
+    # loads scipy.special; then the submodules are package attributes on
     # first use, as before
     code = ("import io, sys, simplexvol; "
             "loaded = lambda: sorted(m for m in ('scipy.integrate', 'scipy.special', 'mpmath', "
@@ -383,15 +386,17 @@ def test_package_import_leaves_oracles_and_twin_unloaded():
             "near = simplexvol.regular_volume(3, 8.0, -1.0); "
             "series = simplexvol.regular_volume(5, 1.0, -1.0); "
             "print(ideal.branch.value, near.branch.value, series.branch.value, loaded()); "
-            "ray = simplexvol.volume(simplexvol.VolumeRequest("
-            "simplexvol.OrthocentricParams((1.0, 1.2, 0.9, 1.1)), -0.5)); "
+            "ortho = simplexvol.OrthocentricParams((1.0, 1.2, 0.9, 1.1)); "
+            "hyp = simplexvol.volume(simplexvol.VolumeRequest(ortho, -0.5)); "
+            "print(hyp.branch.value, loaded()); "
+            "ray = simplexvol.volume(simplexvol.VolumeRequest(ortho, 0.5)); "
             "print(ray.branch.value, loaded()); "
             "print(simplexvol.oracles.__name__, simplexvol._hp.__name__)")
     src = str(Path(simplexvol.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.split("\n")[:5] == [
-        "[]", "0 3 []", "series series series []", "upper_ray ['scipy.special']",
+    assert out.stdout.split("\n")[:6] == [
+        "[]", "0 3 []", "series series series []", "series []", "upper_ray ['scipy.special']",
         "simplexvol.oracles simplexvol._hp"]
 
 

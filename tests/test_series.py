@@ -1,4 +1,5 @@
-"""The curvature-series path for regular simplices at kappa < 0."""
+"""The curvature-series path at kappa < 0: regular simplices and, grouped by
+equal taus, every other orthocentric one."""
 
 import math
 import warnings
@@ -21,13 +22,17 @@ def _side(rho, kappa=-1.0):
     return math.acosh(1.0 / (1.0 - rho)) / math.sqrt(-kappa)
 
 
-def mp_terms(n, rho, K):
-    """term_k = rho^k [t^k]F^n / ((n+1)/2)_k, k = 0..K, from F^n by plain
-    convolution of the coefficients (1/2)_i, in the current mp precision."""
+def mp_terms(sigmas, rho, K):
+    """term_k = rho^k [t^k]prod_j F(sigma_j t) / ((n+1)/2)_k, k = 0..K, n =
+    len(sigmas), from the product multiplied out factor by factor by plain
+    convolution of the coefficients sigma_j^i (1/2)_i, in the current mp
+    precision."""
     f = [mp.rf(mp.mpf(1) / 2, i) for i in range(K + 1)]
     p = [mp.mpf(1)] + [mp.mpf(0)] * K
-    for _ in range(n):
-        p = [mp.fsum(p[i] * f[k - i] for i in range(k + 1)) for k in range(K + 1)]
+    for sigma in sigmas:
+        g = [mp.mpf(sigma) ** i * f[i] for i in range(K + 1)]
+        p = [mp.fsum(p[i] * g[k - i] for i in range(k + 1)) for k in range(K + 1)]
+    n = len(sigmas)
     return [mp.mpf(rho) ** k * p[k] / mp.rf(mp.mpf(n + 1) / 2, k) for k in range(K + 1)]
 
 
@@ -79,7 +84,7 @@ def test_terms_match_the_convolution_of_f(n):
     # the recurrence against F^n multiplied out, 40 digits
     t = engine._series_terms(0.7, 60, engine._series_table(n, 60))
     with mp.workdps(40):
-        ref = mp_terms(n, 0.7, 60)
+        ref = mp_terms([1] * n, 0.7, 60)
         worst = max(abs(mp.mpf(float(a)) - b) / b for a, b in zip(t, ref))
     assert worst < 1e-13
 
@@ -172,16 +177,23 @@ def test_curvature_scaling(d):
 
 def test_routing():
     # every regular upper-branch request at kappa < 0 takes the series, at
-    # any d, up to the ideal simplex; the lower branch, distinct taus and
-    # kappa > 0 all take the ray
+    # any d, up to the ideal simplex, and so does an orthocentric one whose
+    # plain sum passes its stopping test within _IDEAL_K terms, a tau one ulp
+    # apart included; the lower branch, kappa > 0 and an orthocentric
+    # request at or near kappa0 take the ray
     for d in (3, 30, 31):
         for ell in (math.inf, _side(0.998), _side(0.99)):
             assert regular_volume(d, ell).branch is Branch.SERIES, (d, ell)
     p = regular_parameters(4, 1.0, -1.0)
     assert volume(VolumeRequest(p, -1.0, use_lower_branch=True)).branch is Branch.LOWER_RAY
     q = OrthocentricParams((1.0, 1.0, 1.0, 1.0 + 2.0 ** -52))
-    assert volume(VolumeRequest(q, -1.0)).branch is Branch.UPPER_RAY
+    assert volume(VolumeRequest(q, -1.0)).branch is Branch.SERIES
     assert volume(VolumeRequest(p, 0.5 * p.s)).branch is Branch.UPPER_RAY
+    o = OrthocentricParams((0.9, 1.2, 1.0, 1.1))
+    for f in (0.2, 0.9, 0.95):
+        assert volume(VolumeRequest(o, f * min_curvature(o))).branch is Branch.SERIES, f
+    for f in (0.999, 1.0):
+        assert volume(VolumeRequest(o, f * min_curvature(o))).branch is Branch.UPPER_RAY, f
 
 
 @pytest.mark.parametrize("n", [3, 13, 31])
@@ -380,3 +392,135 @@ def test_a_cancelled_value_with_a_large_bar_is_a_tolerance_error():
         with pytest.raises(ToleranceError) as info:
             engine._certified(res)
         assert info.value.result is res
+
+
+def mp_orthocentric_volume(taus, kappa, dps=30):
+    """The series volume of the orthocentric simplex with these taus at dps
+    digits, from mp_terms with sigma_j = tau_min^2/tau_j^2 and rho from
+    tau_min, summed until the engine's tail bound is below 10^-(dps + 2) of
+    it."""
+    with mp.workdps(dps):
+        t = [mp.mpf(x) for x in taus]
+        n = len(t)
+        h = mp.mpf(n) / 2
+        s = mp.fsum(x * x for x in t)
+        a = 1 - mp.mpf(kappa) / s
+        least = min(t) ** 2
+        rho = -(mp.mpf(kappa) / a) / least
+        sigmas = [least / (x * x) for x in t]
+        eps = mp.mpf(10) ** -(dps + 2)
+        prefactor = mp.sqrt(s) / (mp.factorial(n - 1) * mp.fprod(t)) * a ** -h
+        size = 2 * engine._series_guess(n, float(rho))
+        while True:
+            terms = mp_terms(sigmas, rho, size)
+            partial = mp.mpf(0)
+            for K in range(size):
+                partial += terms[K]
+                q = rho * (h + K) / (K + 1)
+                if q < 1 and terms[K + 1] / (1 - q) < eps * partial:
+                    return prefactor * mp.fsum(terms[:K + 1])
+            size *= 2
+
+
+def _state_row(d, kappa):
+    """The request of the d-simplex with taus from default_rng(d).uniform(0.6,
+    1.8): at kappa0/2 if kappa is None."""
+    p = OrthocentricParams(tuple(np.random.default_rng(d).uniform(0.6, 1.8, d + 1)))
+    return VolumeRequest(p, 0.5 * min_curvature(p) if kappa is None else kappa)
+
+
+@pytest.mark.parametrize("groups", [
+    ((1.0, 1), (0.5, 1), (0.25, 1)), ((1.0, 2), (0.7, 3)), ((1.0, 1), (0.9, 4), (0.2, 2), (0.05, 1)),
+    ((1.0, 5), (0.999, 1), (0.3, 1), (0.3000001, 2), (0.6, 3))])
+def test_group_table_matches_the_convolution_of_f(groups):
+    # the staged groups and their merges against the product multiplied out
+    # factor by factor, 40 digits
+    n = sum(m for _, m in groups)
+    table = engine._series_table(n, 60, groups)
+    sigmas = [sg for sg, m in groups for _ in range(m)]
+    with mp.workdps(40):
+        ref = mp_terms(sigmas, 1, 60)
+        worst = max(abs(mp.mpf(float(a)) - b) / b for a, b in zip(table, ref))
+    assert worst < 1e-13
+
+
+def test_group_table_entries_do_not_depend_on_its_length():
+    # the merges build their weights in blocks of columns; a shorter table
+    # cuts its last block short
+    groups = ((1.0, 3), (0.6, 1), (0.35, 2), (0.1, 1))
+    for K in (50, 200):
+        head = engine._series_table(7, K, groups)
+        for longer in (K + 1, 300, engine._IDEAL_K):
+            assert engine._series_table(7, longer, groups)[:K + 1].tobytes() == head.tobytes()
+
+
+def _orthocentric_cases():
+    # seeded taus, some of them repeated, and kappa from near 0 to 0.8 kappa0
+    rng = np.random.default_rng(2029)
+    cases = []
+    for i in range(12):
+        d = int(rng.integers(2, 15))
+        if i % 3 == 2:
+            taus = rng.choice(rng.uniform(0.6, 1.8, 3), d + 1)
+        else:
+            taus = rng.uniform(0.6, 1.8, d + 1)
+        cases.append((tuple(float(t) for t in taus), float(np.exp(rng.uniform(-9.0, -0.22)))))
+    return cases
+
+
+@pytest.mark.parametrize("taus, frac", _orthocentric_cases())
+def test_orthocentric_bar_covers_a_30_digit_sum(taus, frac):
+    p = OrthocentricParams(taus)
+    kappa = frac * min_curvature(p)
+    r = volume(VolumeRequest(p, kappa))
+    assert r.branch is Branch.SERIES
+    ref = mp_orthocentric_volume(taus, kappa)
+    assert abs(mp.mpf(r.volume) - ref) <= r.abs_error
+    assert r.abs_error <= 1e-13 * r.volume
+
+
+@pytest.mark.parametrize("d, kappa", [(10, None), (12, None), (14, None), (8, -1e-2), (12, -1e-2)])
+def test_rows_the_ray_refused_come_back_certified(d, kappa):
+    # the ray's bar was 0.28 at d = 10 and kappa0/2, and it refused the
+    # other four rows
+    req = _state_row(d, kappa)
+    r = volume(req)
+    assert r.branch is Branch.SERIES
+    ref = mp_orthocentric_volume(req.geometry.taus, req.kappa)
+    assert abs(mp.mpf(r.volume) - ref) <= r.abs_error <= 1e-13 * r.volume
+
+
+def test_orthocentric_rows_are_bit_identical_alone_and_in_a_batch():
+    # the same taus at three curvatures share one table, built to the longest
+    # window; a regular row, a lower-branch row, a kappa > 0 row, a request
+    # the series hands to the ray and a domain error sit between them
+    o = OrthocentricParams((0.9, 1.2, 1.0, 1.1, 0.9, 1.6))
+    k0 = min_curvature(o)
+    reqs = [VolumeRequest(o, 0.1 * k0), VolumeRequest(regular_parameters(5, 1.0, -1.0), -1.0),
+            VolumeRequest(o, 0.5 * k0, use_lower_branch=True), VolumeRequest(o, 0.9 * k0),
+            VolumeRequest(o, 0.3 * o.s), VolumeRequest(o, 0.999 * k0), VolumeRequest(o, 2 * k0),
+            VolumeRequest(o, 0.5 * k0), _state_row(12, None)]
+    got = engine.volumes(reqs)
+    assert isinstance(got[6], GeometryDomainError)
+    assert [got[i].branch for i in (0, 1, 3, 7, 8)] == [Branch.SERIES] * 5
+    assert got[5].branch is Branch.UPPER_RAY
+    for i, (req, r) in enumerate(zip(reqs, got)):
+        if i == 6:
+            continue
+        alone = volume(req)
+        assert (repr(r.volume), repr(r.abs_error), r.branch, r.evaluations) \
+            == (repr(alone.volume), repr(alone.abs_error), alone.branch, alone.evaluations)
+
+
+@pytest.mark.parametrize("d, ell, kappa, vol, err, terms", [
+    (2, 1.0, -1.0, "0.38519903705571124", "3.2938975580452885e-15", 31),
+    (3, math.inf, -1.0, "1.014941606409654", "4.176144001179849e-14", 1025),
+    (5, 0.5, -4.0, "6.285733575735719e-05", "1.1463157008209623e-18", 28),
+    (8, 8.0, -1.0, "0.0002042495372512476", "9.978312772120284e-18", 1025),
+    (12, 0.1, -1.0, "1.1522445091267267e-22", "3.916911096956728e-36", 7),
+    (20, 3.0, -0.25, "1.3596113007497777e-14", "9.240008027121719e-28", 31)])
+def test_regular_rows_keep_their_bits(d, ell, kappa, vol, err, terms):
+    # a regular simplex is the one-group table: the grouped table and its
+    # merged count leave its value, bar and term count as they were
+    r = regular_volume(d, ell, kappa)
+    assert (repr(r.volume), repr(r.abs_error), r.evaluations) == (vol, err, terms)
