@@ -25,8 +25,9 @@ _DPS = 30  # working precision in decimal digits
 
 
 def _series_table(n, K):
-    """T_0..T_K of engine._series_table(n, K) in the working precision:
-    T_k = c(n)_k r(n+1)_k from the same positive recurrence
+    """T_0..T_K of engine._series_table(n, K, ((1.0, n),)), the regular
+    simplex's one group, in the working precision: T_k = c(n)_k r(n+1)_k
+    from the same positive recurrence
 
         c(m)_k = c(m)_{k-1}/m + r(m)_k c(m-1)_k,
 

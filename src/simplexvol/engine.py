@@ -33,15 +33,17 @@ every such row.  Where a proven tail bound falls below rounding within
 T_0.._IDEAL_K, the sum stops there.  Elsewhere a regular simplex sums the
 first _IDEAL_K + 1 terms and fits the rest: T_k follows k^(-h) times a
 power series in 1/k, h = (d + 1)/2, so the tail is a sum of Lerch
-transcendents (_lerch_tails), Hurwitz zetas (_hurwitz_zeta) at rho = 1
-exactly.  rho = 1 is the ideal simplex, a request with kappa at or below
-kappa0 (as _checked_kappa decides, not by rho, which rounding puts a few
-ulp either side of 1 there; regular_parameters rounds the taus so that
-this holds for side length inf and for no finite one); a finite side whose
-rho rounds to 1 or past it is held just below.  A request of more than one
-group has no fitted tail: where its sum does not stop within T_0.._IDEAL_K
-(near kappa0, where its tau_min vertex goes ideal), it takes the ray.  A
-series result has branch SERIES and residual_imag 0.  Every other request
+transcendents (_lerch_tails), and at rho = 1 the same evaluator gives
+Hurwitz zetas, its lam = -ln rho = 0 case.  rho = 1 is the ideal simplex,
+a request with kappa at or below kappa0 (as _checked_kappa decides, not by
+rho, which rounding puts a few ulp either side of 1 there;
+regular_parameters rounds the taus so that this holds for side length inf
+and for no finite one); a finite side whose rho rounds to 1 or past it is
+held just below.  A request of more than one group has no fitted tail:
+where its sum does not stop within T_0.._IDEAL_K (near kappa0, where its
+tau_min vertex goes ideal), it takes the ray, before its table is built
+where a lower bound on its terms already shows that (_series_cannot_stop).
+A series result has branch SERIES and residual_imag 0.  Every other request
 (kappa > 0, the lower branch, and those) takes the ray, the only path that
 loads SciPy.
 
@@ -87,8 +89,8 @@ _IDEAL_J = 5
 #: bounds its arrays to about 1 MB each at any table length
 _MERGE_COLUMNS = 128
 
-#: B_2j/(2j)! for j = 1..5, the Euler-Maclaurin corrections of _hurwitz_zeta
-#: and _lerch_tails
+#: B_2j/(2j)! for j = 1..5, the Euler-Maclaurin corrections of _lerch_tails,
+#: whose lam = 0 case (rho = 1) is the Hurwitz zeta
 _EM_COEFFS = (1.0 / 12, -1.0 / 720, 1.0 / 30240, -1.0 / 1209600, 1.0 / 47900160)
 
 #: Euler's constant, the continued fraction's cap on steps and the start
@@ -171,12 +173,12 @@ def orthant_probability(mus, z, tol=_quad_tol(VolumeRequest.tolerance),
                           r.evaluations)
 
 
-def _series_table(n, K, groups=None):
+def _series_table(n, K, groups):
     """T_k = [t^k]prod_j F(sigma_j t) / ((n+1)/2)_k for k = 0..K, F(t) =
     sum_i (1/2)_i t^i, over the n factors of groups, whose pairs (sigma_g,
-    m_g) give m_g factors F(sigma_g t) each (_series_groups; the default is
-    the one group (1, n) of a regular simplex): the curvature series' terms
-    with rho factored out, term_k = rho^k T_k.
+    m_g) give m_g factors F(sigma_g t) each (_series_groups; a regular
+    simplex is the one group (1, n)): the curvature series' terms with rho
+    factored out, term_k = rho^k T_k.
 
     F satisfies F - 1 = t(t d/dt + 1/2)F, so c(m)_k = [t^k]F^m / (m/2)_k obeys
     the positive recurrence
@@ -199,7 +201,6 @@ def _series_table(n, K, groups=None):
     entry k, so an entry's bits are the same whatever length the table is
     built to.
     """
-    groups = groups or ((1.0, n),)
     k2 = 2.0 * np.arange(1, K + 1)
     ms = np.arange(1.0, n + 1.0)[:, None]
     r = np.ones((n, K + 1))  # row m - 1 holds r(m + 1)
@@ -244,10 +245,15 @@ def _merge_groups(a, alpha, b, beta):
     i < the block's end whose ratios are 0 below the diagonal (the +inf
     that pads the denominators), so memory stays O(K _MERGE_COLUMNS), and
     the sum over i runs row by row: p_k reads nothing past k, whatever the
-    blocks.  A product below the least normal double loses at most 2^-1074
-    absolute, and T_k is at least (1/2)_k/(h+1/2)_k (the tau_min group's
-    factor alone), above 1e-131 for k <= _IDEAL_K + 1 and d <= 170, so such
-    losses stay far below u T_k.
+    blocks.  The product down i passes W_ki <= 1/C(k, i), which near
+    i = k/2 falls below the least normal double from about k = 1,020 on:
+    there it keeps a subnormal's few bits, and it seeds the rest of its
+    column with them.  The engine reads at most _IDEAL_K + 1 entries, and
+    there the error (3.6e-14 at k = 1,024 for d = 2, against a 30-digit
+    convolution) is inside the rounding _series_volume counts (about
+    2.5e-12 for three groups); a longer table needs a banded merge, whose
+    weights start from the ends of each column.  T_k is at least (1/2)_k/(h+1/2)_k, the tau_min group's
+    factor alone.
     """
     ks = np.arange(len(a), dtype=float)
     first = np.ones(len(a))  # W_k0
@@ -295,6 +301,25 @@ def _series_guess(n, rho):
     return int(max(1.1 * K, 1.25 * (rho * h - 1.0) / (1.0 - rho))) + 8
 
 
+def _series_cannot_stop(n, rho):
+    """Whether _series_volume's stopping test provably fails at every
+    K' <= K = _IDEAL_K - 1 for a row of n factors and ratio rho < 1, so
+    that a row of more than one group would build its table only to take
+    the ray.  T_k >= (1/2)_k/(h+1/2)_k (_merge_groups), and the tail bound
+    term_(K'+1)/(1 - q_K') only falls with K' (the terms fall where q < 1),
+    so it is at least rho^(K+1) (1/2)_(K+1)/(h+1/2)_(K+1)/(1 - q_K); and
+    as T_k <= 1, 2u times the sum is below 2u/(1 - rho).  The factor 2 on
+    that covers the rounding on both sides of the float test: the terms,
+    their sums and this bound are each off by far less than a third (under
+    1e-10 relative, by _series_volume's count).  q_K >= 1, where no K' has
+    a finite bound, passes too."""
+    h, K = n / 2.0, _IDEAL_K - 1
+    q = rho * (h + K) / (K + 1.0)
+    log_low = ((K + 1) * math.log(rho) + math.lgamma(K + 1.5) - math.lgamma(0.5)
+               + math.lgamma(h + 0.5) - math.lgamma(h + K + 1.5))
+    return math.exp(log_low) * (1.0 - rho) > 4.0 * _U * (1.0 - q)
+
+
 def _series_ratio(params, kappa):
     """The term ratio rho = -(kappa/a)/tau_min^2, a = 1 - kappa/s, of the
     simplex params at kappa0 <= kappa < 0."""
@@ -303,44 +328,32 @@ def _series_ratio(params, kappa):
     return -(kappa / a) / (t * t)
 
 
-def _series_prefactor(params, a):
-    """Vol_E a^(-h), h = (d + 1)/2, the series' prefactor at a = 1 - kappa/s,
-    to (3d + 11)u: Vol_E to (d + 5)u, a to 4u raised to -h with 2u of its
-    own, and two products.  Raises OverflowRegionError past the double range."""
+def _series_prefactor(params, kappa, rho):
+    """The series' prefactor and its rounding in units u.  Below rho = 1 it
+    is Vol_E a^(-h), h = (d + 1)/2, a = 1 - kappa/s, to (3d + 11)u: Vol_E to
+    (d + 5)u, a to 4u raised to -h with 2u of its own, and two products.
+    rho = 1 is the ideal simplex, whose volume depends on d and kappa only:
+    sqrt(d)/d! |kappa|^(-d/2), to 7u (sqrt(d), d! as a float, the quotient,
+    the power (2u) and the two products).  Raises OverflowRegionError past
+    the double range."""
+    d = params.dimension
     try:
-        return euclidean_volume(params) * a ** (-(params.dimension + 1) / 2.0)
+        if rho == 1.0:
+            return math.sqrt(d) / math.factorial(d) * (-kappa) ** (-d / 2.0), 7
+        a = 1.0 - kappa / params.s
+        return euclidean_volume(params) * a ** (-(d + 1) / 2.0), 3 * d + 11
     except OverflowError:
         raise OverflowRegionError(
-            f"the {params.dimension}-simplex with tau = {params.taus[0]} has a volume "
-            "past the double range") from None
-
-
-def _hurwitz_zeta(s, q):
-    """zeta(s, q) = sum_(k >= 0) (q + k)^(-s) for s > 1 and q >= 256, by
-    Euler-Maclaurin from k = 0:
-
-        zeta(s, q) = q^(1-s)/(s-1) + q^(-s)/2
-                     + sum_(j=1..5) B_2j/(2j)! (s)_(2j-1) q^(-s-2j+1) + R.
-
-    The terms alternate and fall by about ((s + 2j)/(2 pi q))^2 each, and |R|
-    is below the first omitted one, under 1e-20 of the sum for s <= 25 and
-    q >= 256, and under 1e-17 up to s = 92, the largest the series reads
-    (d = 170)."""
-    t = q ** -s
-    acc = q * t / (s - 1.0) + 0.5 * t
-    g = s * t / q  # (s)_(2j-1) q^(-s-2j+1) at j = 1
-    for j, c in enumerate(_EM_COEFFS, 1):
-        acc += c * g
-        g *= (s + 2 * j - 1) * (s + 2 * j) / (q * q)
-    return acc
+            f"the {d}-simplex at kappa = {kappa} has a volume past the double range") from None
 
 
 def _expint(s0, count, z):
     """E_s(z) = int_1^inf e^(-z t) t^(-s) dt at s = s0, s0 + 1, ..,
-    s0 + count - 1, for z > 0 and s0 a positive integer or half-integer.
+    s0 + count - 1, for z >= 0 and s0 a positive integer or half-integer.
 
-    The recurrence E_(s+1) = (e^(-z) - z E_s)/s gives every order from one
-    of them.  A step up multiplies the error it inherits by about z/s, and a
+    At z = 0 it is 1/(s - 1), and inf for s <= 1, where the integral
+    diverges.  Elsewhere the recurrence E_(s+1) = (e^(-z) - z E_s)/s gives
+    every order from one of them.  A step up multiplies the error it inherits by about z/s, and a
     step down by s/z.  At z <= 2 the recurrence runs up from E_(1/2) =
     sqrt(pi/z) erfc(sqrt z) for half-integer s, and for integer s from E_1 by
     its power series, whose terms stay below e^z times the sum.  Past z = 2
@@ -349,6 +362,8 @@ def _expint(s0, count, z):
     up above it, so no step amplifies.  Against mpmath.expint at s <= 25.5
     and z <= 5.3 the worst error is 52u, at z = 2 from E_(1/2).
     """
+    if z == 0.0:
+        return [1.0 / (s0 + i - 1.0) if s0 + i > 1.0 else math.inf for i in range(count)]
     ez = math.exp(-z)
     out = [0.0] * count
     if z > 2.0:
@@ -389,17 +404,21 @@ def _expint(s0, count, z):
 
 def _lerch_tails(s0, count, lam, q):
     """Phi_s = sum_(k >= 0) e^(-lam (q + k)) (q + k)^(-s) at s = s0, s0 + 1, ..,
-    s0 + count - 1, for lam > 0 and q >= 256: the Lerch transcendent's tail
-    that _series_volume's fitted tail needs, by Euler-Maclaurin from k = 0 as
-    _hurwitz_zeta (its lam = 0 case) takes it.  With z = lam q, the m-th
-    derivative of e^(-lam x) x^(-s) at q is (-1)^m e^(-z) q^(-s-m) P_m,
-    P_m = sum_(i <= m) C(m, i) z^(m-i) (s)_i, so
+    s0 + count - 1, for lam >= 0 and q >= 256: the Lerch transcendent's tail
+    that _series_volume's fitted tail needs, by Euler-Maclaurin from k = 0.
+    With z = lam q, the m-th derivative of e^(-lam x) x^(-s) at q is
+    (-1)^m e^(-z) q^(-s-m) P_m, P_m = sum_(i <= m) C(m, i) z^(m-i) (s)_i, so
 
         Phi_s = q^(1-s) E_s(z)
                 + e^(-z) q^(-s) (1/2 + sum_(j=1..5) B_2j/(2j)! q^(1-2j) P_(2j-1))
 
-    with E_s from _expint.  The corrections fall by about
-    ((z + s + 2j)/(2 pi q))^2 each, as the zeta's do at z = 0."""
+    with E_s from _expint.  lam = 0 (rho = 1, the ideal simplex) is the
+    Hurwitz zeta zeta(s, q), with E_s(0) = 1/(s - 1) and P_m = (s)_m; it is
+    inf at s <= 1, where the sum diverges.  The corrections fall by about
+    ((z + s + 2j)/(2 pi q))^2 each and alternate in sign at z = 0, where the
+    remainder is below the first omitted one: under 1e-20 of the sum for
+    s <= 25, and under 1e-17 up to s = 92, the largest the series reads
+    (d = 170)."""
     z = lam * q
     # w_i = sum_j B_2j/(2j)! C(2j-1, i) z^(2j-1-i) q^(1-2j), the weight of (s)_i
     w = [0.0] * (2 * len(_EM_COEFFS))
@@ -480,12 +499,10 @@ def _series_volume(params, kappa, rho, K, table, fits, groups):
     singularity of sum_k T_k rho^k at rho = 1 (Flajolet and Odlyzko, SIAM J.
     Discrete Math. 3, 1990), and T does not depend on rho.  So the tail is
     sum_j b_j Phi_(h+j), with b_0..b_(J-1) from _fit at J = _IDEAL_J and
-    Phi_s = sum_(k > K) rho^k k^(-s): the Hurwitz zeta (_hurwitz_zeta) at
-    rho = 1, the Lerch tail (_lerch_tails) below.  rho = 1 is the ideal
-    simplex at kappa0, whose volume depends on d and kappa only, so kappa is
-    the requested one: sqrt(d)/d! |kappa|^(-d/2) sum_k T_k, the prefactor to
-    7u (sqrt(d), d! as a float, the quotient, the power (2u) and the two
-    products).  Below rho = 1 the prefactor is _series_prefactor's.
+    Phi_s = sum_(k > K) rho^k k^(-s), the Lerch tail (_lerch_tails) at
+    lam = -ln rho; rho = 1 is its lam = 0 case, the Hurwitz zeta.  rho = 1
+    is the ideal simplex at kappa0, whose volume depends on d and kappa
+    only, so kappa is the requested one (_series_prefactor).
 
     The bar counts the rounding of the terms and the fsum, in units u, as a
     slope times sum_k k term_k plus a constant times the sum.  T_k takes, per
@@ -500,36 +517,37 @@ def _series_volume(params, kappa, rho, K, table, fits, groups):
     product sum to k, a merge takes the larger slope of its two groups and
     the sum of their constants; the pairwise merges are ceil(log2 G) levels
     deep, G the number of groups, so they add 5 to the slope per level and 2
-    to the constant per merge.  rho^k adds one ulp (2), the product
-    rho^k T_k 1, and rho's input rounding (7u: s to 2u from the squares and
-    fsum, kappa/s, 1 - kappa/s, kappa/a, tau_min^2 and the quotient) moves
-    term_k by 7k u; the fsum adds u of the total.  With M the largest group,
-    the slope is at most 2(M - 1) + 3 [G > 1] + 5 ceil(log2 G) + 9 and the
-    constant (n - G)(4 steps + 1) + 5(G - 1) + 4: for one group, 2n + 7 and
-    (n - 1)(4 steps + 1) + 4.  The fitted tail's count is the same but for
-    rho's, 8k u per term with the log that gives
-    lam, the tail included: sum_(k > K) k rho^k T_k is the same fit's
-    sum_j b_j Phi_(h+j-1), which at d <= 3 grows without bound as rho -> 1,
-    the true conditioning of a request given by its taus; then rho^k and the
-    product with T_k (3u), and 128u of the tail for its own rounding
-    (_expint's error is up to 52u, and the corrections and the sum over j
-    add a few).  At rho = 1 none of rho's terms is there.  It adds the fit's
-    error, estimated as the larger gap to the fits at (K/2, J) and
-    (K, J + 2) with the same rho weights: the first is about 2^J times the
-    truncation at K, and the second moves with the rounding the fit
-    amplifies.  At the ideal triangle, where the tail is 2% of the sum,
-    these gaps are 5e-13 and 1e-13 for an actual error of 1.2e-14; past d = 4
-    the tail is below the rounding.
+    to the constant per merge.  The fsum adds u of the total.  With M the
+    largest group, the table and the fsum take a slope of at most
+    2M + 3 [G > 1] + 5 ceil(log2 G) and a constant of
+    (n - G)(4 steps + 1) + 5(G - 1) + 1: for one group, 2n and
+    (n - 1)(4 steps + 1) + 1.  A summed row adds rho's: rho^k adds one ulp
+    (2) and the product rho^k T_k 1, and rho's input rounding (7u: s to 2u
+    from the squares and fsum, kappa/s, 1 - kappa/s, kappa/a, tau_min^2 and
+    the quotient) moves term_k by 7k u, so 7 to the slope and 3 to the
+    constant.  A fitted row adds lam's instead, 8k u per term with the log
+    that gives lam, the tail included: sum_(k > K) k rho^k T_k is the same
+    fit's sum_j b_j Phi_(h+j-1), which at d <= 3 grows without bound as
+    rho -> 1, the true conditioning of a request given by its taus; then
+    rho^k and the product with T_k (3u), and 128u of the tail for its own
+    rounding (_expint's error is up to 52u, and the corrections and the sum
+    over j add a few).  At rho = 1, which is exact, none of rho's terms is
+    there.  It adds the fit's error, estimated as the larger gap to the fits
+    at (K/2, J) and (K, J + 2) with the same rho weights: the first is about
+    2^J times the truncation at K, and the second moves with the rounding
+    the fit amplifies.  At the ideal triangle, where the tail is 2% of the
+    sum, these gaps are 5e-13 and 1e-13 for an actual error of 1.2e-14; past
+    d = 4 the tail is below the rounding.
     """
-    d, n = params.dimension, params.dimension + 1
+    n = params.dimension + 1
     h = n / 2.0
     t = _series_terms(rho, K + 1, table)
-    ks = np.arange(K + 1.0)
     steps = len(t).bit_length()
     bound, fitted = math.inf, K + 1 == _IDEAL_K
     # the ratio bound q falls with K', and the tail bound is finite only
     # where q < 1: if q_K >= 1 (always at rho = 1), no K' passes
     if rho * (h + K) / (K + 1.0) < 1.0:
+        ks = np.arange(K + 1.0)
         q = rho * (h + ks) / (ks + 1.0)
         tail = np.full(K + 1, math.inf)
         np.divide(t[1:], 1.0 - q, out=tail, where=q < 1.0)
@@ -543,46 +561,33 @@ def _series_volume(params, kappa, rho, K, table, fits, groups):
     # the prefactor before _fits: from d = 171 on, where d! passes the double
     # range, it raises OverflowRegionError, and _fits' b_j = c_j K^(h+j) would
     # raise a bare OverflowError from d = 192 on
-    if rho < 1.0:
-        pre, pre_u = _series_prefactor(params, 1.0 - kappa / params.s), 3 * d + 11
-    else:
-        try:
-            pre, pre_u = math.sqrt(d) / math.factorial(d) * (-kappa) ** (-d / 2.0), 7
-        except OverflowError:
-            raise OverflowRegionError(
-                f"the ideal {d}-simplex at kappa = {kappa} has a volume past the double "
-                "range") from None
+    pre, pre_u = _series_prefactor(params, kappa, rho)
+    K = _IDEAL_K if fitted else K
+    terms = t[:K + 1]
+    total = math.fsum(terms.tolist())
+    k_weighted = float(np.sum(np.arange(K + 1.0) * terms))
+    G, M = len(groups), max(m for _, m in groups)
+    slope = 2 * M + 3 * (G > 1) + 5 * (G - 1).bit_length()
+    const = 1 + 5 * (G - 1) + (n - G) * (4 * steps + 1)
     if not fitted:
-        terms = t[:K + 1]
-        total = math.fsum(terms.tolist())
-        k_weighted = float(np.sum(ks[:K + 1] * terms))
-        G, M = len(groups), max(m for _, m in groups)
-        slope = 9 + 5 * (G - 1).bit_length() + 2 * (M - 1) + 3 * (G > 1)
-        const = 4 + 5 * (G - 1) + (n - G) * (4 * steps + 1)
-        sum_err = _U * (slope * k_weighted + const * total) + bound
+        sum_err = _U * ((slope + 7) * k_weighted + (const + 3) * total) + bound
     else:
-        K, J = _IDEAL_K, _IDEAL_J
+        J = _IDEAL_J
         if n not in fits:
             fits[n] = _fits(table, h)
         b, b_half, b_more = fits[n]
         lam = -math.log(rho)
-        if lam:
-            phi = _lerch_tails(h - 1.0, J + 3, lam, K + 1.0)  # from Phi_(h-1)
-            k_tail = math.fsum(bj * p for bj, p in zip(b, phi))
-            phi = phi[1:]
-            phi_half = _lerch_tails(h, J, lam, K // 2 + 1.0)
-        else:
-            phi = [_hurwitz_zeta(h + j, K + 1.0) for j in range(J + 2)]
-            phi_half = [_hurwitz_zeta(h + j, K // 2 + 1.0) for j in range(J)]
-        tl = t.tolist()
-        fit_tail = math.fsum(bj * p for bj, p in zip(b, phi))
-        total = math.fsum(tl) + fit_tail
-        half = math.fsum(tl[:K // 2 + 1]) + math.fsum(bj * p for bj, p in zip(b_half, phi_half))
+        phi = _lerch_tails(h - 1.0, J + 3, lam, K + 1.0)  # from Phi_(h-1)
+        phi_half = _lerch_tails(h, J, lam, K // 2 + 1.0)
+        fit_tail = math.fsum(bj * p for bj, p in zip(b, phi[1:]))
+        half = math.fsum(t[:K // 2 + 1].tolist()) + math.fsum(
+            bj * p for bj, p in zip(b_half, phi_half))
+        total += fit_tail
         spread = max(abs(total - half),
-                     abs(fit_tail - math.fsum(bj * p for bj, p in zip(b_more, phi))))
-        k_weighted = float(np.sum(np.arange(K + 1.0) * t))
-        sum_err = _U * (2 * n * k_weighted + ((n - 1) * (4 * steps + 1) + 1) * total)
+                     abs(fit_tail - math.fsum(bj * p for bj, p in zip(b_more, phi[1:]))))
+        sum_err = _U * (slope * k_weighted + const * total)
         if lam:
+            k_tail = math.fsum(bj * p for bj, p in zip(b, phi))
             sum_err += _U * (8 * (k_weighted + k_tail) + 3 * total + 128 * fit_tail)
         sum_err += spread
     # 1.01 covers the second-order terms of these first-order counts and the
@@ -603,7 +608,8 @@ def volumes(requests):
     once if some row needs them; a row's result does not depend on the
     table's length, so it is the same bit for bit whatever else the call
     holds.  A row of more than one group that the series cannot certify
-    without a fitted tail takes the ray after its table is read.  Every
+    without a fitted tail takes the ray: before its table is built where
+    _series_cannot_stop shows it, else after its table is read.  Every
     other request takes its path one at a time.  A result whose error
     bar is not below its magnitude, or a negative volume, comes back as a
     ToleranceError with the result attached, and one whose magnitude and
@@ -625,9 +631,11 @@ def volumes(requests):
                     # a finite side's rho can round to 1 or past it: it is held below
                     rho = min(_series_ratio(params, kappa), math.nextafter(1.0, 0.0))
                     K = min(_series_guess(params.dimension + 1, rho), _IDEAL_K - 1)
-                series.setdefault(groups, []).append((i, req, kappa, rho, K))
-            else:
-                out[i] = _certified(_evaluate(req, kappa))
+                if len(groups) == 1 or K < _IDEAL_K - 1 or not _series_cannot_stop(
+                        params.dimension + 1, rho):
+                    series.setdefault(groups, []).append((i, req, kappa, rho, K))
+                    continue
+            out[i] = _certified(_evaluate(req, kappa))
         except SimplexVolError as exc:
             out[i] = exc
     fits = {}  # n -> _fits of the one-group table, once a row of that dimension needs them

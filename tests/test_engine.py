@@ -400,7 +400,7 @@ def test_series_reference_table_matches_the_engine_table(n):
     # two implementations of one recurrence: the engine's float doubling scan
     # and the reference's term-by-term fixed-point loop
     K = 79
-    fast = engine._series_table(n, K)
+    fast = engine._series_table(n, K, ((1.0, n),))
     with mp.workdps(60):
         ref = _hp._series_table(n, K)
     assert len(fast) == len(ref) == K + 1

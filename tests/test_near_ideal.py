@@ -45,10 +45,20 @@ def test_regular_triangle_against_its_area(ell):
 
 @pytest.mark.parametrize("s0, lam, q", [
     (0.5, 1e-13, 513.0), (1.0, 1e-6, 1025.0), (1.5, 0.005, 1025.0), (2.0, 0.003, 513.0),
-    (7.0, 0.005, 513.0), (14.5, 1e-3, 1025.0), (23.0, 0.0049, 1025.0)])
+    (7.0, 0.005, 513.0), (14.5, 1e-3, 1025.0), (23.0, 0.0049, 1025.0),
+    *((s0, 0.0, q) for q in (257.0, 513.0, 1025.0, 4097.0) for s0 in (1.5, 2.0))])
 def test_lerch_tails_match_mpmath(s0, lam, q):
     # the Euler-Maclaurin tails at q = K/2 + 1 and K + 1, across the
-    # recurrence's start values (z = lam q on both sides of 2)
+    # recurrence's start values (z = lam q on both sides of 2); lam = 0
+    # (rho = 1) is the Hurwitz zeta, checked against SciPy's at s = 1.5..25
+    # in steps of 1/2 (two runs of 24 orders)
+    if not lam:
+        from scipy.special import zeta
+
+        for i, g in enumerate(engine._lerch_tails(s0, 24, lam, q)):
+            ref = zeta(s0 + i, q)
+            assert abs(g - ref) <= 1.5e-15 * ref, (s0 + i, q)
+        return
     got = engine._lerch_tails(s0, 2, lam, q)
     with mp.workdps(30):
         rho = mp.exp(-mp.mpf(lam))
@@ -68,12 +78,16 @@ def test_mp_lerch_reference_matches_lerchphi(gap, s):
 
 
 def test_expint_matches_mpmath():
+    # z = 0 is the Hurwitz zeta's E_s(0) = 1/(s - 1), inf at s <= 1
     for s0 in (0.5, 1.0, 3.5, 12.0, 20.5):
-        for z in (1e-12, 0.3, 1.0, 2.0, 2.0001, 3.7, 5.2):
+        for z in (0.0, 1e-12, 0.3, 1.0, 2.0, 2.0001, 3.7, 5.2):
             with mp.workdps(30):
                 for i, e in enumerate(engine._expint(s0, 4, z)):
                     ref = mp.expint(s0 + i, z)
-                    assert abs(e - ref) <= 1e-14 * ref, (s0 + i, z)
+                    if mp.isinf(ref):
+                        assert e == math.inf, (s0 + i, z)
+                    else:
+                        assert abs(e - ref) <= 1e-14 * ref, (s0 + i, z)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 30])
@@ -89,8 +103,8 @@ def test_summed_and_fitted_series_agree_below_the_crossover(d):
         n = d + 1
         rho = engine._series_ratio(p, -1.0)
         K = engine._series_guess(n, rho)
-        terms = engine._series_terms(rho, K, engine._series_table(n, K))
-        summed = engine._series_prefactor(p, 1.0 + 1.0 / p.s) * math.fsum(terms.tolist())
+        terms = engine._series_terms(rho, K, engine._series_table(n, K, ((1.0, n),)))
+        summed = engine._series_prefactor(p, -1.0, rho)[0] * math.fsum(terms.tolist())
         if rho0 == 0.995:
             assert r.evaluations == engine._IDEAL_K + 1  # the fitted tail
         assert r.branch is Branch.SERIES

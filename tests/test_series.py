@@ -82,7 +82,7 @@ def mp_series_volume(d, tau, kappa, dps=30):
 @pytest.mark.parametrize("n", [3, 4, 7, 13])
 def test_terms_match_the_convolution_of_f(n):
     # the recurrence against F^n multiplied out, 40 digits
-    t = engine._series_terms(0.7, 60, engine._series_table(n, 60))
+    t = engine._series_terms(0.7, 60, engine._series_table(n, 60, ((1.0, n),)))
     with mp.workdps(40):
         ref = mp_terms([1] * n, 0.7, 60)
         worst = max(abs(mp.mpf(float(a)) - b) / b for a, b in zip(t, ref))
@@ -203,7 +203,7 @@ def test_terms_at_the_cap_stay_finite_and_positive(n):
     K = engine._IDEAL_K
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        t = engine._series_terms(rho, K, engine._series_table(n, K))
+        t = engine._series_terms(rho, K, engine._series_table(n, K, ((1.0, n),)))
     assert len(t) == K + 1
     assert np.all(np.isfinite(t)) and np.all(t > 0.0) and np.all(t <= 1.0)
     if n == 3:
@@ -233,10 +233,10 @@ def test_table_entries_do_not_depend_on_its_length(n):
     cap = 8 * engine._IDEAL_K
     for K in [1, 7, 40, *rng.integers(41, cap // 2, 2)]:
         K = int(K)
-        head = engine._series_table(n, K)
+        head = engine._series_table(n, K, ((1.0, n),))
         assert len(head) == K + 1
         for longer in (2 * K, cap):
-            assert engine._series_table(n, longer)[:K + 1].tobytes() == head.tobytes()
+            assert engine._series_table(n, longer, ((1.0, n),))[:K + 1].tobytes() == head.tobytes()
 
 
 def _grid(d, rng):
@@ -331,15 +331,6 @@ def test_ideal_row_curvature_scaling(d):
         f = abs(kappa) ** (-d / 2.0)
         assert r.branch is Branch.SERIES
         assert abs(r.volume - f * unit.volume) <= r.abs_error + f * unit.abs_error
-
-
-def test_hurwitz_zeta_matches_scipy():
-    from scipy.special import zeta
-
-    for q in (257.0, 513.0, 1025.0, 4097.0):
-        for s in np.linspace(1.5, 25.0, 48):
-            ref = zeta(s, q)
-            assert abs(engine._hurwitz_zeta(float(s), q) - ref) <= 1.5e-15 * ref, (s, q)
 
 
 def test_an_ideal_volume_past_the_double_range_is_refused():
@@ -510,6 +501,23 @@ def test_orthocentric_rows_are_bit_identical_alone_and_in_a_batch():
         alone = volume(req)
         assert (repr(r.volume), repr(r.abs_error), r.branch, r.evaluations) \
             == (repr(alone.volume), repr(alone.abs_error), alone.branch, alone.evaluations)
+
+
+@pytest.mark.parametrize("frac", [1.0, 0.999])
+def test_a_row_that_cannot_stop_takes_the_ray_without_its_table(monkeypatch, frac):
+    # the d = 6 State row's terms fall too slowly for its sum to stop within
+    # T_0..T_1024: it takes the ray as before, and builds no table first
+    p = _state_row(6, None).geometry
+    req = VolumeRequest(p, frac * min_curvature(p))
+    built = []
+    table = engine._series_table
+    monkeypatch.setattr(engine, "_series_table", lambda *a: built.append(a) or table(*a))
+    r = volume(req)
+    assert built == []
+    ray = engine._certified(engine._evaluate(req, engine._checked_kappa(req)[0]))
+    assert r.branch is Branch.UPPER_RAY
+    assert (repr(r.volume), repr(r.abs_error), r.evaluations) \
+        == (repr(ray.volume), repr(ray.abs_error), ray.evaluations)
 
 
 @pytest.mark.parametrize("d, ell, kappa, vol, err, terms", [

@@ -22,8 +22,9 @@ Each checkout is a full tree (``git archive`` or ``git clone``) with its own
   from ``default_rng(d)``, kappa = kappa0/2), on both sides, each marked
   when the accuracy gate refuses it;
 * ``ideal_volume_highprec(d)`` times for d = 2, 12 and 20, on both sides;
-* the ``tracemalloc`` peak and time of a d = 6, 10^6-sample
-  ``mc_spherical_volume`` call, on both sides;
+* the ``tracemalloc`` peak of one cold d = 6, 10^6-sample
+  ``mc_spherical_volume`` call in a fresh process, and the median time of
+  REPEATS warm calls after it with tracing off, on both sides;
 * the Tier-1 suite's wall time, summary line and slowest-test lines (the
   ``--durations`` that pyproject.toml asks pytest for), on both sides.
 
@@ -138,18 +139,25 @@ for d in (2, 12, 20):
 print(json.dumps(out))
 """
 
-#: one child per side: the tracemalloc peak and the time of one Monte Carlo call
+#: one child per side: the tracemalloc peak of one cold Monte Carlo call, then
+#: the median of REPEATS warm calls with tracing off
 MC_CHILD = """
-import json, sys, time, tracemalloc
+import json, statistics, sys, time, tracemalloc
 sys.path.insert(0, sys.argv[1])
 from simplexvol import OrthocentricParams, mc_spherical_volume
 params = OrthocentricParams((1.0, 1.1, 0.9, 1.2, 0.8, 1.3, 1.05))
+def call():
+    mc_spherical_volume(params, 2.0 * params.s, samples=1_000_000, seed=3)
 tracemalloc.start()
-t0 = time.perf_counter()
-mc_spherical_volume(params, 2.0 * params.s, samples=1_000_000, seed=3)
-wall = time.perf_counter() - t0
+call()
 peak = tracemalloc.get_traced_memory()[1]
-print(json.dumps({"peak_mib": peak / 2 ** 20, "ms": 1e3 * wall}))
+tracemalloc.stop()
+times = []
+for _ in range(int(sys.argv[2])):
+    t0 = time.perf_counter()
+    call()
+    times.append(time.perf_counter() - t0)
+print(json.dumps({"peak_mib": peak / 2 ** 20, "ms": 1e3 * statistics.median(times)}))
 """
 
 
@@ -295,9 +303,10 @@ def main(argv=None):
         "mc_spherical": {"call": "mc_spherical_volume(OrthocentricParams((1.0, 1.1, 0.9, "
                                  "1.2, 0.8, 1.3, 1.05)), 2 s, samples=10**6, seed=3), "
                                  "d = 6",
-                         "statistic": "tracemalloc peak over one call, in a fresh "
-                                      "process; its wall time",
-                         **child_times(sides, MC_CHILD)},
+                         "statistic": "tracemalloc peak over one cold call, in a "
+                                      f"fresh process; ms the median of {REPEATS} warm "
+                                      "calls after it, untraced",
+                         **child_times(sides, MC_CHILD, REPEATS)},
         "tier1": tier1(sides),
     }
     record["machine"]["load_average_end"] = os.getloadavg()
