@@ -41,9 +41,8 @@ regular_parameters rounds the taus so that this holds for side length inf
 and for no finite one); a finite side whose rho rounds to 1 or past it is
 held just below.  A request of more than one group has no fitted tail:
 where its sum does not stop within T_0.._IDEAL_K (near kappa0, where its
-tau_min vertex goes ideal), it takes the ray, before its table is built
-where a lower bound on its terms already shows that (_series_cannot_stop).
-A series result has branch SERIES and residual_imag 0.  Every other request
+tau_min vertex goes ideal), it takes the ray once its table is read.  A
+series result has branch SERIES and residual_imag 0.  Every other request
 (kappa > 0, the lower branch, and those) takes the ray, the only path that
 loads SciPy.
 
@@ -84,10 +83,6 @@ _U = 2.0 ** -53
 #: below rounding within them, it fits the rest with _IDEAL_J powers of 1/k
 _IDEAL_K = 1024
 _IDEAL_J = 5
-
-#: _merge_groups builds this many columns of its weights at a time, which
-#: bounds its arrays to about 1 MB each at any table length
-_MERGE_COLUMNS = 128
 
 #: B_2j/(2j)! for j = 1..5, the Euler-Maclaurin corrections of _lerch_tails,
 #: whose lam = 0 case (rho = 1) is the Hurwitz zeta
@@ -239,35 +234,37 @@ def _merge_groups(a, alpha, b, beta):
         W_ki = (alpha)_i (beta)_(k-i) / (alpha + beta)_k,
 
     each positive and at most 1 (by Vandermonde, sum_i C(k, i) W_ki = 1).
-    W_k0 = (beta)_k/(alpha + beta)_k is a running product over k, and W_ki
-    one down i from it with the ratios (alpha + i - 1)/(beta + k - i).  The
-    columns k go in blocks of _MERGE_COLUMNS, each an (i, k) array over
-    i < the block's end whose ratios are 0 below the diagonal (the +inf
-    that pads the denominators), so memory stays O(K _MERGE_COLUMNS), and
-    the sum over i runs row by row: p_k reads nothing past k, whatever the
-    blocks.  The product down i passes W_ki <= 1/C(k, i), which near
-    i = k/2 falls below the least normal double from about k = 1,020 on:
-    there it keeps a subnormal's few bits, and it seeds the rest of its
-    column with them.  The engine reads at most _IDEAL_K + 1 entries, and
-    there the error (3.6e-14 at k = 1,024 for d = 2, against a 30-digit
-    convolution) is inside the rounding _series_volume counts (about
-    2.5e-12 for three groups); a longer table needs a banded merge, whose
-    weights start from the ends of each column.  T_k is at least (1/2)_k/(h+1/2)_k, the tau_min group's
-    factor alone.
+    Split into its three Pochhammer factors, the sum is one convolution:
+    with x_i = (alpha)_i c^-i, y_j = (beta)_j c^-j and z_k = (alpha + beta)_k
+    c^-k, each a running product of (v + j)/c, p_k = sum_i (x_i a_i)(y_(k-i)
+    b_(k-i)) / z_k, and the powers of c cancel.  c is the power of two
+    nearest the geometric mean of alpha + beta + j over j < _IDEAL_K, from
+    lgamma: every division by it is exact, and it depends on alpha + beta
+    only, so no entry's bits depend on the table's length.
+
+    The range.  The terms that carry p_k are within a factor k + 1 of
+    p_k z_k.  c holds z_(_IDEAL_K) within 2^(+-_IDEAL_K/2) of 1, and z_k
+    stays between 1e-221 and 1e278 for alpha + beta <= 600 and k <= 1,300,
+    so those terms stay normal wherever p_k z_k does.  Where it does not,
+    as where both inputs fall like sigma^k (a merge without the tau_min
+    group), the entry keeps less, but T_k reads it only times far larger
+    ones: against a 30-digit per-factor convolution, the tables of the
+    State taus (default_rng(d).uniform(0.6, 1.8, d + 1)) at d = 2, 3, 8
+    and 14, and of random taus up to d = 30 with sigma down to 0.005, are
+    within 5.6e-15 at every k <= 1,100.
+
+    Both inputs take a trailing zero: np.convolve sums its one
+    full-overlap entry in another order than the partial ones, and with
+    the zero every entry kept is a partial one, whatever the length.
+    Entry k rounds by at most (3k + 4)u: x_i by i u, y_(k-i) by (k - i)u,
+    z_k by k u, the three products and the quotient by 4, and the sum by
+    k.
     """
-    ks = np.arange(len(a), dtype=float)
-    first = np.ones(len(a))  # W_k0
-    np.cumprod((beta + ks[:-1]) / (alpha + beta + ks[:-1]), out=first[1:])
-    p = np.empty(len(a))
-    for k0 in range(0, len(a), _MERGE_COLUMNS):
-        k1 = min(k0 + _MERGE_COLUMNS, len(a))
-        lag = ks[k0:k1] - ks[:k1, None]  # k - i at (i, k)
-        w = (alpha - 1.0 + ks[:k1, None]) / np.where(lag < 0.0, np.inf, beta + lag)
-        w[0] = first[k0:k1]
-        np.cumprod(w, axis=0, out=w)
-        w *= a[:k1, None]
-        w *= b[np.maximum(lag, 0.0).astype(np.intp)]  # b_(k-i)
-        p[k0:k1] = w.sum(axis=0)
+    c = 2.0 ** round((math.lgamma(alpha + beta + _IDEAL_K) - math.lgamma(alpha + beta))
+                     / (_IDEAL_K * math.log(2.0)))
+    js = np.arange(len(a) - 1.0)
+    x, y, z = (np.cumprod(np.append(1.0, (v + js) / c)) for v in (alpha, beta, alpha + beta))
+    p = np.convolve(np.append(x * a, 0.0), np.append(y * b, 0.0))[:len(a)] / z
     return p, alpha + beta
 
 
@@ -299,25 +296,6 @@ def _series_guess(n, rho):
         K -= (K * log_rho - h * math.log1p(K) - target) / (log_rho - h / (K + 1.0))
     # and past where the tail bound's ratio rho (h + K)/(K + 1) drops below 1
     return int(max(1.1 * K, 1.25 * (rho * h - 1.0) / (1.0 - rho))) + 8
-
-
-def _series_cannot_stop(n, rho):
-    """Whether _series_volume's stopping test provably fails at every
-    K' <= K = _IDEAL_K - 1 for a row of n factors and ratio rho < 1, so
-    that a row of more than one group would build its table only to take
-    the ray.  T_k >= (1/2)_k/(h+1/2)_k (_merge_groups), and the tail bound
-    term_(K'+1)/(1 - q_K') only falls with K' (the terms fall where q < 1),
-    so it is at least rho^(K+1) (1/2)_(K+1)/(h+1/2)_(K+1)/(1 - q_K); and
-    as T_k <= 1, 2u times the sum is below 2u/(1 - rho).  The factor 2 on
-    that covers the rounding on both sides of the float test: the terms,
-    their sums and this bound are each off by far less than a third (under
-    1e-10 relative, by _series_volume's count).  q_K >= 1, where no K' has
-    a finite bound, passes too."""
-    h, K = n / 2.0, _IDEAL_K - 1
-    q = rho * (h + K) / (K + 1.0)
-    log_low = ((K + 1) * math.log(rho) + math.lgamma(K + 1.5) - math.lgamma(0.5)
-               + math.lgamma(h + 0.5) - math.lgamma(h + K + 1.5))
-    return math.exp(log_low) * (1.0 - rho) > 4.0 * _U * (1.0 - q)
 
 
 def _series_ratio(params, kappa):
@@ -512,15 +490,15 @@ def _series_volume(params, kappa, rho, K, table, fits, groups):
     scan leaves out (1).  Each group past the first (whose sigma is exactly
     1) adds sigma_g's input rounding (3u: two squares and the quotient),
     which moves entry k by 3k u, and the pow and product of sigma_g^k (3).  A
-    merge (_merge_groups) adds 2k for W_k0, 2i <= 2k down the column, two
-    products and k for the sum over i: 5k + 2.  As the indices of a merged
-    product sum to k, a merge takes the larger slope of its two groups and
-    the sum of their constants; the pairwise merges are ceil(log2 G) levels
-    deep, G the number of groups, so they add 5 to the slope per level and 2
-    to the constant per merge.  The fsum adds u of the total.  With M the
-    largest group, the table and the fsum take a slope of at most
-    2M + 3 [G > 1] + 5 ceil(log2 G) and a constant of
-    (n - G)(4 steps + 1) + 5(G - 1) + 1: for one group, 2n and
+    merge (_merge_groups) adds 3k + 4: k for x_i and y_(k-i) together, k
+    for z_k, 4 for the three products and the quotient of an entry, and k
+    for its sum.  As the indices of a merged product sum to k, a merge takes
+    the larger slope of its two groups and the sum of their constants; the
+    pairwise merges are ceil(log2 G) levels deep, G the number of groups, so
+    they add 3 to the slope per level and 4 to the constant per merge.  The
+    fsum adds u of the total.  With M the largest group, the table and the
+    fsum take a slope of at most 2M + 3 [G > 1] + 3 ceil(log2 G) and a
+    constant of (n - G)(4 steps + 1) + 7(G - 1) + 1: for one group, 2n and
     (n - 1)(4 steps + 1) + 1.  A summed row adds rho's: rho^k adds one ulp
     (2) and the product rho^k T_k 1, and rho's input rounding (7u: s to 2u
     from the squares and fsum, kappa/s, 1 - kappa/s, kappa/a, tau_min^2 and
@@ -567,8 +545,8 @@ def _series_volume(params, kappa, rho, K, table, fits, groups):
     total = math.fsum(terms.tolist())
     k_weighted = float(np.sum(np.arange(K + 1.0) * terms))
     G, M = len(groups), max(m for _, m in groups)
-    slope = 2 * M + 3 * (G > 1) + 5 * (G - 1).bit_length()
-    const = 1 + 5 * (G - 1) + (n - G) * (4 * steps + 1)
+    slope = 2 * M + 3 * (G > 1) + 3 * (G - 1).bit_length()
+    const = 1 + 7 * (G - 1) + (n - G) * (4 * steps + 1)
     if not fitted:
         sum_err = _U * ((slope + 7) * k_weighted + (const + 3) * total) + bound
     else:
@@ -608,8 +586,7 @@ def volumes(requests):
     once if some row needs them; a row's result does not depend on the
     table's length, so it is the same bit for bit whatever else the call
     holds.  A row of more than one group that the series cannot certify
-    without a fitted tail takes the ray: before its table is built where
-    _series_cannot_stop shows it, else after its table is read.  Every
+    without a fitted tail takes the ray once its table is read.  Every
     other request takes its path one at a time.  A result whose error
     bar is not below its magnitude, or a negative volume, comes back as a
     ToleranceError with the result attached, and one whose magnitude and
@@ -631,10 +608,8 @@ def volumes(requests):
                     # a finite side's rho can round to 1 or past it: it is held below
                     rho = min(_series_ratio(params, kappa), math.nextafter(1.0, 0.0))
                     K = min(_series_guess(params.dimension + 1, rho), _IDEAL_K - 1)
-                if len(groups) == 1 or K < _IDEAL_K - 1 or not _series_cannot_stop(
-                        params.dimension + 1, rho):
-                    series.setdefault(groups, []).append((i, req, kappa, rho, K))
-                    continue
+                series.setdefault(groups, []).append((i, req, kappa, rho, K))
+                continue
             out[i] = _certified(_evaluate(req, kappa))
         except SimplexVolError as exc:
             out[i] = exc

@@ -436,13 +436,40 @@ def test_group_table_matches_the_convolution_of_f(groups):
 
 
 def test_group_table_entries_do_not_depend_on_its_length():
-    # the merges build their weights in blocks of columns; a shorter table
-    # cuts its last block short
+    # a merge is one convolution, and np.convolve sums its one full-overlap
+    # entry in another order than the partial ones: the trailing zero on
+    # both inputs keeps every entry a partial one, whatever the length
     groups = ((1.0, 3), (0.6, 1), (0.35, 2), (0.1, 1))
     for K in (50, 200):
         head = engine._series_table(7, K, groups)
         for longer in (K + 1, 300, engine._IDEAL_K):
             assert engine._series_table(7, longer, groups)[:K + 1].tobytes() == head.tobytes()
+    rng = np.random.default_rng(32)
+    for alpha, beta in ((0.5, 0.5), (1.5, 2.0), (3.0, 0.5), (43.0, 43.0)):
+        a, b = 10.0 ** rng.uniform(-3.0, 3.0, (2, 41))
+        full = engine._merge_groups(a, alpha, b, beta)[0]
+        for L in range(2, 41):
+            assert engine._merge_groups(a[:L], alpha, b[:L], beta)[0].tobytes() \
+                == full[:L].tobytes()
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (0.5, 85.5), (43.0, 43.0), (150.0, 150.0)])
+def test_merge_matches_a_25_digit_sum_past_1024_entries(alpha, beta):
+    # p_k = sum_i W_ki a_i b_(k-i), W_ki = (alpha)_i (beta)_(k-i)/(alpha + beta)_k,
+    # with the weights run down i in mpf; a merge whose weights pass below
+    # the least normal double must not lose the entries past there
+    L = 1300
+    for a, b in ((np.ones(L), np.ones(L)),
+                 (np.arange(1.0, L + 1.0) ** -1.5, 0.99 ** np.arange(L))):
+        p = engine._merge_groups(a, alpha, b, beta)[0]
+        with mp.workdps(25):
+            am, bm = [mp.mpf(v) for v in a], [mp.mpf(v) for v in b]
+            for k in (0, 1, 5, 100, 512, 1024, 1200, 1299):
+                w = [mp.rf(mp.mpf(beta), k) / mp.rf(mp.mpf(alpha + beta), k)]
+                for i in range(k):
+                    w.append(w[-1] * (alpha + i) / (beta + k - i - 1))
+                ref = mp.fdot(w, [am[i] * bm[k - i] for i in range(k + 1)])
+                assert abs(mp.mpf(p[k]) - ref) <= 1e-14 * ref
 
 
 def _orthocentric_cases():
@@ -504,16 +531,17 @@ def test_orthocentric_rows_are_bit_identical_alone_and_in_a_batch():
 
 
 @pytest.mark.parametrize("frac", [1.0, 0.999])
-def test_a_row_that_cannot_stop_takes_the_ray_without_its_table(monkeypatch, frac):
+def test_a_row_that_cannot_stop_takes_the_ray_after_its_table(monkeypatch, frac):
     # the d = 6 State row's terms fall too slowly for its sum to stop within
-    # T_0..T_1024: it takes the ray as before, and builds no table first
+    # T_0..T_1024: it builds its table once, reads it, and takes the ray
+    # (_series_volume returns None)
     p = _state_row(6, None).geometry
     req = VolumeRequest(p, frac * min_curvature(p))
     built = []
     table = engine._series_table
     monkeypatch.setattr(engine, "_series_table", lambda *a: built.append(a) or table(*a))
     r = volume(req)
-    assert built == []
+    assert len(built) == 1
     ray = engine._certified(engine._evaluate(req, engine._checked_kappa(req)[0]))
     assert r.branch is Branch.UPPER_RAY
     assert (repr(r.volume), repr(r.abs_error), r.evaluations) \

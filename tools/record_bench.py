@@ -19,8 +19,8 @@ Each checkout is a full tree (``git archive`` or ``git clone``) with its own
 * ``regular_volume(d, ell)`` times for d = 2..14 at ell = inf and at the
   finite side lengths of REGULAR_ROWS, on both sides;
 * orthocentric hyperbolic ``volume()`` times for d = 2..14 (taus ~ U(0.6, 1.8)
-  from ``default_rng(d)``, kappa = kappa0/2), on both sides, each marked
-  when the accuracy gate refuses it;
+  from ``default_rng(d)``) at each fraction of kappa0 in ORTHO_FRACS, on both
+  sides, each marked when the accuracy gate refuses it;
 * ``ideal_volume_highprec(d)`` times for d = 2, 12 and 20, on both sides;
 * the ``tracemalloc`` peak of one cold d = 6, 10^6-sample
   ``mc_spherical_volume`` call in a fresh process, and the median time of
@@ -86,20 +86,26 @@ print(json.dumps(out))
 #: near-ideal 0.9993
 REGULAR_ROWS = (1.0, 4.0, 5.5, 8.0)
 
-#: one child per side: warm up, then per d the median of REPEATS timings, or
-#: a single timing where one call takes longer than LONG_CALL_S
+#: the fractions of kappa0 of the orthocentric rows: at kappa0/2 the sums
+#: stop within a few dozen terms; at 0.99 kappa0 they read grouped tables of
+#: up to 1,025 entries, or take the ray where the sum cannot stop
+ORTHO_FRACS = (0.5, 0.99)
+
+#: one child per side and fraction of kappa0: warm up, then per d the median
+#: of REPEATS timings, or a single timing where one call takes longer than
+#: LONG_CALL_S
 ORTHO_CHILD = """
 import json, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from simplexvol import engine, geometry
 from simplexvol.errors import ToleranceError
-repeats, long_call = int(sys.argv[2]), float(sys.argv[3])
+repeats, long_call, frac = int(sys.argv[2]), float(sys.argv[3]), float(sys.argv[4])
 
 def request(d):
     taus = tuple(float(t) for t in np.random.default_rng(d).uniform(0.6, 1.8, d + 1))
     params = geometry.OrthocentricParams(taus)
-    return engine.VolumeRequest(geometry=params, kappa=geometry.min_curvature(params) / 2)
+    return engine.VolumeRequest(geometry=params, kappa=frac * geometry.min_curvature(params))
 
 def timed(req):
     t0 = time.perf_counter()
@@ -290,13 +296,14 @@ def main(argv=None):
                                  "statistic": f"median of {REPEATS} calls after a warm-up",
                                  **child_times(sides, REGULAR_CHILD, REPEATS, ell)}
                            for ell in REGULAR_ROWS},
-        "orthocentric_volume_ms": {
+        "orthocentric_volume_ms": {frac: {
             "call": "volume() of OrthocentricParams(taus), taus = "
-                    "default_rng(d).uniform(0.6, 1.8, d + 1), kappa = min_curvature / 2",
+                    f"default_rng(d).uniform(0.6, 1.8, d + 1), kappa = {frac} min_curvature",
             "statistic": f"median of {REPEATS} calls after a warm-up, one call where the "
                          f"first takes over {LONG_CALL_S} s; a call the accuracy gate "
                          "refuses (ToleranceError) is timed to the refusal and marked",
-            **child_times(sides, ORTHO_CHILD, REPEATS, LONG_CALL_S)},
+            **child_times(sides, ORTHO_CHILD, REPEATS, LONG_CALL_S, frac)}
+            for frac in ORTHO_FRACS},
         "highprec_ms": {"call": "ideal_volume_highprec(d)",
                         "statistic": f"median of {REPEATS} calls after a warm-up",
                         **child_times(sides, HP_CHILD, REPEATS)},
