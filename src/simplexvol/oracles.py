@@ -4,12 +4,14 @@ None of these share a code path with the contour-integral engine: the Monte
 Carlo estimator samples the Gaussian cone test directly, row by row, drawing
 the number of samples that pass the first two rows from its exact
 probability, 1/4 + arcsin(r) / (2 pi), and their xi from its conditional
-law in closed form; the Klein-model integrator uses scipy's QUADPACK on the
-defining density; and the two tetrahedron integrals are classical
-one-dimensional quadratures.
+law in closed form; the Klein-model integrator sums cones from the origin
+over the simplex's facets, with the defining density integrated along each
+ray in closed form, R_d(a) = int_0^1 r^(d-1) (1 + a r^2)^(-(d+1)/2) dr =
+2F1((d+1)/2, d/2; d/2 + 1; -a) / d, and over the facets by one scipy
+cubature; and the two tetrahedron integrals are classical one-dimensional
+quadratures.
 """
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -180,16 +182,32 @@ def direct_klein_volume(vertices, kappa, rel_tol=1e-6):
     """Volume by direct integration of (1 + kappa |y|^2)^{-(d+1)/2} over the simplex.
 
     vertices is the simplex's (d+1, d) vertex array, as realize_vertices
-    returns it.  One integrand over the unit cube [0, 1]^d, through the
-    standard map onto the simplex, y = v_0 + sum_k u_k (v_k - v_0) with
-    u_k = t_k (1 - t_1) ... (1 - t_(k-1)) and Jacobian
-    prod_k (1 - t_k)^(d-k), goes to one scipy.integrate.nquad call
-    (deterministic iterated QUADPACK); limited to d in {2, 3} (the cost
-    grows exponentially with d).  Raises GeometryDomainError when kappa is
-    not finite, or when a vertex is not strictly inside the model ball at
-    this kappa, where the integrand blows up.
+    returns it.  The simplex is a signed sum of cones from the origin over
+    its facets: the cone over the facet F_j opposite v_j has the signed
+    volume lambda_j V, with V the simplex's volume and lambda_j the
+    origin's j-th barycentric coordinate (negative when the origin lies
+    beyond F_j, zero when F_j's plane passes through it).  Along each ray
+    of a cone the integral is in closed form,
+
+        R_d(a) = int_0^1 r^(d-1) (1 + a r^2)^(-(d+1)/2) dr
+               = 2F1((d+1)/2, d/2; d/2 + 1; -a) / d,
+
+    so the volume is d V sum_j lambda_j <R_d(kappa |x|^2)>_{F_j}, the mean
+    taken over the facet.  A d = 2 facet is its segment x = P_0 + s(P_1 -
+    P_0), a d = 3 facet the Duffy map x = P_0 + s(P_1 - P_0) + st(P_2 - P_1)
+    of the unit square, whose Jacobian 2s is normalised to the facet's
+    area; each facet's vertices are taken nearest the origin first, which
+    keeps the steep end of R_d, the far vertex, off the map's collapsed
+    corner.  All facets share the parameters (s, t), so the whole sum is
+    one vectorised integrand and one scipy.integrate.cubature call (gk21,
+    deterministic), and rel_tol holds on the sum itself, whatever the
+    signs of the lambda_j.  Limited to d in {2, 3}.  Raises
+    GeometryDomainError when kappa is not finite, or when a vertex is not
+    strictly inside the model ball at this kappa, where the integrand
+    blows up.
     """
-    from scipy import integrate
+    from scipy.integrate import cubature
+    from scipy.special import hyp2f1
     d = vertices.shape[1]
     if d not in (2, 3):
         raise CostLimitError("direct Klein integration is limited to d in {2, 3}")
@@ -199,41 +217,22 @@ def direct_klein_volume(vertices, kappa, rel_tol=1e-6):
         if 1.0 + kappa * rmax2 <= 0.0:
             raise GeometryDomainError(
                 "simplex does not fit strictly inside the model ball at this kappa")
-    ex = (d + 1) / 2.0
-    B = (vertices[1:] - vertices[0]).T  # columns are edge vectors
-    jac0 = abs(np.linalg.det(B))
-    powers = range(d - 1, 0, -1)
-    # the map runs on Python floats, each coordinate in the order NumPy's
-    # elementwise arithmetic on these vectors takes, and |y|^2 is summed
-    # coordinate by coordinate
-    v0 = vertices[0].tolist()
-    edges = B.T.tolist()
+    vol = abs(np.linalg.det(vertices[1:] - vertices[0])) / math.factorial(d)
+    cones = d * vol * np.linalg.solve(np.vstack([np.ones(d + 1), vertices.T]),
+                                      np.eye(d + 1)[0])
+    facets = np.stack([f[np.argsort(np.sum(f * f, axis=1), kind="stable")]
+                       for f in (np.delete(vertices, j, axis=0) for j in range(d + 1))])
+    p0 = facets[:, 0].ravel()
+    steps = np.diff(facets, axis=1).transpose(1, 0, 2).reshape(d - 1, -1)
 
-    # nquad passes the innermost variable t_d first; t_1..t_(d-1) stay fixed
-    # while its quad runs, so their part of y and of the Jacobian is built
-    # once per inner integral.  Each u_k is multiplied out left to right.
-    @functools.lru_cache(maxsize=1)
-    def outer(*ts):
-        t = ts[::-1]  # t_1, ..., t_(d-1)
-        c = [1.0 - x for x in t]
-        y = v0
-        for k in range(d - 1):
-            u = math.prod(c[:k], start=t[k])
-            y = [a + b * u for a, b in zip(y, edges[k])]
-        return y, c, math.prod(map(pow, c, powers))
+    def integrand(u):
+        c = np.cumprod(u, axis=1)  # the map's s and st
+        x = (p0 + c @ steps).reshape(len(u), d + 1, d)  # one point on each facet
+        radial = hyp2f1((d + 1) / 2.0, d / 2.0, d / 2.0 + 1.0, -kappa * np.sum(x * x, axis=2)) / d
+        return (d - 1) * np.prod(c[:, :d - 2], axis=1) * (radial @ cones)
 
-    def f(t_d, *ts):
-        y, c, jac = outer(*ts)
-        u = math.prod(c, start=t_d)
-        q = 0.0
-        for a, b in zip(y, edges[-1]):
-            z = a + b * u
-            q += z * z
-        w = 1.0 + kappa * q
-        return jac / w ** ex
-
-    val = integrate.nquad(f, [[0.0, 1.0]] * d, opts={"epsabs": 0.0, "epsrel": rel_tol})[0]
-    return float(jac0 * val)
+    return float(cubature(integrand, np.zeros(d - 1), np.ones(d - 1), rule="gk21",
+                          rtol=rel_tol, atol=0.0).estimate)
 
 
 def ideal_tetrahedron_volume():

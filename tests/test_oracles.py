@@ -433,18 +433,10 @@ def test_klein_refuses_a_simplex_outside_the_model_ball():
         direct_klein_volume(verts, 1.5 * min_curvature(p))
 
 
-def _norm2(y):
-    """|y|^2 summed coordinate by coordinate from 0.0, as direct_klein_volume
-    sums it, whatever kernel a BLAS dot product would use."""
-    q = 0.0
-    for z in y.tolist():
-        q += z * z
-    return q
-
-
 def _klein_per_dimension(vertices, kappa, rel_tol):
-    """The Klein integral by dblquad at d = 2 and tplquad at d = 3, with the
-    map written out term by term in the order direct_klein_volume evaluates it."""
+    """The Klein integral by dblquad at d = 2 and tplquad at d = 3, through
+    the standard map of the unit cube onto the simplex: a reference that
+    shares no step with direct_klein_volume's cones from the origin."""
     d = vertices.shape[1]
     ex = (d + 1) / 2.0
     v0 = vertices[0]
@@ -453,13 +445,13 @@ def _klein_per_dimension(vertices, kappa, rel_tol):
     if d == 2:
         def f(t2, t1):
             y = v0 + B[:, 0] * t1 + B[:, 1] * (t2 * (1.0 - t1))
-            return (1.0 - t1) / (1.0 + kappa * _norm2(y)) ** ex
+            return (1.0 - t1) / (1.0 + kappa * (y @ y)) ** ex
         return jac0 * integrate.dblquad(f, 0.0, 1.0, 0.0, 1.0, epsabs=0.0, epsrel=rel_tol)[0]
 
     def f(t3, t2, t1):
         y = (v0 + B[:, 0] * t1 + B[:, 1] * (t2 * (1.0 - t1))
              + B[:, 2] * (t3 * (1.0 - t1) * (1.0 - t2)))
-        return (1.0 - t1) ** 2 * (1.0 - t2) / (1.0 + kappa * _norm2(y)) ** ex
+        return (1.0 - t1) ** 2 * (1.0 - t2) / (1.0 + kappa * (y @ y)) ** ex
     return jac0 * integrate.tplquad(f, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0,
                                     epsabs=0.0, epsrel=rel_tol)[0]
 
@@ -469,8 +461,50 @@ def _klein_per_dimension(vertices, kappa, rel_tol):
     ((0.9, 1.6, 0.6, 1.2), 0.4),
     ((1.0, 1.1, 0.9, 1.2), -0.5),
 ], ids=["d2-hyperbolic", "d3-hyperbolic", "d3-spherical"])
-def test_klein_single_integrand_is_bit_identical_to_per_dimension_quadrature(taus, factor):
+def test_klein_cones_match_per_dimension_quadrature(taus, factor):
     p = OrthocentricParams(taus)
     verts = realize_vertices(p)
     kappa = factor * min_curvature(p)
-    assert direct_klein_volume(verts, kappa, 1e-7) == _klein_per_dimension(verts, kappa, 1e-7)
+    ref = _klein_per_dimension(verts, kappa, 1e-12)
+    assert abs(direct_klein_volume(verts, kappa, 1e-12) - ref) <= 1e-12 * ref
+
+
+def _origin_weights(vertices):
+    """The origin's barycentric coordinates in the simplex: the signed
+    shares of the cones from the origin over the facets opposite each vertex."""
+    d = vertices.shape[1]
+    return np.linalg.solve(np.vstack([np.ones(d + 1), vertices.T]), np.eye(d + 1)[0])
+
+
+def _cone_case(d, case):
+    """Seeded vertices and a kappa for one edge case of the cone sum."""
+    p = OrthocentricParams(tuple(np.random.default_rng(9).uniform(0.5, 2.0, d + 1)))
+    verts = realize_vertices(p)
+    where, _, sign = case.partition("-")
+    if where not in ("outside", "facet"):
+        return verts, {"flat": 1e-8, "half-s": p.s / 2, "twice-s": 2.0 * p.s,
+                       "near-kappa0": 0.97 * min_curvature(p)}[case]
+    # move the origin past the facet opposite v_0, or onto its centroid
+    facet = verts[1:].mean(axis=0)
+    verts = verts - (1.4 * facet - 0.4 * verts[0] if where == "outside" else facet)
+    r2 = float(np.max(np.sum(verts * verts, axis=1)))
+    return verts, -0.5 / r2 if sign == "hyperbolic" else 1.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("case", [
+    "flat", "half-s", "twice-s", "near-kappa0", "outside-hyperbolic", "outside-spherical",
+    "facet-hyperbolic", "facet-spherical"])
+def test_klein_cone_sum_edge_cases(d, case):
+    # kappa ~ 0, spherical at s/2 and 2s, close to kappa0, and the origin
+    # outside the simplex (a negative cone) or on a facet's plane (a zero one)
+    verts, kappa = _cone_case(d, case)
+    lam = _origin_weights(verts)
+    if case.startswith("outside"):
+        assert lam[0] < -0.1
+    elif case.startswith("facet"):
+        assert abs(lam[0]) < 1e-15
+    else:
+        assert lam.min() > 0.0
+    ref = _klein_per_dimension(verts, kappa, 1e-10)
+    assert abs(direct_klein_volume(verts, kappa, 1e-10) - ref) <= 1e-10 * ref

@@ -31,7 +31,7 @@ def mp_terms(sigmas, rho, K):
     p = [mp.mpf(1)] + [mp.mpf(0)] * K
     for sigma in sigmas:
         g = [mp.mpf(sigma) ** i * f[i] for i in range(K + 1)]
-        p = [mp.fsum(p[i] * g[k - i] for i in range(k + 1)) for k in range(K + 1)]
+        p = [mp.fdot(p[:k + 1], g[k::-1]) for k in range(K + 1)]
     n = len(sigmas)
     return [mp.mpf(rho) ** k * p[k] / mp.rf(mp.mpf(n + 1) / 2, k) for k in range(K + 1)]
 
@@ -385,22 +385,29 @@ def test_a_cancelled_value_with_a_large_bar_is_a_tolerance_error():
         assert info.value.result is res
 
 
+def _mp_orthocentric_series(taus, kappa):
+    """(prefactor, rho, sigmas, h) of the orthocentric series in the current
+    mp precision: Vol = prefactor sum_k rho^k T_k, sigma_j = tau_min^2/tau_j^2."""
+    t = [mp.mpf(x) for x in taus]
+    n = len(t)
+    h = mp.mpf(n) / 2
+    s = mp.fsum(x * x for x in t)
+    a = 1 - mp.mpf(kappa) / s
+    least = min(t) ** 2
+    rho = -(mp.mpf(kappa) / a) / least
+    prefactor = mp.sqrt(s) / (mp.factorial(n - 1) * mp.fprod(t)) * a ** -h
+    return prefactor, rho, [least / (x * x) for x in t], h
+
+
 def mp_orthocentric_volume(taus, kappa, dps=30):
     """The series volume of the orthocentric simplex with these taus at dps
     digits, from mp_terms with sigma_j = tau_min^2/tau_j^2 and rho from
     tau_min, summed until the engine's tail bound is below 10^-(dps + 2) of
     it."""
     with mp.workdps(dps):
-        t = [mp.mpf(x) for x in taus]
-        n = len(t)
-        h = mp.mpf(n) / 2
-        s = mp.fsum(x * x for x in t)
-        a = 1 - mp.mpf(kappa) / s
-        least = min(t) ** 2
-        rho = -(mp.mpf(kappa) / a) / least
-        sigmas = [least / (x * x) for x in t]
+        prefactor, rho, sigmas, h = _mp_orthocentric_series(taus, kappa)
+        n = len(taus)
         eps = mp.mpf(10) ** -(dps + 2)
-        prefactor = mp.sqrt(s) / (mp.factorial(n - 1) * mp.fprod(t)) * a ** -h
         size = 2 * engine._series_guess(n, float(rho))
         while True:
             terms = mp_terms(sigmas, rho, size)
@@ -495,6 +502,35 @@ def test_orthocentric_bar_covers_a_30_digit_sum(taus, frac):
     ref = mp_orthocentric_volume(taus, kappa)
     assert abs(mp.mpf(r.volume) - ref) <= r.abs_error
     assert r.abs_error <= 1e-13 * r.volume
+
+
+@pytest.mark.parametrize("sigmas, frac", [
+    ((1.0, 0.5, 0.25, 0.09, 0.09), 0.3),
+    ((1.0, 0.6, 0.3, 0.3, 0.09, 0.09), 0.7),
+    ((1.0, 0.5, 0.25, 0.09, 0.09, 0.5, 0.5, 0.5, 0.5), 0.9),
+    ((1.0, 1.0, 0.8, 0.4, 0.2, 0.2, 0.09, 0.09, 0.09, 0.09, 0.4), 0.5),
+    ((1.0, 0.5, 0.25, 0.09, 0.09) + (0.5,) * 8, 0.95),
+    ((1.0, 0.5, 0.25, 0.09, 0.09) + (0.5,) * 8, 0.99),
+], ids=["d4-0.3", "d5-0.7", "d8-0.9", "d10-0.5", "d12-0.95", "d12-0.99"])
+def test_grouped_bar_covers_the_sum_when_later_groups_fall_like_sigma_k(sigmas, frac):
+    # the merges of the later groups hold entries whose leading products fall
+    # below the least normal double (0.25^k 0.09^k passes 1e-300 near k = 180),
+    # where _merge_groups' count does not hold; the bar must still cover
+    # the sum.  The reference multiplies the product out factor by factor to
+    # 32 terms past the engine's, and adds their tail bound to the gap
+    taus = tuple(1.0 / math.sqrt(sg) for sg in sigmas)
+    p = OrthocentricParams(taus)
+    kappa = frac * min_curvature(p)
+    r = volume(VolumeRequest(p, kappa))
+    assert r.branch is Branch.SERIES and len(engine._series_groups(taus)) >= 4
+    K = r.evaluations + 32
+    with mp.workdps(30):
+        prefactor, rho, sig, h = _mp_orthocentric_series(taus, kappa)
+        terms = mp_terms(sig, rho, K)
+        q = rho * (h + K - 1) / K
+        assert q < 1
+        ref = prefactor * mp.fsum(terms[:K])
+        assert abs(mp.mpf(r.volume) - ref) + prefactor * terms[K] / (1 - q) <= r.abs_error
 
 
 @pytest.mark.parametrize("d, kappa", [(10, None), (12, None), (14, None), (8, -1e-2), (12, -1e-2)])

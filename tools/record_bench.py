@@ -23,8 +23,12 @@ Each checkout is a full tree (``git archive`` or ``git clone``) with its own
   sides, each marked when the accuracy gate refuses it;
 * ``ideal_volume_highprec(d)`` times for d = 2, 12 and 20, on both sides;
 * the ``tracemalloc`` peak of one cold d = 6, 10^6-sample
-  ``mc_spherical_volume`` call in a fresh process, and the median time of
-  REPEATS warm calls after it with tracing off, on both sides;
+  ``mc_spherical_volume`` call, median over MC_COLD fresh processes, and the
+  median time of REPEATS warm calls after it with tracing off, on both sides;
+* the ``direct_klein_volume`` time of ``verify klein-direct`` per seed, for
+  the seeds FIRST_SEED.. of the end-to-end pairs: the median over REPEATS
+  runs of the suite after a warm-up, each the sum of its three calls, on
+  both sides;
 * the Tier-1 suite's wall time, summary line and slowest-test lines (the
   ``--durations`` that pyproject.toml asks pytest for), on both sides.
 
@@ -167,6 +171,39 @@ print(json.dumps({"peak_mib": peak / 2 ** 20, "ms": 1e3 * statistics.median(time
 """
 
 
+#: fresh processes per side for the Monte Carlo peak: one cold call's traced
+#: peak varies by up to 9% between processes of the same code
+MC_COLD = 5
+
+#: one child per side: per seed, the median over REPEATS runs of the
+#: klein-direct suite of the time spent in its direct_klein_volume calls,
+#: after a warm-up run; the suite's PASS lines are discarded
+KLEIN_CHILD = """
+import contextlib, io, json, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+from simplexvol import cli, oracles
+inner, spent = oracles.direct_klein_volume, []
+def timed(*args, **kwargs):
+    t0 = time.perf_counter()
+    try:
+        return inner(*args, **kwargs)
+    finally:
+        spent.append(time.perf_counter() - t0)
+oracles.direct_klein_volume = timed
+def run(seed):
+    spent.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        ok = all(passed for passed, _ in cli._suite_klein_direct(seed=seed))
+    assert ok and len(spent) == 3, (seed, ok, len(spent))
+    return sum(spent)
+run(int(sys.argv[3]))
+out = {}
+for seed in range(int(sys.argv[3]), int(sys.argv[4])):
+    out[seed] = 1e3 * statistics.median(run(seed) for _ in range(int(sys.argv[2])))
+print(json.dumps(out))
+"""
+
+
 def machine_note():
     import mpmath
     import numpy
@@ -231,6 +268,17 @@ def traced(sides, seed):
             out[w][side] = {m: res["metrics"][m]["value"] for m in TRACED_METRICS}
             out[w][side]["correct"] = res["correct"]
     return out
+
+
+def cold_children(sides, child, runs, *args):
+    """The median of each figure over runs fresh children per side, the two
+    sides alternating, with every child's figures kept."""
+    rows = {side: [] for side in sides}
+    for i in range(runs):
+        for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+            rows[side].append(child_times({side: sides[side]}, child, *args)[side])
+    return {side: {**{k: statistics.median(r[k] for r in rs) for k in rs[0]}, "runs": rs}
+            for side, rs in rows.items()}
 
 
 def child_times(sides, child, *args):
@@ -310,10 +358,17 @@ def main(argv=None):
         "mc_spherical": {"call": "mc_spherical_volume(OrthocentricParams((1.0, 1.1, 0.9, "
                                  "1.2, 0.8, 1.3, 1.05)), 2 s, samples=10**6, seed=3), "
                                  "d = 6",
-                         "statistic": "tracemalloc peak over one cold call, in a "
-                                      f"fresh process; ms the median of {REPEATS} warm "
-                                      "calls after it, untraced",
-                         **child_times(sides, MC_CHILD, REPEATS)},
+                         "statistic": "tracemalloc peak over one cold call in a "
+                                      f"fresh process, and ms the median of {REPEATS} warm "
+                                      "calls after it, untraced; each the median over "
+                                      f"{MC_COLD} processes, the sides alternating",
+                         **cold_children(sides, MC_CHILD, MC_COLD, REPEATS)},
+        "klein_direct_ms": {"call": "the three direct_klein_volume(vertices, kappa, "
+                                    "rel_tol=1e-8) calls of verify klein-direct --seed <n>",
+                            "statistic": f"per seed, the median of {REPEATS} suite runs "
+                                         "after a warm-up, each the sum of its three calls",
+                            **child_times(sides, KLEIN_CHILD, REPEATS, FIRST_SEED,
+                                          FIRST_SEED + PAIRS)},
         "tier1": tier1(sides),
     }
     record["machine"]["load_average_end"] = os.getloadavg()
