@@ -187,23 +187,29 @@ def _series_table(n, K, groups):
     first with m^-s <= u (1/2)_C/(m/2)_C, C = 8 _IDEAL_K: what the shifts left
     out add to entry k is m^-s c(m)_{k-s}, and as c(m) lies between
     (1/2)_k/(m/2)_k and 1 that is at most u of the entry for every k <= C,
-    eight times the longest table the engine reads.
+    eight times the longest table the engine reads.  r is built for the
+    stages read only: r(2)..r(max m_g), and r(n+1).
 
-    Each group runs the stages up to c(m_g) and takes the factor sigma_g^k;
-    the groups then merge pairwise (_merge_groups) into
-    [t^k]prod_j F(sigma_j t) / (n/2)_k, and T_k is that times r(n+1)_k; with
-    one group, T_k = c(n)_k r(n+1)_k.  No step reads an entry past k to make
-    entry k, so an entry's bits are the same whatever length the table is
-    built to.
+    Each group is a row of one array.  It runs the stages up to c(m_g), and
+    every row but the first (sigma = 1) takes its factor sigma_g^k, all in
+    one power.  The rows then merge pairwise into [t^k]prod_j F(sigma_j t) /
+    (n/2)_k, one level of the merge tree at a time (_merge_groups), rows 0
+    and 1, 2 and 3, ..., with an odd last row carried up unchanged.  The
+    m_g fix every merge's alpha and beta, so the tree is planned first, and
+    the Pochhammer rows of all its merges come from one cumprod
+    (_merge_factors).  Each entry is the same double as in a fold that
+    merges two parts at a time in that order.  T_k is the merged row times
+    r(n+1)_k; with one group, T_k = c(n)_k r(n+1)_k.  No step reads an entry
+    past k to make entry k, so an entry's bits are the same whatever length
+    the table is built to.
     """
     k2 = 2.0 * np.arange(1, K + 1)
-    ms = np.arange(1.0, n + 1.0)[:, None]
-    r = np.ones((n, K + 1))  # row m - 1 holds r(m + 1)
+    ms = np.array([*range(1, max(m for _, m in groups)), n], dtype=float)[:, None]
+    r = np.ones((len(ms), K + 1))  # row m - 2 holds r(m), the last row r(n + 1)
     np.cumprod((k2 + (ms - 2.0)) / (k2 + (ms - 1.0)), axis=1, out=r[:, 1:])
     C = 8 * _IDEAL_K
-    parts = []
-    for sigma, m_g in groups:
-        t = np.ones(K + 1)  # c(1)
+    parts = np.ones((len(groups), K + 1))  # row g: c(1), then c(m_g), of group g
+    for t, (_, m_g) in zip(parts, groups):
         for m in range(2, m_g + 1):
             t *= r[m - 2]  # c(m - 1) r(m)
             # the log of u (1/2)_C / (m/2)_C, u times the least c(m)_k over k <= C
@@ -213,19 +219,49 @@ def _series_table(n, K, groups):
             while s <= K and -s * math.log(m) > log_stop:
                 t[s:] += float(m) ** -s * t[:-s]  # NumPy buffers the overlap
                 s *= 2
-        if sigma != 1.0:
-            t *= np.power(sigma, np.arange(K + 1.0))
-        parts.append((t, m_g / 2.0))
-    while len(parts) > 1:
-        parts = [_merge_groups(*parts[i], *parts[i + 1]) if i + 1 < len(parts)
-                 else parts[i] for i in range(0, len(parts), 2)]
-    t = parts[0][0]
-    t *= r[n - 1]
+    if len(groups) > 1:
+        sigmas = np.array([sigma for sigma, _ in groups[1:]])[:, None]
+        parts[1:] *= np.power(sigmas, np.arange(K + 1.0))
+    # the merge tree: per level, the (alpha, beta) of each of its merges
+    tree, level = [], [m / 2.0 for _, m in groups]
+    while len(level) > 1:
+        tree.append(list(zip(level[0::2], level[1::2])))
+        level = [a + b for a, b in tree[-1]] + level[2 * len(tree[-1]):]
+    if tree:
+        x, y, z = _merge_factors([ab for merges in tree for ab in merges], K + 1)
+        i = 0
+        for merges in tree:
+            M = len(merges)
+            at = slice(i, i + M)
+            parts = np.concatenate((_merge_groups(parts[0:2 * M:2], parts[1:2 * M:2],
+                                                  x[at], y[at], z[at]), parts[2 * M:]))
+            i += M
+    t = parts[0]
+    t *= r[-1]
     return t
 
 
-def _merge_groups(a, alpha, b, beta):
-    """The normalised coefficients of a product of two groups, and its alpha.
+def _merge_factors(merges, L):
+    """The rows x, y and z of _merge_groups, L entries each, of the merges
+    (alpha, beta) in merges, all from one cumprod: row i of each is the
+    running product of (v + j)/c, v the alpha, the beta or their sum of
+    merge i, and c its power of two."""
+    vs, cs = [], []
+    for alpha, beta in merges:
+        vs += (alpha, beta, alpha + beta)
+        cs += 3 * [2.0 ** round((math.lgamma(alpha + beta + _IDEAL_K) - math.lgamma(alpha + beta))
+                                / (_IDEAL_K * math.log(2.0)))]
+    q = np.ones((len(vs), L))
+    np.cumprod((np.array(vs)[:, None] + np.arange(L - 1.0)) / np.array(cs)[:, None],
+               axis=1, out=q[:, 1:])
+    return q[0::3], q[1::3], q[2::3]
+
+
+def _merge_groups(a, b, x, y, z):
+    """The normalised coefficients of the products of pairs of groups: one
+    level of _series_table's merge tree, whose merge i takes row i of a and
+    of b, and row i of the rows x, y and z of its alpha and beta
+    (_merge_factors).
 
     a_k = [t^k]A / (alpha)_k and b_k = [t^k]B / (beta)_k, alpha and beta half
     the two groups' factor counts, give p_k = [t^k]AB / (alpha + beta)_k =
@@ -240,7 +276,10 @@ def _merge_groups(a, alpha, b, beta):
     b_(k-i)) / z_k, and the powers of c cancel.  c is the power of two
     nearest the geometric mean of alpha + beta + j over j < _IDEAL_K, from
     lgamma: every division by it is exact, and it depends on alpha + beta
-    only, so no entry's bits depend on the table's length.
+    only, so no entry's bits depend on the table's length.  The level makes
+    x a and y b in one product each over all its rows, one np.convolve per
+    merge, and one quotient by z; a merge's entries do not depend on the
+    other rows.
 
     The range.  The terms that carry p_k are within a factor k + 1 of
     p_k z_k.  c holds z_(_IDEAL_K) within 2^(+-_IDEAL_K/2) of 1, and z_k
@@ -253,7 +292,7 @@ def _merge_groups(a, alpha, b, beta):
     and 14, and of random taus up to d = 30 with sigma down to 0.005, are
     within 5.6e-15 at every k <= 1,100.
 
-    Both inputs take a trailing zero: np.convolve sums its one
+    Both inputs of np.convolve take a trailing zero: it sums its one
     full-overlap entry in another order than the partial ones, and with
     the zero every entry kept is a partial one, whatever the length.
     Entry k, where its leading products x_i a_i y_(k-i) b_(k-i) stay
@@ -264,12 +303,15 @@ def _merge_groups(a, alpha, b, beta):
     between about 1e-116 and 1e-300 are off by up to 100%.  As under The
     range, T_k reads such entries only beside far larger ones.
     """
-    c = 2.0 ** round((math.lgamma(alpha + beta + _IDEAL_K) - math.lgamma(alpha + beta))
-                     / (_IDEAL_K * math.log(2.0)))
-    js = np.arange(len(a) - 1.0)
-    x, y, z = (np.cumprod(np.append(1.0, (v + js) / c)) for v in (alpha, beta, alpha + beta))
-    p = np.convolve(np.append(x * a, 0.0), np.append(y * b, 0.0))[:len(a)] / z
-    return p, alpha + beta
+    M, L = a.shape
+    xa, yb = np.zeros((2, M, L + 1))  # the trailing zero
+    np.multiply(x, a, out=xa[:, :L])
+    np.multiply(y, b, out=yb[:, :L])
+    p = np.empty((M, L))
+    for i in range(M):
+        p[i] = np.convolve(xa[i], yb[i])[:L]
+    p /= z
+    return p
 
 
 def _series_groups(taus):

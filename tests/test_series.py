@@ -442,33 +442,42 @@ def test_group_table_matches_the_convolution_of_f(groups):
     assert worst < 1e-13
 
 
+def _merge(a, alphas, b, betas):
+    """_merge_groups as one level of len(alphas) merges of the rows of a with
+    those of b, with the Pochhammer rows from _merge_factors."""
+    factors = engine._merge_factors(list(zip(alphas, betas)), a.shape[1])
+    return engine._merge_groups(a, b, *factors)
+
+
 def test_group_table_entries_do_not_depend_on_its_length():
     # a merge is one convolution, and np.convolve sums its one full-overlap
     # entry in another order than the partial ones: the trailing zero on
-    # both inputs keeps every entry a partial one, whatever the length
+    # both inputs keeps every entry a partial one, whatever the length.  The
+    # four merges run as one level of stacked rows
     groups = ((1.0, 3), (0.6, 1), (0.35, 2), (0.1, 1))
     for K in (50, 200):
         head = engine._series_table(7, K, groups)
         for longer in (K + 1, 300, engine._IDEAL_K):
             assert engine._series_table(7, longer, groups)[:K + 1].tobytes() == head.tobytes()
     rng = np.random.default_rng(32)
-    for alpha, beta in ((0.5, 0.5), (1.5, 2.0), (3.0, 0.5), (43.0, 43.0)):
-        a, b = 10.0 ** rng.uniform(-3.0, 3.0, (2, 41))
-        full = engine._merge_groups(a, alpha, b, beta)[0]
-        for L in range(2, 41):
-            assert engine._merge_groups(a[:L], alpha, b[:L], beta)[0].tobytes() \
-                == full[:L].tobytes()
+    alphas, betas = [0.5, 1.5, 3.0, 43.0], [0.5, 2.0, 0.5, 43.0]
+    a, b = np.stack([10.0 ** rng.uniform(-3.0, 3.0, (2, 41)) for _ in alphas], axis=1)
+    full = _merge(a, alphas, b, betas)
+    for L in range(2, 41):
+        assert _merge(a[:, :L], alphas, b[:, :L], betas).tobytes() == full[:, :L].tobytes()
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (0.5, 85.5), (43.0, 43.0), (150.0, 150.0)])
 def test_merge_matches_a_25_digit_sum_past_1024_entries(alpha, beta):
     # p_k = sum_i W_ki a_i b_(k-i), W_ki = (alpha)_i (beta)_(k-i)/(alpha + beta)_k,
     # with the weights run down i in mpf; a merge whose weights pass below
-    # the least normal double must not lose the entries past there
+    # the least normal double must not lose the entries past there.  The
+    # two input shapes run as one level of two merges
     L = 1300
-    for a, b in ((np.ones(L), np.ones(L)),
-                 (np.arange(1.0, L + 1.0) ** -1.5, 0.99 ** np.arange(L))):
-        p = engine._merge_groups(a, alpha, b, beta)[0]
+    a = np.stack((np.ones(L), np.arange(1.0, L + 1.0) ** -1.5))
+    b = np.stack((np.ones(L), 0.99 ** np.arange(L)))
+    ps = _merge(a, [alpha] * 2, b, [beta] * 2)
+    for a, b, p in zip(a, b, ps):
         with mp.workdps(25):
             am, bm = [mp.mpf(v) for v in a], [mp.mpf(v) for v in b]
             for k in (0, 1, 5, 100, 512, 1024, 1200, 1299):
@@ -477,6 +486,72 @@ def test_merge_matches_a_25_digit_sum_past_1024_entries(alpha, beta):
                     w.append(w[-1] * (alpha + i) / (beta + k - i - 1))
                 ref = mp.fdot(w, [am[i] * bm[k - i] for i in range(k + 1)])
                 assert abs(mp.mpf(p[k]) - ref) <= 1e-14 * ref
+
+
+def _fold_merge(a, alpha, b, beta):
+    """One merge on its own, as _merge_groups' formula was first written:
+    x, y and z from their own cumprods, each input padded by np.append."""
+    c = 2.0 ** round((math.lgamma(alpha + beta + engine._IDEAL_K) - math.lgamma(alpha + beta))
+                     / (engine._IDEAL_K * math.log(2.0)))
+    js = np.arange(len(a) - 1.0)
+    x, y, z = (np.cumprod(np.append(1.0, (v + js) / c)) for v in (alpha, beta, alpha + beta))
+    p = np.convolve(np.append(x * a, 0.0), np.append(y * b, 0.0))[:len(a)] / z
+    return p, alpha + beta
+
+
+def _fold_table(n, K, groups):
+    """_series_table as a fold: each group's stages on a vector of its own,
+    r(m) built for every m <= n + 1, and the parts merged two at a time by
+    _fold_merge, the odd last part carried."""
+    k2 = 2.0 * np.arange(1, K + 1)
+    ms = np.arange(1.0, n + 1.0)[:, None]
+    r = np.ones((n, K + 1))
+    np.cumprod((k2 + (ms - 2.0)) / (k2 + (ms - 1.0)), axis=1, out=r[:, 1:])
+    C = 8 * engine._IDEAL_K
+    parts = []
+    for sigma, m_g in groups:
+        t = np.ones(K + 1)
+        for m in range(2, m_g + 1):
+            t *= r[m - 2]
+            log_stop = (math.log(engine._U) + math.lgamma(C + 0.5) - math.lgamma(0.5)
+                        + math.lgamma(m / 2.0) - math.lgamma(C + m / 2.0))
+            s = 1
+            while s <= K and -s * math.log(m) > log_stop:
+                t[s:] += float(m) ** -s * t[:-s]
+                s *= 2
+        if sigma != 1.0:
+            t *= np.power(sigma, np.arange(K + 1.0))
+        parts.append((t, m_g / 2.0))
+    while len(parts) > 1:
+        parts = [_fold_merge(*parts[i], *parts[i + 1]) if i + 1 < len(parts) else parts[i]
+                 for i in range(0, len(parts), 2)]
+    return parts[0][0] * r[n - 1]
+
+
+def test_batched_table_is_the_pairwise_fold_bit_for_bit():
+    # 240 seeded tau sets at d = 2..24: distinct taus, taus drawn from a few
+    # values (groups with m_g >= 2), and all taus equal (one group); group
+    # counts odd and even, and K from 1 to 1,024
+    rng = np.random.default_rng(34)
+    seen = set()
+    for case in range(240):
+        d = int(rng.integers(2, 25))
+        kind = case % 3
+        if kind == 0:
+            taus = rng.uniform(0.6, 1.8, d + 1)
+        elif kind == 1:
+            taus = rng.choice(rng.uniform(0.6, 1.8, int(rng.integers(2, 8))), d + 1)
+        else:
+            taus = np.full(d + 1, rng.uniform(0.6, 1.8))
+        K = 1024 if case % 40 == 0 else int(np.exp(rng.uniform(0.0, math.log(1024.5))))
+        groups = engine._series_groups(tuple(float(t) for t in taus))
+        seen.add("one group" if len(groups) == 1 else "odd" if len(groups) % 2 else "even")
+        if len(groups) > 1 and max(m for _, m in groups) > 1:
+            seen.add("m_g >= 2")
+        seen.add(K if K in (1, 1024) else None)
+        assert engine._series_table(d + 1, K, groups).tobytes() \
+            == _fold_table(d + 1, K, groups).tobytes(), (taus, K)
+    assert seen == {"one group", "odd", "even", "m_g >= 2", 1, 1024, None}
 
 
 def _orthocentric_cases():
@@ -595,4 +670,27 @@ def test_regular_rows_keep_their_bits(d, ell, kappa, vol, err, terms):
     # a regular simplex is the one-group table: the grouped table and its
     # merged count leave its value, bar and term count as they were
     r = regular_volume(d, ell, kappa)
+    assert (repr(r.volume), repr(r.abs_error), r.evaluations) == (vol, err, terms)
+
+
+@pytest.mark.parametrize("taus, frac, vol, err, terms", [
+    (2, 0.5, "0.9120557719684045", "4.634686527948979e-15", 51),
+    (5, 0.5, "0.01410663489260143", "1.1182991372561165e-16", 40),
+    (8, 0.5, "2.62754817764846e-05", "2.9931624415303306e-19", 35),
+    (12, 0.5, "6.8178509218559935e-09", "1.0815035560012692e-22", 30),
+    (14, 0.5, "1.3224951555804578e-12", "2.3771193497549245e-26", 28),
+    ((0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8), 0.99,
+     "2.2461165198054983e-09", "3.682259492383157e-23", 640),
+    ((0.6, 0.6, 0.9, 0.9, 0.9, 1.2, 1.5, 1.5, 1.7), 0.5,
+     "8.265513646356584e-05", "1.619944630285753e-18", 35)],
+    ids=["state2", "state5", "state8", "state12", "state14", "ci13-0.99", "repeated"])
+def test_grouped_rows_keep_their_bits(taus, frac, vol, err, terms):
+    # the grouped table is built one merge level at a time; the rows, each
+    # on the series path, keep the value, bar and term count they had when
+    # every merge ran on its own (an int is a State row's d)
+    if isinstance(taus, int):
+        taus = tuple(np.random.default_rng(taus).uniform(0.6, 1.8, taus + 1))
+    p = OrthocentricParams(taus)
+    r = volume(VolumeRequest(p, frac * min_curvature(p)))
+    assert r.branch is Branch.SERIES
     assert (repr(r.volume), repr(r.abs_error), r.evaluations) == (vol, err, terms)

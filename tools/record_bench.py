@@ -14,8 +14,12 @@ Each checkout is a full tree (``git archive`` or ``git clone``) with its own
   runs, median and quartiles over PAIRS alternating pairs
   (``benchmarks/run.py --seconds 20 --trace 0``, one seed per pair, the side
   that runs first alternating), and how many pairs the change won;
-* the ``--trace 1`` CDF points, head time, tail counts and time, and the
-  ``_hp`` and Monte Carlo oracle times, of every gated workload, on both sides;
+* the ``--trace 1`` CDF points, head time, tail counts and time, the
+  engine's self time, and the ``_hp`` and Monte Carlo oracle times, of every
+  gated workload, on both sides;
+* the time an orthocentric-hyperbolic pass spends building curvature-series
+  tables (``engine._series_table``): the median over REPEATS passes after a
+  warm-up, on both sides;
 * ``regular_volume(d, ell)`` times for d = 2..14 at ell = inf and at the
   finite side lengths of REGULAR_ROWS, on both sides;
 * orthocentric hyperbolic ``volume()`` times for d = 2..14 (taus ~ U(0.6, 1.8)
@@ -54,6 +58,8 @@ from run import PINNED_ENV  # noqa: E402  the benchmark's environment, for the t
 #: alternating parent/change pairs, one seed each from FIRST_SEED on
 PAIRS = 10
 FIRST_SEED = 3
+#: the workload seed of the traced runs and of the table timing
+TRACE_SEED = 1
 #: ``--seconds`` of every benchmarks/run.py run
 SECONDS = 20
 #: timings per d of regular_volume and of the orthocentric volume, after a warm-up
@@ -63,8 +69,8 @@ LONG_CALL_S = 5.0
 
 TRACED_WORKLOADS = ("regular-sweep", "orthocentric-hyperbolic", "verify-oracles")
 TRACED_METRICS = ("cnormal.points", "rayquad.head_s", "rayquad.tail_products",
-                  "rayquad.tail_quadratures", "rayquad.tail_s", "oracles.hp_s",
-                  "oracles.hp_calls", "oracles.mc_s")
+                  "rayquad.tail_quadratures", "rayquad.tail_s", "engine.self_s",
+                  "oracles.hp_s", "oracles.hp_calls", "oracles.mc_s")
 
 #: one child per side and side length: warm up, then the median of REPEATS
 #: timings per d
@@ -168,6 +174,35 @@ for _ in range(int(sys.argv[2])):
     call()
     times.append(time.perf_counter() - t0)
 print(json.dumps({"peak_mib": peak / 2 ** 20, "ms": 1e3 * statistics.median(times)}))
+"""
+
+
+#: one child per side: the summed time of the _series_table calls of one
+#: orthocentric-hyperbolic pass (its operations, not its checks), the median
+#: over REPEATS passes after a warm-up pass
+TABLE_CHILD = """
+import json, statistics, sys, time
+from pathlib import Path
+sys.path[:0] = [sys.argv[1], str(Path(sys.argv[1]).parent / "benchmarks")]
+from simplexvol import engine
+from workloads import OrthocentricHyperbolic
+inner, spent = engine._series_table, []
+def timed(*args):
+    t0 = time.perf_counter()
+    try:
+        return inner(*args)
+    finally:
+        spent.append(time.perf_counter() - t0)
+engine._series_table = timed
+ops = OrthocentricHyperbolic(int(sys.argv[3])).operations()
+def run():
+    spent.clear()
+    for _, op in ops:
+        op()
+    return sum(spent)
+run()
+passes = [run() for _ in range(int(sys.argv[2]))]
+print(json.dumps({"ms": 1e3 * statistics.median(passes), "calls_per_pass": len(spent)}))
 """
 
 
@@ -336,7 +371,13 @@ def main(argv=None):
                    "quartiles": "statistics.quantiles(n=4, method='inclusive')",
                    "change_wins": "pairs in which the change's value is lower"},
         "end_to_end": end_to_end(sides, workloads, metrics, seeds),
-        "trace": {"seed": 1, "seconds": SECONDS, "workloads": traced(sides, 1)},
+        "trace": {"seed": TRACE_SEED, "seconds": SECONDS,
+                  "workloads": traced(sides, TRACE_SEED)},
+        "orthocentric_table_ms": {"call": "the engine._series_table calls of one "
+                                          "orthocentric-hyperbolic pass, --seed "
+                                          f"{TRACE_SEED}, summed",
+                                  "statistic": f"median of {REPEATS} passes after a warm-up",
+                                  **child_times(sides, TABLE_CHILD, REPEATS, TRACE_SEED)},
         "regular_volume_ms": {"call": "regular_volume(d, inf)",
                               "statistic": f"median of {REPEATS} calls after a warm-up",
                               **child_times(sides, REGULAR_CHILD, REPEATS, "inf")},
