@@ -489,8 +489,8 @@ def test_merge_matches_a_25_digit_sum_past_1024_entries(alpha, beta):
 
 
 def _fold_merge(a, alpha, b, beta):
-    """One merge on its own, as _merge_groups' formula was first written:
-    x, y and z from their own cumprods, each input padded by np.append."""
+    """One merge on its own by _merge_groups' formula, with x, y and z from
+    their own cumprods and each input padded by np.append."""
     c = 2.0 ** round((math.lgamma(alpha + beta + engine._IDEAL_K) - math.lgamma(alpha + beta))
                      / (engine._IDEAL_K * math.log(2.0)))
     js = np.arange(len(a) - 1.0)
