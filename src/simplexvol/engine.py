@@ -47,20 +47,26 @@ series result has branch SERIES and residual_imag 0.  Every other request
 loads SciPy.
 
 volumes(requests) is the one entry point: it checks and routes every
-request, builds one table per set of groups of equal taus for all of its
-series rows, and
-returns each result, or the SimplexVolError its request raised, in order.
+request, reads one table per set of groups of equal taus for all of its
+series rows, and returns each result, or the SimplexVolError its request
+raised, in order.  What a table holds that depends on the groups'
+multiplicities only (every entry, for a regular simplex) and the fits of a
+regular table are built on first use and kept for the process, at most
+_PLANS of each (_table_plan, _fits); they are the same doubles whatever
+was asked before, so no result depends on them being kept.
 volume(req) is volumes([req]) with the error raised.  Whatever the path, a
 result whose error bar is not below its magnitude, or a negative volume, is
 refused with ToleranceError, and one whose magnitude and bar are both
 below the least normal double with OverflowRegionError (_certified).
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,6 +89,13 @@ _U = 2.0 ** -53
 #: below rounding within them, it fits the rest with _IDEAL_J powers of 1/k
 _IDEAL_K = 1024
 _IDEAL_J = 5
+
+#: the lengths _series_table builds its plans to (_table_plan): a table of
+#: L entries reads the first that is at least L, and a longer one (only
+#: tests build those) its own length
+_PLAN_LENGTHS = (16, 32, 64, 128, 256, 512, _IDEAL_K + 1)
+#: the most plans kept at once; the least recently used goes first
+_PLANS = 32
 
 #: B_2j/(2j)! for j = 1..5, the Euler-Maclaurin corrections of _lerch_tails,
 #: whose lam = 0 case (rho = 1) is the Hurwitz zeta
@@ -190,55 +203,110 @@ def _series_table(n, K, groups):
     eight times the longest table the engine reads.  r is built for the
     stages read only: r(2)..r(max m_g), and r(n+1).
 
-    Each group is a row of one array.  It runs the stages up to c(m_g), and
-    every row but the first (sigma = 1) takes its factor sigma_g^k, all in
-    one power.  The rows then merge pairwise into [t^k]prod_j F(sigma_j t) /
-    (n/2)_k, one level of the merge tree at a time (_merge_groups), rows 0
-    and 1, 2 and 3, ..., with an odd last row carried up unchanged.  The
-    m_g fix every merge's alpha and beta, so the tree is planned first, and
-    the Pochhammer rows of all its merges come from one cumprod
-    (_merge_factors).  Each entry is the same double as in a fold that
-    merges two parts at a time in that order.  T_k is the merged row times
-    r(n+1)_k; with one group, T_k = c(n)_k r(n+1)_k.  No step reads an entry
-    past k to make entry k, so an entry's bits are the same whatever length
-    the table is built to.
+    Each group's row c(m_g) is one row of an array, and every row but the
+    first (sigma = 1) takes its factor sigma_g^k, all in one power.  The
+    rows then merge pairwise into [t^k]prod_j F(sigma_j t) / (n/2)_k, one
+    level of the merge tree at a time (_merge_groups), rows 0 and 1, 2 and
+    3, ..., with an odd last row carried up unchanged.  The m_g fix every
+    merge's alpha and beta, so the tree and the Pochhammer rows of all its
+    merges (_merge_factors) are planned from them alone.  Each entry is the
+    same double as in a fold that merges two parts at a time in that order.
+    T_k is the merged row times r(n+1)_k; with one group, T_k = c(n)_k
+    r(n+1)_k.  No step reads an entry past k to make entry k, so an entry's
+    bits are the same whatever length the table is built to.
+
+    Everything but sigma_g^k and the merges depends on the m_g and the
+    length only: the r rows, the staged rows, the tree and its x, y and z
+    rows, and for one group the whole table.  _table_plan builds those once
+    and keeps them; each call reads their first K + 1 entries and runs only
+    the powers, the convolutions and the quotients by z.  A one-group table
+    is a read-only view of the kept one.
     """
-    k2 = 2.0 * np.arange(1, K + 1)
-    ms = np.array([*range(1, max(m for _, m in groups)), n], dtype=float)[:, None]
-    r = np.ones((len(ms), K + 1))  # row m - 2 holds r(m), the last row r(n + 1)
-    np.cumprod((k2 + (ms - 2.0)) / (k2 + (ms - 1.0)), axis=1, out=r[:, 1:])
+    L = K + 1
+    plan = _table_plan(n, tuple(m for _, m in groups),
+                       next((p for p in _PLAN_LENGTHS if p >= L), L))
+    if len(groups) == 1:
+        return plan.last[:L]
+    parts = plan.stages[plan.rows, :L]
+    sigmas = np.array([sigma for sigma, _ in groups[1:]])[:, None]
+    parts[1:] *= np.power(sigmas, np.arange(K + 1.0))
+    for M, x, y, z in plan.levels:
+        parts = np.concatenate((_merge_groups(parts[0:2 * M:2], parts[1:2 * M:2],
+                                              x[:, :L], y[:, :L], z[:, :L]), parts[2 * M:]))
+    t = parts[0]
+    t *= plan.last[:L]
+    return t
+
+
+class _TablePlan(NamedTuple):
+    """The rows of a _series_table that depend on its groups' multiplicities
+    and its length only (_table_plan)."""
+
+    #: r(n+1), which the merged row is multiplied by; for one group, the
+    #: whole table c(n) r(n+1)
+    last: np.ndarray
+    #: the staged rows c(m) of the distinct m_g in increasing m, and the row
+    #: of each group, in group order
+    stages: np.ndarray
+    rows: np.ndarray
+    #: per level of the merge tree, its number of merges M and their x, y and
+    #: z rows (_merge_factors)
+    levels: tuple
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _table_plan(n, ms, L):
+    """The _TablePlan of the tables of n factors in groups of ms factors each,
+    in group order, to L entries.  Built on the first call for (ms, L), and
+    kept while it is among the _PLANS most recently used; every array in it
+    is read-only, as every caller reads the same one.  Two threads that
+    miss at once each build it, to the same doubles.  L is one of
+    _PLAN_LENGTHS, or a length past them, which only tests ask for; a plan's
+    entries are the same doubles whatever its length (_series_table), so no
+    result depends on which plans are kept or on the order of the calls."""
+    k2 = 2.0 * np.arange(1, L)
+    stage_ms = np.array([*range(1, max(ms)), n], dtype=float)[:, None]
+    r = np.ones((len(stage_ms), L))  # row m - 2 holds r(m), the last row r(n + 1)
+    np.cumprod((k2 + (stage_ms - 2.0)) / (k2 + (stage_ms - 1.0)), axis=1, out=r[:, 1:])
     C = 8 * _IDEAL_K
-    parts = np.ones((len(groups), K + 1))  # row g: c(1), then c(m_g), of group g
-    for t, (_, m_g) in zip(parts, groups):
-        for m in range(2, m_g + 1):
-            t *= r[m - 2]  # c(m - 1) r(m)
-            # the log of u (1/2)_C / (m/2)_C, u times the least c(m)_k over k <= C
-            log_stop = (math.log(_U) + math.lgamma(C + 0.5) - math.lgamma(0.5)
-                        + math.lgamma(m / 2.0) - math.lgamma(C + m / 2.0))
-            s = 1
-            while s <= K and -s * math.log(m) > log_stop:
-                t[s:] += float(m) ** -s * t[:-s]  # NumPy buffers the overlap
-                s *= 2
-    if len(groups) > 1:
-        sigmas = np.array([sigma for sigma, _ in groups[1:]])[:, None]
-        parts[1:] *= np.power(sigmas, np.arange(K + 1.0))
+    t = np.ones(L)  # c(1), then each stage in turn
+    staged = {1: t.copy()}
+    for m in range(2, max(ms) + 1):
+        t *= r[m - 2]  # c(m - 1) r(m)
+        # the log of u (1/2)_C / (m/2)_C, u times the least c(m)_k over k <= C
+        log_stop = (math.log(_U) + math.lgamma(C + 0.5) - math.lgamma(0.5)
+                    + math.lgamma(m / 2.0) - math.lgamma(C + m / 2.0))
+        s = 1
+        while s < L and -s * math.log(m) > log_stop:
+            t[s:] += float(m) ** -s * t[:-s]  # NumPy buffers the overlap
+            s *= 2
+        if m in ms:
+            staged[m] = t.copy()
+    if len(ms) == 1:
+        t *= r[-1]
+        return _read_only(_TablePlan(t, None, None, ()))
+    distinct = sorted(set(ms))
     # the merge tree: per level, the (alpha, beta) of each of its merges
-    tree, level = [], [m / 2.0 for _, m in groups]
+    tree, level = [], [m / 2.0 for m in ms]
     while len(level) > 1:
         tree.append(list(zip(level[0::2], level[1::2])))
         level = [a + b for a, b in tree[-1]] + level[2 * len(tree[-1]):]
-    if tree:
-        x, y, z = _merge_factors([ab for merges in tree for ab in merges], K + 1)
-        i = 0
-        for merges in tree:
-            M = len(merges)
-            at = slice(i, i + M)
-            parts = np.concatenate((_merge_groups(parts[0:2 * M:2], parts[1:2 * M:2],
-                                                  x[at], y[at], z[at]), parts[2 * M:]))
-            i += M
-    t = parts[0]
-    t *= r[-1]
-    return t
+    x, y, z = _read_only(_merge_factors([ab for merges in tree for ab in merges], L))
+    levels, i = [], 0
+    for merges in tree:
+        at = slice(i, i + len(merges))
+        levels.append((len(merges), x[at], y[at], z[at]))
+        i += len(merges)
+    return _read_only(_TablePlan(r[-1].copy(), np.array([staged[m] for m in distinct]),
+                                 np.array([distinct.index(m) for m in ms]), tuple(levels)))
+
+
+def _read_only(arrays):
+    """arrays, with each of its NumPy arrays made read-only."""
+    for a in arrays:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return arrays
 
 
 def _merge_factors(merges, L):
@@ -470,18 +538,22 @@ def _fit(T, K, J, h):
     y = K / ks
     # (k/K)^h T_k = sum_j c_j y^j, so b_j = c_j K^(h+j)
     c = np.linalg.solve(np.vander(y, J, increasing=True), (ks / K) ** h * T[ks])
-    return [float(c[j]) * K ** (h + j) for j in range(J)]
+    return tuple(float(c[j]) * K ** (h + j) for j in range(J))
 
 
-def _fits(T, h):
-    """The fits of T that _series_volume's fitted tail reads, at (K, J),
-    (K/2, J) and (K, J + 2), K = _IDEAL_K, J = _IDEAL_J: they depend on T
-    only, so volumes() takes them once per dimension."""
+@functools.lru_cache(maxsize=_PLANS)
+def _fits(n):
+    """The fits that _series_volume's fitted tail reads, of the one-group
+    table of n factors, at (K, J), (K/2, J) and (K, J + 2), K = _IDEAL_K,
+    J = _IDEAL_J: they depend on n only, so each is taken on the first
+    fitted row of its dimension and kept while among the _PLANS most
+    recently used, as the tables' plans are."""
+    T, h = _series_table(n, _IDEAL_K, ((1.0, n),)), n / 2.0
     K, J = _IDEAL_K, _IDEAL_J
     return _fit(T, K, J, h), _fit(T, K // 2, J, h), _fit(T, K, J + 2, h)
 
 
-def _series_volume(params, kappa, rho, K, table, fits, groups):
+def _series_volume(params, kappa, rho, K, table, groups):
     """The volume of an orthocentric simplex at kappa < 0 by its curvature
     series, or None for a request of more than one group of equal taus
     whose sum would need the fitted tail (the caller takes the ray).
@@ -494,9 +566,8 @@ def _series_volume(params, kappa, rho, K, table, fits, groups):
 
     (_series_table over groups, _series_terms), every term positive, rho as
     volumes() gives it (_series_ratio, held below 1, or 1 for the ideal
-    regular simplex).  table holds T_0..T_(K+1) at least, and fits maps
-    n = d + 1 to _fits(table, h), which the first one-group row of the
-    dimension that needs it adds.
+    regular simplex).  table holds T_0..T_(K+1) at least.  A fitted row
+    reads the _fits of its dimension, kept once taken.
 
     The ratio bound.  With (1/2)_i = E[G^i], G ~ Gamma(1/2), and the G_j
     independent, [t^k]prod_j F(sigma_j t) = E[h_k(sigma_1 G_1, .., sigma_n
@@ -597,9 +668,7 @@ def _series_volume(params, kappa, rho, K, table, fits, groups):
         sum_err = _U * ((slope + 7) * k_weighted + (const + 3) * total) + bound
     else:
         J = _IDEAL_J
-        if n not in fits:
-            fits[n] = _fits(table, h)
-        b, b_half, b_more = fits[n]
+        b, b_half, b_more = _fits(n)
         lam = -math.log(rho)
         phi = _lerch_tails(h - 1.0, J + 3, lam, K + 1.0)  # from Phi_(h-1)
         phi_half = _lerch_tails(h, J, lam, K // 2 + 1.0)
@@ -627,16 +696,18 @@ def volumes(requests):
     Every request is checked and routed first (see the module doc).  The
     requests that take the curvature series share one coefficient table per
     set of groups of equal taus (_series_groups; per dimension for regular
-    simplices), built once to the longest window their stopping tests read
-    (at most _IDEAL_K + 1 entries), and the fits of a one-group table, taken
-    once if some row needs them; a row's result does not depend on the
-    table's length, so it is the same bit for bit whatever else the call
-    holds.  A row of more than one group that the series cannot certify
-    without a fitted tail takes the ray once its table is read.  Every
-    other request takes its path one at a time.  A result whose error
-    bar is not below its magnitude, or a negative volume, comes back as a
-    ToleranceError with the result attached, and one whose magnitude and
-    bar are below the double range as an OverflowRegionError.
+    simplices), read once to the longest window their stopping tests read
+    (at most _IDEAL_K + 1 entries).  Its rows that depend on the groups'
+    multiplicities only, and a regular table's fits, come from what the
+    process keeps (_table_plan, _fits: at most _PLANS of each, built on
+    first use).  A row's result depends neither on the table's length nor
+    on what is kept, so it is the same bit for bit whatever else this call
+    or an earlier one held.  A row of more than one group that the series
+    cannot certify without a fitted tail takes the ray once its table is
+    read.  Every other request takes its path one at a time.  A result
+    whose error bar is not below its magnitude, or a negative volume, comes
+    back as a ToleranceError with the result attached, and one whose
+    magnitude and bar are below the double range as an OverflowRegionError.
     """
     out = [None] * len(requests)
     series = {}  # groups -> [(position, request, kappa, rho, end of the test's window)]
@@ -659,13 +730,12 @@ def volumes(requests):
             out[i] = _certified(_evaluate(req, kappa))
         except SimplexVolError as exc:
             out[i] = exc
-    fits = {}  # n -> _fits of the one-group table, once a row of that dimension needs them
     for groups, rows in series.items():
         n = sum(m for _, m in groups)
         table = _series_table(n, max(K for *_, K in rows) + 1, groups)
         for i, req, kappa, rho, K in rows:
             try:
-                res = _series_volume(req.geometry, kappa, rho, K, table, fits, groups)
+                res = _series_volume(req.geometry, kappa, rho, K, table, groups)
                 out[i] = _certified(_evaluate(req, kappa) if res is None else res)
             except SimplexVolError as exc:
                 out[i] = exc
@@ -760,9 +830,9 @@ def regular_volume(d, side_length, kappa=-1.0, tolerance=VolumeRequest.tolerance
 
     At kappa < 0 it takes the curvature series at every d, summed to
     rounding or, near the ideal simplex (rho = 1), with a fitted tail (see
-    the module doc).  Each call builds its own series table; for many rows,
-    pass their requests to volumes(), which shares one table and its fits
-    per dimension.
+    the module doc).  Its series table and fits depend on d only: the first
+    call at a d builds them, and later calls read the kept ones (at most
+    _PLANS dimensions at once), as one volumes() call over many rows does.
     """
     params = regular_parameters(d, side_length, kappa)
     return volume(VolumeRequest(params, kappa, tolerance))

@@ -2,6 +2,8 @@
 equal taus, every other orthocentric one."""
 
 import math
+import sys
+import threading
 import warnings
 
 import mpmath as mp
@@ -552,6 +554,95 @@ def test_batched_table_is_the_pairwise_fold_bit_for_bit():
         assert engine._series_table(d + 1, K, groups).tobytes() \
             == _fold_table(d + 1, K, groups).tobytes(), (taus, K)
     assert seen == {"one group", "odd", "even", "m_g >= 2", 1, 1024, None}
+
+
+@pytest.mark.parametrize("taus", [
+    (1.1,) * 6, (0.7, 0.9, 1.3), (0.6, 0.8, 1.0, 1.2, 1.4, 1.6),
+    (0.6, 0.6, 0.9, 0.9, 0.9, 1.2, 1.5, 1.5, 1.7)],
+    ids=["one-group", "odd", "even", "repeated"])
+def test_tables_do_not_depend_on_the_order_of_the_calls(taus):
+    # the plans are kept per (multiplicities, length), each built to a fixed
+    # length at least the one asked for (K = 300 and 500 share one): a table
+    # must be the same doubles as the fold at its own length, whichever
+    # request built the plan it reads
+    groups = engine._series_groups(taus)
+    n = len(taus)
+    refs = {K: _fold_table(n, K, groups).tobytes() for K in (1024, 500, 300, 10)}
+    for order in ((1024, 500, 10, 300), (10, 300, 500, 1024)):
+        engine._table_plan.cache_clear()
+        for K in order:
+            assert engine._series_table(n, K, groups).tobytes() == refs[K], (order, K)
+
+
+def test_kept_plans_are_read_only():
+    # every call reads the same kept arrays: a write into one (sigma^k
+    # scaling a view of a staged row in place, say) must raise, and a
+    # one-group table is a view of its plan
+    plan = engine._table_plan(9, (2, 3, 1, 2, 1), 64)
+    kept = [plan.last, plan.stages, plan.rows, *(a for level in plan.levels for a in level[1:]),
+            engine._series_table(6, 40, ((1.0, 6),))]
+    for a in kept:
+        with pytest.raises(ValueError):
+            a *= 1
+    # a grouped table is the caller's own
+    groups = engine._series_groups((0.6, 0.6, 0.9, 1.2, 1.5))
+    t = engine._series_table(5, 40, groups)
+    ref = t.tobytes()
+    t[:] = 0.0
+    assert engine._series_table(5, 40, groups).tobytes() == ref
+
+
+def test_kept_plans_and_fits_stay_within_their_bound():
+    rng = np.random.default_rng(35)
+    engine._table_plan.cache_clear()
+    for _ in range(200):
+        d = int(rng.integers(2, 15))
+        taus = rng.choice(rng.uniform(0.6, 1.8, int(rng.integers(1, d + 2))), d + 1)
+        groups = engine._series_groups(tuple(float(t) for t in taus))
+        engine._series_table(d + 1, int(rng.integers(5, 200)), groups)
+    info = engine._table_plan.cache_info()
+    assert info.misses > engine._PLANS and info.currsize <= engine._PLANS
+    engine._fits.cache_clear()
+    for n in range(3, engine._PLANS + 11):
+        engine._fits(n)
+    assert engine._fits.cache_info().currsize <= engine._PLANS
+
+
+def test_threads_sharing_the_plans_get_the_serial_results():
+    # four threads race to build and read the same plans and fits; each
+    # gets what one serial call gives
+    o = OrthocentricParams((0.6, 0.6, 0.9, 0.9, 0.9, 1.2, 1.5, 1.5, 1.7))
+    reqs = [VolumeRequest(regular_parameters(5, 1.0, -1.0), -1.0),
+            VolumeRequest(regular_parameters(8, 8.0, -1.0), -1.0),
+            VolumeRequest(regular_parameters(3, math.inf, -1.0), -1.0),
+            VolumeRequest(o, 0.5 * min_curvature(o)), VolumeRequest(o, 0.9 * min_curvature(o)),
+            _state_row(6, None), _state_row(12, None)]
+
+    def key(results):
+        return [(repr(r.volume), repr(r.abs_error), r.branch, r.evaluations) for r in results]
+
+    engine._table_plan.cache_clear()
+    engine._fits.cache_clear()
+    serial = key(engine.volumes(reqs))
+    engine._table_plan.cache_clear()
+    engine._fits.cache_clear()
+    got = [None] * 4
+
+    def work(i):
+        got[i] = key(engine.volumes(reqs))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [serial] * 4
 
 
 def _orthocentric_cases():

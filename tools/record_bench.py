@@ -21,10 +21,13 @@ Each checkout is a full tree (``git archive`` or ``git clone``) with its own
   tables (``engine._series_table``): the median over REPEATS passes after a
   warm-up, on both sides;
 * ``regular_volume(d, ell)`` times for d = 2..14 at ell = inf and at the
-  finite side lengths of REGULAR_ROWS, on both sides;
+  finite side lengths of REGULAR_ROWS, on both sides: per d the first call
+  on its own (cold: it builds what the series keeps for its dimension) and
+  the median of WARM_CALLS warm calls;
 * orthocentric hyperbolic ``volume()`` times for d = 2..14 (taus ~ U(0.6, 1.8)
   from ``default_rng(d)``) at each fraction of kappa0 in ORTHO_FRACS, on both
-  sides, each marked when the accuracy gate refuses it;
+  sides, cold and warm as the regular ones, each marked when the accuracy
+  gate refuses it;
 * ``ideal_volume_highprec(d)`` times for d = 2, 12 and 20, on both sides;
 * the ``tracemalloc`` peak of one cold d = 6, 10^6-sample
   ``mc_spherical_volume`` call, median over MC_COLD fresh processes, and the
@@ -62,8 +65,12 @@ FIRST_SEED = 3
 TRACE_SEED = 1
 #: ``--seconds`` of every benchmarks/run.py run
 SECONDS = 20
-#: timings per d of regular_volume and of the orthocentric volume, after a warm-up
+#: timings of the table, high-precision, Monte Carlo and Klein children, after a warm-up
 REPEATS = 5
+#: warm calls per d of regular_volume and of the orthocentric volume, after
+#: the first: the median of 5 could not show the direction of a change of
+#: 20-40 us a call on a loaded 2-vCPU machine
+WARM_CALLS = 200
 #: an orthocentric volume slower than this is timed once (the parent's d = 14)
 LONG_CALL_S = 5.0
 
@@ -72,22 +79,26 @@ TRACED_METRICS = ("cnormal.points", "rayquad.head_s", "rayquad.tail_products",
                   "rayquad.tail_quadratures", "rayquad.tail_s", "engine.self_s",
                   "oracles.hp_s", "oracles.hp_calls", "oracles.mc_s")
 
-#: one child per side and side length: warm up, then the median of REPEATS
-#: timings per d
+#: one child per side and side length: warm up at d = 15, outside the timed
+#: range, then per d the first call on its own (cold) and the median of
+#: WARM_CALLS warm calls
 REGULAR_CHILD = """
-import json, math, statistics, sys, time
+import json, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 from simplexvol import regular_volume
 ell = float(sys.argv[3])
-regular_volume(2, ell)
+
+def timed(d):
+    t0 = time.perf_counter()
+    regular_volume(d, ell)
+    return time.perf_counter() - t0
+
+regular_volume(15, ell)
 out = {}
 for d in range(2, 15):
-    times = []
-    for _ in range(int(sys.argv[2])):
-        t0 = time.perf_counter()
-        regular_volume(d, ell)
-        times.append(time.perf_counter() - t0)
-    out[d] = 1e3 * statistics.median(times)
+    cold = timed(d)
+    warm = [timed(d) for _ in range(int(sys.argv[2]))]
+    out[d] = {"cold_ms": 1e3 * cold, "ms": 1e3 * statistics.median(warm)}
 print(json.dumps(out))
 """
 
@@ -101,16 +112,18 @@ REGULAR_ROWS = (1.0, 4.0, 5.5, 8.0)
 #: up to 1,025 entries, or take the ray where the sum cannot stop
 ORTHO_FRACS = (0.5, 0.99)
 
-#: one child per side and fraction of kappa0: warm up, then per d the median
-#: of REPEATS timings, or a single timing where one call takes longer than
+#: one child per side and fraction of kappa0: warm up at d = 15, outside the
+#: timed range, and on the lower branch at d = 2, which takes the ray and
+#: reads no table; then per d the first call on its own (cold) and the
+#: median of WARM_CALLS warm calls, none where the first takes longer than
 #: LONG_CALL_S
 ORTHO_CHILD = """
-import json, statistics, sys, time
+import dataclasses, json, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from simplexvol import engine, geometry
 from simplexvol.errors import ToleranceError
-repeats, long_call, frac = int(sys.argv[2]), float(sys.argv[3]), float(sys.argv[4])
+warm_calls, long_call, frac = int(sys.argv[2]), float(sys.argv[3]), float(sys.argv[4])
 
 def request(d):
     taus = tuple(float(t) for t in np.random.default_rng(d).uniform(0.6, 1.8, d + 1))
@@ -125,15 +138,16 @@ def timed(req):
         refused.add(req.geometry.dimension)
     return time.perf_counter() - t0
 
-engine.volume(request(2))
 out, refused = {}, set()
+for req in (request(15), dataclasses.replace(request(2), use_lower_branch=True)):
+    timed(req)
+refused.clear()
 for d in range(2, 15):
     req = request(d)
-    times = [timed(req)]
-    while times[0] < long_call and len(times) < repeats:
-        times.append(timed(req))
-    out[d] = {"ms": 1e3 * statistics.median(times), "calls": len(times),
-              "refused": d in refused}
+    cold = timed(req)
+    warm = [timed(req) for _ in range(warm_calls if cold < long_call else 0)]
+    out[d] = {"cold_ms": 1e3 * cold, "ms": 1e3 * statistics.median(warm) if warm else None,
+              "warm_calls": len(warm), "refused": d in refused}
 print(json.dumps(out))
 """
 
@@ -346,6 +360,11 @@ def tier1(sides):
     return out
 
 
+#: what REGULAR_CHILD and ORTHO_CHILD report per d
+SINGLE_CALL_STATISTIC = (f"cold_ms the first call at d after a warm-up at d = 15, ms the median "
+                     f"of {WARM_CALLS} warm calls after it")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -379,19 +398,19 @@ def main(argv=None):
                                   "statistic": f"median of {REPEATS} passes after a warm-up",
                                   **child_times(sides, TABLE_CHILD, REPEATS, TRACE_SEED)},
         "regular_volume_ms": {"call": "regular_volume(d, inf)",
-                              "statistic": f"median of {REPEATS} calls after a warm-up",
-                              **child_times(sides, REGULAR_CHILD, REPEATS, "inf")},
+                              "statistic": SINGLE_CALL_STATISTIC,
+                              **child_times(sides, REGULAR_CHILD, WARM_CALLS, "inf")},
         "regular_row_ms": {ell: {"call": f"regular_volume(d, {ell})",
-                                 "statistic": f"median of {REPEATS} calls after a warm-up",
-                                 **child_times(sides, REGULAR_CHILD, REPEATS, ell)}
+                                 "statistic": SINGLE_CALL_STATISTIC,
+                                 **child_times(sides, REGULAR_CHILD, WARM_CALLS, ell)}
                            for ell in REGULAR_ROWS},
         "orthocentric_volume_ms": {frac: {
             "call": "volume() of OrthocentricParams(taus), taus = "
                     f"default_rng(d).uniform(0.6, 1.8, d + 1), kappa = {frac} min_curvature",
-            "statistic": f"median of {REPEATS} calls after a warm-up, one call where the "
-                         f"first takes over {LONG_CALL_S} s; a call the accuracy gate "
+            "statistic": f"{SINGLE_CALL_STATISTIC}; no warm calls (ms null) where the cold "
+                         f"one takes over {LONG_CALL_S} s; a call the accuracy gate "
                          "refuses (ToleranceError) is timed to the refusal and marked",
-            **child_times(sides, ORTHO_CHILD, REPEATS, LONG_CALL_S, frac)}
+            **child_times(sides, ORTHO_CHILD, WARM_CALLS, LONG_CALL_S, frac)}
             for frac in ORTHO_FRACS},
         "highprec_ms": {"call": "ideal_volume_highprec(d)",
                         "statistic": f"median of {REPEATS} calls after a warm-up",
