@@ -1,12 +1,14 @@
 """Arbitrary-precision volumes of the regular simplex at kappa < 0.
 
-The engine sums the paper's curvature series in doubles and fits its tail
-past T_1024.  This module evaluates the same series at _DPS digits, so that
-the tests and the benchmark's stored values can check the engine beyond
-double precision: the sum of rho^k T_k over k <= _K, with the table T from
-fixed-point integers, plus a tail fitted to T at _J indices in [_K/2, _K]
-and summed against rho^k by Euler-Maclaurin (_lerch).  No production path
-calls it.
+The engine sums the paper's curvature series in doubles and, past T_256,
+adds a tail in closed form, whose coefficients come from the table's first
+entries (engine._tail_matrix).  This module evaluates the same series at
+_DPS digits, so that the tests and the benchmark's stored values can check
+the engine beyond double precision: the sum of rho^k T_k over k <= _K,
+with the table T from fixed-point integers, plus a tail fitted to T at _J
+indices in [_K/2, _K] and summed against rho^k by Euler-Maclaurin
+(_lerch).  Its tail shares nothing with the engine's but the exponents
+k^(-h-j).  No production path calls it.
 
 Against the closed forms its relative error is 6.6e-17, 2.5e-18 and
 1.1e-19 at d = 2, 3 and 4 (the fitted tail's truncation, which falls

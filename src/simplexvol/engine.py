@@ -21,39 +21,39 @@ is reported as a numerical health diagnostic.
 A regular simplex is the equal-tau case: regular_volume turns (d, side
 length, kappa) into OrthocentricParams with geometry.regular_parameters,
 which is where those three inputs are checked.  At kappa < 0 an
-upper-branch request takes a second, cancellation-free path wherever that
-path certifies it, the curvature power series of its Klein-model volume:
-every term is positive, and the terms shrink like rho^k with rho =
-(-kappa/a)/tau_min^2, a = 1 - kappa/s (for a regular simplex, rho = 1 -
-1/cosh(side length * sqrt(-kappa))).  Term k is rho^k T_k, and the table T
-(_series_table) depends on the request's groups of equal taus only, on d
-alone for a regular simplex: each group runs one recurrence, and the
-groups merge with positive weights.  One evaluator, _series_volume, takes
-every such row.  Where a proven tail bound falls below rounding within
-T_0.._IDEAL_K, the sum stops there.  Elsewhere a regular simplex sums the
-first _IDEAL_K + 1 terms and fits the rest: T_k follows k^(-h) times a
-power series in 1/k, h = (d + 1)/2, so the tail is a sum of Lerch
-transcendents (_lerch_tails), and at rho = 1 the same evaluator gives
-Hurwitz zetas, its lam = -ln rho = 0 case.  rho = 1 is the ideal simplex,
-a request with kappa at or below kappa0 (as _checked_kappa decides, not by
-rho, which rounding puts a few ulp either side of 1 there;
-regular_parameters rounds the taus so that this holds for side length inf
-and for no finite one); a finite side whose rho rounds to 1 or past it is
-held just below.  A request of more than one group has no fitted tail:
-where its sum does not stop within T_0.._IDEAL_K (near kappa0, where its
-tau_min vertex goes ideal), it takes the ray once its table is read.  A
-series result has branch SERIES and residual_imag 0.  Every other request
-(kappa > 0, the lower branch, and those) takes the ray, the only path that
-loads SciPy.
+upper-branch request takes a second, cancellation-free path, at every d
+and whatever its groups of equal taus: the curvature power series of its
+Klein-model volume.  Every term is positive, and the terms shrink like
+rho^k with rho = (-kappa/a)/tau_min^2, a = 1 - kappa/s (for a regular
+simplex, rho = 1 - 1/cosh(side length * sqrt(-kappa))).  Term k is rho^k
+T_k, and the table T (_series_table) depends on the request's groups of
+equal taus only, on d alone for a regular simplex: each group runs one
+recurrence, and the groups merge with positive weights.  One evaluator,
+_series_volume, takes every such row.  Where a proven tail bound falls
+below rounding within T_0.._IDEAL_K, the sum stops there.  Elsewhere it
+sums the first _IDEAL_K + 1 terms and adds the closed-form tail: T_k is
+sum_g sigma_g^k k^(-h) times a power series in 1/k, h = (d + 1)/2, whose
+coefficients come from the table's first entries (Bender's theorem;
+_tail_matrix), so the tail is a sum of Lerch transcendents (_lerch_tails),
+and at rho = 1 the same evaluator gives Hurwitz zetas, its lam = -ln rho
+= 0 case.  rho = 1 is a request with kappa at or below kappa0 (as
+_checked_kappa decides, not by rho, which rounding puts a few ulp either
+side of 1 there), where the tau_min vertex is ideal: the ideal regular
+simplex, and any other simplex at its kappa0 (regular_parameters rounds
+the taus so that this holds for side length inf and for no finite one); a
+finite side whose rho rounds to 1 or past it is held just below.  A series
+result has branch SERIES and residual_imag 0.  Every other request (kappa
+> 0 and the lower branch) takes the ray, the only path that loads SciPy.
 
 volumes(requests) is the one entry point: it checks and routes every
 request, reads one table per set of groups of equal taus for all of its
 series rows, and returns each result, or the SimplexVolError its request
 raised, in order.  What a table holds that depends on the groups'
-multiplicities only (every entry, for a regular simplex) and the fits of a
-regular table are built on first use and kept for the process, at most
-_PLANS of each (_table_plan, _fits); they are the same doubles whatever
-was asked before, so no result depends on them being kept.
+multiplicities only (every entry, for a regular simplex, and the
+closed-form tail's matrix) is built on first use and kept for the
+process, at most _PLANS plans (_table_plan), the engine's only kept
+state; they are the same doubles whatever was asked before, so no result
+depends on them being kept.
 volume(req) is volumes([req]) with the error raised.  Whatever the path, a
 result whose error bar is not below its magnitude, or a negative volume, is
 refused with ToleranceError, and one whose magnitude and bar are both
@@ -86,14 +86,19 @@ _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
 _U = 2.0 ** -53
 
 #: the series sums at most T_0.._IDEAL_K; where its tail bound does not fall
-#: below rounding within them, it fits the rest with _IDEAL_J powers of 1/k
-_IDEAL_K = 1024
-_IDEAL_J = 5
+#: below rounding within them, it adds the closed-form tail of _TAIL_J
+#: powers of 1/k (_tail_matrix)
+_IDEAL_K = 256
+_TAIL_J = 8
+#: the table length that the doubling scan's cap (8 _SCALE_K) and the
+#: merges' powers of two are set for: at 1,024, as when the series read
+#: T_0..T_1024, every table entry keeps those bits
+_SCALE_K = 1024
 
 #: the lengths _series_table builds its plans to (_table_plan): a table of
 #: L entries reads the first that is at least L, and a longer one (only
 #: tests build those) its own length
-_PLAN_LENGTHS = (16, 32, 64, 128, 256, 512, _IDEAL_K + 1)
+_PLAN_LENGTHS = (16, 32, 64, 128, _IDEAL_K + 1)
 #: the most plans kept at once; the least recently used goes first
 _PLANS = 32
 
@@ -197,10 +202,10 @@ def _series_table(n, K, groups):
     is a first-order filter of ratio 1/m, run as a doubling scan.  Every r
     is a running product of exact neighbour ratios, and every value is
     positive and at most 1.  The scan's shifts are s = 1, 2, 4, ... up to the
-    first with m^-s <= u (1/2)_C/(m/2)_C, C = 8 _IDEAL_K: what the shifts left
-    out add to entry k is m^-s c(m)_{k-s}, and as c(m) lies between
+    first with m^-s <= u (1/2)_C/(m/2)_C, C = 8 _SCALE_K: what the shifts
+    left out add to entry k is m^-s c(m)_{k-s}, and as c(m) lies between
     (1/2)_k/(m/2)_k and 1 that is at most u of the entry for every k <= C,
-    eight times the longest table the engine reads.  r is built for the
+    32 times the longest table the engine reads.  r is built for the
     stages read only: r(2)..r(max m_g), and r(n+1).
 
     Each group's row c(m_g) is one row of an array, and every row but the
@@ -217,7 +222,8 @@ def _series_table(n, K, groups):
 
     Everything but sigma_g^k and the merges depends on the m_g and the
     length only: the r rows, the staged rows, the tree and its x, y and z
-    rows, and for one group the whole table.  _table_plan builds those once
+    rows, for one group the whole table, and the closed-form tail's matrix
+    of n.  _table_plan builds those once
     and keeps them; each call reads their first K + 1 entries and runs only
     the powers, the convolutions and the quotients by z.  A one-group table
     is a read-only view of the kept one.
@@ -233,9 +239,7 @@ def _series_table(n, K, groups):
     for M, x, y, z in plan.levels:
         parts = np.concatenate((_merge_groups(parts[0:2 * M:2], parts[1:2 * M:2],
                                               x[:, :L], y[:, :L], z[:, :L]), parts[2 * M:]))
-    t = parts[0]
-    t *= plan.last[:L]
-    return t
+    return parts[0] * plan.last[:L]
 
 
 class _TablePlan(NamedTuple):
@@ -252,6 +256,9 @@ class _TablePlan(NamedTuple):
     #: per level of the merge tree, its number of merges M and their x, y and
     #: z rows (_merge_factors)
     levels: tuple
+    #: the closed-form tail's matrix of the n factors (_tail_matrix), in a
+    #: plan of more than _IDEAL_K entries, else None
+    tail: np.ndarray
 
 
 @functools.lru_cache(maxsize=_PLANS)
@@ -263,12 +270,14 @@ def _table_plan(n, ms, L):
     miss at once each build it, to the same doubles.  L is one of
     _PLAN_LENGTHS, or a length past them, which only tests ask for; a plan's
     entries are the same doubles whatever its length (_series_table), so no
-    result depends on which plans are kept or on the order of the calls."""
+    result depends on which plans are kept or on the order of the calls.
+    Only a plan of more than _IDEAL_K entries, which the closed-form tail
+    reads, holds its _tail_matrix."""
     k2 = 2.0 * np.arange(1, L)
     stage_ms = np.array([*range(1, max(ms)), n], dtype=float)[:, None]
     r = np.ones((len(stage_ms), L))  # row m - 2 holds r(m), the last row r(n + 1)
     np.cumprod((k2 + (stage_ms - 2.0)) / (k2 + (stage_ms - 1.0)), axis=1, out=r[:, 1:])
-    C = 8 * _IDEAL_K
+    C = 8 * _SCALE_K
     t = np.ones(L)  # c(1), then each stage in turn
     staged = {1: t.copy()}
     for m in range(2, max(ms) + 1):
@@ -282,23 +291,62 @@ def _table_plan(n, ms, L):
             s *= 2
         if m in ms:
             staged[m] = t.copy()
+    tail = _tail_matrix(n / 2.0) if L > _IDEAL_K else None  # only a full table has a tail
     if len(ms) == 1:
         t *= r[-1]
-        return _read_only(_TablePlan(t, None, None, ()))
+        return _read_only(_TablePlan(t, None, None, (), tail))
     distinct = sorted(set(ms))
-    # the merge tree: per level, the (alpha, beta) of each of its merges
-    tree, level = [], [m / 2.0 for m in ms]
+    # the merge tree, level by level: the (alpha, beta) of each of its merges
+    levels, level = [], [m / 2.0 for m in ms]
     while len(level) > 1:
-        tree.append(list(zip(level[0::2], level[1::2])))
-        level = [a + b for a, b in tree[-1]] + level[2 * len(tree[-1]):]
-    x, y, z = _read_only(_merge_factors([ab for merges in tree for ab in merges], L))
-    levels, i = [], 0
-    for merges in tree:
-        at = slice(i, i + len(merges))
-        levels.append((len(merges), x[at], y[at], z[at]))
-        i += len(merges)
+        merges = list(zip(level[0::2], level[1::2]))
+        levels.append((len(merges), *_read_only(_merge_factors(merges, L))))
+        level = [a + b for a, b in merges] + level[2 * len(merges):]
     return _read_only(_TablePlan(r[-1].copy(), np.array([staged[m] for m in distinct]),
-                                 np.array([distinct.index(m) for m in ms]), tuple(levels)))
+                                 np.array([distinct.index(m) for m in ms]), tuple(levels), tail))
+
+
+def _tail_matrix(h):
+    """The (J + 1) x (J + 1) matrix B, J = _TAIL_J, that turns a table's
+    first entries into its closed-form tail (_series_volume): a group
+    (sigma, m) of the table T of n = 2h factors contributes to T_k
+
+        sigma^k Gamma(h + 1/2)/Gamma(1/2) sum_(s <= J) c_s k^(-h-s),
+        c_s = m sum_(i <= s) sigma^-i T_i B_is,
+
+    to within the power past J.  By Bender's theorem (J. London Math. Soc.
+    (2) 9, 1975) on the product P(t) = prod_j F(sigma_j t), whose factors'
+    coefficients grow factorially, the group's share of T_k is sigma^k
+    sum_i d_i (1/2)_(k-i)/(h + 1/2)_k, with d_i = m [u^i] P(u/sigma)/F(u)
+    and [u^i]P(u/sigma) = sigma^-i T_i (h + 1/2)_i.  Row l of the
+    expansion, (1/2)_(k-l)/(h + 1/2)_k = Gamma(h + 1/2)/Gamma(1/2) sum_s
+    G_ls k^(-h-s) (DLMF 5.11.13), starts at l = 0 from the exponential of
+    ln Gamma(k + 1/2) - ln Gamma(k + h + 1/2) + h ln k = sum_(m >= 1)
+    (-1)^(m+1) (B_(m+1)(1/2) - B_(m+1)(h + 1/2))/(m (m + 1) k^m) (DLMF
+    5.11.8, B_m the Bernoulli polynomials), and row l is row l - 1 times
+    1/(k - l + 1/2) = sum_r (l - 1/2)^r k^(-r-1).  The division by F is
+    back-substitution: b_i = sum_(l >= i) [u^(l-i)](1/F) G_l solves G_i =
+    sum_j (1/2)_j b_(i+j), and B_is = (h + 1/2)_i b_is.  B depends on h
+    only; each plan of a full table holds its own."""
+    J = _TAIL_J
+    bern = [1.0, -0.5] + [0.0] * J  # B_0..B_(J+1), B_2j from B_2j/(2j)!
+    bern[2::2] = [c * math.factorial(2 * j) for j, c in enumerate(_EM_COEFFS[:J // 2], 1)]
+    # ln Gamma(k + 1/2) - ln Gamma(k + h + 1/2) + h ln k = sum_m logs_m k^-m
+    logs = [(-1) ** (m + 1) / (m * (m + 1.0)) * sum(
+        math.comb(m + 1, i) * bern[i] * (0.5 ** (m + 1 - i) - (h + 0.5) ** (m + 1 - i))
+        for i in range(m + 2)) for m in range(1, J + 1)]
+    g = [1.0]  # its exponential, row 0
+    for j in range(1, J + 1):
+        g.append(sum(m * logs[m - 1] * g[j - m] for m in range(1, j + 1)) / j)
+    # row l: G_ls, as (1/2)_(k-l) = (1/2)_(k-l+1)/(k - l + 1/2)
+    rows = [np.array(g)]
+    for l in range(1, J + 1):
+        rows.append(np.convolve(rows[-1], np.append(0.0, (l - 0.5) ** np.arange(J)))[:J + 1])
+    # b_i = sum_(l >= i) [u^(l-i)](1/F) G_l solves G_i = sum_j (1/2)_j b_(i+j)
+    b, half = np.array(rows), np.cumprod(np.arange(J) + 0.5)
+    for i in range(J - 1, -1, -1):
+        b[i] -= half[:J - i] @ b[i + 1:]
+    return np.cumprod(np.append(1.0, h + 0.5 + np.arange(J)))[:, None] * b  # (h + 1/2)_i b_i
 
 
 def _read_only(arrays):
@@ -311,14 +359,14 @@ def _read_only(arrays):
 
 def _merge_factors(merges, L):
     """The rows x, y and z of _merge_groups, L entries each, of the merges
-    (alpha, beta) in merges, all from one cumprod: row i of each is the
-    running product of (v + j)/c, v the alpha, the beta or their sum of
-    merge i, and c its power of two."""
+    (alpha, beta) in merges (one level of the tree), all from one cumprod:
+    row i of each is the running product of (v + j)/c, v the alpha, the
+    beta or their sum of merge i, and c its power of two."""
     vs, cs = [], []
     for alpha, beta in merges:
         vs += (alpha, beta, alpha + beta)
-        cs += 3 * [2.0 ** round((math.lgamma(alpha + beta + _IDEAL_K) - math.lgamma(alpha + beta))
-                                / (_IDEAL_K * math.log(2.0)))]
+        cs += 3 * [2.0 ** round((math.lgamma(alpha + beta + _SCALE_K) - math.lgamma(alpha + beta))
+                                / (_SCALE_K * math.log(2.0)))]
     q = np.ones((len(vs), L))
     np.cumprod((np.array(vs)[:, None] + np.arange(L - 1.0)) / np.array(cs)[:, None],
                axis=1, out=q[:, 1:])
@@ -342,7 +390,7 @@ def _merge_groups(a, b, x, y, z):
     with x_i = (alpha)_i c^-i, y_j = (beta)_j c^-j and z_k = (alpha + beta)_k
     c^-k, each a running product of (v + j)/c, p_k = sum_i (x_i a_i)(y_(k-i)
     b_(k-i)) / z_k, and the powers of c cancel.  c is the power of two
-    nearest the geometric mean of alpha + beta + j over j < _IDEAL_K, from
+    nearest the geometric mean of alpha + beta + j over j < _SCALE_K, from
     lgamma: every division by it is exact, and it depends on alpha + beta
     only, so no entry's bits depend on the table's length.  The level makes
     x a and y b in one product each over all its rows, one np.convolve per
@@ -350,7 +398,7 @@ def _merge_groups(a, b, x, y, z):
     other rows.
 
     The range.  The terms that carry p_k are within a factor k + 1 of
-    p_k z_k.  c holds z_(_IDEAL_K) within 2^(+-_IDEAL_K/2) of 1, and z_k
+    p_k z_k.  c holds z_(_SCALE_K) within 2^(+-_SCALE_K/2) of 1, and z_k
     stays between 1e-221 and 1e278 for alpha + beta <= 600 and k <= 1,300,
     so those terms stay normal wherever p_k z_k does.  Where it does not,
     as where both inputs fall like sigma^k (a merge without the tau_min
@@ -375,11 +423,7 @@ def _merge_groups(a, b, x, y, z):
     xa, yb = np.zeros((2, M, L + 1))  # the trailing zero
     np.multiply(x, a, out=xa[:, :L])
     np.multiply(y, b, out=yb[:, :L])
-    p = np.empty((M, L))
-    for i in range(M):
-        p[i] = np.convolve(xa[i], yb[i])[:L]
-    p /= z
-    return p
+    return np.array([np.convolve(xa[i], yb[i])[:L] for i in range(M)]) / z
 
 
 def _series_groups(taus):
@@ -398,10 +442,11 @@ def _series_terms(rho, K, table):
 
 def _series_guess(n, rho):
     """A first table length: where rho^K times the terms' large-k size
-    n Gamma(h + 1/2)/sqrt(pi) K^(-h) falls below eps (1 - rho)."""
+    n Gamma(h + 1/2)/sqrt(pi) K^(-h) falls below eps (1 - rho), with 1 -
+    rho read as at least u (rho = 1 gives a length past every window)."""
     h = n / 2.0
     log_rho = math.log(max(rho, 1e-300))
-    target = (math.log(_U * (1.0 - rho)) - math.log(n / math.sqrt(math.pi))
+    target = (math.log(_U * max(1.0 - rho, _U)) - math.log(n / math.sqrt(math.pi))
               - math.lgamma(h + 0.5))
     # Newton on the convex, decreasing K log(rho) - h log(K + 1) - target,
     # from K = 0, approaches its root from below
@@ -409,30 +454,35 @@ def _series_guess(n, rho):
     for _ in range(6):
         K -= (K * log_rho - h * math.log1p(K) - target) / (log_rho - h / (K + 1.0))
     # and past where the tail bound's ratio rho (h + K)/(K + 1) drops below 1
-    return int(max(1.1 * K, 1.25 * (rho * h - 1.0) / (1.0 - rho))) + 8
+    return int(max(1.1 * K, 1.25 * (rho * h - 1.0) / max(1.0 - rho, _U))) + 8
 
 
 def _series_ratio(params, kappa):
     """The term ratio rho = -(kappa/a)/tau_min^2, a = 1 - kappa/s, of the
-    simplex params at kappa0 <= kappa < 0."""
+    simplex params at kappa0 < kappa < 0.  A finite side's rho can round to 1
+    or past it: it is held below 1."""
     a = 1.0 - kappa / params.s
     t = min(params.taus)
-    return -(kappa / a) / (t * t)
+    return min(-(kappa / a) / (t * t), math.nextafter(1.0, 0.0))
 
 
 def _series_prefactor(params, kappa, rho):
-    """The series' prefactor and its rounding in units u.  Below rho = 1 it
-    is Vol_E a^(-h), h = (d + 1)/2, a = 1 - kappa/s, to (3d + 11)u: Vol_E to
-    (d + 5)u, a to 4u raised to -h with 2u of its own, and two products.
-    rho = 1 is the ideal simplex, whose volume depends on d and kappa only:
-    sqrt(d)/d! |kappa|^(-d/2), to 7u (sqrt(d), d! as a float, the quotient,
-    the power (2u) and the two products).  Raises OverflowRegionError past
-    the double range."""
+    """The series' prefactor Vol_E a^(-h), h = (d + 1)/2, and its rounding in
+    units u, to (3d + 11)u: Vol_E to (d + 5)u, a to 4u raised to -h with 2u
+    of its own, and two products.  Below rho = 1, a = 1 - kappa/s.  rho = 1
+    is a request at kappa0, where the tau_min vertex is ideal: there a = s/(s
+    - tau_min^2), from the taus alone (as kappa0 = -tau_min^2 a), where
+    s's rounding moves a by at most half its own and tau_min^2's by half a
+    u.  At rho = 1 the ideal regular simplex's volume depends on d and kappa
+    only: sqrt(d)/d! |kappa|^(-d/2) at the requested kappa, to 7u (sqrt(d),
+    d! as a float, the quotient, the power (2u) and the two products).
+    Raises OverflowRegionError past the double range."""
     d = params.dimension
+    t = min(params.taus)
     try:
-        if rho == 1.0:
+        if rho == 1.0 and t == max(params.taus):
             return math.sqrt(d) / math.factorial(d) * (-kappa) ** (-d / 2.0), 7
-        a = 1.0 - kappa / params.s
+        a = params.s / (params.s - t * t) if rho == 1.0 else 1.0 - kappa / params.s
         return euclidean_volume(params) * a ** (-(d + 1) / 2.0), 3 * d + 11
     except OverflowError:
         raise OverflowRegionError(
@@ -497,7 +547,8 @@ def _expint(s0, count, z):
 def _lerch_tails(s0, count, lam, q):
     """Phi_s = sum_(k >= 0) e^(-lam (q + k)) (q + k)^(-s) at s = s0, s0 + 1, ..,
     s0 + count - 1, for lam >= 0 and q >= 256: the Lerch transcendent's tail
-    that _series_volume's fitted tail needs, by Euler-Maclaurin from k = 0.
+    that _series_volume's closed-form tail needs, by Euler-Maclaurin from
+    k = 0.
     With z = lam q, the m-th derivative of e^(-lam x) x^(-s) at q is
     (-1)^m e^(-z) q^(-s-m) P_m, P_m = sum_(i <= m) C(m, i) z^(m-i) (s)_i, so
 
@@ -530,33 +581,26 @@ def _lerch_tails(s0, count, lam, q):
     return out
 
 
-def _fit(T, K, J, h):
-    """b_0..b_(J-1) of the fit T_k = sum_j b_j k^(-h-j) through T at J
-    indices spread evenly over [K/2, K]: in y = K/k the fit is a polynomial
-    on [1, 2]."""
-    ks = np.linspace(K // 2, K, J).round().astype(np.int64)
-    y = K / ks
-    # (k/K)^h T_k = sum_j c_j y^j, so b_j = c_j K^(h+j)
-    c = np.linalg.solve(np.vander(y, J, increasing=True), (ks / K) ** h * T[ks])
-    return tuple(float(c[j]) * K ** (h + j) for j in range(J))
-
-
-@functools.lru_cache(maxsize=_PLANS)
-def _fits(n):
-    """The fits that _series_volume's fitted tail reads, of the one-group
-    table of n factors, at (K, J), (K/2, J) and (K, J + 2), K = _IDEAL_K,
-    J = _IDEAL_J: they depend on n only, so each is taken on the first
-    fitted row of its dimension and kept while among the _PLANS most
-    recently used, as the tables' plans are."""
-    T, h = _series_table(n, _IDEAL_K, ((1.0, n),)), n / 2.0
-    K, J = _IDEAL_K, _IDEAL_J
-    return _fit(T, K, J, h), _fit(T, K // 2, J, h), _fit(T, K, J + 2, h)
+def _tail_expansion(n, table, groups):
+    """(sigma, c, gap): the closed-form tail of the table of n factors in
+    groups (_tail_matrix), for the groups whose sigma^(K/2) is above
+    rounding, K = _IDEAL_K: T_k = sum_g sigma_g^k sum_(s < _TAIL_J) c_gs
+    k^(-h-s), h = n/2, to within the next power, whose c_gs is the last
+    column of c, from table's first _TAIL_J + 1 entries.  The other groups'
+    shares of T_k are below u of it from k = K/2 on, and gap is the largest
+    relative gap between the expansion and the table over k in [K/2, K]."""
+    sigma, m = np.array([(sg, m) for sg, m in groups if sg ** (_IDEAL_K // 2) > _U]).T
+    J, h, ks = _TAIL_J, n / 2.0, np.arange(_IDEAL_K // 2, _IDEAL_K + 1.0)[:, None]
+    tail = _table_plan(n, tuple(m for _, m in groups), _IDEAL_K + 1).tail
+    c = m[:, None] * table[:J + 1] * sigma[:, None] ** -np.arange(J + 1.0) @ tail
+    c *= math.gamma(h + 0.5) / math.gamma(0.5)
+    fit = np.sum(sigma ** ks * (ks ** -(h + np.arange(J)) @ c[:, :J].T), axis=1)
+    return sigma, c, float(np.max(np.abs(fit / table[_IDEAL_K // 2:_IDEAL_K + 1] - 1.0)))
 
 
 def _series_volume(params, kappa, rho, K, table, groups):
     """The volume of an orthocentric simplex at kappa < 0 by its curvature
-    series, or None for a request of more than one group of equal taus
-    whose sum would need the fitted tail (the caller takes the ray).
+    series.
 
     With s = sum tau_j^2, h = (d+1)/2, a = 1 - kappa/s and sigma_j =
     tau_min^2/tau_j^2, the Klein-model volume is
@@ -565,9 +609,8 @@ def _series_volume(params, kappa, rho, K, table, groups):
         T_k = [t^k]prod_j F(sigma_j t) / (h+1/2)_k
 
     (_series_table over groups, _series_terms), every term positive, rho as
-    volumes() gives it (_series_ratio, held below 1, or 1 for the ideal
-    regular simplex).  table holds T_0..T_(K+1) at least.  A fitted row
-    reads the _fits of its dimension, kept once taken.
+    volumes() gives it (_series_ratio, held below 1, or 1 at kappa0).
+    table holds T_0..T_(K+1) at least.
 
     The ratio bound.  With (1/2)_i = E[G^i], G ~ Gamma(1/2), and the G_j
     independent, [t^k]prod_j F(sigma_j t) = E[h_k(sigma_1 G_1, .., sigma_n
@@ -583,21 +626,20 @@ def _series_volume(params, kappa, rho, K, table, groups):
     and q_k falls with k (h >= 1), so the terms past K' sum to at most
     term_(K'+1)/(1 - q_K') where q_K' < 1.  The stopping test looks for the
     first K' <= K where that bound is below eps times the sum.  If one
-    passes, the sum stops there with the bound in the bar.  If none does
-    and K + 1 < _IDEAL_K (a first guess that fell short, which no scanned
-    case has), the sum stops at K, past which the guess put the ratio below
-    1, with that bound.  Otherwise, and always at rho = 1, where no bound is
-    finite, one group sums math.fsum(term_k, k <= K), K = _IDEAL_K, plus the
-    fitted tail, and more than one group returns None.
+    passes, the sum stops there with the bound in the bar.  Otherwise, and
+    always at rho = 1, where no bound is finite, the sum is math.fsum(term_k,
+    k <= K), K = _IDEAL_K, plus the closed-form tail; a table shorter than
+    that (a first guess that fell short, which no scanned case has) is read
+    on to T_(_IDEAL_K) first.
 
-    The fitted tail.  T_k ~ k^(-h) sum_j b_j k^(-j), from the algebraic
-    singularity of sum_k T_k rho^k at rho = 1 (Flajolet and Odlyzko, SIAM J.
-    Discrete Math. 3, 1990), and T does not depend on rho.  So the tail is
-    sum_j b_j Phi_(h+j), with b_0..b_(J-1) from _fit at J = _IDEAL_J and
-    Phi_s = sum_(k > K) rho^k k^(-s), the Lerch tail (_lerch_tails) at
-    lam = -ln rho; rho = 1 is its lam = 0 case, the Hurwitz zeta.  rho = 1
-    is the ideal simplex at kappa0, whose volume depends on d and kappa
-    only, so kappa is the requested one (_series_prefactor).
+    The closed-form tail.  T_k = sum_g sigma_g^k sum_s c_gs k^(-h-s), s <
+    _TAIL_J, to within the first omitted power, with c from the table's
+    first entries (_tail_expansion, _tail_matrix), and T does not depend
+    on rho.  So the tail is sum_g sum_s c_gs Phi_(h+s)(lam_g), Phi_s =
+    sum_(k > K) e^(-lam_g k) k^(-s), the Lerch tail (_lerch_tails) at
+    lam_g = -ln(rho sigma_g), for each group whose (rho sigma_g)^K is above
+    rounding.  At rho = 1 the first group's lam is 0, the Hurwitz zeta.
+    rho = 1 is the request at kappa0 (_series_prefactor).
 
     The bar counts the rounding of the terms and the fsum, in units u, as a
     slope times sum_k k term_k plus a constant times the sum.  T_k takes, per
@@ -616,29 +658,28 @@ def _series_volume(params, kappa, rho, K, table, groups):
     fsum adds u of the total.  With M the largest group, the table and the
     fsum take a slope of at most 2M + 3 [G > 1] + 3 ceil(log2 G) and a
     constant of (n - G)(4 steps + 1) + 7(G - 1) + 1: for one group, 2n and
-    (n - 1)(4 steps + 1) + 1.  A summed row adds rho's: rho^k adds one ulp
-    (2) and the product rho^k T_k 1, and rho's input rounding (7u: s to 2u
-    from the squares and fsum, kappa/s, 1 - kappa/s, kappa/a, tau_min^2 and
-    the quotient) moves term_k by 7k u, so 7 to the slope and 3 to the
-    constant.  A fitted row adds lam's instead, 8k u per term with the log
-    that gives lam, the tail included: sum_(k > K) k rho^k T_k is the same
-    fit's sum_j b_j Phi_(h+j-1), which at d <= 3 grows without bound as
-    rho -> 1, the true conditioning of a request given by its taus; then
-    rho^k and the product with T_k (3u), and 128u of the tail for its own
-    rounding (_expint's error is up to 52u, and the corrections and the sum
-    over j add a few).  At rho = 1, which is exact, none of rho's terms is
-    there.  It adds the fit's error, estimated as the larger gap to the fits
-    at (K/2, J) and (K, J + 2) with the same rho weights: the first is about
-    2^J times the truncation at K, and the second moves with the rounding
-    the fit amplifies.  At the ideal triangle, where the tail is 2% of the
-    sum, these gaps are 5e-13 and 1e-13 for an actual error of 1.2e-14; past
-    d = 4 the tail is below the rounding.
+    (n - 1)(4 steps + 1) + 1.  Below rho = 1 a row adds rho's: rho^k adds
+    one ulp (2) and the product rho^k T_k 1, and rho's input rounding (7u:
+    s to 2u from the squares and fsum, kappa/s, 1 - kappa/s, kappa/a,
+    tau_min^2 and the quotient) moves term_k by 7k u, so 7 to the slope and
+    3 to the constant; with the tail, 8 to the slope with the log that
+    gives lam.  At rho = 1, which is exact, none of rho's terms is there.
+    The tail's terms carry the same rho (8k u) and sigma_g (3k u)
+    conditioning: sum_(k > K) k (rho sigma_g)^k k^(-h-s) is Phi_(h+s-1), which
+    at d <= 3 grows without bound as rho -> 1, the true conditioning of a
+    request given by its taus.  The tail adds 128u of itself for its own
+    rounding (_expint's error is up to 52u, and the corrections and the
+    sums add a few), the tail of the first omitted power (s = _TAIL_J),
+    and the largest relative gap between the expansion and the table over
+    k in [K/2, K] times the tail: the expansion's relative error falls
+    like k^(-_TAIL_J) past there.  For one group that gap is 3e-12 at n = 3
+    and passes 1 from n = 53, where the expansion in 1/k diverges at k = K,
+    but the tail is then below 1e-35 of the sum.
     """
     n = params.dimension + 1
     h = n / 2.0
     t = _series_terms(rho, K + 1, table)
-    steps = len(t).bit_length()
-    bound, fitted = math.inf, K + 1 == _IDEAL_K
+    bound = math.inf
     # the ratio bound q falls with K', and the tail bound is finite only
     # where q < 1: if q_K >= 1 (always at rho = 1), no K' passes
     if rho * (h + K) / (K + 1.0) < 1.0:
@@ -648,41 +689,39 @@ def _series_volume(params, kappa, rho, K, table, groups):
         np.divide(t[1:], 1.0 - q, out=tail, where=q < 1.0)
         done = tail <= 2.0 * _U * np.cumsum(t[:-1])
         first = int(np.argmax(done))  # the first K' that passes, or 0 if none does
-        if done[first] or not fitted:
-            K = first if done[first] else K
-            bound, fitted = float(tail[K]), False
-    if fitted and len(groups) > 1:
-        return None
-    # the prefactor before _fits: from d = 171 on, where d! passes the double
-    # range, it raises OverflowRegionError, and _fits' b_j = c_j K^(h+j) would
-    # raise a bare OverflowError from d = 192 on
+        if done[first]:
+            K, bound = first, float(tail[first])
+    if bound == math.inf:
+        K = _IDEAL_K
+        if len(t) <= K:  # a window the first guess cut short reads on
+            table = _series_table(n, K, groups)
+            t = _series_terms(rho, K, table)
+    # the prefactor before the tail: from d = 171 on, where d! passes the
+    # double range, it raises OverflowRegionError, and Gamma(h + 1/2) would
+    # raise a bare OverflowError from d = 342 on
     pre, pre_u = _series_prefactor(params, kappa, rho)
-    K = _IDEAL_K if fitted else K
     terms = t[:K + 1]
     total = math.fsum(terms.tolist())
     k_weighted = float(np.sum(np.arange(K + 1.0) * terms))
     G, M = len(groups), max(m for _, m in groups)
     slope = 2 * M + 3 * (G > 1) + 3 * (G - 1).bit_length()
-    const = 1 + 7 * (G - 1) + (n - G) * (4 * steps + 1)
-    if not fitted:
+    const = 1 + 7 * (G - 1) + (n - G) * (4 * len(t).bit_length() + 1)  # steps = bit_length
+    if bound < math.inf:
         sum_err = _U * ((slope + 7) * k_weighted + (const + 3) * total) + bound
     else:
-        J = _IDEAL_J
-        b, b_half, b_more = _fits(n)
-        lam = -math.log(rho)
-        phi = _lerch_tails(h - 1.0, J + 3, lam, K + 1.0)  # from Phi_(h-1)
-        phi_half = _lerch_tails(h, J, lam, K // 2 + 1.0)
-        fit_tail = math.fsum(bj * p for bj, p in zip(b, phi[1:]))
-        half = math.fsum(t[:K // 2 + 1].tolist()) + math.fsum(
-            bj * p for bj, p in zip(b_half, phi_half))
-        total += fit_tail
-        spread = max(abs(total - half),
-                     abs(fit_tail - math.fsum(bj * p for bj, p in zip(b_more, phi[1:]))))
-        sum_err = _U * (slope * k_weighted + const * total)
-        if lam:
-            k_tail = math.fsum(bj * p for bj, p in zip(b, phi))
-            sum_err += _U * (8 * (k_weighted + k_tail) + 3 * total + 128 * fit_tail)
-        sum_err += spread
+        sigma, c, gap = _tail_expansion(n, table, groups)
+        tail = k_tail = omitted = 0.0
+        for sg, cg in zip(sigma.tolist(), c):  # cg: c_g0..c_gJ, J = _TAIL_J
+            lam = -math.log(rho * sg)
+            if lam * K < -math.log(_U):  # (rho sigma_g)^K above rounding
+                phi = _lerch_tails(h - 1.0, len(cg) + 1, lam, K + 1.0)  # Phi_(h-1)..Phi_(h+J)
+                tail += math.fsum(cg[:-1] * phi[1:-1])
+                omitted += abs(float(cg[-1]) * phi[-1])
+                if lam:
+                    k_tail += (8 * (rho < 1.0) + 3 * (sg < 1.0)) * math.fsum(cg[:-1] * phi[:-2])
+        total += tail
+        sum_err = _U * (slope * k_weighted + const * total + k_tail + 128 * abs(tail)
+                        + (rho < 1.0) * (8 * k_weighted + 3 * total)) + omitted + gap * abs(tail)
     # 1.01 covers the second-order terms of these first-order counts and the
     # rounding of the bar itself
     vol = pre * total
@@ -698,34 +737,28 @@ def volumes(requests):
     set of groups of equal taus (_series_groups; per dimension for regular
     simplices), read once to the longest window their stopping tests read
     (at most _IDEAL_K + 1 entries).  Its rows that depend on the groups'
-    multiplicities only, and a regular table's fits, come from what the
-    process keeps (_table_plan, _fits: at most _PLANS of each, built on
-    first use).  A row's result depends neither on the table's length nor
-    on what is kept, so it is the same bit for bit whatever else this call
-    or an earlier one held.  A row of more than one group that the series
-    cannot certify without a fitted tail takes the ray once its table is
-    read.  Every other request takes its path one at a time.  A result
+    multiplicities only, and the closed-form tail's matrix, come from what
+    the process keeps (_table_plan: at most _PLANS plans, built on first
+    use).  A row's result depends neither on the table's length nor on what
+    is kept, so it is the same bit for bit whatever else this call or an
+    earlier one held.  A request at kappa0 is summed at rho = 1 whatever
+    its groups.  Every other request takes its path one at a time.  A result
     whose error bar is not below its magnitude, or a negative volume, comes
     back as a ToleranceError with the result attached, and one whose
     magnitude and bar are below the double range as an OverflowRegionError.
     """
     out = [None] * len(requests)
-    series = {}  # groups -> [(position, request, kappa, rho, end of the test's window)]
+    series = {}  # groups -> [(position, request, rho, end of the test's window)]
     for i, req in enumerate(requests):
         try:
             kappa, at_kappa0 = _checked_kappa(req)
             params = req.geometry
             if kappa < 0 and not req.use_lower_branch:
-                groups = _series_groups(params.taus)
-                if at_kappa0 and len(groups) == 1:
-                    # the ideal simplex's volume depends on d and kappa only,
-                    # so it is taken at the requested kappa, not kappa0
-                    kappa, rho, K = req.kappa, 1.0, _IDEAL_K - 1
-                else:
-                    # a finite side's rho can round to 1 or past it: it is held below
-                    rho = min(_series_ratio(params, kappa), math.nextafter(1.0, 0.0))
-                    K = min(_series_guess(params.dimension + 1, rho), _IDEAL_K - 1)
-                series.setdefault(groups, []).append((i, req, kappa, rho, K))
+                # rho is 1 exactly at kappa0, where the prefactor does not
+                # read kappa0 (_series_prefactor)
+                rho = 1.0 if at_kappa0 else _series_ratio(params, kappa)
+                K = min(_series_guess(params.dimension + 1, rho), _IDEAL_K - 1)
+                series.setdefault(_series_groups(params.taus), []).append((i, req, rho, K))
                 continue
             out[i] = _certified(_evaluate(req, kappa))
         except SimplexVolError as exc:
@@ -733,10 +766,9 @@ def volumes(requests):
     for groups, rows in series.items():
         n = sum(m for _, m in groups)
         table = _series_table(n, max(K for *_, K in rows) + 1, groups)
-        for i, req, kappa, rho, K in rows:
+        for i, req, rho, K in rows:
             try:
-                res = _series_volume(req.geometry, kappa, rho, K, table, groups)
-                out[i] = _certified(_evaluate(req, kappa) if res is None else res)
+                out[i] = _certified(_series_volume(req.geometry, req.kappa, rho, K, table, groups))
             except SimplexVolError as exc:
                 out[i] = exc
     return out
@@ -829,10 +861,11 @@ def regular_volume(d, side_length, kappa=-1.0, tolerance=VolumeRequest.tolerance
     """Convenience wrapper: volume of the regular simplex (side inf = ideal).
 
     At kappa < 0 it takes the curvature series at every d, summed to
-    rounding or, near the ideal simplex (rho = 1), with a fitted tail (see
-    the module doc).  Its series table and fits depend on d only: the first
-    call at a d builds them, and later calls read the kept ones (at most
-    _PLANS dimensions at once), as one volumes() call over many rows does.
+    rounding or, near the ideal simplex (rho = 1), with the closed-form
+    tail (see the module doc).  Its series table and the tail's matrix
+    depend on d only: the first call at a d builds them, and later calls
+    read the kept ones (at most _PLANS plans at once), as one volumes()
+    call over many rows does.
     """
     params = regular_parameters(d, side_length, kappa)
     return volume(VolumeRequest(params, kappa, tolerance))

@@ -376,9 +376,9 @@ def test_volume_json_names_the_series_path(capsys):
     assert out["branch"] == "series" and out["residual_imag"] == 0.0
     assert main(["volume", "--ideal", "3", "--kappa", "-1", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["branch"] == "series"
-    # a near-ideal tetrahedron (rho = 0.9993) takes the fitted series, and an
-    # orthocentric one the series over its taus at kappa < 0 and the ray at
-    # kappa > 0
+    # a near-ideal tetrahedron (rho = 0.9993) takes the series with its
+    # closed-form tail, and an orthocentric one the series over its taus at
+    # kappa < 0 and the ray at kappa > 0
     assert main(["volume", "--regular", "3", "--ell", "8", "--kappa", "-1",
                  "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["branch"] == "series"

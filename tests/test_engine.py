@@ -171,9 +171,9 @@ def test_monotone_in_side_length_with_ideal_supremum():
 
 def test_branch_agreement():
     # a regular upper request takes the curvature series, summed at ell = 1.5
-    # and fitted at the near-ideal ell = 8, and so does an orthocentric one at
-    # 0.9 kappa0, summed over its groups of equal taus; each agrees with the
-    # lower ray across paths
+    # and with its closed-form tail at the near-ideal ell = 8, and so does an
+    # orthocentric one at 0.9 kappa0, summed over its groups of equal taus;
+    # each agrees with the lower ray across paths
     for ell in (1.5, 8.0):
         p = regular_parameters(3, ell, -1.0)
         up = volume(VolumeRequest(geometry=p, kappa=-1.0))

@@ -1,5 +1,6 @@
 """The curvature series of the near-ideal and ideal regular simplex at
-kappa < 0, summed or with its fitted tail, against independent references."""
+kappa < 0, summed or with its closed-form tail, against independent
+references."""
 
 import math
 
@@ -93,10 +94,9 @@ def test_expint_matches_mpmath():
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 30])
 def test_summed_and_fitted_series_agree_below_the_crossover(d):
     # the series' two tails on the same request, at rho where both apply:
-    # regular_volume fits the tail past T_1024 (at rho = 0.99 and d = 16 it
-    # stops within T_0..T_1023), and the test sums the same terms over the
-    # first guess's window (934 to 6,490 terms); they agree to 3e-16
-    # relative, under 0.006 of the bar
+    # regular_volume adds the closed-form tail past T_256, and the test sums
+    # the same terms over the first guess's window (934 to 6,490 terms);
+    # they agree to 2e-16 relative, under 0.006 of the bar
     for rho0 in (0.99, 0.995):
         r = regular_volume(d, _side(rho0))
         p = regular_parameters(d, _side(rho0), -1.0)
@@ -106,13 +106,13 @@ def test_summed_and_fitted_series_agree_below_the_crossover(d):
         terms = engine._series_terms(rho, K, engine._series_table(n, K, ((1.0, n),)))
         summed = engine._series_prefactor(p, -1.0, rho)[0] * math.fsum(terms.tolist())
         if rho0 == 0.995:
-            assert r.evaluations == engine._IDEAL_K + 1  # the fitted tail
+            assert r.evaluations == engine._IDEAL_K + 1  # the closed-form tail
         assert r.branch is Branch.SERIES
         assert abs(r.volume - summed) <= r.abs_error, rho0
 
 
 #: 1 - rho on a log scale across (1e-12, 0.1): rows whose sum stops within
-#: T_0..T_1024 and rows that fit the tail past it
+#: T_0..T_256 and rows that add the closed-form tail past it
 _GAP = st.floats(math.log(1e-12), math.log(0.1))
 #: d up to twice the range first checked against these references
 _D = st.integers(2, 60)
@@ -122,8 +122,8 @@ _KAPPA = st.sampled_from([-1.0, -4.0, -0.3, -1e-3, -25.0])
 @settings(PROPERTY, max_examples=6)
 @seed(23)
 @given(d=_D, gap=_GAP, kappa=_KAPPA)
-# near rho = 0.99, where the generated examples are few: rows that fit the
-# tail (d = 2 and 30) and rows whose sum stops within T_0..T_1024 (16 and 60)
+# near rho = 0.95-0.99, where the generated examples are few: rows of four
+# dimensions that add the closed-form tail past T_256
 @example(d=2, gap=math.log(0.02), kappa=-1.0)
 @example(d=16, gap=math.log(0.01), kappa=-1.0)
 @example(d=30, gap=math.log(0.01), kappa=-1.0)

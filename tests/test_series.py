@@ -1,6 +1,7 @@
 """The curvature-series path at kappa < 0: regular simplices and, grouped by
 equal taus, every other orthocentric one."""
 
+import functools
 import math
 import sys
 import threading
@@ -9,6 +10,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp import mpf_mul, mpf_sum
 
 from simplexvol import engine
 from simplexvol.engine import Branch, VolumeRequest, regular_volume, volume
@@ -28,14 +31,18 @@ def mp_terms(sigmas, rho, K):
     """term_k = rho^k [t^k]prod_j F(sigma_j t) / ((n+1)/2)_k, k = 0..K, n =
     len(sigmas), from the product multiplied out factor by factor by plain
     convolution of the coefficients sigma_j^i (1/2)_i, in the current mp
-    precision."""
+    precision.  Each entry is mp.fdot's: the exact products summed with one
+    rounding, here on the raw mpf tuples."""
     f = [mp.rf(mp.mpf(1) / 2, i) for i in range(K + 1)]
-    p = [mp.mpf(1)] + [mp.mpf(0)] * K
+    p = [mp.mpf(1)._mpf_] + [mp.mpf(0)._mpf_] * K
+    prec, rounding = mp.mp._prec_rounding
     for sigma in sigmas:
-        g = [mp.mpf(sigma) ** i * f[i] for i in range(K + 1)]
-        p = [mp.fdot(p[:k + 1], g[k::-1]) for k in range(K + 1)]
+        g = [(mp.mpf(sigma) ** i * f[i])._mpf_ for i in range(K + 1)]
+        p = [mpf_sum([mpf_mul(a, b) for a, b in zip(p[:k + 1], g[k::-1])], prec, rounding)
+             for k in range(K + 1)]
     n = len(sigmas)
-    return [mp.mpf(rho) ** k * p[k] / mp.rf(mp.mpf(n + 1) / 2, k) for k in range(K + 1)]
+    return [mp.mpf(rho) ** k * mp.make_mpf(p[k]) / mp.rf(mp.mpf(n + 1) / 2, k)
+            for k in range(K + 1)]
 
 
 def mp_recurrence_terms(n, rho, K):
@@ -92,7 +99,7 @@ def test_terms_match_the_convolution_of_f(n):
 
 
 @pytest.mark.parametrize("ell", [0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0,
-                                 # near-ideal, on the fitted series
+                                 # near-ideal, with the closed-form tail
                                  6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0, 27.0, 30.0])
 def test_d3_rows_match_the_tetrahedron_integral(ell):
     r = regular_volume(3, ell, -1.0)
@@ -127,7 +134,7 @@ def _random_cases():
         rho = float(rng.uniform(0.0, 0.995))
         cases.append((d, _side(rho, kappa), kappa))
     # tiny simplices, where the ray cancels, and rows near rho = 0.995, which
-    # sum more terms than the fit's table holds and so take its fitted tail
+    # sum more terms than the table holds and so add the closed-form tail
     return cases + [(12, 0.1, -1.0), (8, 0.01, -1.0), (6, 1e-3, -2.0),
                     (2, _side(0.994), -1.0), (12, _side(0.98, -3.0), -3.0)]
 
@@ -178,11 +185,11 @@ def test_curvature_scaling(d):
 
 
 def test_routing():
-    # every regular upper-branch request at kappa < 0 takes the series, at
-    # any d, up to the ideal simplex, and so does an orthocentric one whose
-    # plain sum passes its stopping test within _IDEAL_K terms, a tau one ulp
-    # apart included; the lower branch, kappa > 0 and an orthocentric
-    # request at or near kappa0 take the ray
+    # every upper-branch request at kappa < 0 takes the series, at any d and
+    # whatever its groups of equal taus, up to the ideal simplex and up to
+    # kappa0, a tau one ulp apart included; the lower branch and kappa > 0
+    # take the ray.  Near and at kappa0 the orthocentric row agrees with the
+    # upper ray, called directly, within both bars
     for d in (3, 30, 31):
         for ell in (math.inf, _side(0.998), _side(0.99)):
             assert regular_volume(d, ell).branch is Branch.SERIES, (d, ell)
@@ -194,8 +201,16 @@ def test_routing():
     o = OrthocentricParams((0.9, 1.2, 1.0, 1.1))
     for f in (0.2, 0.9, 0.95):
         assert volume(VolumeRequest(o, f * min_curvature(o))).branch is Branch.SERIES, f
-    for f in (0.999, 1.0):
-        assert volume(VolumeRequest(o, f * min_curvature(o))).branch is Branch.UPPER_RAY, f
+    # at kappa0 rho is 1 exactly, so even at d = 2, where the volume's
+    # conditioning in rho grows without bound, the bar stays at rounding
+    for g in (o, OrthocentricParams((0.9, 1.2, 1.0))):
+        for f in (0.999, 1.0):
+            req = VolumeRequest(g, f * min_curvature(g))
+            r = volume(req)
+            ray = engine._evaluate(req, engine._checked_kappa(req)[0])
+            assert r.branch is Branch.SERIES and ray.branch is Branch.UPPER_RAY, f
+            assert abs(r.volume - ray.volume) <= r.abs_error + ray.abs_error, f
+            assert f < 1.0 or r.abs_error <= 1e-13 * r.volume
 
 
 @pytest.mark.parametrize("n", [3, 13, 31])
@@ -216,29 +231,46 @@ def test_terms_at_the_cap_stay_finite_and_positive(n):
 
 
 
-def test_a_short_window_is_summed_with_its_bound(monkeypatch):
+def test_a_short_window_reads_on_to_the_tail(monkeypatch):
     # the first guess from _series_guess has sufficed in every case scanned,
-    # so only a shortened guess reaches a window below T_1024 where no index
-    # passes the stopping test: the row is summed to the window's end with
-    # the finite tail bound in its bar
-    full = regular_volume(3, 1.0)
+    # so only a shortened guess reaches a window below T_(_IDEAL_K) where no
+    # index passes the stopping test: the row reads its table on to
+    # T_(_IDEAL_K) and adds the closed-form tail, a regular row and one of
+    # three groups alike
+    o = OrthocentricParams((0.9, 1.2, 0.9, 1.1))
+    reqs = [VolumeRequest(regular_parameters(3, 1.0, -1.0), -1.0),
+            VolumeRequest(o, 0.5 * min_curvature(o))]
+    full = engine.volumes(reqs)
     monkeypatch.setattr(engine, "_series_guess", lambda n, rho: 4)
-    short = regular_volume(3, 1.0)
-    assert short.branch is Branch.SERIES and short.evaluations == 5
-    assert short.abs_error > full.abs_error
-    assert abs(short.volume - full.volume) <= short.abs_error + full.abs_error
+    for req, f in zip(reqs, full):
+        short = volume(req)
+        assert short.branch is Branch.SERIES and short.evaluations == engine._IDEAL_K + 1
+        assert f.evaluations < short.evaluations
+        assert abs(short.volume - f.volume) <= short.abs_error + f.abs_error
+
+def _fresh_table(n, K, groups):
+    """_series_table(n, K, groups) from a plan built for it: the kept plans
+    are cleared first.  Returns the table and the length of its plan."""
+    engine._table_plan.cache_clear()
+    return (engine._series_table(n, K, groups),
+            next((p for p in engine._PLAN_LENGTHS if p >= K + 1), K + 1))
+
 
 @pytest.mark.parametrize("n", [3, 4, 6, 9, 13])
 def test_table_entries_do_not_depend_on_its_length(n):
+    # each table is built from its own plan, and every longer one reads a
+    # longer plan: K = 1 and 2, say, would both read the 16-entry one
     rng = np.random.default_rng(n)
-    # the scan's shifts hold entries to u up to 8 _IDEAL_K (_series_table)
-    cap = 8 * engine._IDEAL_K
+    # the scan's shifts hold entries to u up to 8 _SCALE_K (_series_table)
+    cap = 8 * engine._SCALE_K
     for K in [1, 7, 40, *rng.integers(41, cap // 2, 2)]:
         K = int(K)
-        head = engine._series_table(n, K, ((1.0, n),))
+        head, length = _fresh_table(n, K, ((1.0, n),))
         assert len(head) == K + 1
-        for longer in (2 * K, cap):
-            assert engine._series_table(n, longer, ((1.0, n),))[:K + 1].tobytes() == head.tobytes()
+        for longer in (2 * K + 16, cap):
+            table, longer_length = _fresh_table(n, longer, ((1.0, n),))
+            assert longer_length > length
+            assert table[:K + 1].tobytes() == head.tobytes()
 
 
 def _grid(d, rng):
@@ -256,7 +288,8 @@ def test_grid_rows_equal_single_volumes(d):
             for ell in _grid(d, np.random.default_rng(100 + d))]
     got = engine.volumes(reqs)
     assert [r.branch for r in got] == [Branch.SERIES] * 25
-    # the near-ideal and ideal rows sum _IDEAL_K + 1 terms and fit the rest
+    # the near-ideal and ideal rows sum _IDEAL_K + 1 terms and add the
+    # closed-form tail
     assert [r.evaluations for r in got[21:23]] == [engine._IDEAL_K + 1] * 2
     for req, r in zip(reqs, got):
         alone = volume(req)
@@ -299,7 +332,8 @@ def test_a_large_finite_side_is_not_ideal(d, ell):
     # kappa0/kappa - 1 = (d + 1)/(d (cosh ell - 1)) is a few ulp here, and
     # past ell ~ 36 the taus round to the ideal ones; the ideal series would
     # return pi at d = 2, where the area is pi - 3 alpha, alpha ~ 2 e^(-ell/2).
-    # The request takes the fitted series at its rho < 1, below the ideal value
+    # The request takes the closed-form tail at its rho < 1, below the ideal
+    # value
     r = regular_volume(d, ell)
     assert r.branch is Branch.SERIES
     assert r.volume < regular_volume(d, math.inf).volume
@@ -346,8 +380,9 @@ def test_a_volume_scale_past_the_double_range_is_refused():
     # ray, whose |kappa|^(d/2) = 1e-465 underflows to 0; on the upper branch
     # it takes the series, whose |kappa|^(-d/2) overflows; the 30-simplex of
     # side 1e15 (rho = 0.35) sums the series and that of side 8e15 (rho near
-    # 1) fits its tail, and their Vol_E passes 1e400.  They raised a bare
-    # ZeroDivisionError, OverflowError, OverflowError and ZeroDivisionError
+    # 1) takes the closed-form tail, and their Vol_E passes 1e400.  They
+    # raised a bare ZeroDivisionError, OverflowError, OverflowError and
+    # ZeroDivisionError
     ideal = regular_parameters(31, math.inf, -1e-30)
     with pytest.raises(OverflowRegionError):
         volume(VolumeRequest(ideal, -1e-30, use_lower_branch=True))
@@ -455,12 +490,16 @@ def test_group_table_entries_do_not_depend_on_its_length():
     # a merge is one convolution, and np.convolve sums its one full-overlap
     # entry in another order than the partial ones: the trailing zero on
     # both inputs keeps every entry a partial one, whatever the length.  The
-    # four merges run as one level of stacked rows
+    # four merges run as one level of stacked rows.  Each table is built
+    # from its own plan; K + 1 reads K's plan, so it checks the merges,
+    # which run at the table's own length, and the others read longer plans
     groups = ((1.0, 3), (0.6, 1), (0.35, 2), (0.1, 1))
     for K in (50, 200):
-        head = engine._series_table(7, K, groups)
-        for longer in (K + 1, 300, engine._IDEAL_K):
-            assert engine._series_table(7, longer, groups)[:K + 1].tobytes() == head.tobytes()
+        head, length = _fresh_table(7, K, groups)
+        for longer in (K + 1, 2 * K, 300, 1024):
+            table, longer_length = _fresh_table(7, longer, groups)
+            assert longer_length > length or longer == K + 1
+            assert table[:K + 1].tobytes() == head.tobytes()
     rng = np.random.default_rng(32)
     alphas, betas = [0.5, 1.5, 3.0, 43.0], [0.5, 2.0, 0.5, 43.0]
     a, b = np.stack([10.0 ** rng.uniform(-3.0, 3.0, (2, 41)) for _ in alphas], axis=1)
@@ -493,8 +532,8 @@ def test_merge_matches_a_25_digit_sum_past_1024_entries(alpha, beta):
 def _fold_merge(a, alpha, b, beta):
     """One merge on its own by _merge_groups' formula, with x, y and z from
     their own cumprods and each input padded by np.append."""
-    c = 2.0 ** round((math.lgamma(alpha + beta + engine._IDEAL_K) - math.lgamma(alpha + beta))
-                     / (engine._IDEAL_K * math.log(2.0)))
+    c = 2.0 ** round((math.lgamma(alpha + beta + engine._SCALE_K) - math.lgamma(alpha + beta))
+                     / (engine._SCALE_K * math.log(2.0)))
     js = np.arange(len(a) - 1.0)
     x, y, z = (np.cumprod(np.append(1.0, (v + js) / c)) for v in (alpha, beta, alpha + beta))
     p = np.convolve(np.append(x * a, 0.0), np.append(y * b, 0.0))[:len(a)] / z
@@ -509,7 +548,7 @@ def _fold_table(n, K, groups):
     ms = np.arange(1.0, n + 1.0)[:, None]
     r = np.ones((n, K + 1))
     np.cumprod((k2 + (ms - 2.0)) / (k2 + (ms - 1.0)), axis=1, out=r[:, 1:])
-    C = 8 * engine._IDEAL_K
+    C = 8 * engine._SCALE_K
     parts = []
     for sigma, m_g in groups:
         t = np.ones(K + 1)
@@ -578,9 +617,9 @@ def test_kept_plans_are_read_only():
     # every call reads the same kept arrays: a write into one (sigma^k
     # scaling a view of a staged row in place, say) must raise, and a
     # one-group table is a view of its plan
-    plan = engine._table_plan(9, (2, 3, 1, 2, 1), 64)
+    plan = engine._table_plan(9, (2, 3, 1, 2, 1), engine._IDEAL_K + 1)
     kept = [plan.last, plan.stages, plan.rows, *(a for level in plan.levels for a in level[1:]),
-            engine._series_table(6, 40, ((1.0, 6),))]
+            plan.tail, engine._series_table(6, 40, ((1.0, 6),))]
     for a in kept:
         with pytest.raises(ValueError):
             a *= 1
@@ -593,6 +632,8 @@ def test_kept_plans_are_read_only():
 
 
 def test_kept_plans_and_fits_stay_within_their_bound():
+    # the closed-form tail's matrices live in the full-length plans, one
+    # per dimension for regular simplices
     rng = np.random.default_rng(35)
     engine._table_plan.cache_clear()
     for _ in range(200):
@@ -602,15 +643,15 @@ def test_kept_plans_and_fits_stay_within_their_bound():
         engine._series_table(d + 1, int(rng.integers(5, 200)), groups)
     info = engine._table_plan.cache_info()
     assert info.misses > engine._PLANS and info.currsize <= engine._PLANS
-    engine._fits.cache_clear()
+    engine._table_plan.cache_clear()
     for n in range(3, engine._PLANS + 11):
-        engine._fits(n)
-    assert engine._fits.cache_info().currsize <= engine._PLANS
+        assert engine._table_plan(n, (n,), engine._IDEAL_K + 1).tail.shape == (engine._TAIL_J + 1,) * 2
+    assert engine._table_plan.cache_info().currsize <= engine._PLANS
 
 
 def test_threads_sharing_the_plans_get_the_serial_results():
-    # four threads race to build and read the same plans and fits; each
-    # gets what one serial call gives
+    # four threads race to build and read the same plans; each gets what
+    # one serial call gives
     o = OrthocentricParams((0.6, 0.6, 0.9, 0.9, 0.9, 1.2, 1.5, 1.5, 1.7))
     reqs = [VolumeRequest(regular_parameters(5, 1.0, -1.0), -1.0),
             VolumeRequest(regular_parameters(8, 8.0, -1.0), -1.0),
@@ -622,10 +663,8 @@ def test_threads_sharing_the_plans_get_the_serial_results():
         return [(repr(r.volume), repr(r.abs_error), r.branch, r.evaluations) for r in results]
 
     engine._table_plan.cache_clear()
-    engine._fits.cache_clear()
     serial = key(engine.volumes(reqs))
     engine._table_plan.cache_clear()
-    engine._fits.cache_clear()
     got = [None] * 4
 
     def work(i):
@@ -670,6 +709,19 @@ def test_orthocentric_bar_covers_a_30_digit_sum(taus, frac):
     assert r.abs_error <= 1e-13 * r.volume
 
 
+def _stopping_terms(p, kappa):
+    """The terms the series of p at kappa sums to pass _series_volume's
+    stopping test, read over 1,024 terms: the first K' whose ratio bound is
+    below 2u of the sum, plus one."""
+    rho, h, L = engine._series_ratio(p, kappa), len(p.taus) / 2.0, 1024
+    t = engine._series_terms(rho, L, engine._series_table(len(p.taus), L,
+                                                          engine._series_groups(p.taus)))
+    ks = np.arange(L + 0.0)
+    q = rho * (h + ks) / (ks + 1.0)
+    passes = (q < 1.0) & (t[1:] <= 2.0 * engine._U * (1.0 - q) * np.cumsum(t[:-1]))
+    return int(np.argmax(passes)) + 1
+
+
 @pytest.mark.parametrize("sigmas, frac", [
     ((1.0, 0.5, 0.25, 0.09, 0.09), 0.3),
     ((1.0, 0.6, 0.3, 0.3, 0.09, 0.09), 0.7),
@@ -683,13 +735,15 @@ def test_grouped_bar_covers_the_sum_when_later_groups_fall_like_sigma_k(sigmas, 
     # below the least normal double (0.25^k 0.09^k passes 1e-300 near k = 180),
     # where _merge_groups' count does not hold; the bar must still cover
     # the sum.  The reference multiplies the product out factor by factor to
-    # 32 terms past the engine's, and adds their tail bound to the gap
+    # 32 terms past the engine's, or, where the engine takes the closed-form
+    # tail, past where the stopping test would stop the sum, and adds their
+    # tail bound to the gap
     taus = tuple(1.0 / math.sqrt(sg) for sg in sigmas)
     p = OrthocentricParams(taus)
     kappa = frac * min_curvature(p)
     r = volume(VolumeRequest(p, kappa))
     assert r.branch is Branch.SERIES and len(engine._series_groups(taus)) >= 4
-    K = r.evaluations + 32
+    K = (r.evaluations if r.evaluations <= engine._IDEAL_K else _stopping_terms(p, kappa)) + 32
     with mp.workdps(30):
         prefactor, rho, sig, h = _mp_orthocentric_series(taus, kappa)
         terms = mp_terms(sig, rho, K)
@@ -711,9 +765,10 @@ def test_rows_the_ray_refused_come_back_certified(d, kappa):
 
 
 def test_orthocentric_rows_are_bit_identical_alone_and_in_a_batch():
-    # the same taus at three curvatures share one table, built to the longest
-    # window; a regular row, a lower-branch row, a kappa > 0 row, a request
-    # the series hands to the ray and a domain error sit between them
+    # the same taus at four curvatures share one table, built to the longest
+    # window; a regular row, a lower-branch row, a kappa > 0 row and a
+    # domain error sit between them, and the row at 0.999 kappa0 takes the
+    # closed-form tail
     o = OrthocentricParams((0.9, 1.2, 1.0, 1.1, 0.9, 1.6))
     k0 = min_curvature(o)
     reqs = [VolumeRequest(o, 0.1 * k0), VolumeRequest(regular_parameters(5, 1.0, -1.0), -1.0),
@@ -722,8 +777,8 @@ def test_orthocentric_rows_are_bit_identical_alone_and_in_a_batch():
             VolumeRequest(o, 0.5 * k0), _state_row(12, None)]
     got = engine.volumes(reqs)
     assert isinstance(got[6], GeometryDomainError)
-    assert [got[i].branch for i in (0, 1, 3, 7, 8)] == [Branch.SERIES] * 5
-    assert got[5].branch is Branch.UPPER_RAY
+    assert [got[i].branch for i in (0, 1, 3, 5, 7, 8)] == [Branch.SERIES] * 6
+    assert got[5].evaluations == engine._IDEAL_K + 1
     for i, (req, r) in enumerate(zip(reqs, got)):
         if i == 6:
             continue
@@ -732,34 +787,17 @@ def test_orthocentric_rows_are_bit_identical_alone_and_in_a_batch():
             == (repr(alone.volume), repr(alone.abs_error), alone.branch, alone.evaluations)
 
 
-@pytest.mark.parametrize("frac", [1.0, 0.999])
-def test_a_row_that_cannot_stop_takes_the_ray_after_its_table(monkeypatch, frac):
-    # the d = 6 State row's terms fall too slowly for its sum to stop within
-    # T_0..T_1024: it builds its table once, reads it, and takes the ray
-    # (_series_volume returns None)
-    p = _state_row(6, None).geometry
-    req = VolumeRequest(p, frac * min_curvature(p))
-    built = []
-    table = engine._series_table
-    monkeypatch.setattr(engine, "_series_table", lambda *a: built.append(a) or table(*a))
-    r = volume(req)
-    assert len(built) == 1
-    ray = engine._certified(engine._evaluate(req, engine._checked_kappa(req)[0]))
-    assert r.branch is Branch.UPPER_RAY
-    assert (repr(r.volume), repr(r.abs_error), r.evaluations) \
-        == (repr(ray.volume), repr(ray.abs_error), ray.evaluations)
-
-
 @pytest.mark.parametrize("d, ell, kappa, vol, err, terms", [
     (2, 1.0, -1.0, "0.38519903705571124", "3.2938975580452885e-15", 31),
-    (3, math.inf, -1.0, "1.014941606409654", "4.176144001179849e-14", 1025),
+    (3, math.inf, -1.0, "1.0149416064096535", "3.294569058491882e-14", 257),
     (5, 0.5, -4.0, "6.285733575735719e-05", "1.1463157008209623e-18", 28),
-    (8, 8.0, -1.0, "0.0002042495372512476", "9.978312772120284e-18", 1025),
+    (8, 8.0, -1.0, "0.0002042495372512476", "8.481248424820665e-18", 257),
     (12, 0.1, -1.0, "1.1522445091267267e-22", "3.916911096956728e-36", 7),
     (20, 3.0, -0.25, "1.3596113007497777e-14", "9.240008027121719e-28", 31)])
 def test_regular_rows_keep_their_bits(d, ell, kappa, vol, err, terms):
     # a regular simplex is the one-group table: the grouped table and its
-    # merged count leave its value, bar and term count as they were
+    # merged count leave its value, bar and term count as they were.  The
+    # rows of 257 terms add the closed-form tail
     r = regular_volume(d, ell, kappa)
     assert (repr(r.volume), repr(r.abs_error), r.evaluations) == (vol, err, terms)
 
@@ -771,17 +809,133 @@ def test_regular_rows_keep_their_bits(d, ell, kappa, vol, err, terms):
     (12, 0.5, "6.8178509218559935e-09", "1.0815035560012692e-22", 30),
     (14, 0.5, "1.3224951555804578e-12", "2.3771193497549245e-26", 28),
     ((0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8), 0.99,
-     "2.2461165198054983e-09", "3.682259492383157e-23", 640),
+     "2.2461165198054983e-09", "3.6424248885867016e-23", 257),
     ((0.6, 0.6, 0.9, 0.9, 0.9, 1.2, 1.5, 1.5, 1.7), 0.5,
      "8.265513646356584e-05", "1.619944630285753e-18", 35)],
     ids=["state2", "state5", "state8", "state12", "state14", "ci13-0.99", "repeated"])
 def test_grouped_rows_keep_their_bits(taus, frac, vol, err, terms):
     # the grouped table is built one merge level at a time; the rows, each
     # on the series path, keep the value, bar and term count they had when
-    # every merge ran on its own (an int is a State row's d)
+    # every merge ran on its own (an int is a State row's d); the 13-tau row
+    # adds the closed-form tail to 257 terms
     if isinstance(taus, int):
         taus = tuple(np.random.default_rng(taus).uniform(0.6, 1.8, taus + 1))
     p = OrthocentricParams(taus)
     r = volume(VolumeRequest(p, frac * min_curvature(p)))
     assert r.branch is Branch.SERIES
     assert (repr(r.volume), repr(r.abs_error), r.evaluations) == (vol, err, terms)
+
+
+#: the tau sets whose closed-form tails are checked against 30-digit tables:
+#: two State rows, repeated taus whose second pair (sigma = 0.94) keeps a
+#: share of T_k past k = 128, and sigma = 1, .998, .5, .4, .3, whose second
+#: group still holds 0.6 of T_256
+_TAIL_TAUS = {
+    "state8": tuple(np.random.default_rng(8).uniform(0.6, 1.8, 9)),
+    "state12": tuple(np.random.default_rng(12).uniform(0.6, 1.8, 13)),
+    "repeated": (0.6, 0.6, 0.62, 0.62, 1.0),
+    "sigma-0.998": tuple(1.0 / math.sqrt(sg) for sg in (1.0, 0.998, 0.5, 0.4, 0.3)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_table(name):
+    """T_0..T_512 of the tau set _TAIL_TAUS[name] at 30 digits (mp_terms at
+    rho = 1, with the sigmas in mp), kept for the tests that share it."""
+    with mp.workdps(30):
+        return tuple(mp_terms(_mp_orthocentric_series(_TAIL_TAUS[name], -1.0)[2], 1, 512))
+
+
+@pytest.mark.parametrize("name", list(_TAIL_TAUS))
+def test_tail_expansion_matches_a_30_digit_table(name):
+    # the closed-form tail's expansion, from the first entries of the float
+    # table, against the table multiplied out factor by factor: its relative
+    # error past K/2 = 128 stays within the gap to the float table over
+    # [K/2, K] that the bar reads (up to that table's own rounding at 128),
+    # and at k = 512 it is within 2e-14
+    taus = _TAIL_TAUS[name]
+    n, h = len(taus), len(taus) / 2.0
+    groups = engine._series_groups(taus)
+    sigma, c, gap = engine._tail_expansion(n, engine._series_table(n, engine._IDEAL_K, groups),
+                                           groups)
+    ref = _mp_table(name)
+    errs = []
+    for k in (128, 256, 512):
+        got = float(np.sum(sigma ** k * (c[:, :-1] @ float(k) ** -(h + np.arange(engine._TAIL_J)))))
+        errs.append(float(abs(mp.mpf(got) / ref[k] - 1)))
+    assert errs[0] <= gap + 1e-14 and max(errs[1:]) <= gap, (errs, gap)
+    assert errs[2] <= 2e-14, errs
+
+
+def _mp_lerch_tail(x, s, q):
+    """sum_(k >= q) x^k k^(-s) for 0 < x <= 1 by mpmath, at the digits of
+    q^s more than the working precision: lerchphi's error is absolute."""
+    with mp.workdps(mp.mp.dps + int(s * math.log10(q)) + 5):
+        return mp.zeta(s, q) if x == 1 else x ** q * mp.lerchphi(x, s, q)
+
+
+def _mp_volume_at_kappa0(name, J=16):
+    """The series volume of _TAIL_TAUS[name] at kappa0 in 30 digits: rho = 1,
+    T_0..T_K from _mp_table, K = 512, and the closed-form tail with J powers
+    of 1/k past K, for each group whose sigma^K is above 1e-32.  Each group's d_i is
+    m [u^i] P(u/sigma)/F(u) by series division, and each (1/2)_(k-i)/(h +
+    1/2)_k's powers of 1/k come from DLMF 5.8 and 5.11 with a = 1/2 - i:
+    ln Gamma(k + a) - ln Gamma(k + b) - (a - b) ln k = sum_m (-1)^(m+1)
+    (B_(m+1)(a) - B_(m+1)(b))/(m (m + 1) k^m), exponentiated."""
+    taus = _TAIL_TAUS[name]
+    T = _mp_table(name)
+    K = len(T) - 1
+    with mp.workdps(30):
+        t = [mp.mpf(x) for x in taus]
+        n, half = len(t), mp.mpf(1) / 2
+        h, s, least = mp.mpf(n) / 2, mp.fsum(x * x for x in t), min(t) ** 2
+        pre = mp.sqrt(s) / (mp.factorial(n - 1) * mp.fprod(t)) * (s / (s - least)) ** -h
+        inv = [mp.mpf(1)]  # [u^i](1/F)
+        for i in range(1, J):
+            inv.append(-mp.fsum(mp.rf(half, j) * inv[i - j] for j in range(1, i + 1)))
+        expansions = []  # per i < J, the powers k^(-h-i-j), j < J - i, of (1/2)_(k-i)/(h + 1/2)_k
+        for i in range(J):
+            a, b = half - i, h + half
+            logs = [(-1) ** (m + 1) * (mp.bernpoly(m + 1, a) - mp.bernpoly(m + 1, b))
+                    / (m * (m + 1)) for m in range(1, J)]
+            g = [mp.mpf(1)]
+            for j in range(1, J - i):
+                g.append(mp.fsum(m * logs[m - 1] * g[j - m] for m in range(1, j + 1)) / j)
+            expansions.append([x * (mp.gamma(b) / mp.gamma(half)) for x in g])
+        tail = mp.mpf(0)
+        for sg, m in engine._series_groups(taus):
+            sg = least / (mp.mpf(min(taus) / math.sqrt(sg)) ** 2)  # sigma_g in mp
+            if sg ** K < mp.mpf(10) ** -32:
+                continue
+            p = [sg ** -i * T[i] * mp.rf(h + half, i) for i in range(J)]  # [u^i]P(u/sigma)
+            d = [m * mp.fsum(p[j] * inv[i - j] for j in range(i + 1)) for i in range(J)]
+            c = [mp.fsum(d[i] * expansions[i][j - i] for i in range(j + 1)) for j in range(J)]
+            tail += mp.fsum(cj * _mp_lerch_tail(sg, h + j, K + 1) for j, cj in enumerate(c))
+        return pre * (mp.fsum(T) + tail)
+
+
+@pytest.mark.parametrize("name", ["state8", "state12"])
+def test_state_rows_at_kappa0_match_a_30_digit_expansion(name):
+    # the ray refused the d = 12 row and gave the d = 8 one 4.7e-5 relative:
+    # both now take the series, 257 terms and the closed-form tail, against
+    # the same expansion at 30 digits with 513 terms and 16 powers
+    p = OrthocentricParams(_TAIL_TAUS[name])
+    r = volume(VolumeRequest(p, min_curvature(p)))
+    assert r.branch is Branch.SERIES and r.evaluations == engine._IDEAL_K + 1
+    ref = _mp_volume_at_kappa0(name)
+    assert abs(mp.mpf(r.volume) - ref) <= r.abs_error <= 1e-13 * r.volume
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(taus=st.integers(2, 5).flatmap(
+           lambda d: st.lists(st.floats(0.6, 1.8), min_size=d + 1, max_size=d + 1)),
+       frac=st.floats(0.99, 1.0))
+def test_series_agrees_with_the_ray_near_kappa0(taus, frac):
+    # every grouping takes the series up to kappa0 (rho = 1 exactly there);
+    # the upper ray, called directly, must agree within both bars
+    p = OrthocentricParams(tuple(taus))
+    req = VolumeRequest(p, frac * min_curvature(p))
+    r = volume(req)
+    ray = engine._evaluate(req, engine._checked_kappa(req)[0])
+    assert r.branch is Branch.SERIES and ray.branch is Branch.UPPER_RAY
+    assert abs(r.volume - ray.volume) <= r.abs_error + ray.abs_error

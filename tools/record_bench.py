@@ -108,9 +108,11 @@ print(json.dumps(out))
 REGULAR_ROWS = (1.0, 4.0, 5.5, 8.0)
 
 #: the fractions of kappa0 of the orthocentric rows: at kappa0/2 the sums
-#: stop within a few dozen terms; at 0.99 kappa0 they read grouped tables of
-#: up to 1,025 entries, or take the ray where the sum cannot stop
-ORTHO_FRACS = (0.5, 0.99)
+#: stop within a few dozen terms; at 0.99 kappa0 and at kappa0 itself they
+#: read grouped tables of up to 257 entries and, where the sum cannot stop
+#: there, add the closed-form tail (a parent without that tail may take the
+#: ray, or refuse the row)
+ORTHO_FRACS = (0.5, 0.99, 1.0)
 
 #: one child per side and fraction of kappa0: warm up at d = 15, outside the
 #: timed range, and on the lower branch at d = 2, which takes the ray and
