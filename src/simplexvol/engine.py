@@ -233,13 +233,13 @@ def _series_table(n, K, groups):
                        next((p for p in _PLAN_LENGTHS if p >= L), L))
     if len(groups) == 1:
         return plan.last[:L]
-    parts = plan.stages[plan.rows, :L]
+    parts = plan.stages[:, :L].copy()
     sigmas = np.array([sigma for sigma, _ in groups[1:]])[:, None]
     parts[1:] *= np.power(sigmas, np.arange(K + 1.0))
     for M, x, y, z in plan.levels:
         parts = np.concatenate((_merge_groups(parts[0:2 * M:2], parts[1:2 * M:2],
                                               x[:, :L], y[:, :L], z[:, :L]), parts[2 * M:]))
-    return parts[0] * plan.last[:L]
+    return np.multiply(parts[0], plan.last[:L], out=parts[0])
 
 
 class _TablePlan(NamedTuple):
@@ -249,10 +249,8 @@ class _TablePlan(NamedTuple):
     #: r(n+1), which the merged row is multiplied by; for one group, the
     #: whole table c(n) r(n+1)
     last: np.ndarray
-    #: the staged rows c(m) of the distinct m_g in increasing m, and the row
-    #: of each group, in group order
+    #: the staged row c(m_g) of each group, in group order
     stages: np.ndarray
-    rows: np.ndarray
     #: per level of the merge tree, its number of merges M and their x, y and
     #: z rows (_merge_factors)
     levels: tuple
@@ -279,7 +277,7 @@ def _table_plan(n, ms, L):
     np.cumprod((k2 + (stage_ms - 2.0)) / (k2 + (stage_ms - 1.0)), axis=1, out=r[:, 1:])
     C = 8 * _SCALE_K
     t = np.ones(L)  # c(1), then each stage in turn
-    staged = {1: t.copy()}
+    staged = [t.copy()]  # c(m) at m - 1
     for m in range(2, max(ms) + 1):
         t *= r[m - 2]  # c(m - 1) r(m)
         # the log of u (1/2)_C / (m/2)_C, u times the least c(m)_k over k <= C
@@ -289,21 +287,19 @@ def _table_plan(n, ms, L):
         while s < L and -s * math.log(m) > log_stop:
             t[s:] += float(m) ** -s * t[:-s]  # NumPy buffers the overlap
             s *= 2
-        if m in ms:
-            staged[m] = t.copy()
+        staged.append(t.copy())
     tail = _tail_matrix(n / 2.0) if L > _IDEAL_K else None  # only a full table has a tail
     if len(ms) == 1:
         t *= r[-1]
-        return _read_only(_TablePlan(t, None, None, (), tail))
-    distinct = sorted(set(ms))
+        return _read_only(_TablePlan(t, None, (), tail))
     # the merge tree, level by level: the (alpha, beta) of each of its merges
     levels, level = [], [m / 2.0 for m in ms]
     while len(level) > 1:
         merges = list(zip(level[0::2], level[1::2]))
         levels.append((len(merges), *_read_only(_merge_factors(merges, L))))
         level = [a + b for a, b in merges] + level[2 * len(merges):]
-    return _read_only(_TablePlan(r[-1].copy(), np.array([staged[m] for m in distinct]),
-                                 np.array([distinct.index(m) for m in ms]), tuple(levels), tail))
+    return _read_only(_TablePlan(r[-1].copy(), np.array([staged[m - 1] for m in ms]),
+                                 tuple(levels), tail))
 
 
 def _tail_matrix(h):
@@ -423,7 +419,11 @@ def _merge_groups(a, b, x, y, z):
     xa, yb = np.zeros((2, M, L + 1))  # the trailing zero
     np.multiply(x, a, out=xa[:, :L])
     np.multiply(y, b, out=yb[:, :L])
-    return np.array([np.convolve(xa[i], yb[i])[:L] for i in range(M)]) / z
+    p = np.empty((M, L))
+    for i in range(M):
+        p[i] = np.convolve(xa[i], yb[i])[:L]
+    p /= z
+    return p
 
 
 def _series_groups(taus):
@@ -752,13 +752,12 @@ def volumes(requests):
     for i, req in enumerate(requests):
         try:
             kappa, at_kappa0 = _checked_kappa(req)
-            params = req.geometry
             if kappa < 0 and not req.use_lower_branch:
                 # rho is 1 exactly at kappa0, where the prefactor does not
                 # read kappa0 (_series_prefactor)
-                rho = 1.0 if at_kappa0 else _series_ratio(params, kappa)
-                K = min(_series_guess(params.dimension + 1, rho), _IDEAL_K - 1)
-                series.setdefault(_series_groups(params.taus), []).append((i, req, rho, K))
+                rho = 1.0 if at_kappa0 else _series_ratio(req.geometry, kappa)
+                K = min(_series_guess(req.geometry.dimension + 1, rho), _IDEAL_K - 1)
+                series.setdefault(_series_groups(req.geometry.taus), []).append((i, req, rho, K))
                 continue
             out[i] = _certified(_evaluate(req, kappa))
         except SimplexVolError as exc:

@@ -618,7 +618,7 @@ def test_kept_plans_are_read_only():
     # scaling a view of a staged row in place, say) must raise, and a
     # one-group table is a view of its plan
     plan = engine._table_plan(9, (2, 3, 1, 2, 1), engine._IDEAL_K + 1)
-    kept = [plan.last, plan.stages, plan.rows, *(a for level in plan.levels for a in level[1:]),
+    kept = [plan.last, plan.stages, *(a for level in plan.levels for a in level[1:]),
             plan.tail, engine._series_table(6, 40, ((1.0, 6),))]
     for a in kept:
         with pytest.raises(ValueError):
