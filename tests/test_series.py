@@ -248,6 +248,7 @@ def test_a_short_window_reads_on_to_the_tail(monkeypatch):
         assert f.evaluations < short.evaluations
         assert abs(short.volume - f.volume) <= short.abs_error + f.abs_error
 
+
 def _fresh_table(n, K, groups):
     """_series_table(n, K, groups) from a plan built for it: the kept plans
     are cleared first.  Returns the table and the length of its plan."""
@@ -644,8 +645,9 @@ def test_kept_plans_and_fits_stay_within_their_bound():
     info = engine._table_plan.cache_info()
     assert info.misses > engine._PLANS and info.currsize <= engine._PLANS
     engine._table_plan.cache_clear()
+    J = engine._TAIL_J
     for n in range(3, engine._PLANS + 11):
-        assert engine._table_plan(n, (n,), engine._IDEAL_K + 1).tail.shape == (engine._TAIL_J + 1,) * 2
+        assert engine._table_plan(n, (n,), engine._IDEAL_K + 1).tail.shape == (J + 1, J + 1)
     assert engine._table_plan.cache_info().currsize <= engine._PLANS
 
 
