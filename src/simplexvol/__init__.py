@@ -8,8 +8,8 @@ sampling, direct Klein-model integration, classical tetrahedron integrals)
 validate the engine.
 
 The oracles (which need ``scipy.integrate``) and the mpmath reference of
-the regular simplex (``_hp``) are loaded only when one of their names is
-first used.
+the curvature series at kappa < 0 (``_hp``) are loaded only when one of
+their names is first used.
 """
 
 import importlib

@@ -49,11 +49,12 @@ volumes(requests) is the one entry point: it checks and routes every
 request, reads one table per set of groups of equal taus for all of its
 series rows, and returns each result, or the SimplexVolError its request
 raised, in order.  What a table holds that depends on the groups'
-multiplicities only (every entry, for a regular simplex, and the
-closed-form tail's matrix) is built on first use and kept for the
-process, at most _PLANS plans (_table_plan), the engine's only kept
-state; they are the same doubles whatever was asked before, so no result
-depends on them being kept.
+multiplicities only (every entry, for a regular simplex) is built on
+first use and kept for the process, at most _PLANS plans (_table_plan),
+and so is the closed-form tail's matrix of each h (_tail_matrix), at
+most _PLANS of them: the engine's only kept state.  They are the same
+doubles whatever was asked before, so no result depends on them being
+kept.
 volume(req) is volumes([req]) with the error raised.  Whatever the path, a
 result whose error bar is not below its magnitude, or a negative volume, is
 refused with ToleranceError, and one whose magnitude and bar are both
@@ -222,8 +223,7 @@ def _series_table(n, K, groups):
 
     Everything but sigma_g^k and the merges depends on the m_g and the
     length only: the r rows, the staged rows, the tree and its x, y and z
-    rows, for one group the whole table, and the closed-form tail's matrix
-    of n.  _table_plan builds those once
+    rows, and for one group the whole table.  _table_plan builds those once
     and keeps them; each call reads their first K + 1 entries and runs only
     the powers, the convolutions and the quotients by z.  A one-group table
     is a read-only view of the kept one.
@@ -254,9 +254,6 @@ class _TablePlan(NamedTuple):
     #: per level of the merge tree, its number of merges M and their x, y and
     #: z rows (_merge_factors)
     levels: tuple
-    #: the closed-form tail's matrix of the n factors (_tail_matrix), in a
-    #: plan of more than _IDEAL_K entries, else None
-    tail: np.ndarray
 
 
 @functools.lru_cache(maxsize=_PLANS)
@@ -268,9 +265,7 @@ def _table_plan(n, ms, L):
     miss at once each build it, to the same doubles.  L is one of
     _PLAN_LENGTHS, or a length past them, which only tests ask for; a plan's
     entries are the same doubles whatever its length (_series_table), so no
-    result depends on which plans are kept or on the order of the calls.
-    Only a plan of more than _IDEAL_K entries, which the closed-form tail
-    reads, holds its _tail_matrix."""
+    result depends on which plans are kept or on the order of the calls."""
     k2 = 2.0 * np.arange(1, L)
     stage_ms = np.array([*range(1, max(ms)), n], dtype=float)[:, None]
     r = np.ones((len(stage_ms), L))  # row m - 2 holds r(m), the last row r(n + 1)
@@ -288,10 +283,9 @@ def _table_plan(n, ms, L):
             t[s:] += float(m) ** -s * t[:-s]  # NumPy buffers the overlap
             s *= 2
         staged.append(t.copy())
-    tail = _tail_matrix(n / 2.0) if L > _IDEAL_K else None  # only a full table has a tail
     if len(ms) == 1:
         t *= r[-1]
-        return _read_only(_TablePlan(t, None, (), tail))
+        return _read_only(_TablePlan(t, None, ()))
     # the merge tree, level by level: the (alpha, beta) of each of its merges
     levels, level = [], [m / 2.0 for m in ms]
     while len(level) > 1:
@@ -299,9 +293,10 @@ def _table_plan(n, ms, L):
         levels.append((len(merges), *_read_only(_merge_factors(merges, L))))
         level = [a + b for a, b in merges] + level[2 * len(merges):]
     return _read_only(_TablePlan(r[-1].copy(), np.array([staged[m - 1] for m in ms]),
-                                 tuple(levels), tail))
+                                 tuple(levels)))
 
 
+@functools.lru_cache(maxsize=_PLANS)
 def _tail_matrix(h):
     """The (J + 1) x (J + 1) matrix B, J = _TAIL_J, that turns a table's
     first entries into its closed-form tail (_series_volume): a group
@@ -323,7 +318,8 @@ def _tail_matrix(h):
     1/(k - l + 1/2) = sum_r (l - 1/2)^r k^(-r-1).  The division by F is
     back-substitution: b_i = sum_(l >= i) [u^(l-i)](1/F) G_l solves G_i =
     sum_j (1/2)_j b_(i+j), and B_is = (h + 1/2)_i b_is.  B depends on h
-    only; each plan of a full table holds its own."""
+    only: it is built on the first call for h and kept, read-only, while it
+    is among the _PLANS most recently used."""
     J = _TAIL_J
     bern = [1.0, -0.5] + [0.0] * J  # B_0..B_(J+1), B_2j from B_2j/(2j)!
     bern[2::2] = [c * math.factorial(2 * j) for j, c in enumerate(_EM_COEFFS[:J // 2], 1)]
@@ -342,7 +338,9 @@ def _tail_matrix(h):
     b, half = np.array(rows), np.cumprod(np.arange(J) + 0.5)
     for i in range(J - 1, -1, -1):
         b[i] -= half[:J - i] @ b[i + 1:]
-    return np.cumprod(np.append(1.0, h + 0.5 + np.arange(J)))[:, None] * b  # (h + 1/2)_i b_i
+    B = np.cumprod(np.append(1.0, h + 0.5 + np.arange(J)))[:, None] * b  # (h + 1/2)_i b_i
+    B.flags.writeable = False
+    return B
 
 
 def _read_only(arrays):
@@ -591,8 +589,7 @@ def _tail_expansion(n, table, groups):
     relative gap between the expansion and the table over k in [K/2, K]."""
     sigma, m = np.array([(sg, m) for sg, m in groups if sg ** (_IDEAL_K // 2) > _U]).T
     J, h, ks = _TAIL_J, n / 2.0, np.arange(_IDEAL_K // 2, _IDEAL_K + 1.0)[:, None]
-    tail = _table_plan(n, tuple(m for _, m in groups), _IDEAL_K + 1).tail
-    c = m[:, None] * table[:J + 1] * sigma[:, None] ** -np.arange(J + 1.0) @ tail
+    c = m[:, None] * table[:J + 1] * sigma[:, None] ** -np.arange(J + 1.0) @ _tail_matrix(h)
     c *= math.gamma(h + 0.5) / math.gamma(0.5)
     fit = np.sum(sigma ** ks * (ks ** -(h + np.arange(J)) @ c[:, :J].T), axis=1)
     return sigma, c, float(np.max(np.abs(fit / table[_IDEAL_K // 2:_IDEAL_K + 1] - 1.0)))
@@ -737,11 +734,11 @@ def volumes(requests):
     set of groups of equal taus (_series_groups; per dimension for regular
     simplices), read once to the longest window their stopping tests read
     (at most _IDEAL_K + 1 entries).  Its rows that depend on the groups'
-    multiplicities only, and the closed-form tail's matrix, come from what
-    the process keeps (_table_plan: at most _PLANS plans, built on first
-    use).  A row's result depends neither on the table's length nor on what
-    is kept, so it is the same bit for bit whatever else this call or an
-    earlier one held.  A request at kappa0 is summed at rho = 1 whatever
+    multiplicities only come from what the process keeps (_table_plan: at
+    most _PLANS plans, built on first use), and so does the closed-form
+    tail's matrix of each h (_tail_matrix).  A row's result depends neither
+    on the table's length nor on what is kept, so it is the same bit for
+    bit whatever else this call or an earlier one held.  A request at kappa0 is summed at rho = 1 whatever
     its groups.  Every other request takes its path one at a time.  A result
     whose error bar is not below its magnitude, or a negative volume, comes
     back as a ToleranceError with the result attached, and one whose
@@ -863,7 +860,7 @@ def regular_volume(d, side_length, kappa=-1.0, tolerance=VolumeRequest.tolerance
     rounding or, near the ideal simplex (rho = 1), with the closed-form
     tail (see the module doc).  Its series table and the tail's matrix
     depend on d only: the first call at a d builds them, and later calls
-    read the kept ones (at most _PLANS plans at once), as one volumes()
+    read the kept ones (at most _PLANS of each at once), as one volumes()
     call over many rows does.
     """
     params = regular_parameters(d, side_length, kappa)

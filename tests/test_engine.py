@@ -1,9 +1,7 @@
 """Volume engine: orthant transform properties and assembled volumes."""
 
-import itertools
 import json
 import math
-import operator
 import time
 from pathlib import Path
 
@@ -25,6 +23,8 @@ from simplexvol.rayquad import RayIntegralProblem, ray_integral
 from simplexvol import _hp, engine
 from simplexvol._hp import ideal_volume_highprec
 
+from conftest import mp_series_table
+
 IDEAL_D3 = 1.0149416064096535          # -3 int_0^{pi/3} log(2 sin t) dt
 IDEAL_D4 = 0.2688956601693112          # (10 pi/3) asin(1/3) - pi^2/3
 
@@ -42,11 +42,10 @@ HP_PINNED = {
     12: "2.05778857928775985627737024734e-8",  # includes the n = d frequency
 }
 
-#: how far the fitted reference and the twin's pinned values may differ,
+#: how far the series reference and the twin's pinned values may differ,
 #: relative: the twin's own error (its docstring gave 3e-21 at d = 5, 3e-18
 #: at d = 10, 2e-16 at d = 12 and 5e-8 at d = 20, about tenfold per
-#: dimension), except at d = 3, where the reference's fitted tail (2.5e-18
-#: against the closed form) dominates
+#: dimension); the reference is within 1e-30 of the closed forms at d <= 4
 TWIN_ERROR = {3: 1e-17, 5: 1e-20, 6: 1e-19, 7: 1e-18, 8: 1e-17, 9: 1e-16,
               10: 1e-15, 11: 1e-15, 12: 1e-15, 20: 1e-7}
 
@@ -130,7 +129,7 @@ IDEAL_CLOSED_FORMS = {
 @pytest.mark.parametrize("d", range(2, 61))
 def test_ideal_regular_bar_covers_error(d):
     # the ideal simplex takes the series at every d; the references are
-    # closed forms for d <= 4 and the 30-digit fitted series past them
+    # closed forms for d <= 4 and the 30-digit series reference past them
     with mp.workdps(40):
         ref = IDEAL_CLOSED_FORMS[d]() if d <= 4 else ideal_volume_highprec(d)
         for kappa in (-1.0, -4.0, -0.3):
@@ -388,11 +387,11 @@ def test_highprec_rejects_bad_input():
 
 @pytest.mark.parametrize("d", [2, 3, 4], ids=["pi", "log-sine", "closed-form"])
 def test_series_reference_matches_closed_forms(d):
-    # the fitted tail truncates most at the smallest d: 6.6e-17, 2.5e-18 and
-    # 1.1e-19 relative at d = 2, 3, 4
+    # the closed-form tail past T_512 is 3.4% of the sum at d = 2; the
+    # reference is 7.2e-32, 1.3e-31 and 4.1e-32 off, relative, at d = 2, 3, 4
     with mp.workdps(40):
         ref = IDEAL_CLOSED_FORMS[d]()
-        assert abs(ideal_volume_highprec(d) - ref) <= 1e-16 * ref
+        assert abs(ideal_volume_highprec(d) - ref) <= 1e-28 * ref
 
 
 @pytest.mark.parametrize("n", range(3, 22))
@@ -408,22 +407,6 @@ def test_series_reference_table_matches_the_engine_table(n):
         assert abs(a - b) <= 1e-13 * b, (k, a, b)
 
 
-def _mpf_series_table(n, K):
-    """_hp._series_table's recurrence term by term in mpf, every step
-    rounded to the working precision."""
-    def ratios(m):
-        return list(itertools.accumulate(
-            (mp.mpf(m - 3 + 2 * k) / (m - 2 + 2 * k) for k in range(1, K + 1)),
-            operator.mul, initial=mp.mpf(1)))
-
-    c = [mp.mpf(1)] * (K + 1)
-    for m in range(2, n + 1):
-        r = ratios(m)
-        for k in range(1, K + 1):
-            c[k] = c[k - 1] / m + r[k] * c[k]
-    return [ck * rk for ck, rk in zip(c, ratios(n + 1))]
-
-
 @pytest.mark.parametrize("dps", [30, 60])
 @pytest.mark.parametrize("n, K", [(3, 79), (13, 79), (31, 400), (151, 400)])
 def test_fixed_point_series_table_matches_the_mpf_loop(n, K, dps):
@@ -432,7 +415,7 @@ def test_fixed_point_series_table_matches_the_mpf_loop(n, K, dps):
     # falls to 1e-88 (n = 151, K = 400)
     with mp.workdps(dps):
         fixed = _hp._series_table(n, K)
-        ref = _mpf_series_table(n, K)
+        ref = mp_series_table(n, K)
         tol = 4 * (n + K) * mp.mpf(2) ** -mp.mp.prec
         assert len(fixed) == len(ref) == K + 1
         for k, (a, b) in enumerate(zip(fixed, ref)):
@@ -444,8 +427,8 @@ def test_series_reference_kappa_scaling(d):
     # the finite-side reference: doubling tau at kappa = -4 keeps rho and
     # scales the volume by |kappa|^(-d/2) = 2^-d, exact in binary
     tau = regular_parameters(d, 2.0, -1.0).taus[0]
-    v1 = _hp._regular_volume(d, 2 * tau, -4.0)
-    v2 = _hp._regular_volume(d, tau, -1.0)
+    v1 = _hp._series_volume((2 * tau,) * (d + 1), -4.0)
+    v2 = _hp._series_volume((tau,) * (d + 1), -1.0)
     with mp.workdps(30):
         assert abs(v1 * 2 ** d - v2) <= 1e-28 * v2
 

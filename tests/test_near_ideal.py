@@ -68,14 +68,16 @@ def test_lerch_tails_match_mpmath(s0, lam, q):
             assert abs(g - ref) <= 1e-14 * ref, s0 + i
 
 
-@pytest.mark.parametrize("gap, s", [(0.1, 1.5), (1e-4, 11.0), (1e-12, 37.5)])
+@pytest.mark.parametrize("gap, s", [(0.1, 1.5), (1e-4, 11.0), (1e-12, 37.5), (0, 14.5), (0, 22.0)])
 def test_mp_lerch_reference_matches_lerchphi(gap, s):
-    # the reference's tails at q = K + 1 = 401, across the range of 1 - rho
-    # and of s = h + j that its callers here reach (d <= 60, j < 8)
+    # the reference's tails at q = K + 1 = 513, across the range of 1 - rho
+    # and of s = h + j that its callers here reach; at rho = 1, the Hurwitz
+    # zeta, mpmath's zeta(s, 513) at 30 digits is 2.9e-10 and 8.8e-10 off,
+    # relative, at s = 14.5 and 22: its error is absolute
     with mp.workdps(30):
         rho = 1 - mp.mpf(gap)
-        ref = _lerch(rho, s, 401)
-        assert abs(_hp._lerch(rho, s, 401) - ref) <= 1e-25 * ref
+        ref = _lerch(rho, s, 513)
+        assert abs(_hp._lerch(rho, s, 513) - ref) <= 1e-25 * ref
 
 
 def test_expint_matches_mpmath():
@@ -92,7 +94,7 @@ def test_expint_matches_mpmath():
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 30])
-def test_summed_and_fitted_series_agree_below_the_crossover(d):
+def test_summed_series_and_closed_form_tail_agree_near_the_crossover(d):
     # the series' two tails on the same request, at rho where both apply:
     # regular_volume adds the closed-form tail past T_256, and the test sums
     # the same terms over the first guess's window (934 to 6,490 terms);
@@ -132,7 +134,7 @@ def test_bar_covers_a_30_digit_reference(d, gap, kappa):
     ell = _side(1.0 - math.exp(gap), kappa)
     r = regular_volume(d, ell, kappa)
     assert r.branch is Branch.SERIES and r.volume > 0
-    ref = _hp._regular_volume(d, regular_parameters(d, ell, kappa).taus[0], kappa)
+    ref = _hp._series_volume(regular_parameters(d, ell, kappa).taus, kappa)
     assert abs(mp.mpf(r.volume) - ref) <= r.abs_error
     assert r.abs_error <= 1e-6 * r.volume
 
@@ -177,7 +179,6 @@ def test_large_dimensions_give_the_series_or_an_overflow(d):
             continue
         r = regular_volume(d, ell)
         assert r.branch is Branch.SERIES and r.volume > 0, ell
-        ref = (_hp.ideal_volume_highprec(d) if ell == math.inf else
-               _hp._regular_volume(d, regular_parameters(d, ell, -1.0).taus[0], -1.0))
+        ref = _hp._series_volume(regular_parameters(d, ell, -1.0).taus, -1.0)
         assert abs(mp.mpf(r.volume) - ref) <= r.abs_error, ell
         assert r.abs_error <= 1e-12 * r.volume, ell

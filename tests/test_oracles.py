@@ -367,7 +367,7 @@ def test_regular_tetrahedron_vs_engine():
         regular_tetrahedron_volume(1.0), abs=1e-7)
 
 
-def test_package_import_leaves_oracles_and_twin_unloaded():
+def test_package_import_leaves_oracles_and_reference_unloaded():
     # an ideal, a near-ideal and a series volume load no SciPy either, nor
     # does an orthocentric volume at kappa < 0, nor the asymptotic suite,
     # which loads no mpmath reference; the first ray, here at kappa > 0,

@@ -1,7 +1,6 @@
 """The curvature-series path at kappa < 0: regular simplices and, grouped by
 equal taus, every other orthocentric one."""
 
-import functools
 import math
 import sys
 import threading
@@ -13,13 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import mpf_mul, mpf_sum
 
-from simplexvol import engine
+from simplexvol import _hp, engine
 from simplexvol.engine import Branch, VolumeRequest, regular_volume, volume
 from simplexvol.errors import GeometryDomainError, OverflowRegionError, ToleranceError
 from simplexvol.geometry import (
     OrthocentricParams, euclidean_volume, min_curvature, regular_parameters,
 )
 from simplexvol.oracles import regular_tetrahedron_volume
+
+from conftest import mp_series_table
 
 
 def _side(rho, kappa=-1.0):
@@ -43,49 +44,6 @@ def mp_terms(sigmas, rho, K):
     n = len(sigmas)
     return [mp.mpf(rho) ** k * mp.make_mpf(p[k]) / mp.rf(mp.mpf(n + 1) / 2, k)
             for k in range(K + 1)]
-
-
-def mp_recurrence_terms(n, rho, K):
-    """The same terms from the first-order recurrence in the stage m that
-    engine._series_terms runs (see its docstring), in the current mp precision."""
-    c = [mp.mpf(1)] + [mp.mpf(0)] * K
-    for m in range(1, n + 1):
-        r = mp.mpf(1)
-        new = [c[0]]
-        for k in range(1, K + 1):
-            r *= mp.mpf(m - 3 + 2 * k) / (m - 2 + 2 * k)  # r(m)_k
-            new.append(new[-1] / m + r * c[k])
-        c = new
-    terms, r = [], mp.mpf(1)
-    for k in range(K + 1):
-        if k:
-            r *= mp.mpf(n - 2 + 2 * k) / (n - 1 + 2 * k)  # r(n + 1)_k
-        terms.append(mp.mpf(rho) ** k * c[k] * r)
-    return terms
-
-
-def mp_series_volume(d, tau, kappa, dps=30):
-    """The series volume of the regular simplex with parameter tau at dps
-    digits, summed until the engine's tail bound is below 10^-(dps + 2) of it."""
-    with mp.workdps(dps):
-        n = d + 1
-        h = mp.mpf(n) / 2
-        tau2 = mp.mpf(tau) ** 2
-        s = n * tau2
-        a = 1 - mp.mpf(kappa) / s
-        rho = -(mp.mpf(kappa) / a) / tau2
-        eps = mp.mpf(10) ** -(dps + 2)
-        prefactor = mp.sqrt(s) / (mp.factorial(d) * mp.mpf(tau) ** n) * a ** -h
-        size = 2 * engine._series_guess(n, float(rho))  # twice the digits
-        while True:
-            terms = mp_recurrence_terms(n, rho, size)
-            partial = mp.mpf(0)
-            for K in range(size):
-                partial += terms[K]
-                q = rho * (h + K) / (K + 1)
-                if q < 1 and terms[K + 1] / (1 - q) < eps * partial:
-                    return prefactor * mp.fsum(terms[:K + 1])
-            size *= 2
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 13])
@@ -143,7 +101,7 @@ def _random_cases():
 def test_bar_covers_a_30_digit_sum(d, ell, kappa):
     r = regular_volume(d, ell, kappa)
     assert r.branch is Branch.SERIES
-    ref = mp_series_volume(d, regular_parameters(d, ell, kappa).taus[0], kappa)
+    ref = _hp._series_volume(regular_parameters(d, ell, kappa).taus, kappa)
     assert r.volume > 0
     assert abs(mp.mpf(r.volume) - ref) <= r.abs_error
     assert r.abs_error <= 1e-12 * r.volume
@@ -225,9 +183,9 @@ def test_terms_at_the_cap_stay_finite_and_positive(n):
     assert np.all(np.isfinite(t)) and np.all(t > 0.0) and np.all(t <= 1.0)
     if n == 3:
         with mp.workdps(30):
-            ref = mp_recurrence_terms(n, rho, K)
+            ref = mp_series_table(n, K)
             for k in (1, 100, K // 2, K):
-                assert abs(mp.mpf(float(t[k])) / ref[k] - 1) < 1e-11
+                assert abs(mp.mpf(float(t[k])) / (mp.mpf(rho) ** k * ref[k]) - 1) < 1e-11
 
 
 
@@ -423,41 +381,6 @@ def test_a_cancelled_value_with_a_large_bar_is_a_tolerance_error():
         assert info.value.result is res
 
 
-def _mp_orthocentric_series(taus, kappa):
-    """(prefactor, rho, sigmas, h) of the orthocentric series in the current
-    mp precision: Vol = prefactor sum_k rho^k T_k, sigma_j = tau_min^2/tau_j^2."""
-    t = [mp.mpf(x) for x in taus]
-    n = len(t)
-    h = mp.mpf(n) / 2
-    s = mp.fsum(x * x for x in t)
-    a = 1 - mp.mpf(kappa) / s
-    least = min(t) ** 2
-    rho = -(mp.mpf(kappa) / a) / least
-    prefactor = mp.sqrt(s) / (mp.factorial(n - 1) * mp.fprod(t)) * a ** -h
-    return prefactor, rho, [least / (x * x) for x in t], h
-
-
-def mp_orthocentric_volume(taus, kappa, dps=30):
-    """The series volume of the orthocentric simplex with these taus at dps
-    digits, from mp_terms with sigma_j = tau_min^2/tau_j^2 and rho from
-    tau_min, summed until the engine's tail bound is below 10^-(dps + 2) of
-    it."""
-    with mp.workdps(dps):
-        prefactor, rho, sigmas, h = _mp_orthocentric_series(taus, kappa)
-        n = len(taus)
-        eps = mp.mpf(10) ** -(dps + 2)
-        size = 2 * engine._series_guess(n, float(rho))
-        while True:
-            terms = mp_terms(sigmas, rho, size)
-            partial = mp.mpf(0)
-            for K in range(size):
-                partial += terms[K]
-                q = rho * (h + K) / (K + 1)
-                if q < 1 and terms[K + 1] / (1 - q) < eps * partial:
-                    return prefactor * mp.fsum(terms[:K + 1])
-            size *= 2
-
-
 def _state_row(d, kappa):
     """The request of the d-simplex with taus from default_rng(d).uniform(0.6,
     1.8): at kappa0/2 if kappa is None."""
@@ -469,14 +392,17 @@ def _state_row(d, kappa):
     ((1.0, 1), (0.5, 1), (0.25, 1)), ((1.0, 2), (0.7, 3)), ((1.0, 1), (0.9, 4), (0.2, 2), (0.05, 1)),
     ((1.0, 5), (0.999, 1), (0.3, 1), (0.3000001, 2), (0.6, 3))])
 def test_group_table_matches_the_convolution_of_f(groups):
-    # the staged groups and their merges against the product multiplied out
-    # factor by factor, 40 digits
+    # the staged groups and their merges, and the 30-digit reference's table
+    # (each group's row from fixed-point stages, the groups convolved),
+    # against the product multiplied out factor by factor, 40 digits
     n = sum(m for _, m in groups)
     table = engine._series_table(n, 60, groups)
+    reference = _hp._table(tuple((mp.mpf(sg), m) for sg, m in groups), 61)
     sigmas = [sg for sg, m in groups for _ in range(m)]
     with mp.workdps(40):
         ref = mp_terms(sigmas, 1, 60)
         worst = max(abs(mp.mpf(float(a)) - b) / b for a, b in zip(table, ref))
+        assert max(abs(a - b) / b for a, b in zip(reference, ref)) < 1e-28
     assert worst < 1e-13
 
 
@@ -620,7 +546,7 @@ def test_kept_plans_are_read_only():
     # one-group table is a view of its plan
     plan = engine._table_plan(9, (2, 3, 1, 2, 1), engine._IDEAL_K + 1)
     kept = [plan.last, plan.stages, *(a for level in plan.levels for a in level[1:]),
-            plan.tail, engine._series_table(6, 40, ((1.0, 6),))]
+            engine._tail_matrix(4.5), engine._series_table(6, 40, ((1.0, 6),))]
     for a in kept:
         with pytest.raises(ValueError):
             a *= 1
@@ -632,9 +558,9 @@ def test_kept_plans_are_read_only():
     assert engine._series_table(5, 40, groups).tobytes() == ref
 
 
-def test_kept_plans_and_fits_stay_within_their_bound():
-    # the closed-form tail's matrices live in the full-length plans, one
-    # per dimension for regular simplices
+def test_kept_plans_and_tail_matrices_stay_within_their_bound():
+    # the plans are kept per (multiplicities, length), and the closed-form
+    # tail's matrices per h, at most _PLANS of each
     rng = np.random.default_rng(35)
     engine._table_plan.cache_clear()
     for _ in range(200):
@@ -644,11 +570,12 @@ def test_kept_plans_and_fits_stay_within_their_bound():
         engine._series_table(d + 1, int(rng.integers(5, 200)), groups)
     info = engine._table_plan.cache_info()
     assert info.misses > engine._PLANS and info.currsize <= engine._PLANS
-    engine._table_plan.cache_clear()
+    engine._tail_matrix.cache_clear()
     J = engine._TAIL_J
     for n in range(3, engine._PLANS + 11):
-        assert engine._table_plan(n, (n,), engine._IDEAL_K + 1).tail.shape == (J + 1, J + 1)
-    assert engine._table_plan.cache_info().currsize <= engine._PLANS
+        assert engine._tail_matrix(n / 2.0).shape == (J + 1, J + 1)
+    info = engine._tail_matrix.cache_info()
+    assert info.misses == engine._PLANS + 8 and info.currsize == engine._PLANS
 
 
 def test_threads_sharing_the_plans_get_the_serial_results():
@@ -706,22 +633,9 @@ def test_orthocentric_bar_covers_a_30_digit_sum(taus, frac):
     kappa = frac * min_curvature(p)
     r = volume(VolumeRequest(p, kappa))
     assert r.branch is Branch.SERIES
-    ref = mp_orthocentric_volume(taus, kappa)
+    ref = _hp._series_volume(taus, kappa)
     assert abs(mp.mpf(r.volume) - ref) <= r.abs_error
     assert r.abs_error <= 1e-13 * r.volume
-
-
-def _stopping_terms(p, kappa):
-    """The terms the series of p at kappa sums to pass _series_volume's
-    stopping test, read over 1,024 terms: the first K' whose ratio bound is
-    below 2u of the sum, plus one."""
-    rho, h, L = engine._series_ratio(p, kappa), len(p.taus) / 2.0, 1024
-    t = engine._series_terms(rho, L, engine._series_table(len(p.taus), L,
-                                                          engine._series_groups(p.taus)))
-    ks = np.arange(L + 0.0)
-    q = rho * (h + ks) / (ks + 1.0)
-    passes = (q < 1.0) & (t[1:] <= 2.0 * engine._U * (1.0 - q) * np.cumsum(t[:-1]))
-    return int(np.argmax(passes)) + 1
 
 
 @pytest.mark.parametrize("sigmas, frac", [
@@ -736,23 +650,13 @@ def test_grouped_bar_covers_the_sum_when_later_groups_fall_like_sigma_k(sigmas, 
     # the merges of the later groups hold entries whose leading products fall
     # below the least normal double (0.25^k 0.09^k passes 1e-300 near k = 180),
     # where _merge_groups' count does not hold; the bar must still cover
-    # the sum.  The reference multiplies the product out factor by factor to
-    # 32 terms past the engine's, or, where the engine takes the closed-form
-    # tail, past where the stopping test would stop the sum, and adds their
-    # tail bound to the gap
+    # the sum, against the 30-digit reference
     taus = tuple(1.0 / math.sqrt(sg) for sg in sigmas)
     p = OrthocentricParams(taus)
     kappa = frac * min_curvature(p)
     r = volume(VolumeRequest(p, kappa))
     assert r.branch is Branch.SERIES and len(engine._series_groups(taus)) >= 4
-    K = (r.evaluations if r.evaluations <= engine._IDEAL_K else _stopping_terms(p, kappa)) + 32
-    with mp.workdps(30):
-        prefactor, rho, sig, h = _mp_orthocentric_series(taus, kappa)
-        terms = mp_terms(sig, rho, K)
-        q = rho * (h + K - 1) / K
-        assert q < 1
-        ref = prefactor * mp.fsum(terms[:K])
-        assert abs(mp.mpf(r.volume) - ref) + prefactor * terms[K] / (1 - q) <= r.abs_error
+    assert abs(mp.mpf(r.volume) - _hp._series_volume(taus, kappa)) <= r.abs_error
 
 
 @pytest.mark.parametrize("d, kappa", [(10, None), (12, None), (14, None), (8, -1e-2), (12, -1e-2)])
@@ -762,7 +666,7 @@ def test_rows_the_ray_refused_come_back_certified(d, kappa):
     req = _state_row(d, kappa)
     r = volume(req)
     assert r.branch is Branch.SERIES
-    ref = mp_orthocentric_volume(req.geometry.taus, req.kappa)
+    ref = _hp._series_volume(req.geometry.taus, req.kappa)
     assert abs(mp.mpf(r.volume) - ref) <= r.abs_error <= 1e-13 * r.volume
 
 
@@ -840,18 +744,10 @@ _TAIL_TAUS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _mp_table(name):
-    """T_0..T_512 of the tau set _TAIL_TAUS[name] at 30 digits (mp_terms at
-    rho = 1, with the sigmas in mp), kept for the tests that share it."""
-    with mp.workdps(30):
-        return tuple(mp_terms(_mp_orthocentric_series(_TAIL_TAUS[name], -1.0)[2], 1, 512))
-
-
 @pytest.mark.parametrize("name", list(_TAIL_TAUS))
 def test_tail_expansion_matches_a_30_digit_table(name):
     # the closed-form tail's expansion, from the first entries of the float
-    # table, against the table multiplied out factor by factor: its relative
+    # table, against the reference's 30-digit table to T_512: its relative
     # error past K/2 = 128 stays within the gap to the float table over
     # [K/2, K] that the bar reads (up to that table's own rounding at 128),
     # and at k = 512 it is within 2e-14
@@ -860,7 +756,7 @@ def test_tail_expansion_matches_a_30_digit_table(name):
     groups = engine._series_groups(taus)
     sigma, c, gap = engine._tail_expansion(n, engine._series_table(n, engine._IDEAL_K, groups),
                                            groups)
-    ref = _mp_table(name)
+    ref = _hp._table(_hp._groups(taus), _hp._K + 1)
     errs = []
     for k in (128, 256, 512):
         got = float(np.sum(sigma ** k * (c[:, :-1] @ float(k) ** -(h + np.arange(engine._TAIL_J)))))
@@ -869,62 +765,15 @@ def test_tail_expansion_matches_a_30_digit_table(name):
     assert errs[2] <= 2e-14, errs
 
 
-def _mp_lerch_tail(x, s, q):
-    """sum_(k >= q) x^k k^(-s) for 0 < x <= 1 by mpmath, at the digits of
-    q^s more than the working precision: lerchphi's error is absolute."""
-    with mp.workdps(mp.mp.dps + int(s * math.log10(q)) + 5):
-        return mp.zeta(s, q) if x == 1 else x ** q * mp.lerchphi(x, s, q)
-
-
-def _mp_volume_at_kappa0(name, J=16):
-    """The series volume of _TAIL_TAUS[name] at kappa0 in 30 digits: rho = 1,
-    T_0..T_K from _mp_table, K = 512, and the closed-form tail with J powers
-    of 1/k past K, for each group whose sigma^K is above 1e-32.  Each group's d_i is
-    m [u^i] P(u/sigma)/F(u) by series division, and each (1/2)_(k-i)/(h +
-    1/2)_k's powers of 1/k come from DLMF 5.8 and 5.11 with a = 1/2 - i:
-    ln Gamma(k + a) - ln Gamma(k + b) - (a - b) ln k = sum_m (-1)^(m+1)
-    (B_(m+1)(a) - B_(m+1)(b))/(m (m + 1) k^m), exponentiated."""
-    taus = _TAIL_TAUS[name]
-    T = _mp_table(name)
-    K = len(T) - 1
-    with mp.workdps(30):
-        t = [mp.mpf(x) for x in taus]
-        n, half = len(t), mp.mpf(1) / 2
-        h, s, least = mp.mpf(n) / 2, mp.fsum(x * x for x in t), min(t) ** 2
-        pre = mp.sqrt(s) / (mp.factorial(n - 1) * mp.fprod(t)) * (s / (s - least)) ** -h
-        inv = [mp.mpf(1)]  # [u^i](1/F)
-        for i in range(1, J):
-            inv.append(-mp.fsum(mp.rf(half, j) * inv[i - j] for j in range(1, i + 1)))
-        expansions = []  # per i < J, the powers k^(-h-i-j), j < J - i, of (1/2)_(k-i)/(h + 1/2)_k
-        for i in range(J):
-            a, b = half - i, h + half
-            logs = [(-1) ** (m + 1) * (mp.bernpoly(m + 1, a) - mp.bernpoly(m + 1, b))
-                    / (m * (m + 1)) for m in range(1, J)]
-            g = [mp.mpf(1)]
-            for j in range(1, J - i):
-                g.append(mp.fsum(m * logs[m - 1] * g[j - m] for m in range(1, j + 1)) / j)
-            expansions.append([x * (mp.gamma(b) / mp.gamma(half)) for x in g])
-        tail = mp.mpf(0)
-        for sg, m in engine._series_groups(taus):
-            sg = least / (mp.mpf(min(taus) / math.sqrt(sg)) ** 2)  # sigma_g in mp
-            if sg ** K < mp.mpf(10) ** -32:
-                continue
-            p = [sg ** -i * T[i] * mp.rf(h + half, i) for i in range(J)]  # [u^i]P(u/sigma)
-            d = [m * mp.fsum(p[j] * inv[i - j] for j in range(i + 1)) for i in range(J)]
-            c = [mp.fsum(d[i] * expansions[i][j - i] for i in range(j + 1)) for j in range(J)]
-            tail += mp.fsum(cj * _mp_lerch_tail(sg, h + j, K + 1) for j, cj in enumerate(c))
-        return pre * (mp.fsum(T) + tail)
-
-
 @pytest.mark.parametrize("name", ["state8", "state12"])
 def test_state_rows_at_kappa0_match_a_30_digit_expansion(name):
     # the ray refused the d = 12 row and gave the d = 8 one 4.7e-5 relative:
     # both now take the series, 257 terms and the closed-form tail, against
-    # the same expansion at 30 digits with 513 terms and 16 powers
+    # the reference's expansion at 30 digits with 513 terms and 16 powers
     p = OrthocentricParams(_TAIL_TAUS[name])
     r = volume(VolumeRequest(p, min_curvature(p)))
     assert r.branch is Branch.SERIES and r.evaluations == engine._IDEAL_K + 1
-    ref = _mp_volume_at_kappa0(name)
+    ref = _hp._series_volume(p.taus, min_curvature(p))
     assert abs(mp.mpf(r.volume) - ref) <= r.abs_error <= 1e-13 * r.volume
 
 

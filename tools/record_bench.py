@@ -28,7 +28,10 @@ Each checkout is a full tree (``git archive`` or ``git clone``) with its own
   from ``default_rng(d)``) at each fraction of kappa0 in ORTHO_FRACS, on both
   sides, cold and warm as the regular ones, each marked when the accuracy
   gate refuses it;
-* ``ideal_volume_highprec(d)`` times for d = 2, 12 and 20, on both sides;
+* ``ideal_volume_highprec(d)`` times for d = 2, 12 and 20, and the
+  ``_hp._series_volume`` time of the d = 12 State taus at kappa0, each
+  call after ``_hp``'s caches are cleared, on both sides (the State row
+  only on a side whose ``_hp`` has that function);
 * the ``tracemalloc`` peak of one cold d = 6, 10^6-sample
   ``mc_spherical_volume`` call, median over MC_COLD fresh processes, and the
   median time of REPEATS warm calls after it with tracing off, on both sides;
@@ -154,20 +157,32 @@ print(json.dumps(out))
 """
 
 
-#: one child per side: warm up, then the median of REPEATS timings per d
+#: one child per side: warm up, then per row the median of REPEATS calls,
+#: each after every cache of _hp is cleared, so that a call builds the
+#: tables it reads, as a test's first call on them does; the State row at
+#: kappa0 only where _hp has _series_volume
 HP_CHILD = """
 import json, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
-from simplexvol import ideal_volume_highprec
+import numpy as np
+from simplexvol import OrthocentricParams, _hp, ideal_volume_highprec, min_curvature
+rows = {d: lambda d=d: ideal_volume_highprec(d) for d in (2, 12, 20)}
+if hasattr(_hp, "_series_volume"):
+    taus = tuple(np.random.default_rng(12).uniform(0.6, 1.8, 13))
+    kappa0 = min_curvature(OrthocentricParams(taus))
+    rows["state12_kappa0"] = lambda: _hp._series_volume(taus, kappa0)
 ideal_volume_highprec(2)
 out = {}
-for d in (2, 12, 20):
+for row, call in rows.items():
     times = []
     for _ in range(int(sys.argv[2])):
+        for f in vars(_hp).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
         t0 = time.perf_counter()
-        ideal_volume_highprec(d)
+        call()
         times.append(time.perf_counter() - t0)
-    out[d] = 1e3 * statistics.median(times)
+    out[row] = 1e3 * statistics.median(times)
 print(json.dumps(out))
 """
 
@@ -414,8 +429,11 @@ def main(argv=None):
                          "refuses (ToleranceError) is timed to the refusal and marked",
             **child_times(sides, ORTHO_CHILD, WARM_CALLS, LONG_CALL_S, frac)}
             for frac in ORTHO_FRACS},
-        "highprec_ms": {"call": "ideal_volume_highprec(d)",
-                        "statistic": f"median of {REPEATS} calls after a warm-up",
+        "highprec_ms": {"call": "ideal_volume_highprec(d), and _hp._series_volume(taus, "
+                                "kappa0) at the d = 12 State taus (state12_kappa0) where "
+                                "_hp has it",
+                        "statistic": f"median of {REPEATS} calls after a warm-up, each "
+                                     "after every cache of _hp is cleared",
                         **child_times(sides, HP_CHILD, REPEATS)},
         "mc_spherical": {"call": "mc_spherical_volume(OrthocentricParams((1.0, 1.1, 0.9, "
                                  "1.2, 0.8, 1.3, 1.05)), 2 s, samples=10**6, seed=3), "
