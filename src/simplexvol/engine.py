@@ -29,8 +29,9 @@ simplex, rho = 1 - 1/cosh(side length * sqrt(-kappa))).  Term k is rho^k
 T_k, and the table T (_series_table) depends on the request's groups of
 equal taus only, on d alone for a regular simplex: each group runs one
 recurrence, and the groups merge with positive weights.  One evaluator,
-_series_volume, takes every such row.  Where a proven tail bound falls
-below rounding within T_0.._IDEAL_K, the sum stops there.  Elsewhere it
+_series_volumes, takes all the rows of one table at once, and a single
+request is its one-row case.  Where a proven tail bound falls below
+rounding within T_0.._IDEAL_K, the sum stops there.  Elsewhere it
 sums the first _IDEAL_K + 1 terms and adds the closed-form tail: T_k is
 sum_g sigma_g^k k^(-h) times a power series in 1/k, h = (d + 1)/2, whose
 coefficients come from the table's first entries (Bender's theorem;
@@ -47,8 +48,9 @@ result has branch SERIES and residual_imag 0.  Every other request (kappa
 
 volumes(requests) is the one entry point: it checks and routes every
 request, reads one table per set of groups of equal taus for all of its
-series rows, and returns each result, or the SimplexVolError its request
-raised, in order.  What a table holds that depends on the groups'
+series rows, runs their stopping tests in one pass and expands the
+closed-form tail at most once per table, and returns each result, or the
+SimplexVolError its request raised, in order.  What a table holds that depends on the groups'
 multiplicities only (every entry, for a regular simplex) is built on
 first use and kept for the process, at most _PLANS plans (_table_plan),
 and so is the closed-form tail's matrix of each h (_tail_matrix), at
@@ -112,6 +114,10 @@ _EM_COEFFS = (1.0 / 12, -1.0 / 720, 1.0 / 30240, -1.0 / 1209600, 1.0 / 47900160)
 _EULER_GAMMA = 0.5772156649015329
 _CF_STEPS = 100
 _TINY = 1e-300
+
+#: k = 0.._IDEAL_K, the indices of every series window, shared read-only
+_KS = np.arange(_IDEAL_K + 1.0)
+_KS.flags.writeable = False
 
 
 class Branch(Enum):
@@ -299,7 +305,7 @@ def _table_plan(n, ms, L):
 @functools.lru_cache(maxsize=_PLANS)
 def _tail_matrix(h):
     """The (J + 1) x (J + 1) matrix B, J = _TAIL_J, that turns a table's
-    first entries into its closed-form tail (_series_volume): a group
+    first entries into its closed-form tail (_series_volumes): a group
     (sigma, m) of the table T of n = 2h factors contributes to T_k
 
         sigma^k Gamma(h + 1/2)/Gamma(1/2) sum_(s <= J) c_s k^(-h-s),
@@ -434,7 +440,8 @@ def _series_groups(taus):
 
 def _series_terms(rho, K, table):
     """term_k = rho^k T_k for k = 0..K, with T from table, a _series_table of
-    at least K + 1 entries."""
+    at least K + 1 entries; rho a float, or a column of them for one row of
+    terms each."""
     return np.power(rho, np.arange(K + 1.0)) * table[:K + 1]
 
 
@@ -545,7 +552,7 @@ def _expint(s0, count, z):
 def _lerch_tails(s0, count, lam, q):
     """Phi_s = sum_(k >= 0) e^(-lam (q + k)) (q + k)^(-s) at s = s0, s0 + 1, ..,
     s0 + count - 1, for lam >= 0 and q >= 256: the Lerch transcendent's tail
-    that _series_volume's closed-form tail needs, by Euler-Maclaurin from
+    that _series_volumes' closed-form tail needs, by Euler-Maclaurin from
     k = 0.
     With z = lam q, the m-th derivative of e^(-lam x) x^(-s) at q is
     (-1)^m e^(-z) q^(-s-m) P_m, P_m = sum_(i <= m) C(m, i) z^(m-i) (s)_i, so
@@ -595,9 +602,13 @@ def _tail_expansion(n, table, groups):
     return sigma, c, float(np.max(np.abs(fit / table[_IDEAL_K // 2:_IDEAL_K + 1] - 1.0)))
 
 
-def _series_volume(params, kappa, rho, K, table, groups):
-    """The volume of an orthocentric simplex at kappa < 0 by its curvature
-    series.
+def _series_volumes(groups, rows):
+    """The VolumeResults, in order, of rows by the curvature series: every
+    row of one volumes() call whose simplex has these groups of equal taus
+    (_series_groups), given as (rho, K, pre, pre_u), with K the end of its
+    stopping test's window and pre and pre_u its prefactor and that one's
+    rounding (_series_prefactor).  A one-row call is volume() on one
+    request.
 
     With s = sum tau_j^2, h = (d+1)/2, a = 1 - kappa/s and sigma_j =
     tau_min^2/tau_j^2, the Klein-model volume is
@@ -607,7 +618,16 @@ def _series_volume(params, kappa, rho, K, table, groups):
 
     (_series_table over groups, _series_terms), every term positive, rho as
     volumes() gives it (_series_ratio, held below 1, or 1 at kappa0).
-    table holds T_0..T_(K+1) at least.
+
+    All rows read one table, to T_(K+1) of their largest K, and their terms
+    rho^k T_k are one array, a row each.  Their stopping tests (below) are
+    one pass over it: one cumulative sum along the rows and the first K'
+    that passes in each, kept where it is within the row's own window.
+    The closed-form tail's expansion depends on the table only, and is made
+    once, where a row takes the tail.  Row by row come only what depends on
+    rho: the prefactor (volumes() takes it), the fsum, the k-weighted sum,
+    the Lerch tails and the bar.  No step of a row reads another row, so
+    each is the same bit for bit as its one-row call.
 
     The ratio bound.  With (1/2)_i = E[G^i], G ~ Gamma(1/2), and the G_j
     independent, [t^k]prod_j F(sigma_j t) = E[h_k(sigma_1 G_1, .., sigma_n
@@ -673,57 +693,64 @@ def _series_volume(params, kappa, rho, K, table, groups):
     and passes 1 from n = 53, where the expansion in 1/k diverges at k = K,
     but the tail is then below 1e-35 of the sum.
     """
-    n = params.dimension + 1
+    n = sum(m for _, m in groups)
     h = n / 2.0
-    t = _series_terms(rho, K + 1, table)
-    bound = math.inf
+    rhos = np.array([[row[0]] for row in rows])
+    table = _series_table(n, max(row[1] for row in rows) + 1, groups)
+    t = _series_terms(rhos, len(table) - 1, table)
+    stops = [None] * len(rows)  # (K', its tail bound) of each row whose sum stops there
     # the ratio bound q falls with K', and the tail bound is finite only
-    # where q < 1: if q_K >= 1 (always at rho = 1), no K' passes
-    if rho * (h + K) / (K + 1.0) < 1.0:
-        ks = np.arange(K + 1.0)
-        q = rho * (h + ks) / (ks + 1.0)
-        tail = np.full(K + 1, math.inf)
-        np.divide(t[1:], 1.0 - q, out=tail, where=q < 1.0)
-        done = tail <= 2.0 * _U * np.cumsum(t[:-1])
-        first = int(np.argmax(done))  # the first K' that passes, or 0 if none does
-        if done[first]:
-            K, bound = first, float(tail[first])
-    if bound == math.inf:
-        K = _IDEAL_K
-        if len(t) <= K:  # a window the first guess cut short reads on
-            table = _series_table(n, K, groups)
-            t = _series_terms(rho, K, table)
-    # the prefactor before the tail: from d = 171 on, where d! passes the
-    # double range, it raises OverflowRegionError, and Gamma(h + 1/2) would
-    # raise a bare OverflowError from d = 342 on
-    pre, pre_u = _series_prefactor(params, kappa, rho)
-    terms = t[:K + 1]
-    total = math.fsum(terms.tolist())
-    k_weighted = float(np.sum(np.arange(K + 1.0) * terms))
+    # where q < 1: a row whose q_K >= 1 (always at rho = 1) has no K' that
+    # passes, and the test reads no column past the last such K
+    W = max([K + 1 for rho, K, _, _ in rows if rho * (h + K) / (K + 1.0) < 1.0] or [0])
+    if W:
+        q = rhos * (h + _KS[:W]) / (_KS[:W] + 1.0)
+        bounds = np.empty_like(q)
+        bounds.fill(math.inf)
+        np.divide(t[:, 1:W + 1], 1.0 - q, out=bounds, where=q < 1.0)
+        done = bounds <= 2.0 * _U * t[:, :W].cumsum(axis=1)
+        # the first K' that passes in each row, or 0 if none does; a row
+        # stops there if it is within the row's own window
+        for i, first in enumerate(done.argmax(axis=1).tolist()):
+            if first <= rows[i][1] and done[i, first]:
+                stops[i] = first, float(bounds[i, first])
+    if None in stops:
+        if len(table) <= _IDEAL_K:  # a window the first guess cut short reads on
+            table = _series_table(n, _IDEAL_K, groups)
+            t = _series_terms(rhos, _IDEAL_K, table)
+        sigma, c, gap = _tail_expansion(n, table, groups)
     G, M = len(groups), max(m for _, m in groups)
     slope = 2 * M + 3 * (G > 1) + 3 * (G - 1).bit_length()
-    const = 1 + 7 * (G - 1) + (n - G) * (4 * len(t).bit_length() + 1)  # steps = bit_length
-    if bound < math.inf:
-        sum_err = _U * ((slope + 7) * k_weighted + (const + 3) * total) + bound
-    else:
-        sigma, c, gap = _tail_expansion(n, table, groups)
-        tail = k_tail = omitted = 0.0
-        for sg, cg in zip(sigma.tolist(), c):  # cg: c_g0..c_gJ, J = _TAIL_J
-            lam = -math.log(rho * sg)
-            if lam * K < -math.log(_U):  # (rho sigma_g)^K above rounding
-                phi = _lerch_tails(h - 1.0, len(cg) + 1, lam, K + 1.0)  # Phi_(h-1)..Phi_(h+J)
-                tail += math.fsum(cg[:-1] * phi[1:-1])
-                omitted += abs(float(cg[-1]) * phi[-1])
-                if lam:
-                    k_tail += (8 * (rho < 1.0) + 3 * (sg < 1.0)) * math.fsum(cg[:-1] * phi[:-2])
-        total += tail
-        sum_err = _U * (slope * k_weighted + const * total + k_tail + 128 * abs(tail)
-                        + (rho < 1.0) * (8 * k_weighted + 3 * total)) + omitted + gap * abs(tail)
-    # 1.01 covers the second-order terms of these first-order counts and the
-    # rounding of the bar itself
-    vol = pre * total
-    err = 1.01 * (pre * sum_err + pre_u * _U * vol)
-    return VolumeResult(vol, err, 0.0, Branch.SERIES, K + 1)
+    out = []
+    for (rho, K, pre, pre_u), row, terms, stop in zip(rows, t, t.tolist(), stops):
+        # steps = the bit length of the terms the row reads: T_0..T_(K+1)
+        # where it stops, T_0..T_(_IDEAL_K) with the tail
+        length = K + 2 if stop else _IDEAL_K + 1
+        K, bound = stop or (_IDEAL_K, math.inf)
+        total = math.fsum(terms[:K + 1])
+        k_weighted = float(np.sum(_KS[:K + 1] * row[:K + 1]))
+        const = 1 + 7 * (G - 1) + (n - G) * (4 * length.bit_length() + 1)
+        if stop:
+            sum_err = _U * ((slope + 7) * k_weighted + (const + 3) * total) + bound
+        else:
+            tail = k_tail = omitted = 0.0
+            for sg, cg in zip(sigma.tolist(), c):  # cg: c_g0..c_gJ, J = _TAIL_J
+                lam = -math.log(rho * sg)
+                if lam * K < -math.log(_U):  # (rho sigma_g)^K above rounding
+                    phi = _lerch_tails(h - 1.0, len(cg) + 1, lam, K + 1.0)  # Phi_(h-1)..Phi_(h+J)
+                    tail += math.fsum(cg[:-1] * phi[1:-1])
+                    omitted += abs(float(cg[-1]) * phi[-1])
+                    if lam:
+                        k_tail += (8 * (rho < 1.0) + 3 * (sg < 1.0)) * math.fsum(cg[:-1] * phi[:-2])
+            total += tail
+            sum_err = _U * (slope * k_weighted + const * total + k_tail + 128 * abs(tail)
+                            + (rho < 1.0) * (8 * k_weighted + 3 * total)) + omitted + gap * abs(tail)
+        # 1.01 covers the second-order terms of these first-order counts and the
+        # rounding of the bar itself
+        vol = pre * total
+        err = 1.01 * (pre * sum_err + pre_u * _U * vol)
+        out.append(VolumeResult(vol, err, 0.0, Branch.SERIES, K + 1))
+    return out
 
 
 def volumes(requests):
@@ -732,39 +759,48 @@ def volumes(requests):
     Every request is checked and routed first (see the module doc).  The
     requests that take the curvature series share one coefficient table per
     set of groups of equal taus (_series_groups; per dimension for regular
-    simplices), read once to the longest window their stopping tests read
-    (at most _IDEAL_K + 1 entries).  Its rows that depend on the groups'
-    multiplicities only come from what the process keeps (_table_plan: at
-    most _PLANS plans, built on first use), and so does the closed-form
-    tail's matrix of each h (_tail_matrix).  A row's result depends neither
-    on the table's length nor on what is kept, so it is the same bit for
-    bit whatever else this call or an earlier one held.  A request at kappa0 is summed at rho = 1 whatever
-    its groups.  Every other request takes its path one at a time.  A result
+    simplices), and one call of _series_volumes sums all of them: the table
+    is read once to the longest window their stopping tests read (at most
+    _IDEAL_K + 1 entries), the tests run in one pass over all rows' terms,
+    and the closed-form tail's expansion is made once, where a row needs
+    it.  The table's rows that depend on the groups' multiplicities only
+    come from what the process keeps (_table_plan: at most _PLANS plans,
+    built on first use), and so does the closed-form tail's matrix of each
+    h (_tail_matrix).  A row's result depends neither on the table's length,
+    nor on the other rows, nor on what is kept, so it is the same bit for
+    bit whatever else this call or an earlier one held.  A request at
+    kappa0 is summed at rho = 1 whatever its groups.  Every other request
+    takes its path one at a time.  A result
     whose error bar is not below its magnitude, or a negative volume, comes
     back as a ToleranceError with the result attached, and one whose
     magnitude and bar are below the double range as an OverflowRegionError.
     """
     out = [None] * len(requests)
-    series = {}  # groups -> [(position, request, rho, end of the test's window)]
+    series = {}  # groups -> ([position], [(rho, end of the test's window, prefactor, its rounding)])
     for i, req in enumerate(requests):
         try:
             kappa, at_kappa0 = _checked_kappa(req)
             if kappa < 0 and not req.use_lower_branch:
                 # rho is 1 exactly at kappa0, where the prefactor does not
-                # read kappa0 (_series_prefactor)
+                # read kappa0 (_series_prefactor).  From d = 171 on, where d!
+                # passes the double range, the prefactor raises
+                # OverflowRegionError, so the row reads no table and no tail,
+                # whose Gamma(h + 1/2) would raise a bare OverflowError from
+                # d = 342 on
                 rho = 1.0 if at_kappa0 else _series_ratio(req.geometry, kappa)
                 K = min(_series_guess(req.geometry.dimension + 1, rho), _IDEAL_K - 1)
-                series.setdefault(_series_groups(req.geometry.taus), []).append((i, req, rho, K))
+                pre, pre_u = _series_prefactor(req.geometry, req.kappa, rho)
+                at, rows = series.setdefault(_series_groups(req.geometry.taus), ([], []))
+                at.append(i)
+                rows.append((rho, K, pre, pre_u))
                 continue
             out[i] = _certified(_evaluate(req, kappa))
         except SimplexVolError as exc:
             out[i] = exc
-    for groups, rows in series.items():
-        n = sum(m for _, m in groups)
-        table = _series_table(n, max(K for *_, K in rows) + 1, groups)
-        for i, req, rho, K in rows:
+    for groups, (at, rows) in series.items():
+        for i, res in zip(at, _series_volumes(groups, rows)):
             try:
-                out[i] = _certified(_series_volume(req.geometry, req.kappa, rho, K, table, groups))
+                out[i] = _certified(res)
             except SimplexVolError as exc:
                 out[i] = exc
     return out

@@ -6,8 +6,9 @@ the number of samples that pass the first two rows from its exact
 probability, 1/4 + arcsin(r) / (2 pi), and their xi from its conditional
 law in closed form; the Klein-model integrator sums cones from the origin
 over the simplex's facets, with the defining density integrated along each
-ray in closed form, R_d(a) = int_0^1 r^(d-1) (1 + a r^2)^(-(d+1)/2) dr =
-2F1((d+1)/2, d/2; d/2 + 1; -a) / d, and over the facets by one scipy
+ray in closed form, R_d(a) = int_0^1 r^(d-1) (1 + a r^2)^(-(d+1)/2) dr
+(_klein_radial: R_2(a) = 1/(w (1 + w)), w = sqrt(1 + a), and R_3(a) =
+(atan(sqrt a)/sqrt a - 1/(1 + a))/(2a)), and over the facets by one scipy
 cubature; and the two tetrahedron integrals are classical one-dimensional
 quadratures.
 """
@@ -190,9 +191,8 @@ def direct_klein_volume(vertices, kappa, rel_tol=1e-6):
     of a cone the integral is in closed form,
 
         R_d(a) = int_0^1 r^(d-1) (1 + a r^2)^(-(d+1)/2) dr
-               = 2F1((d+1)/2, d/2; d/2 + 1; -a) / d,
 
-    so the volume is d V sum_j lambda_j <R_d(kappa |x|^2)>_{F_j}, the mean
+    (_klein_radial), so the volume is d V sum_j lambda_j <R_d(kappa |x|^2)>_{F_j}, the mean
     taken over the facet.  A d = 2 facet is its segment x = P_0 + s(P_1 -
     P_0), a d = 3 facet the Duffy map x = P_0 + s(P_1 - P_0) + st(P_2 - P_1)
     of the unit square, whose Jacobian 2s is normalised to the facet's
@@ -207,7 +207,6 @@ def direct_klein_volume(vertices, kappa, rel_tol=1e-6):
     blows up.
     """
     from scipy.integrate import cubature
-    from scipy.special import hyp2f1
     d = vertices.shape[1]
     if d not in (2, 3):
         raise CostLimitError("direct Klein integration is limited to d in {2, 3}")
@@ -228,11 +227,44 @@ def direct_klein_volume(vertices, kappa, rel_tol=1e-6):
     def integrand(u):
         c = np.cumprod(u, axis=1)  # the map's s and st
         x = (p0 + c @ steps).reshape(len(u), d + 1, d)  # one point on each facet
-        radial = hyp2f1((d + 1) / 2.0, d / 2.0, d / 2.0 + 1.0, -kappa * np.sum(x * x, axis=2)) / d
+        radial = _klein_radial(d, kappa * np.sum(x * x, axis=2))
         return (d - 1) * np.prod(c[:, :d - 2], axis=1) * (radial @ cones)
 
     return float(cubature(integrand, np.zeros(d - 1), np.ones(d - 1), rule="gk21",
                           rtol=rel_tol, atol=0.0).estimate)
+
+
+#: |a| below which _klein_radial sums R_3's power series, where its closed
+#: form cancels; the series' first 28 terms leave below u of it there
+_R3_NEAR = 0.25
+_R3_TERMS = 28
+
+
+def _klein_radial(d, a):
+    """R_d(a) = int_0^1 r^(d-1) (1 + a r^2)^(-(d+1)/2) dr = 2F1((d+1)/2, d/2;
+    d/2 + 1; -a) / d at each a > -1 of the array a, for d in {2, 3}.
+
+    With u = r^2, R_2(a) = 1/(w (1 + w)), w = sqrt(1 + a), which nowhere
+    cancels.  R_3(a) = (atan(b)/b - 1/(1 + a))/(2a), b = sqrt(a), and for a <
+    0 the same with atanh(b)/b, b = sqrt(-a); as a -> 0 its two terms cancel
+    (to a relative 2u/|a|), so at |a| < _R3_NEAR it is the series sum_k (k
+    + 1)(-a)^k/(2k + 3), term by term from (1 + a r^2)^-2 = sum_k (k + 1)(-a
+    r^2)^k.  Against a 40-digit 2F1, both are within 6 ulp from a = -1 +
+    1e-13 to 1e7, where scipy's hyp2f1 is off by up to 3e-14 near a = -0.996
+    and returns inf for R_2 at a = -1 + 1e-13.
+    """
+    if d == 2:
+        w = np.sqrt(1.0 + a)
+        return 1.0 / (w * (1.0 + w))
+    out = np.empty_like(a)
+    near = np.abs(a) < _R3_NEAR
+    k = np.arange(_R3_TERMS - 1.0, -1.0, -1.0)
+    out[near] = np.polyval((k + 1.0) / (2.0 * k + 3.0), -a[near])
+    for part, atan in ((a >= _R3_NEAR, np.arctan), (a <= -_R3_NEAR, np.arctanh)):
+        x = a[part]
+        b = np.sqrt(np.abs(x))
+        out[part] = (atan(b) / b - 1.0 / (1.0 + x)) / (2.0 * x)
+    return out
 
 
 def ideal_tetrahedron_volume():

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import hyp2f1, ndtr
 
 import simplexvol
 from simplexvol import _hp, oracles
@@ -508,3 +509,29 @@ def test_klein_cone_sum_edge_cases(d, case):
         assert lam.min() > 0.0
     ref = _klein_per_dimension(verts, kappa, 1e-10)
     assert abs(direct_klein_volume(verts, kappa, 1e-10) - ref) <= 1e-10 * ref
+
+
+#: the points a of the radial closed forms' checks: both sides of 0 down to
+#: 1e-12, both sides of the switch to R_3's series at |a| = 0.25, up to 1e7,
+#: and down to 1e-13 above -1, where the density blows up
+_RADIAL_POINTS = np.concatenate([
+    -np.geomspace(1e-12, 0.9, 60), np.geomspace(1e-12, 1e7, 80),
+    -1.0 + np.geomspace(1e-13, 0.1, 30), [0.0],
+    [np.nextafter(s * 0.25, 0.0) for s in (1, -1)], [0.25, -0.25]])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_klein_radial_closed_forms_match_hyp2f1(d):
+    # R_d(a) = 2F1((d+1)/2, d/2; d/2 + 1; -a)/d: within 6 ulp of a 40-digit
+    # 2F1 everywhere, and within 12 ulp of scipy's hyp2f1 where that is
+    # itself that close (it is off by 3e-14 near a = -0.996)
+    a = _RADIAL_POINTS
+    got = oracles._klein_radial(d, a)
+    with mp.workdps(40):
+        ref = np.array([float(mp.hyp2f1(mp.mpf(d + 1) / 2, mp.mpf(d) / 2, mp.mpf(d) / 2 + 1,
+                                         -mp.mpf(x)) / d) for x in a])
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(got / ref - 1.0)) <= 6 * eps
+    inside = a >= -0.9
+    scipy_ref = hyp2f1((d + 1) / 2, d / 2, d / 2 + 1, -a[inside]) / d
+    assert np.max(np.abs(got[inside] / scipy_ref - 1.0)) <= 12 * eps

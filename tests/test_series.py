@@ -194,17 +194,24 @@ def test_a_short_window_reads_on_to_the_tail(monkeypatch):
     # so only a shortened guess reaches a window below T_(_IDEAL_K) where no
     # index passes the stopping test: the row reads its table on to
     # T_(_IDEAL_K) and adds the closed-form tail, a regular row and one of
-    # three groups alike
+    # three groups alike.  In a batch beside a row of the same table whose
+    # window is long (rho >= 0.9), each still stops only within its own
     o = OrthocentricParams((0.9, 1.2, 0.9, 1.1))
     reqs = [VolumeRequest(regular_parameters(3, 1.0, -1.0), -1.0),
             VolumeRequest(o, 0.5 * min_curvature(o))]
+    longer = [VolumeRequest(regular_parameters(3, 3.0, -1.0), -1.0),
+              VolumeRequest(o, 0.95 * min_curvature(o))]
     full = engine.volumes(reqs)
-    monkeypatch.setattr(engine, "_series_guess", lambda n, rho: 4)
-    for req, f in zip(reqs, full):
+    guess = engine._series_guess
+    monkeypatch.setattr(engine, "_series_guess", lambda n, rho: 4 if rho < 0.6 else guess(n, rho))
+    batch = engine.volumes(longer + reqs)[2:]
+    for req, f, b in zip(reqs, full, batch):
         short = volume(req)
         assert short.branch is Branch.SERIES and short.evaluations == engine._IDEAL_K + 1
         assert f.evaluations < short.evaluations
         assert abs(short.volume - f.volume) <= short.abs_error + f.abs_error
+        assert (repr(b.volume), repr(b.abs_error), b.evaluations) \
+            == (repr(short.volume), repr(short.abs_error), short.evaluations)
 
 
 def _fresh_table(n, K, groups):
@@ -691,6 +698,72 @@ def test_orthocentric_rows_are_bit_identical_alone_and_in_a_batch():
         alone = volume(req)
         assert (repr(r.volume), repr(r.abs_error), r.branch, r.evaluations) \
             == (repr(alone.volume), repr(alone.abs_error), alone.branch, alone.evaluations)
+
+
+#: the fractions of kappa0 a batch row is drawn at: sums that stop within a
+#: few terms, within their window, rows of 257 terms with the closed-form
+#: tail (0.999, 0.9999) and kappa0 itself (rho = 1)
+_BATCH_FRACS = (1e-4, 0.05, 0.3, 0.7, 0.9, 0.999, 0.9999, 1.0)
+
+
+@st.composite
+def _batches(draw):
+    """1-30 series requests, shuffled, on at most four geometries: regular
+    d-simplices (one table per d, whatever the side) and orthocentric taus
+    drawn from three values per geometry, so that groups repeat."""
+    geometries = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(2, 7))
+        if draw(st.booleans()):
+            geometries.append(OrthocentricParams((1.0,) * (d + 1)))
+        else:
+            values = draw(st.lists(st.floats(0.6, 1.8), min_size=3, max_size=3))
+            geometries.append(OrthocentricParams(tuple(
+                draw(st.sampled_from(values)) for _ in range(d + 1))))
+    reqs = []
+    for _ in range(draw(st.integers(1, 30))):
+        p = draw(st.sampled_from(geometries))
+        frac = draw(st.sampled_from(_BATCH_FRACS))
+        reqs.append(VolumeRequest(p, frac * min_curvature(p)))
+    return draw(st.permutations(reqs))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(reqs=_batches())
+def test_a_batch_gives_each_row_the_bits_of_its_single_call(reqs):
+    # the rows of a table share its terms array, one pass of stopping tests
+    # and one expansion of the closed-form tail; each must still be what
+    # volume() gives its request alone
+    got = engine.volumes(reqs)
+    for req, r in zip(reqs, got):
+        alone = volume(req)
+        assert r.branch is Branch.SERIES
+        assert (repr(r.volume), repr(r.abs_error), r.evaluations) \
+            == (repr(alone.volume), repr(alone.abs_error), alone.evaluations)
+
+
+def test_the_tail_is_expanded_once_per_table_that_takes_it(monkeypatch):
+    # three tables: regular d = 3 and 5 with rows that stop early and rows
+    # of 257 terms, and the State d = 4 taus, whose rows all stop early;
+    # then a batch that takes no tail at all
+    calls = []
+
+    def counted(n, table, groups):
+        calls.append(groups)
+        return expand(n, table, groups)
+
+    expand = engine._tail_expansion
+    monkeypatch.setattr(engine, "_tail_expansion", counted)
+    state = _state_row(4, None).geometry
+    early = [VolumeRequest(state, f * min_curvature(state)) for f in (0.1, 0.5, 0.8)]
+    reqs = [VolumeRequest(regular_parameters(d, ell, -1.0), -1.0)
+            for d in (3, 5) for ell in (0.5, 2.0, 8.0, 12.0, math.inf)]
+    got = engine.volumes(reqs + early)
+    assert sorted(r.evaluations == engine._IDEAL_K + 1 for r in got) == [False] * 7 + [True] * 6
+    assert sorted(calls) == [((1.0, 4),), ((1.0, 6),)]
+    calls.clear()
+    assert all(r.evaluations < engine._IDEAL_K + 1 for r in engine.volumes(early + reqs[:2]))
+    assert calls == []
 
 
 @pytest.mark.parametrize("d, ell, kappa, vol, err, terms", [

@@ -20,6 +20,10 @@ Each checkout is a full tree (``git archive`` or ``git clone``) with its own
 * the time an orthocentric-hyperbolic pass spends building curvature-series
   tables (``engine._series_table``): the median over REPEATS passes after a
   warm-up, on both sides;
+* per row, one 25-row ``volumes()`` call against the same 25 requests as
+  one-row ``volume()`` calls, on the regular-sweep grid at d = 3, 5 and 12
+  (kappa = -1): each the median over REPEATS calls after a warm-up, divided
+  by 25, on both sides;
 * ``regular_volume(d, ell)`` times for d = 2..14 at ell = inf and at the
   finite side lengths of REGULAR_ROWS, on both sides: per d the first call
   on its own (cold: it builds what the series keeps for its dimension) and
@@ -237,6 +241,35 @@ print(json.dumps({"ms": 1e3 * statistics.median(passes), "calls_per_pass": len(s
 """
 
 
+#: one child per side: per d, the 25 requests of the regular-sweep grid at
+#: kappa = -1 as one volumes() call and as 25 one-row volume() calls, each
+#: the median of REPEATS calls after a warm-up, in us per row
+BATCH_CHILD = """
+import json, statistics, sys, time
+from pathlib import Path
+sys.path[:0] = [sys.argv[1], str(Path(sys.argv[1]).parent / "benchmarks")]
+from simplexvol import engine, geometry
+from workloads import RegularSweep
+grid, repeats = RegularSweep(int(sys.argv[3])).grid(-1.0), int(sys.argv[2])
+
+def per_row_us(call, reqs):
+    call(reqs)
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        call(reqs)
+        times.append(time.perf_counter() - t0)
+    return 1e6 * statistics.median(times) / len(reqs)
+
+out = {}
+for d in (3, 5, 12):
+    reqs = [engine.VolumeRequest(geometry.regular_parameters(d, ell, -1.0), -1.0) for ell in grid]
+    out[d] = {"batch_us": per_row_us(engine.volumes, reqs),
+              "single_us": per_row_us(lambda rs: [engine.volume(r) for r in rs], reqs)}
+print(json.dumps(out))
+"""
+
+
 #: fresh processes per side for the Monte Carlo peak: one cold call's traced
 #: peak varies by up to 9% between processes of the same code
 MC_COLD = 5
@@ -414,6 +447,13 @@ def main(argv=None):
                                           f"{TRACE_SEED}, summed",
                                   "statistic": f"median of {REPEATS} passes after a warm-up",
                                   **child_times(sides, TABLE_CHILD, REPEATS, TRACE_SEED)},
+        "series_batch_us": {"call": "engine.volumes() on the 25 requests of the regular-sweep "
+                                    f"grid (--seed {TRACE_SEED}) at kappa = -1 and d = 3, 5 "
+                                    "and 12, against the same requests as 25 one-row "
+                                    "engine.volume() calls",
+                            "statistic": f"per row: the median of {REPEATS} calls after a "
+                                         "warm-up, divided by 25",
+                            **child_times(sides, BATCH_CHILD, REPEATS, TRACE_SEED)},
         "regular_volume_ms": {"call": "regular_volume(d, inf)",
                               "statistic": SINGLE_CALL_STATISTIC,
                               **child_times(sides, REGULAR_CHILD, WARM_CALLS, "inf")},
