@@ -737,14 +737,17 @@ def _series_volumes(groups, rows):
             for sg, cg in zip(sigma.tolist(), c):  # cg: c_g0..c_gJ, J = _TAIL_J
                 lam = -math.log(rho * sg)
                 if lam * K < -math.log(_U):  # (rho sigma_g)^K above rounding
-                    phi = _lerch_tails(h - 1.0, len(cg) + 1, lam, K + 1.0)  # Phi_(h-1)..Phi_(h+J)
+                    # Phi_(h-1)..Phi_(h+J)
+                    phi = _lerch_tails(h - 1.0, len(cg) + 1, lam, K + 1.0)
                     tail += math.fsum(cg[:-1] * phi[1:-1])
                     omitted += abs(float(cg[-1]) * phi[-1])
                     if lam:
-                        k_tail += (8 * (rho < 1.0) + 3 * (sg < 1.0)) * math.fsum(cg[:-1] * phi[:-2])
+                        k_tail += ((8 * (rho < 1.0) + 3 * (sg < 1.0))
+                                   * math.fsum(cg[:-1] * phi[:-2]))
             total += tail
-            sum_err = _U * (slope * k_weighted + const * total + k_tail + 128 * abs(tail)
-                            + (rho < 1.0) * (8 * k_weighted + 3 * total)) + omitted + gap * abs(tail)
+            sum_err = (_U * (slope * k_weighted + const * total + k_tail + 128 * abs(tail)
+                             + (rho < 1.0) * (8 * k_weighted + 3 * total))
+                       + omitted + gap * abs(tail))
         # 1.01 covers the second-order terms of these first-order counts and the
         # rounding of the bar itself
         vol = pre * total
@@ -776,7 +779,8 @@ def volumes(requests):
     magnitude and bar are below the double range as an OverflowRegionError.
     """
     out = [None] * len(requests)
-    series = {}  # groups -> ([position], [(rho, end of the test's window, prefactor, its rounding)])
+    # groups -> ([position], [(rho, end of its test's window, prefactor, its rounding)])
+    series = {}
     for i, req in enumerate(requests):
         try:
             kappa, at_kappa0 = _checked_kappa(req)

@@ -190,9 +190,9 @@ def direct_klein_volume(vertices, kappa, rel_tol=1e-6):
     beyond F_j, zero when F_j's plane passes through it).  Along each ray
     of a cone the integral is in closed form,
 
-        R_d(a) = int_0^1 r^(d-1) (1 + a r^2)^(-(d+1)/2) dr
+        R_d(a) = int_0^1 r^(d-1) (1 + a r^2)^(-(d+1)/2) dr   (_klein_radial),
 
-    (_klein_radial), so the volume is d V sum_j lambda_j <R_d(kappa |x|^2)>_{F_j}, the mean
+    so the volume is d V sum_j lambda_j <R_d(kappa |x|^2)>_{F_j}, the mean
     taken over the facet.  A d = 2 facet is its segment x = P_0 + s(P_1 -
     P_0), a d = 3 facet the Duffy map x = P_0 + s(P_1 - P_0) + st(P_2 - P_1)
     of the unit square, whose Jacobian 2s is normalised to the facet's
