@@ -243,8 +243,8 @@ def _series_table(n, K, groups):
     sigmas = np.array([sigma for sigma, _ in groups[1:]])[:, None]
     parts[1:] *= np.power(sigmas, np.arange(K + 1.0))
     for M, x, y, z in plan.levels:
-        parts = np.concatenate((_merge_groups(parts[0:2 * M:2], parts[1:2 * M:2],
-                                              x[:, :L], y[:, :L], z[:, :L]), parts[2 * M:]))
+        merged = _merge_groups(parts[0:2 * M:2], parts[1:2 * M:2], x[:, :L], y[:, :L], z[:, :L])
+        parts = np.concatenate((merged, parts[2 * M:])) if 2 * M < len(parts) else merged
     return np.multiply(parts[0], plan.last[:L], out=parts[0])
 
 
@@ -693,7 +693,8 @@ def _series_volumes(groups, rows):
     and passes 1 from n = 53, where the expansion in 1/k diverges at k = K,
     but the tail is then below 1e-35 of the sum.
     """
-    n = sum(m for _, m in groups)
+    ms = [m for _, m in groups]
+    n, G, M = sum(ms), len(ms), max(ms)
     h = n / 2.0
     rhos = np.array([[row[0]] for row in rows])
     table = _series_table(n, max(row[1] for row in rows) + 1, groups)
@@ -719,7 +720,6 @@ def _series_volumes(groups, rows):
             table = _series_table(n, _IDEAL_K, groups)
             t = _series_terms(rhos, _IDEAL_K, table)
         sigma, c, gap = _tail_expansion(n, table, groups)
-    G, M = len(groups), max(m for _, m in groups)
     slope = 2 * M + 3 * (G > 1) + 3 * (G - 1).bit_length()
     out = []
     for (rho, K, pre, pre_u), row, terms, stop in zip(rows, t, t.tolist(), stops):
