@@ -700,9 +700,9 @@ def test_orthocentric_rows_are_bit_identical_alone_and_in_a_batch():
             == (repr(alone.volume), repr(alone.abs_error), alone.branch, alone.evaluations)
 
 
-#: the fractions of kappa0 a batch row is drawn at: sums that stop within a
-#: few terms, within their window, rows of 257 terms with the closed-form
-#: tail (0.999, 0.9999) and kappa0 itself (rho = 1)
+#: the fractions of kappa0 a batch row is drawn at: sums that stop after a
+#: few terms or later in their window, rows of 257 terms with the
+#: closed-form tail (0.999, 0.9999) and kappa0 itself (rho = 1)
 _BATCH_FRACS = (1e-4, 0.05, 0.3, 0.7, 0.9, 0.999, 0.9999, 1.0)
 
 
